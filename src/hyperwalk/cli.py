@@ -7,23 +7,18 @@ row order.  Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
+from typing import Iterable
 
 import numpy as np
 
 from .evolution import ENGINE_KINDS, EvolutionEngine, evolve
-from .formatting import dumps_json, format_float
+from .formatting import format_float, iter_csv, iter_json
 from .graph import GRAPH_FORMATS, export_graph, graph_json_dict
-from .measure import (
-    TIME_AVERAGE_METHODS,
-    Distribution,
-    distribution_at,
-    distribution_csv,
-    is_symmetric,
-    time_average,
-)
+from .measure import is_symmetric, time_average
 from .operators import basis_state
 from .spectral import spectrum
 from .subsets import Level, format_node, parse_node
@@ -34,7 +29,10 @@ _METHOD_FLAGS = {"quadrature": "quadrature", "pair-sum": "pair_sum", "krawtchouk
 
 
 def _parse_pi_fraction(text: str) -> float:
-    """Parse "p/q" (or "p") as the time p*pi/q, avoiding decimal truncation."""
+    """Parse "p/q" (or "p") as the time p*pi/q, avoiding decimal truncation.
+
+    The time is reduced into [0, pi), one period of the walk.
+    """
     body = text.strip()
     num_str, _, den_str = body.partition("/")
     try:
@@ -44,7 +42,10 @@ def _parse_pi_fraction(text: str) -> float:
         raise ValueError(f"expected an integer fraction like '1/2', got {text!r}") from None
     if den == 0:
         raise ValueError(f"zero denominator in pi fraction {text!r}")
-    return math.pi * num / den
+    if den < 0:
+        num, den = -num, -den
+    # the walk is pi-periodic: reducing p mod q in integers keeps the time exact
+    return math.pi * (num % den) / den
 
 
 def _resolve_time(value: float | None, fraction: str | None, default: float | None = None) -> float:
@@ -124,18 +125,17 @@ def _add_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, metavar="FILE", help="write output to FILE")
 
 
-def cmd_spectrum(args: argparse.Namespace) -> str:
+def cmd_spectrum(args: argparse.Namespace) -> Iterable[str]:
     spec = spectrum(Level(args.L))
     if args.format == "csv":
         lines = ["eigenvalue,multiplicity,card"]
         for entry in spec.entries:
             lines.append(f"{entry.eigenvalue},{entry.multiplicity},{entry.card}")
-        return "\n".join(lines) + "\n"
-    doc = {"schema": SCHEMA, **spec.to_json_dict()}
-    return dumps_json(doc) + "\n"
+        return ["\n".join(lines) + "\n"]
+    return _json_document({"schema": SCHEMA, **spec.to_json_dict()})
 
 
-def cmd_evolve(args: argparse.Namespace) -> str:
+def cmd_evolve(args: argparse.Namespace) -> Iterable[str]:
     level = Level(args.L)
     t = _resolve_time(args.t, args.t_pi_fraction)
     initial_node = parse_node(args.initial, level)
@@ -143,28 +143,24 @@ def cmd_evolve(args: argparse.Namespace) -> str:
     state = evolve(engine, basis_state(level, initial_node), t)
     probs = np.abs(state.amps) ** 2
     if args.format == "csv":
-        lines = ["node,probability" + (",amp_re,amp_im" if args.amplitudes else "")]
-        for sigma in range(level.dim):
-            row = f'"{format_node(sigma)}",{format_float(float(probs[sigma]))}'
-            if args.amplitudes:
-                amp = state.amps[sigma]
-                row += f",{format_float(float(amp.real))},{format_float(float(amp.imag))}"
-            lines.append(row)
-        return "\n".join(lines) + "\n"
+        if not args.amplitudes:
+            return iter_csv("node,probability", [probs])
+        return iter_csv("node,probability,amp_re,amp_im", [probs, state.amps.real, state.amps.imag])
     doc: dict = {
         "schema": SCHEMA,
         "L": level.L,
         "engine": args.engine,
         "initial": format_node(initial_node),
         "t": t,
-        "probs": [float(p) for p in probs],
+        "probs": probs,
     }
     if args.amplitudes:
-        doc["amps"] = [[float(a.real), float(a.imag)] for a in state.amps]
-    return dumps_json(doc) + "\n"
+        # [re, im] rows over the complex array's own memory
+        doc["amps"] = state.amps.view(np.float64).reshape(-1, 2)
+    return _json_document(doc)
 
 
-def cmd_time_average(args: argparse.Namespace) -> str:
+def cmd_time_average(args: argparse.Namespace) -> Iterable[str]:
     level = Level(args.L)
     method = _METHOD_FLAGS[args.method]
     initial_node = parse_node(args.initial, level)
@@ -172,21 +168,21 @@ def cmd_time_average(args: argparse.Namespace) -> str:
     dist = time_average(basis_state(level, initial_node), method=method, engine=engine)
     report = is_symmetric(dist, args.tol)
     if args.format == "csv":
-        body = distribution_csv(dist)
-        return body + f"# symmetry_max_deviation,{format_float(report.max_deviation)}\n"
+        footer = f"# symmetry_max_deviation,{format_float(report.max_deviation)}\n"
+        return itertools.chain(iter_csv("node,probability", [dist.probs]), [footer])
     doc = {
         "schema": SCHEMA,
         "L": level.L,
         "method": args.method,
         "initial": format_node(initial_node),
-        "probs": [float(p) for p in dist.probs],
+        "probs": dist.probs,
         "symmetry_max_deviation": report.max_deviation,
         "symmetric": report.symmetric,
     }
-    return dumps_json(doc) + "\n"
+    return _json_document(doc)
 
 
-def cmd_pst(args: argparse.Namespace) -> str:
+def cmd_pst(args: argparse.Namespace) -> Iterable[str]:
     level = Level(args.L)
     source = parse_node(args.source, level)
     t0 = _resolve_time(args.t0, args.t0_pi_fraction, default=math.pi / 2)
@@ -196,8 +192,7 @@ def cmd_pst(args: argparse.Namespace) -> str:
     best = int(np.argmax(fidelities))
     best_fid = float(fidelities[best])
     if args.format == "csv":
-        dist = Distribution(level=level, probs=fidelities.astype(np.float64))
-        return distribution_csv(dist, value_header="fidelity")
+        return iter_csv("node,fidelity", [fidelities])
     doc = {
         "schema": SCHEMA,
         "L": level.L,
@@ -207,17 +202,20 @@ def cmd_pst(args: argparse.Namespace) -> str:
         "best_target": format_node(best),
         "best_fidelity": best_fid,
         "is_pst": best_fid >= 1.0 - args.tol,
-        "fidelities": [float(f) for f in fidelities],
+        "fidelities": fidelities,
     }
-    return dumps_json(doc) + "\n"
+    return _json_document(doc)
 
 
-def cmd_graph(args: argparse.Namespace) -> str:
+def cmd_graph(args: argparse.Namespace) -> Iterable[str]:
     level = Level(args.L)
     if args.format == "json":
-        doc = {"schema": SCHEMA, **graph_json_dict(level)}
-        return dumps_json(doc) + "\n"
-    return export_graph(level, args.format)
+        return _json_document({"schema": SCHEMA, **graph_json_dict(level)})
+    return [export_graph(level, args.format)]
+
+
+def _json_document(doc: dict) -> Iterable[str]:
+    return itertools.chain(iter_json(doc), ["\n"])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -227,7 +225,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code) if exc.code is not None else 0
     try:
-        text = args.handler(args)
+        # handlers compute and validate everything before they return; only
+        # the formatting of the returned chunks is left to the writes below
+        chunks = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -236,10 +236,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
         try:
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
             sys.stdout.flush()
         except BrokenPipeError:
             # downstream reader (e.g. head) closed the pipe; exit quietly

@@ -21,22 +21,10 @@ import numpy as np
 
 from ._walsh import flip_bit, parity_signs
 from .operators import DENSE_CAP, NORM_TOL, StateVector
-from .spectral import eigenvalues_by_index, from_eigenbasis, to_eigenbasis
+from .spectral import apply_phases, from_eigenbasis, phases_by_index, to_eigenbasis
 from .subsets import Level
 
 ENGINE_KINDS = ("spectral", "product", "dense")
-
-
-def reduce_time(t: float) -> float:
-    """Canonical representative of t modulo the period pi, in [0, pi)."""
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
-    r = math.fmod(t, math.pi)
-    if r < 0.0:
-        r += math.pi
-    if r >= math.pi:  # rounding of the negative branch can land exactly on pi
-        r = 0.0
-    return r
 
 
 def _dense_basis(level: Level) -> np.ndarray:
@@ -67,7 +55,6 @@ class EvolutionEngine:
         self.kind = kind
         self.level = level
         self._basis = _dense_basis(level) if kind == "dense" else None
-        self._eigenvalues = eigenvalues_by_index(level) if kind == "dense" else None
 
     def __repr__(self) -> str:
         return f"EvolutionEngine(level=Level({self.level.L}), kind={self.kind!r})"
@@ -99,17 +86,15 @@ def evolve(
                 "pass renormalize=True to scale it"
             )
     if engine.kind == "spectral":
-        return _evolve_spectral(engine.level, initial, t)
+        return _evolve_spectral(initial, t)
     if engine.kind == "product":
         return _evolve_product(engine.level, initial, t)
     return _evolve_dense(engine, initial, t)
 
 
-def _evolve_spectral(level: Level, initial: StateVector, t: float) -> StateVector:
-    # reduction is exact by periodicity and keeps phase arguments small
-    t_red = reduce_time(t)
+def _evolve_spectral(initial: StateVector, t: float) -> StateVector:
     coeffs = to_eigenbasis(initial)
-    coeffs.amps *= np.exp(1j * t_red * eigenvalues_by_index(level))
+    apply_phases(coeffs, t)
     return from_eigenbasis(coeffs)
 
 
@@ -126,7 +111,7 @@ def _evolve_product(level: Level, initial: StateVector, t: float) -> StateVector
 def _evolve_dense(engine: EvolutionEngine, initial: StateVector, t: float) -> StateVector:
     basis = engine._basis
     coeffs = basis.T @ initial.amps
-    coeffs *= np.exp(1j * t * engine._eigenvalues)
+    coeffs *= phases_by_index(engine.level, t)
     return StateVector(engine.level, basis @ coeffs)
 
 
@@ -140,5 +125,5 @@ def materialize_unitary(level: Level, t: float, dense_cap: int = DENSE_CAP) -> n
     if level.dim > dense_cap:
         raise ValueError(f"dimension {level.dim} exceeds dense cap {dense_cap}")
     basis = _dense_basis(level)
-    phases = np.exp(1j * t * eigenvalues_by_index(level))
+    phases = phases_by_index(level, t)
     return (basis * phases[None, :]) @ basis.T

@@ -1,11 +1,21 @@
-"""Deterministic text output: fixed float formatting and a stable JSON writer."""
+"""Deterministic text output: fixed float formatting and stable JSON and CSV writers.
+
+The writers produce their text as a sequence of chunks, so a caller can
+stream a document without holding it whole.  Float arrays are formatted once
+per distinct value (format_float stays the only source of the bytes) and the
+strings are gathered and joined CHUNK values at a time.
+"""
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Iterator, Sequence
 
 import numpy as np
+
+from .subsets import node_label_chunks
+
+CHUNK = 1 << 16  # array values per yielded chunk
 
 
 def format_float(x: float) -> str:
@@ -17,43 +27,84 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _float_strings(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(text, index) with text[index] the format_float string of every value, in order.
+
+    Each distinct value is formatted once.  0.0 and -0.0 share an entry, which
+    is exact because both format as "0".
+    """
+    distinct, index = np.unique(np.ravel(values), return_inverse=True)
+    text = np.array([format_float(x) for x in distinct.tolist()], dtype=object)
+    return text, index
+
+
 def dumps_json(obj: Any) -> str:
     """Compact JSON with insertion-ordered keys and floats via format_float.
 
     The stdlib encoder formats floats with repr, which is shortest-round-trip
     rather than fixed-width; this writer pins the byte output instead.
     """
-    out: list[str] = []
-    _write(obj, out)
-    return "".join(out)
+    return "".join(iter_json(obj))
 
 
-def _write(obj: Any, out: list[str]) -> None:
+def iter_json(obj: Any) -> Iterator[str]:
+    """The text of dumps_json(obj) as a sequence of chunks.
+
+    1-D float64 arrays and (n, 2) float64 arrays (written as [re, im] pairs)
+    go through _float_strings and come out CHUNK values at a time.
+    """
     if isinstance(obj, str):
-        out.append(json.dumps(obj))
+        yield json.dumps(obj)
     elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
+        yield "true" if obj else "false"
     elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
+        yield str(int(obj))
     elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
+        yield format_float(float(obj))
     elif isinstance(obj, dict):
-        out.append("{")
+        yield "{"
         for i, (key, value) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            out.append(json.dumps(str(key)))
-            out.append(":")
-            _write(value, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
-        out.append("[")
+            yield ("," if i else "") + json.dumps(str(key)) + ":"
+            yield from iter_json(value)
+        yield "}"
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and (obj.ndim == 1 or obj.shape[1:] == (2,)):
+        yield from _float_array_json(obj)
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        yield "["
         for i, value in enumerate(obj):
             if i:
-                out.append(",")
-            _write(value, out)
-        out.append("]")
+                yield ","
+            yield from iter_json(value)
+        yield "]"
     elif obj is None:
-        out.append("null")
+        yield "null"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _float_array_json(values: np.ndarray) -> Iterator[str]:
+    text, index = _float_strings(values)
+    step = CHUNK * (2 if values.ndim == 2 else 1)  # the values in CHUNK rows
+    yield "["
+    for start in range(0, index.size, step):
+        strs = text[index[start : start + step]].tolist()
+        if values.ndim == 2:
+            strs = map("[{},{}]".format, strs[0::2], strs[1::2])
+        yield ("," if start else "") + ",".join(strs)
+    yield "]"
+
+
+def iter_csv(header: str, columns: Sequence[np.ndarray]) -> Iterator[str]:
+    """A header line, then one row per node in index order, as a sequence of chunks.
+
+    Row sigma is the quoted format_node label of sigma followed by the
+    format_float text of each column at sigma.  The columns are float arrays
+    of one value per node, so their length is a power of two.
+    """
+    yield header + "\n"
+    strings = [_float_strings(column) for column in columns]
+    row = '"{}"' + ",{}" * len(columns) + "\n"
+    starts = range(0, len(columns[0]), CHUNK)
+    for start, labels in zip(starts, node_label_chunks(len(columns[0]), CHUNK)):
+        cells = [text[index[start : start + CHUNK]].tolist() for text, index in strings]
+        yield "".join(map(row.format, labels, *cells))

@@ -18,7 +18,6 @@ The time-average distribution from the vacuum is computed three ways:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,9 +27,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .evolution import EvolutionEngine, evolve
-from .formatting import format_float
+from .formatting import iter_csv
 from .operators import StateVector, basis_state
-from .subsets import Level, cardinality, format_node
+from .spectral import phase_powers
+from .subsets import Level, cardinality
 
 TIME_AVERAGE_METHODS = ("quadrature", "pair_sum", "krawtchouk")
 PAIR_SUM_MAX_LEVEL = 7
@@ -112,7 +112,8 @@ def closed_form_pt(sigma: int, t: float, level: Level) -> float:
         raise ValueError(f"time must be finite, got {t!r}")
     m = level.L + 1
     row = _cardinality_sign_sums(level.L)[cardinality(sigma)]
-    z = sum(row[k] * cmath.exp(2j * (m - k) * t) for k in range(m + 1))
+    powers = phase_powers(t, m).tolist()
+    z = sum(row[k] * powers[m - k] for k in range(m + 1))
     return abs(z) ** 2 / float(level.dim) ** 2
 
 
@@ -122,9 +123,10 @@ def closed_form_distribution(level: Level, t: float) -> Distribution:
         raise ValueError(f"time must be finite, got {t!r}")
     m = level.L + 1
     table = _cardinality_sign_sums(level.L)
+    powers = phase_powers(t, m).tolist()
     by_card = np.empty(m + 1, dtype=np.float64)
     for s in range(m + 1):
-        z = sum(table[s][k] * cmath.exp(2j * (m - k) * t) for k in range(m + 1))
+        z = sum(table[s][k] * powers[m - k] for k in range(m + 1))
         by_card[s] = abs(z) ** 2 / float(level.dim) ** 2
     cards = np.bitwise_count(np.arange(level.dim, dtype=np.uint64)).astype(np.intp)
     return Distribution(level=level, probs=by_card[cards], time=float(t))
@@ -250,10 +252,7 @@ def pst_check(sigma: int, tau: int, t0: float, engine: EvolutionEngine) -> float
 
 def distribution_csv(dist: TimeAverageDistribution | Distribution, value_header: str = "probability") -> str:
     """CSV export with canonical node strings (node field always quoted)."""
-    lines = [f"node,{value_header}"]
-    for sigma in range(dist.level.dim):
-        lines.append(f'"{format_node(sigma)}",{format_float(float(dist.probs[sigma]))}')
-    return "\n".join(lines) + "\n"
+    return "".join(iter_csv(f"node,{value_header}", [dist.probs]))
 
 
 def distribution_json_dict(dist: TimeAverageDistribution | Distribution) -> dict:

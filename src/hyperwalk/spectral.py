@@ -11,6 +11,7 @@ the test suite.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -66,6 +67,46 @@ def eigenvalues_by_index(level: Level) -> np.ndarray:
     """Float array of the eigenvalue at every basis index."""
     cards = np.bitwise_count(np.arange(level.dim, dtype=np.uint64)).astype(np.float64)
     return 2.0 * (level.L + 1 - cards)
+
+
+def phase_powers(t: float, m: int) -> np.ndarray:
+    """z**j for j = 0..m, with z = exp(2it), by repeated multiplication.
+
+    The eigenvalue 2j evolves by the phase z**j.  libm reduces the exact
+    argument 2t correctly at any magnitude; forming j*t, or reducing t by the
+    float pi, first would round the phase away at large t.
+    """
+    z = cmath.exp(2j * t)
+    powers = np.empty(m + 1, dtype=np.complex128)
+    w = 1.0 + 0.0j
+    for j in range(m + 1):
+        powers[j] = w
+        w *= z
+    return powers
+
+
+def phases_by_index(level: Level, t: float) -> np.ndarray:
+    """exp(i t eigenvalue) at every basis index; dim-sized, for the dense paths."""
+    m = level.L + 1
+    cards = np.bitwise_count(np.arange(level.dim, dtype=np.uint64))
+    return phase_powers(t, m)[m - cards]
+
+
+def apply_phases(coeffs: StateVector, t: float) -> None:
+    """Multiply every eigenbasis coefficient by exp(i t eigenvalue), in place.
+
+    Coefficient s takes z**(m - popcount(s)).  The popcount adds over the high
+    and low halves of the index, so on the coefficients viewed as a
+    (2**hi, 2**lo) grid the phase is one factor per row times one per column:
+    two broadcast products, and no dim-sized phase or index array.
+    """
+    m = coeffs.level.L + 1
+    powers = phase_powers(t, m)
+    lo = m // 2
+    hi = m - lo
+    grid = coeffs.amps.reshape(1 << hi, 1 << lo)
+    grid *= powers[hi - np.bitwise_count(np.arange(1 << hi, dtype=np.uint64))][:, None]
+    grid *= powers[lo - np.bitwise_count(np.arange(1 << lo, dtype=np.uint64))]
 
 
 def spectrum(level: Level) -> Spectrum:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Iterator
 
 DEFAULT_MAX_LEVEL = 24
 MAX_LEVEL_ENV_VAR = "HYPERWALK_L_MAX"
@@ -19,7 +20,13 @@ def max_level() -> int:
     raw = os.environ.get(MAX_LEVEL_ENV_VAR)
     if raw is None or raw == "":
         return DEFAULT_MAX_LEVEL
-    return int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = None
+    if cap is None or cap < 0:
+        raise ValueError(f"{MAX_LEVEL_ENV_VAR} must be a nonnegative integer, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,25 @@ def format_node(sigma: int) -> str:
     The empty set prints as "{}".
     """
     return "{" + ",".join(str(k) for k in elements(sigma)) + "}"
+
+
+def node_label_chunks(dim: int, size: int) -> Iterator[list[str]]:
+    """format_node of every node in [0, dim), in order, as lists of size labels.
+
+    dim and size are powers of two.  The labels of the low bits are built once
+    by doubling over the bits; each chunk then appends its high bits' elements.
+    """
+    size = min(size, dim)
+    bits = size.bit_length() - 1
+    low = [""]
+    for k in range(bits):
+        low += [f"{p},{k}" if p else str(k) for p in low]
+    for high in range(dim >> bits):
+        tail = ",".join(str(k + bits) for k in elements(high))
+        if not tail:
+            yield ["{" + p + "}" for p in low]
+        else:
+            yield ["{" + tail + "}"] + ["{" + p + "," + tail + "}" for p in low[1:]]
 
 
 def parse_node(text: str, level: Level) -> int:

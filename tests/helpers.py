@@ -4,10 +4,20 @@ of the library's fast paths."""
 from __future__ import annotations
 
 import cmath
+import json
+import math
+from typing import Any
 
 import numpy as np
 
-from hyperwalk import Level, StateVector
+from hyperwalk import Level, StateVector, format_node
+from hyperwalk.formatting import format_float
+
+# fixed large times, then seeded log-uniform ones up to 1e15; those carry a
+# fractional part, so j*t rounds for small integers j
+LARGE_TIMES = [1e6, 1e9, 1e12, 1e15] + [
+    float(10**u) for u in np.random.default_rng(7).uniform(6, 15, size=8)
+]
 
 
 def popcount(x: int) -> int:
@@ -84,3 +94,66 @@ def random_state(level: Level, rng: np.random.Generator) -> StateVector:
     amps = rng.standard_normal(level.dim) + 1j * rng.standard_normal(level.dim)
     amps /= np.linalg.norm(amps)
     return StateVector(level, amps)
+
+
+def product_state_amplitudes(L: int, sigma: int, t: float) -> np.ndarray:
+    """Evolved amplitudes from node sigma by the product closed form.
+
+    U(t) is the tensor product over elements of e^{it} (cos t - i sin t X), so
+    amp[g] = e^{i m t} cos(t)**(m - d) (-i sin t)**d with d = popcount(g ^ sigma).
+    Only cos t and sin t of the unreduced t enter, so it holds at any |t|.
+    """
+    m = L + 1
+    cos_t, sin_t = math.cos(t), math.sin(t)
+    phase = complex(cos_t, sin_t) ** m
+    by_distance = [phase * cos_t ** (m - d) * (-1j * sin_t) ** d for d in range(m + 1)]
+    return np.array([by_distance[popcount(g ^ sigma)] for g in range(1 << m)])
+
+
+def reference_dumps_json(obj: Any) -> str:
+    """The per-element JSON writer: every value through its own isinstance
+    chain and format_float call."""
+    out: list[str] = []
+    _reference_write(obj, out)
+    return "".join(out)
+
+
+def _reference_write(obj: Any, out: list[str]) -> None:
+    if isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(format_float(float(obj)))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, (key, value) in enumerate(obj.items()):
+            if i:
+                out.append(",")
+            out.append(json.dumps(str(key)))
+            out.append(":")
+            _reference_write(value, out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
+        out.append("[")
+        for i, value in enumerate(obj):
+            if i:
+                out.append(",")
+            _reference_write(value, out)
+        out.append("]")
+    elif obj is None:
+        out.append("null")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_csv(header: str, columns: list[np.ndarray]) -> str:
+    """The per-row CSV writer: format_node and format_float on every cell."""
+    lines = [header]
+    for sigma in range(len(columns[0])):
+        cells = [f'"{format_node(sigma)}"'] + [format_float(float(c[sigma])) for c in columns]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+

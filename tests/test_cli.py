@@ -3,9 +3,23 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from hyperwalk import (
+    EvolutionEngine,
+    Level,
+    basis_state,
+    evolve,
+    format_node,
+    graph_json_dict,
+    is_symmetric,
+    spectrum,
+    time_average,
+)
 from hyperwalk.cli import main
+
+from helpers import reference_csv, reference_dumps_json
 
 
 def run_cli(capsys, *argv):
@@ -207,3 +221,133 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["entries"][0]["eigenvalue"] == 0
+
+
+# --- byte identity with the per-element reference writers -----------------
+
+
+def _document(doc: dict) -> str:
+    return reference_dumps_json({"schema": "hyperwalk/1", **doc}) + "\n"
+
+
+def _expected_evolve(L, t, node, engine, amplitudes, fmt):
+    lv = Level(L)
+    amps = evolve(EvolutionEngine(lv, engine), basis_state(lv, node), t).amps
+    probs = np.abs(amps) ** 2
+    if fmt == "csv":
+        if amplitudes:
+            return reference_csv("node,probability,amp_re,amp_im", [probs, amps.real, amps.imag])
+        return reference_csv("node,probability", [probs])
+    doc = {"L": L, "engine": engine, "initial": format_node(node), "t": t}
+    doc["probs"] = [float(p) for p in probs]
+    if amplitudes:
+        doc["amps"] = [[float(a.real), float(a.imag)] for a in amps]
+    return _document(doc)
+
+
+def _expected_time_average(L, method, node, fmt):
+    lv = Level(L)
+    dist = time_average(basis_state(lv, node), method=method.replace("-", "_"))
+    report = is_symmetric(dist, 1e-10)
+    if fmt == "csv":
+        deviation = reference_dumps_json(report.max_deviation)
+        return reference_csv("node,probability", [dist.probs]) + f"# symmetry_max_deviation,{deviation}\n"
+    doc = {"L": L, "method": method, "initial": format_node(node)}
+    doc["probs"] = [float(p) for p in dist.probs]
+    doc["symmetry_max_deviation"] = report.max_deviation
+    doc["symmetric"] = report.symmetric
+    return _document(doc)
+
+
+def _expected_pst(L, source, t0, fmt):
+    lv = Level(L)
+    fidelities = np.abs(evolve(EvolutionEngine(lv), basis_state(lv, source), t0).amps)
+    if fmt == "csv":
+        return reference_csv("node,fidelity", [fidelities])
+    best = int(np.argmax(fidelities))
+    doc = {"L": L, "from": format_node(source), "t0": t0, "engine": "spectral"}
+    doc["best_target"] = format_node(best)
+    doc["best_fidelity"] = float(fidelities[best])
+    doc["is_pst"] = float(fidelities[best]) >= 1.0 - 1e-10
+    doc["fidelities"] = [float(f) for f in fidelities]
+    return _document(doc)
+
+
+BYTE_CASES = []
+for L, node in ((0, 1), (5, 0b100101), (12, 0b1010)):
+    for fmt in ("json", "csv"):
+        for t in (0.731, -2.5, 123456789.25):
+            for amplitudes in (False, True):
+                argv = ["evolve", "--L", str(L), "--t", repr(t), "--initial", format_node(node)]
+                argv += ["--format", fmt] + ["--amplitudes"] * amplitudes
+                BYTE_CASES.append((argv, (_expected_evolve, L, t, node, "spectral", amplitudes, fmt)))
+        methods = ("quadrature", "krawtchouk") + (("pair-sum",) * (L <= 7))
+        for method in methods:
+            start = node if method == "quadrature" else 0
+            argv = ["time-average", "--L", str(L), "--method", method, "--initial", format_node(start)]
+            BYTE_CASES.append((argv + ["--format", fmt], (_expected_time_average, L, method, start, fmt)))
+        for t0 in (math.pi / 2, 0.9):
+            argv = ["pst", "--L", str(L), "--from", format_node(node), "--t0", repr(t0), "--format", fmt]
+            BYTE_CASES.append((argv, (_expected_pst, L, node, t0, fmt)))
+for kind in ("product", "dense"):
+    for fmt in ("json", "csv"):
+        argv = ["evolve", "--L", "5", "--t", "0.4", "--engine", kind, "--format", fmt, "--amplitudes"]
+        BYTE_CASES.append((argv, (_expected_evolve, 5, 0.4, 0, kind, True, fmt)))
+
+
+@pytest.mark.parametrize("argv, expected", BYTE_CASES, ids=[" ".join(c[0]) for c in BYTE_CASES])
+def test_output_matches_the_reference_writer(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    builder, *params = expected
+    assert out == builder(*params)
+
+
+@pytest.mark.parametrize("L", [0, 3, 11])
+def test_spectrum_and_graph_json_match_the_reference_writer(capsys, L):
+    _, out, _ = run_cli(capsys, "spectrum", "--L", str(L))
+    assert out == _document(spectrum(Level(L)).to_json_dict())
+    _, out, _ = run_cli(capsys, "graph", "--L", str(L), "--format", "json")
+    assert out == _document(graph_json_dict(Level(L)))
+
+
+def test_out_file_matches_stdout(tmp_path, capsys):
+    argv = ["evolve", "--L", "12", "--t", "0.3", "--amplitudes"]
+    _, out, _ = run_cli(capsys, *argv)
+    target = tmp_path / "evolve.json"
+    assert run_cli(capsys, *argv, "--out", str(target))[0] == 0
+    assert target.read_text(encoding="utf-8") == out
+
+
+def test_rejected_level_creates_no_out_file(tmp_path, capsys):
+    target = tmp_path / "never.json"
+    code, _, err = run_cli(capsys, "evolve", "--L", "30", "--t", "1", "--out", str(target))
+    assert code == 2
+    assert "[0, 24]" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3"])
+def test_malformed_env_cap_exits_2(capsys, monkeypatch, raw):
+    monkeypatch.setenv("HYPERWALK_L_MAX", raw)
+    code, _, err = run_cli(capsys, "spectrum", "--L", "1")
+    assert code == 2
+    assert "HYPERWALK_L_MAX must be a nonnegative integer" in err
+
+
+def test_pi_fraction_is_reduced_exactly_over_periods(capsys):
+    _, far, _ = run_cli(capsys, "evolve", "--L", "3", "--t-pi-fraction", "1000000001/2")
+    _, near, _ = run_cli(capsys, "evolve", "--L", "3", "--t-pi-fraction", "1/2")
+    assert far == near
+    assert json.loads(far)["t"] == math.pi / 2
+    _, negative, _ = run_cli(capsys, "evolve", "--L", "3", "--t-pi-fraction=-3/-2")
+    assert negative == near
+
+
+def test_pst_holds_at_a_large_pi_fraction(capsys):
+    code, out, _ = run_cli(capsys, "pst", "--L", "4", "--from", "1,3", "--t0-pi-fraction", "1000000001/2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["is_pst"] is True
+    assert doc["best_target"] == "{0,2,4}"
+    assert abs(doc["best_fidelity"] - 1.0) < 1e-12

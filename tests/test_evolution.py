@@ -14,11 +14,10 @@ from hyperwalk import (
     evolve,
     materialize_matrix,
     materialize_unitary,
-    reduce_time,
     vacuum_state,
 )
 
-from helpers import expm_unitary_via_eigh, random_state
+from helpers import LARGE_TIMES, expm_unitary_via_eigh, product_state_amplitudes, random_state
 
 
 @pytest.mark.parametrize("kind", ENGINE_KINDS)
@@ -52,20 +51,10 @@ def test_quarter_period_sends_each_node_to_its_complement(kind, L):
         assert np.abs(out.amps - target.amps).max() < 1e-12
 
 
-def test_reduce_time_examples():
-    assert reduce_time(math.pi) == 0.0
-    assert abs(reduce_time(3 * math.pi / 2) - math.pi / 2) < 1e-15
-    assert abs(reduce_time(-math.pi / 4) - 3 * math.pi / 4) < 1e-15
-    assert reduce_time(0.0) == 0.0
-    for t in (-12.7, -0.1, 0.4, 9.9, 1e6):
-        r = reduce_time(t)
-        assert 0.0 <= r < math.pi
-
-
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_non_finite_times_are_rejected(bad):
     with pytest.raises(ValueError):
-        reduce_time(bad)
+        materialize_unitary(Level(1), bad)
     engine = EvolutionEngine(Level(1))
     with pytest.raises(ValueError):
         evolve(engine, vacuum_state(Level(1)), bad)
@@ -78,8 +67,19 @@ def test_evolution_at_reduced_time_agrees(rng):
         xi = random_state(lv, rng)
         for t in (-7.3, 2.2, 11.9):
             a = evolve(engine, xi, t)
-            b = evolve(engine, xi, reduce_time(t))
+            b = evolve(engine, xi, t % math.pi)
             assert np.abs(a.amps - b.amps).max() < 1e-10
+
+
+@pytest.mark.parametrize("kind", ENGINE_KINDS)
+@pytest.mark.parametrize("L", [0, 3, 8])
+def test_engines_match_the_product_closed_form_at_large_t(kind, L):
+    lv = Level(L)
+    engine = EvolutionEngine(lv, kind)
+    for sigma in (0, lv.full_mask // 3):
+        for t in LARGE_TIMES:
+            got = evolve(engine, basis_state(lv, sigma), t).amps
+            assert np.abs(got - product_state_amplitudes(L, sigma, t)).max() < 1e-12, t
 
 
 @pytest.mark.parametrize("L", [0, 3, 8, 12])

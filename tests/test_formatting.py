@@ -1,0 +1,87 @@
+"""The chunked writers against the per-element reference writers, byte for byte."""
+
+import numpy as np
+import pytest
+
+from hyperwalk import formatting
+from hyperwalk.formatting import dumps_json, iter_csv, iter_json
+
+from helpers import reference_csv, reference_dumps_json
+
+CHUNK = 16  # small chunks, so that short arrays cross chunk boundaries
+
+
+@pytest.fixture(autouse=True)
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(formatting, "CHUNK", CHUNK)
+
+
+_BELOW = np.nextafter(1e-4, 0.0)
+_ABOVE = np.nextafter(1e-4, 1.0)
+
+EDGE_ARRAYS = {
+    "empty": [],
+    "signed zeros": [0.0, -0.0, -0.0, 0.0, 1.0, -0.0],
+    "subnormals": [5e-324, -5e-324, 1e-310, -2.5e-320, 2.2250738585072009e-308, 0.0],
+    "around 1e-4": [_BELOW, 1e-4, _ABOVE, -_BELOW, -1e-4, -_ABOVE, 9.99e-5, 1.0001e-4],
+    "negatives": [-1.0, -0.5, -1e-17, -123456.789, -0.49999999999999994, -1e300],
+    "non-finite": [np.inf, -np.inf, np.nan, 1.0],
+}
+
+
+def _all_distinct(n: int) -> np.ndarray:
+    rng = np.random.default_rng(11)
+    return rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, size=n)
+
+
+def _repeating(n: int) -> np.ndarray:
+    """Few distinct values, each recurring across chunk boundaries."""
+    return np.resize([0.1, -0.0, 2.5e-7, 0.1, 1.0 / 3.0, 0.0, -7.0], n)
+
+
+ARRAYS = {name: np.array(values, dtype=np.float64) for name, values in EDGE_ARRAYS.items()}
+ARRAYS["all distinct, several chunks"] = _all_distinct(2 * CHUNK + 6)
+ARRAYS["repeating, several chunks"] = _repeating(3 * CHUNK + 2)
+
+
+@pytest.mark.parametrize("name", list(ARRAYS))
+def test_float_array_json_matches_reference(name):
+    values = ARRAYS[name]
+    assert dumps_json(values) == reference_dumps_json(values)
+    pairs = values[: values.size // 2 * 2].reshape(-1, 2)
+    assert dumps_json(pairs) == reference_dumps_json(pairs)
+    doc = {"a": values, "n": len(values), "pairs": pairs, "flag": True, "x": -0.0, "none": None}
+    assert "".join(iter_json(doc)) == reference_dumps_json(doc)
+
+
+def test_other_values_take_the_element_path():
+    doc = {
+        "ints": np.arange(5),
+        "grid": np.eye(3),
+        "wide": np.ones((2, 3)),
+        "single": np.array([0.1, 1e-5], dtype=np.float32),
+        "list": [0.5, [1e-5]],
+    }
+    assert dumps_json(doc) == reference_dumps_json(doc)
+    for bad in (object(), np.array(1.0)):
+        with pytest.raises(TypeError):
+            dumps_json({"bad": bad})
+
+
+def _pad(values: np.ndarray, dim: int) -> np.ndarray:
+    return np.resize(values, dim) if values.size else np.zeros(dim)
+
+
+@pytest.mark.parametrize("dim", [2, 8, 4 * CHUNK])
+def test_csv_matches_reference(dim):
+    columns = [_pad(ARRAYS[name], dim) for name in EDGE_ARRAYS]
+    columns.append(_all_distinct(dim))
+    columns.append(_repeating(dim))
+    header = "node," + ",".join(f"c{i}" for i in range(len(columns)))
+    assert "".join(iter_csv(header, columns)) == reference_csv(header, columns)
+
+
+def test_writers_stream_in_chunks():
+    values = _repeating(2 * CHUNK + 1)
+    assert len(list(iter_json(values))) == 5  # "[", three chunks, "]"
+    assert len(list(iter_csv("node,p", [_repeating(4 * CHUNK)]))) == 5  # header, four chunks

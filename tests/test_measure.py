@@ -23,7 +23,13 @@ from hyperwalk import (
     vacuum_state,
 )
 
-from helpers import literal_time_average, literal_vacuum_prob, random_state
+from helpers import (
+    LARGE_TIMES,
+    literal_time_average,
+    literal_vacuum_prob,
+    product_state_amplitudes,
+    random_state,
+)
 
 
 def test_two_level_distribution_closed_form():
@@ -93,6 +99,16 @@ def test_closed_form_matches_evolution(L, rng):
         evolved = distribution_at(engine, vac, t).probs
         closed = closed_form_distribution(lv, t).probs
         assert np.abs(evolved - closed).max() < 1e-10
+
+
+@pytest.mark.parametrize("L", [0, 3, 8])
+def test_closed_forms_hold_at_large_t(L):
+    lv = Level(L)
+    for t in LARGE_TIMES:
+        expected = np.abs(product_state_amplitudes(L, 0, t)) ** 2
+        assert np.abs(closed_form_distribution(lv, t).probs - expected).max() < 1e-12, t
+        for sigma in (1, lv.full_mask):
+            assert abs(closed_form_pt(sigma, t, lv) - expected[sigma]) < 1e-12, t
 
 
 def test_closed_form_full_node_at_quarter_period():

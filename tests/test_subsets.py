@@ -11,6 +11,7 @@ from hyperwalk import (
     parse_node,
     symmetric_difference,
 )
+from hyperwalk.subsets import node_label_chunks
 
 from helpers import popcount, setminus_card
 
@@ -33,6 +34,21 @@ def test_level_env_override(monkeypatch):
     with pytest.raises(ValueError):
         Level(5)
     assert Level(4).dim == 32
+
+
+@pytest.mark.parametrize("raw", ["abc", "-3"])
+def test_malformed_env_cap_is_named_in_the_error(monkeypatch, raw):
+    monkeypatch.setenv("HYPERWALK_L_MAX", raw)
+    with pytest.raises(ValueError, match="HYPERWALK_L_MAX must be a nonnegative integer"):
+        Level(1)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 64, 1 << 12])
+@pytest.mark.parametrize("size", [1, 2, 16, 1 << 16])
+def test_node_label_chunks_match_format_node(dim, size):
+    chunks = list(node_label_chunks(dim, size))
+    assert {len(c) for c in chunks} == {min(size, dim)}
+    assert [label for c in chunks for label in c] == [format_node(s) for s in range(dim)]
 
 
 @pytest.mark.parametrize(
