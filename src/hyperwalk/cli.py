@@ -27,6 +27,11 @@ SCHEMA = "hyperwalk/1"
 
 _METHOD_FLAGS = {"quadrature": "quadrature", "pair-sum": "pair_sum", "krawtchouk": "krawtchouk"}
 
+# peak bytes of a subcommand in units of one complex array over the nodes
+# (dim * 16 bytes): the traced peak at L = 18 over every engine, format and
+# --amplitudes, rounded up (evolve 6.6, time-average 5.5, pst 5.0)
+_PEAK_ARRAYS = {"evolve": 7, "time-average": 6, "pst": 6}
+
 
 def _parse_pi_fraction(text: str) -> float:
     """Parse "p/q" (or "p") as the time p*pi/q, avoiding decimal truncation.
@@ -214,6 +219,30 @@ def cmd_graph(args: argparse.Namespace) -> Iterable[str]:
     return [export_graph(level, args.format)]
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _check_memory(args: argparse.Namespace) -> None:
+    """Refuse a level whose estimated peak exceeds physical memory, before
+    any node-sized array exists."""
+    arrays = _PEAK_ARRAYS.get(args.command)
+    memory = _physical_memory()
+    if arrays is None or memory is None:
+        return
+    level = Level(args.L)
+    need = arrays * level.dim * 16
+    if need > memory:
+        raise ValueError(
+            f"{args.command} at L={level.L} needs about {need / 2**30:.2f} GiB, "
+            f"more than the {memory / 2**30:.2f} GiB of physical memory"
+        )
+
+
 def _json_document(doc: dict) -> Iterable[str]:
     return itertools.chain(iter_json(doc), ["\n"])
 
@@ -227,6 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # handlers compute and validate everything before they return; only
         # the formatting of the returned chunks is left to the writes below
+        _check_memory(args)
         chunks = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

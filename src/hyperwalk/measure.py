@@ -10,10 +10,11 @@ The time-average distribution from the vacuum is computed three ways:
   exactly; M = 2L+4 keeps one point of margin.  Works for any initial state.
 * ``pair_sum``: the literal double sum over index pairs of equal cardinality,
   O(4**(L+1)); kept as the ground-truth oracle and gated to L <= 7.
-* ``krawtchouk``: the cardinality-grouped evaluation.  The inner sum of
-  signs over all subsets of fixed cardinality k depends only on (popcount of
-  the node, k) and reduces to a binomial convolution, making the average
-  computable at L = 20.  Vacuum initial state only.
+* ``krawtchouk``: the exact value per cardinality class.  From the vacuum
+  the walk is a product state whose occupation at a node of cardinality d
+  is cos(t)**(2(m-d)) * sin(t)**(2d), with m = L+1, so the period average
+  is the Beta integral (2(m-d)-1)!! (2d-1)!! / (2m)!!, kept as a Fraction
+  until it is gathered over nodes.  Vacuum initial state only.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +29,7 @@ import numpy as np
 from .evolution import EvolutionEngine, evolve
 from .formatting import iter_csv
 from .operators import StateVector, basis_state
-from .spectral import phase_powers
+from .spectral import basis_start_amplitudes, basis_start_table
 from .subsets import Level, cardinality
 
 TIME_AVERAGE_METHODS = ("quadrature", "pair_sum", "krawtchouk")
@@ -80,56 +80,24 @@ def distribution_at(engine: EvolutionEngine, initial: StateVector, t: float) -> 
     return Distribution(level=engine.level, probs=probs, time=float(t))
 
 
-@lru_cache(maxsize=None)
-def _cardinality_sign_sums(L: int) -> tuple[tuple[int, ...], ...]:
-    """Row s, column k: integer sum of (-1)**popcount(node minus g) over all
-    subsets g of fixed cardinality k, for any node of cardinality s.
-
-    Splitting g into j elements inside the node and k-j outside gives the
-    binomial convolution sum_j (-1)**(s-j) C(s, j) C(L+1-s, k-j).
-    """
-    m = L + 1
-    table = []
-    for s in range(m + 1):
-        row = []
-        for k in range(m + 1):
-            total = 0
-            for j in range(max(0, k - (m - s)), min(s, k) + 1):
-                total += (-1) ** (s - j) * math.comb(s, j) * math.comb(m - s, k - j)
-            row.append(total)
-        table.append(tuple(row))
-    return tuple(table)
-
-
 def closed_form_pt(sigma: int, t: float, level: Level) -> float:
     """Vacuum-start occupation probability of one node at time t, in closed form.
 
-    Evaluates the squared magnitude of the cardinality-grouped phase sum;
-    specific to the vacuum initial state.
+    The walk from the vacuum is a product state, so the amplitude at sigma is
+    one entry of the basis-start table: the one at distance popcount(sigma).
     """
     level.validate_node(sigma)
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
-    m = level.L + 1
-    row = _cardinality_sign_sums(level.L)[cardinality(sigma)]
-    powers = phase_powers(t, m).tolist()
-    z = sum(row[k] * powers[m - k] for k in range(m + 1))
-    return abs(z) ** 2 / float(level.dim) ** 2
+    return abs(basis_start_table(t, level.L + 1)[cardinality(sigma)]) ** 2
 
 
 def closed_form_distribution(level: Level, t: float) -> Distribution:
     """Vacuum-start distribution over all nodes via the closed form."""
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
-    m = level.L + 1
-    table = _cardinality_sign_sums(level.L)
-    powers = phase_powers(t, m).tolist()
-    by_card = np.empty(m + 1, dtype=np.float64)
-    for s in range(m + 1):
-        z = sum(table[s][k] * powers[m - k] for k in range(m + 1))
-        by_card[s] = abs(z) ** 2 / float(level.dim) ** 2
-    cards = np.bitwise_count(np.arange(level.dim, dtype=np.uint64)).astype(np.intp)
-    return Distribution(level=level, probs=by_card[cards], time=float(t))
+    probs = np.abs(basis_start_amplitudes(level, 0, t)) ** 2
+    return Distribution(level=level, probs=probs, time=float(t))
 
 
 def quadrature_point_count(level: Level) -> int:
@@ -208,26 +176,26 @@ def _pair_sum_average(level: Level) -> np.ndarray:
 
 
 def _grouped_average(level: Level) -> np.ndarray:
-    table = _cardinality_sign_sums(level.L)
-    m = level.L + 1
-    scale = float(level.dim) ** 2
-    by_card = np.empty(m + 1, dtype=np.float64)
-    for s in range(m + 1):
-        by_card[s] = float(sum(a * a for a in table[s])) / scale
+    by_distance = np.array([float(p) for p in _period_averages(level.L + 1)])
     cards = np.bitwise_count(np.arange(level.dim, dtype=np.uint64)).astype(np.intp)
-    return by_card[cards]
+    return by_distance[cards]
+
+
+def _period_averages(m: int) -> list[Fraction]:
+    """Exact period average of cos(t)**(2(m-d)) * sin(t)**(2d), the occupation
+    of a node at distance d from a basis start, for d = 0..m: the Beta integral
+    (2(m-d)-1)!! (2d-1)!! / (2m)!!."""
+    odd = [1]  # odd[k] = (2k-1)!!
+    for k in range(1, m + 1):
+        odd.append(odd[-1] * (2 * k - 1))
+    even = 2**m * math.factorial(m)  # (2m)!!
+    return [Fraction(odd[m - d] * odd[d], even) for d in range(m + 1)]
 
 
 def vacuum_average_value(level: Level) -> Fraction:
     """Exact average occupation of the empty node (and of the full node) for
     the vacuum-start walk: odd double factorial over even double factorial."""
-    num = 1
-    for j in range(1, 2 * level.L + 2, 2):
-        num *= j
-    den = 1
-    for j in range(2, 2 * level.L + 3, 2):
-        den *= j
-    return Fraction(num, den)
+    return _period_averages(level.L + 1)[0]
 
 
 def is_symmetric(dist: TimeAverageDistribution | Distribution, tol: float = 1e-12) -> SymmetryReport:

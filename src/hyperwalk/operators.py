@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._walsh import flip_bit, parity_signs, sign_column
-from .formatting import dumps_json
 from .subsets import Level
 
 DENSE_CAP = 4096
@@ -165,14 +164,3 @@ def materialize_matrix(
     for sigma in range(dim):
         mat[:, sigma] = op(basis_state(level, sigma)).amps
     return mat
-
-
-def matrix_to_json(matrix: np.ndarray) -> str:
-    """Row-major JSON export of a dense complex matrix as [re, im] pairs."""
-    rows, cols = matrix.shape
-    entries = [
-        [float(matrix[r, c].real), float(matrix[r, c].imag)]
-        for r in range(rows)
-        for c in range(cols)
-    ]
-    return dumps_json({"rows": rows, "cols": cols, "entries": entries})

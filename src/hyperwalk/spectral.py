@@ -109,6 +109,45 @@ def apply_phases(coeffs: StateVector, t: float) -> None:
     grid *= powers[lo - np.bitwise_count(np.arange(1 << lo, dtype=np.uint64))]
 
 
+def basis_start_table(t: float, n: int) -> np.ndarray:
+    """a0**(n-d) * a1**d for d = 0..n, with a0 = (1+z)/2, a1 = (1-z)/2, z = exp(2it).
+
+    e^{it}(cos t I - i sin t X) maps one bit to a0 times itself plus a1 times
+    its flip, so over n bits a basis start reaches every index at Hamming
+    distance d with amplitude a0**(n-d) * a1**d.  z comes from the unreduced
+    t, as in phase_powers.
+    """
+    z = cmath.exp(2j * t)
+    a0 = (1.0 + z) / 2.0
+    a1 = (1.0 - z) / 2.0
+    return np.array([a0 ** (n - d) * a1**d for d in range(n + 1)], dtype=np.complex128)
+
+
+def basis_start_amplitudes(level: Level, sigma: int, t: float, coeff: complex = 1.0) -> np.ndarray:
+    """Amplitudes at time t of the walk started from coeff times node sigma.
+
+    The generator is a sum of commuting one-bit terms, so the evolved state is
+    a product state: amp[g] = coeff * a0**(m-d) * a1**d, d = popcount(g ^ sigma).
+    d adds over the high and low halves of the index, so on the (2**hi, 2**lo)
+    grid of apply_phases the state is one factor per row times one per
+    column: one dim-sized output and no dim-sized index array.
+    """
+    m = level.L + 1
+    lo = m // 2
+    hi = m - lo
+    rows = _distance_factors(t, hi, sigma >> lo) * coeff
+    cols = _distance_factors(t, lo, sigma & ((1 << lo) - 1))
+    amps = np.empty(level.dim, dtype=np.complex128)
+    np.multiply(rows[:, None], cols, out=amps.reshape(1 << hi, 1 << lo))
+    return amps
+
+
+def _distance_factors(t: float, n: int, s: int) -> np.ndarray:
+    """basis_start_table(t, n) at popcount(i ^ s) for every n-bit index i."""
+    dist = np.bitwise_count(np.arange(1 << n, dtype=np.uint64) ^ np.uint64(s))
+    return basis_start_table(t, n)[dist]
+
+
 def spectrum(level: Level) -> Spectrum:
     """Full spectrum: eigenvalues {0, 2, ..., 2(L+1)} with binomial multiplicities."""
     m = level.L + 1

@@ -6,6 +6,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
@@ -81,6 +82,47 @@ def literal_time_average(sigma: int, L: int) -> float:
                     setminus_card(sigma, g1, full) + setminus_card(sigma, g2, full)
                 )
     return total / dim**2
+
+
+@lru_cache(maxsize=None)
+def cardinality_sign_sums(L: int) -> tuple[tuple[int, ...], ...]:
+    """Krawtchouk table.  Row s, column k: integer sum of
+    (-1)**popcount(node minus g) over all subsets g of fixed cardinality k,
+    for any node of cardinality s.
+
+    Splitting g into j elements inside the node and k-j outside gives the
+    binomial convolution sum_j (-1)**(s-j) C(s, j) C(L+1-s, k-j).
+    """
+    m = L + 1
+    table = []
+    for s in range(m + 1):
+        row = []
+        for k in range(m + 1):
+            total = 0
+            for j in range(max(0, k - (m - s)), min(s, k) + 1):
+                total += (-1) ** (s - j) * math.comb(s, j) * math.comb(m - s, k - j)
+            row.append(total)
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def krawtchouk_vacuum_probs(L: int, t: float) -> np.ndarray:
+    """Vacuum-start distribution at time t from the Krawtchouk table: the
+    squared magnitude of the cardinality-grouped eigenphase sum, per node."""
+    m = L + 1
+    z = cmath.exp(2j * t)
+    powers = [z**j for j in range(m + 1)]
+    by_card = [
+        abs(sum(row[k] * powers[m - k] for k in range(m + 1))) ** 2 / 4.0**m
+        for row in cardinality_sign_sums(L)
+    ]
+    return np.array([by_card[popcount(g)] for g in range(1 << m)])
+
+
+def krawtchouk_average_by_card(L: int) -> list[float]:
+    """Vacuum-start period average per node cardinality from the Krawtchouk
+    table: the sum of squared sign sums over dim**2."""
+    return [float(sum(a * a for a in row)) / 4.0 ** (L + 1) for row in cardinality_sign_sums(L)]
 
 
 def expm_unitary_via_eigh(hermitian: np.ndarray, t: float) -> np.ndarray:

@@ -17,6 +17,7 @@ from hyperwalk import (
     spectrum,
     time_average,
 )
+from hyperwalk import cli
 from hyperwalk.cli import main
 
 from helpers import reference_csv, reference_dumps_json
@@ -325,6 +326,43 @@ def test_rejected_level_creates_no_out_file(tmp_path, capsys):
     assert code == 2
     assert "[0, 24]" in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--t", "0.5"],
+        ["time-average", "--format", "csv"],
+        ["pst"],
+    ],
+)
+def test_level_beyond_physical_memory_is_refused(tmp_path, capsys, monkeypatch, argv):
+    # 64 KiB of "physical memory" fits L = 2 (dim 8) but not L = 10 (dim 2048)
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 1 << 16)
+    target = tmp_path / "never.out"
+    code, _, _ = run_cli(capsys, argv[0], "--L", "2", *argv[1:])
+    assert code == 0
+
+    def refuse(*args):
+        raise AssertionError("state allocated despite the memory refusal")
+
+    monkeypatch.setattr(cli, "basis_state", refuse)
+    code, out, err = run_cli(capsys, argv[0], "--L", "10", *argv[1:], "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert "physical memory" in err
+    assert not target.exists()
+
+
+def test_memory_check_skips_subcommands_without_node_arrays(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_physical_memory", lambda: 1)
+    assert run_cli(capsys, "spectrum", "--L", "20")[0] == 0
+    assert run_cli(capsys, "graph", "--L", "3")[0] == 0
+
+
+def test_physical_memory_is_read():
+    memory = cli._physical_memory()
+    assert memory is None or memory > 0
 
 
 @pytest.mark.parametrize("raw", ["abc", "-3"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hyperwalk import evolution
 from hyperwalk import (
     ENGINE_KINDS,
     EvolutionEngine,
@@ -16,6 +17,7 @@ from hyperwalk import (
     materialize_unitary,
     vacuum_state,
 )
+from hyperwalk.spectral import apply_phases, from_eigenbasis, to_eigenbasis
 
 from helpers import LARGE_TIMES, expm_unitary_via_eigh, product_state_amplitudes, random_state
 
@@ -198,3 +200,95 @@ def test_unnormalized_input_policy():
         evolve(engine, lopsided, 0.5)
     out = evolve(engine, lopsided, 0.5, renormalize=True)
     assert abs(out.norm() - 1.0) < 1e-12
+
+
+ONE_HOT_TIMES = [
+    0.0, 0.4, 2.9, -0.4, -2.9, -37.5,
+    math.pi / 2, math.pi, 3 * math.pi / 2, -math.pi / 2, -math.pi,
+] + LARGE_TIMES
+
+
+def _transform_route(state, t):
+    coeffs = to_eigenbasis(state)
+    apply_phases(coeffs, t)
+    return from_eigenbasis(coeffs).amps
+
+
+def _count_transforms(monkeypatch):
+    """Count the spectral engine's forward transforms."""
+    calls = []
+
+    def counted(state):
+        calls.append(1)
+        return to_eigenbasis(state)
+
+    monkeypatch.setattr(evolution, "to_eigenbasis", counted)
+    return calls
+
+
+@pytest.mark.parametrize("L", range(13))
+def test_one_hot_starts_skip_the_transforms(L, monkeypatch):
+    # every node for L <= 6, seeded nodes above
+    lv = Level(L)
+    if L <= 6:
+        nodes = range(lv.dim)
+    else:
+        nodes = np.random.default_rng(1000 + L).integers(0, lv.dim, size=3).tolist()
+    spectral = EvolutionEngine(lv, "spectral")
+    product = EvolutionEngine(lv, "product")
+    calls = _count_transforms(monkeypatch)
+    for sigma in nodes:
+        start = basis_state(lv, sigma)
+        for t in ONE_HOT_TIMES:
+            got = evolve(spectral, start, t).amps
+            assert np.abs(got - _transform_route(start, t)).max() < 1e-12, (sigma, t)
+            assert np.abs(got - evolve(product, start, t).amps).max() < 1e-12, (sigma, t)
+    assert not calls
+
+
+def test_one_hot_start_carries_its_global_phase(monkeypatch):
+    lv = Level(5)
+    spectral = EvolutionEngine(lv, "spectral")
+    product = EvolutionEngine(lv, "product")
+    calls = _count_transforms(monkeypatch)
+    for phi in (0.3, -1.9, math.pi):
+        for sigma in (0, 9, lv.full_mask):
+            start = StateVector(lv, np.exp(1j * phi) * basis_state(lv, sigma).amps)
+            for t in (0.7, -2.2, math.pi / 2, 1e12):
+                got = evolve(spectral, start, t).amps
+                assert np.abs(got - _transform_route(start, t)).max() < 1e-12
+                assert np.abs(got - evolve(product, start, t).amps).max() < 1e-12
+    assert not calls
+
+
+def test_unnormalized_one_hot_start_is_renormalized(monkeypatch):
+    lv = Level(4)
+    spectral = EvolutionEngine(lv, "spectral")
+    product = EvolutionEngine(lv, "product")
+    calls = _count_transforms(monkeypatch)
+    amps = np.zeros(lv.dim, dtype=np.complex128)
+    amps[11] = 2.5 * np.exp(0.8j)
+    start = StateVector(lv, amps)
+    with pytest.raises(ValueError):
+        evolve(spectral, start, 0.5)
+    for t in (0.5, -3.1, 1e9):
+        got = evolve(spectral, start, t, renormalize=True).amps
+        assert abs(np.linalg.norm(got) - 1.0) < 1e-12
+        assert np.abs(got - _transform_route(start.normalized(), t)).max() < 1e-12
+        assert np.abs(got - evolve(product, start, t, renormalize=True).amps).max() < 1e-12
+    assert not calls
+
+
+def test_two_hot_start_takes_the_transform_route(monkeypatch):
+    lv = Level(6)
+    spectral = EvolutionEngine(lv, "spectral")
+    product = EvolutionEngine(lv, "product")
+    calls = _count_transforms(monkeypatch)
+    amps = np.zeros(lv.dim, dtype=np.complex128)
+    amps[5] = 0.6
+    amps[40] = 0.8j
+    start = StateVector(lv, amps)
+    for t in (0.5, -3.1, 1e9):
+        got = evolve(spectral, start, t).amps
+        assert np.abs(got - evolve(product, start, t).amps).max() < 1e-12
+    assert len(calls) == 3

@@ -25,6 +25,8 @@ from hyperwalk import (
 
 from helpers import (
     LARGE_TIMES,
+    krawtchouk_average_by_card,
+    krawtchouk_vacuum_probs,
     literal_time_average,
     literal_vacuum_prob,
     product_state_amplitudes,
@@ -78,15 +80,16 @@ def test_closed_form_two_level_case():
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
 def test_grouped_closed_form_matches_literal_subset_sum(L, rng):
-    """The binomial-convolution grouping must reproduce the ungrouped literal
-    sum over all subsets before the fast path counts as valid."""
+    """The product closed form and the Krawtchouk grouping must both reproduce
+    the ungrouped literal sum over all subsets."""
     lv = Level(L)
     for _ in range(5):
         t = float(rng.uniform(0, math.pi))
+        grouped = krawtchouk_vacuum_probs(L, t)
         for sigma in range(lv.dim):
-            assert closed_form_pt(sigma, t, lv) == pytest.approx(
-                literal_vacuum_prob(sigma, t, L), abs=1e-12
-            )
+            literal = literal_vacuum_prob(sigma, t, L)
+            assert closed_form_pt(sigma, t, lv) == pytest.approx(literal, abs=1e-12)
+            assert grouped[sigma] == pytest.approx(literal, abs=1e-12)
 
 
 @pytest.mark.parametrize("L", [0, 3, 6, 8])
@@ -98,7 +101,10 @@ def test_closed_form_matches_evolution(L, rng):
         t = float(rng.uniform(-4, 4))
         evolved = distribution_at(engine, vac, t).probs
         closed = closed_form_distribution(lv, t).probs
+        grouped = krawtchouk_vacuum_probs(L, t)
         assert np.abs(evolved - closed).max() < 1e-10
+        assert np.abs(evolved - grouped).max() < 1e-10
+        assert np.abs(closed - grouped).max() < 1e-10
 
 
 @pytest.mark.parametrize("L", [0, 3, 8])
@@ -155,6 +161,15 @@ def test_krawtchouk_agrees_with_pair_sum(L):
     grouped = time_average(vac, "krawtchouk")
     pairs = time_average(vac, "pair_sum")
     assert np.abs(grouped.probs - pairs.probs).max() < 1e-12
+
+
+def test_krawtchouk_equals_the_sign_sum_table_exactly():
+    # node (1 << d) - 1 has cardinality d; the exact per-class values must
+    # round to the same floats as the Krawtchouk table's sums of squares
+    for L in range(21):
+        probs = time_average(vacuum_state(Level(L)), "krawtchouk").probs
+        got = [float(probs[(1 << d) - 1]) for d in range(L + 2)]
+        assert got == krawtchouk_average_by_card(L), L
 
 
 def test_quadrature_is_already_converged(rng):

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 
 import numpy as np
@@ -16,7 +15,6 @@ from hyperwalk import (
     basis_state,
     inner_product,
     materialize_matrix,
-    matrix_to_json,
     vacuum_state,
 )
 
@@ -224,20 +222,6 @@ def test_materialize_hat_is_scaled_projector():
     mat = materialize_matrix("hat", lv, 5)
     # squares to dim times itself
     assert np.abs(mat @ mat - lv.dim * mat).max() < 1e-10
-
-
-def test_matrix_json_round_trip():
-    mat = materialize_matrix("laplacian", Level(1))
-    doc = json.loads(matrix_to_json(mat))
-    assert doc["rows"] == doc["cols"] == 4
-    entries = doc["entries"]
-    assert len(entries) == 16
-    assert entries[0] == [2.0, 0.0]  # diagonal degree entry
-    k = 0
-    for r in range(4):
-        for c in range(4):
-            assert entries[k] == [mat[r, c].real, mat[r, c].imag]
-            k += 1
 
 
 def test_materialize_unknown_kind():
