@@ -1,33 +1,62 @@
-"""In-place ±1 butterfly transform and sign-vector helpers."""
+"""In-place per-bit 2×2 kernel and sign-vector helpers."""
 
 from __future__ import annotations
 
 import numpy as np
 
+# Bits per Kronecker block (a 32×32 block) and bytes of the chunk buffer.
+# Measured on a 2-CPU Xeon with OpenBLAS at L = 20 and 22: 5-bit blocks beat
+# 3 and 4 bits by 15-30%; buffers of 256 KiB to 1 MiB time the same within
+# noise, 128 KiB is about 10% slower, 2 MiB and up slower again.
+BLOCK_BITS = 5
+SCRATCH_BYTES = 1 << 18
 
-def walsh_transform_inplace(a: np.ndarray) -> None:
-    """Unnormalized tensor-product ±1 transform, in place.
 
-    Length must be a power of two.  One butterfly stage per index bit; the
-    stages commute, so the result at index s is sum_g (-1)**popcount(s & g) * a[g]
-    regardless of stage order.  O(n log n) with O(n) scratch per stage.
+def apply_per_bit(a: np.ndarray, m2) -> None:
+    """Replace a, in place, with (m2 ⊗ ... ⊗ m2) a: entry [s, g] of the
+    operator is the product over bits k of m2[bit k of s, bit k of g].
+
+    a must be a contiguous complex128 vector of power-of-two length.  Bits are
+    taken BLOCK_BITS at a time (the last group takes what remains); each
+    group's Kronecker block is applied by matrix products over chunks of one
+    buffer of SCRATCH_BYTES, each chunk copied back, so no temporary grows
+    with len(a).
     """
     n = a.shape[0]
-    h = 1
-    while h < n:
-        v = a.reshape(-1, 2 * h)
-        lo = v[:, :h] + v[:, h:]
-        hi = v[:, :h] - v[:, h:]
-        v[:, :h] = lo
-        v[:, h:] = hi
-        h *= 2
+    m = n.bit_length() - 1
+    if a.ndim != 1 or n != 1 << m or a.dtype != np.complex128 or not a.flags.c_contiguous:
+        raise ValueError("expected a contiguous complex128 vector of power-of-two length")
+    m2 = np.asarray(m2, dtype=np.complex128)
+    scratch = np.empty(min(n, SCRATCH_BYTES // 16), dtype=np.complex128)
+    for low in range(0, m, BLOCK_BITS):
+        bits = min(BLOCK_BITS, m - low)
+        block = m2
+        for _ in range(bits - 1):
+            block = np.kron(block, m2)
+        # (rows, 2**bits, 2**low): the block acts along the middle axis
+        for src in _chunks(a.reshape(-1, 1 << bits, 1 << low), scratch.size):
+            out = scratch[: src.size].reshape(src.shape)
+            if low == 0:
+                # contiguous rows of 2**bits amplitudes: one product with block.T
+                np.matmul(src[..., 0], block.T, out=out[..., 0])
+            else:
+                np.matmul(block, src, out=out)
+            src[...] = out
 
 
-def walsh_transform(a: np.ndarray) -> np.ndarray:
-    """Copying variant of :func:`walsh_transform_inplace` (complex output)."""
-    out = np.array(a, dtype=np.complex128, copy=True)
-    walsh_transform_inplace(out)
-    return out
+def _chunks(grid: np.ndarray, size: int):
+    """Views covering grid (rows, b, cols) in order, at most size entries each:
+    whole rows where a row fits, else column slices of one row."""
+    rows, b, cols = grid.shape
+    if b * cols <= size:
+        step = size // (b * cols)
+        for r in range(0, rows, step):
+            yield grid[r : r + step]
+    else:
+        step = size // b
+        for r in range(rows):
+            for c in range(0, cols, step):
+                yield grid[r : r + 1, :, c : c + step]
 
 
 def parity_signs(n: int) -> np.ndarray:

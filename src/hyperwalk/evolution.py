@@ -3,8 +3,10 @@
 The generator has even integer eigenvalues, so the evolution unitary is
 exactly pi-periodic in time.  Engines:
 
-* ``spectral`` (default): change of basis, diagonal phases, change back;
-  O(dim * (L+1)) per call, no cached resources.  A one-hot start (a basis
+* ``spectral`` (default): the unitary is the tensor power of the one-bit
+  factor R(t) = [[a0, a1], [a1, a0]], applied to a copy of the state in one
+  in-place per-bit sweep (``apply_per_bit``); O(dim * (L+1)) per call, with
+  a fixed-size buffer as the only other memory.  A one-hot start (a basis
   node times a unit phase) is evaluated in closed form instead, in O(dim).
 * ``product``: the commuting factor product, one factor per element, each
   acting as phase * (cos t - i sin t * flip); exercises the involution
@@ -20,15 +22,9 @@ import math
 
 import numpy as np
 
-from ._walsh import flip_bit, parity_signs
+from ._walsh import apply_per_bit, flip_bit, parity_signs
 from .operators import DENSE_CAP, NORM_TOL, StateVector
-from .spectral import (
-    apply_phases,
-    basis_start_amplitudes,
-    from_eigenbasis,
-    phases_by_index,
-    to_eigenbasis,
-)
+from .spectral import basis_start_amplitudes, bit_factor, phases_by_index
 from .subsets import Level
 
 ENGINE_KINDS = ("spectral", "product", "dense")
@@ -102,14 +98,14 @@ def evolve(
 def _evolve_spectral(initial: StateVector, t: float) -> StateVector:
     amps = initial.amps
     # a one-hot start stays a product state; count_nonzero allocates nothing,
-    # so dense states pay one pass before they take the transforms
+    # so dense states pay one pass before they take the per-bit sweep
     if np.count_nonzero(amps) == 1:
         sigma = int(np.flatnonzero(amps)[0])
         out = basis_start_amplitudes(initial.level, sigma, t, amps[sigma])
         return StateVector(initial.level, out)
-    coeffs = to_eigenbasis(initial)
-    apply_phases(coeffs, t)
-    return from_eigenbasis(coeffs)
+    out = amps.copy()
+    apply_per_bit(out, bit_factor(t))
+    return StateVector(initial.level, out)
 
 
 def _evolve_product(level: Level, initial: StateVector, t: float) -> StateVector:

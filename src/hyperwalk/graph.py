@@ -93,14 +93,19 @@ def graph_json_dict(level: Level) -> dict:
     }
 
 
-def export_graph(level: Level, fmt: str) -> str:
-    """Text export of the graph; deterministic vertex and edge order."""
-    if fmt not in GRAPH_FORMATS:
-        raise ValueError(f"unknown graph format {fmt!r}; expected one of {GRAPH_FORMATS}")
+def check_export_size(level: Level) -> None:
+    """Refuse an export above EXPORT_CAP vertices, before any edge is built."""
     if level.dim > EXPORT_CAP:
         raise ValueError(
             f"graph with {level.dim} vertices too large for export (cap {EXPORT_CAP})"
         )
+
+
+def export_graph(level: Level, fmt: str) -> str:
+    """Text export of the graph; deterministic vertex and edge order."""
+    if fmt not in GRAPH_FORMATS:
+        raise ValueError(f"unknown graph format {fmt!r}; expected one of {GRAPH_FORMATS}")
+    check_export_size(level)
     if fmt == "dot":
         lines = [f'graph "hypercube_L{level.L}" {{']
         for a, b in edges(level):

@@ -2,11 +2,10 @@
 
 The Laplacian diagonalizes over signed vectors indexed by the same node
 bitmasks as the canonical basis.  The change of basis has kernel
-(-1)**popcount(g & ~s) / sqrt(dim) in (row s, column g), which factors as a
-diagonal sign (-1)**popcount(g) followed by the plain ±1 tensor-product
-transform; that factorization is what makes the O(dim * (L+1)) butterfly
-evaluation possible, and it is cross-checked against the literal kernel in
-the test suite.
+(-1)**popcount(g & ~s) / sqrt(dim) in (row s, column g), which is a tensor
+power of the one-bit matrix W = [[1, -1], [1, 1]] / sqrt(2): the parity sign
+and the normalization fold into W, so the change of basis is one in-place
+per-bit sweep, cross-checked against the literal kernel in the test suite.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._walsh import parity_signs, walsh_transform, walsh_transform_inplace
+from ._walsh import apply_per_bit
 from .operators import StateVector
 from .subsets import Level, cardinality
 
@@ -109,17 +108,28 @@ def apply_phases(coeffs: StateVector, t: float) -> None:
     grid *= powers[lo - np.bitwise_count(np.arange(1 << lo, dtype=np.uint64))]
 
 
-def basis_start_table(t: float, n: int) -> np.ndarray:
-    """a0**(n-d) * a1**d for d = 0..n, with a0 = (1+z)/2, a1 = (1-z)/2, z = exp(2it).
-
-    e^{it}(cos t I - i sin t X) maps one bit to a0 times itself plus a1 times
-    its flip, so over n bits a basis start reaches every index at Hamming
-    distance d with amplitude a0**(n-d) * a1**d.  z comes from the unreduced
-    t, as in phase_powers.
-    """
+def _bit_amplitudes(t: float) -> tuple[complex, complex]:
+    """(a0, a1) = ((1+z)/2, (1-z)/2) with z = exp(2it) on the unreduced t, as
+    in phase_powers: e^{it}(cos t I - i sin t X) maps one bit to a0 times
+    itself plus a1 times its flip."""
     z = cmath.exp(2j * t)
-    a0 = (1.0 + z) / 2.0
-    a1 = (1.0 - z) / 2.0
+    return (1.0 + z) / 2.0, (1.0 - z) / 2.0
+
+
+def bit_factor(t: float) -> np.ndarray:
+    """The walk's one-bit factor R(t) = [[a0, a1], [a1, a0]]; the evolution
+    unitary at time t is its tensor power over the L+1 bits."""
+    a0, a1 = _bit_amplitudes(t)
+    return np.array([[a0, a1], [a1, a0]], dtype=np.complex128)
+
+
+def basis_start_table(t: float, n: int) -> np.ndarray:
+    """a0**(n-d) * a1**d for d = 0..n (see bit_factor).
+
+    Over n bits a basis start reaches every index at Hamming distance d with
+    amplitude a0**(n-d) * a1**d.
+    """
+    a0, a1 = _bit_amplitudes(t)
     return np.array([a0 ** (n - d) * a1**d for d in range(n + 1)], dtype=np.complex128)
 
 
@@ -158,24 +168,21 @@ def spectrum(level: Level) -> Spectrum:
     return Spectrum(level=level, entries=entries)
 
 
-def to_eigenbasis(state: StateVector) -> StateVector:
-    """Coefficients of the state on the signed eigenbasis.
+# one-bit factor of the forward change of basis: row s, column g holds
+# (-1)**(g & ~s) / sqrt(2); the inverse applies its transpose
+_FORWARD_BIT = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
 
-    Unitary: applies the diagonal parity sign, the ±1 butterfly, and the
-    1/sqrt(dim) normalization.
-    """
-    n = state.level.dim
-    work = parity_signs(n) * state.amps
-    walsh_transform_inplace(work)
-    work *= 1.0 / math.sqrt(n)
+
+def to_eigenbasis(state: StateVector) -> StateVector:
+    """Coefficients of the state on the signed eigenbasis: one per-bit sweep
+    of W = [[1, -1], [1, 1]] / sqrt(2) over a copy."""
+    work = state.amps.copy()
+    apply_per_bit(work, _FORWARD_BIT)
     return StateVector(state.level, work)
 
 
 def from_eigenbasis(coeffs: StateVector) -> StateVector:
-    """Inverse change of basis (transpose of the forward kernel): butterfly
-    first, then the diagonal parity sign, then 1/sqrt(dim)."""
-    n = coeffs.level.dim
-    work = walsh_transform(coeffs.amps)
-    work *= parity_signs(n)
-    work *= 1.0 / math.sqrt(n)
+    """Inverse change of basis: the per-bit sweep of W's transpose."""
+    work = coeffs.amps.copy()
+    apply_per_bit(work, _FORWARD_BIT.T)
     return StateVector(coeffs.level, work)

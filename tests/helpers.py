@@ -45,6 +45,23 @@ def literal_kernel_matrix(L: int) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=None)
+def pm1_kernel_matrix(L: int) -> np.ndarray:
+    """Plain ±1 tensor-product kernel, entry [s, g] = (-1)**popcount(s & g),
+    built with Python loops."""
+    dim = 1 << (L + 1)
+    mat = np.empty((dim, dim), dtype=np.int64)
+    for s in range(dim):
+        for g in range(dim):
+            mat[s, g] = (-1) ** popcount(s & g)
+    return mat
+
+
+def pm1_transform(a: np.ndarray) -> np.ndarray:
+    """Unnormalized ±1 transform: out[s] = sum over g of (-1)**popcount(s & g) * a[g]."""
+    return pm1_kernel_matrix(len(a).bit_length() - 2) @ a
+
+
 def literal_hat_apply(sigma: int, state: StateVector) -> np.ndarray:
     """Sum over all subsets g of (-1)**#(g minus sigma) times the XOR-by-g relabeling."""
     dim = state.level.dim

@@ -17,7 +17,7 @@ from hyperwalk import (
     spectrum,
     time_average,
 )
-from hyperwalk import cli
+from hyperwalk import cli, graph
 from hyperwalk.cli import main
 
 from helpers import reference_csv, reference_dumps_json
@@ -310,6 +310,20 @@ def test_spectrum_and_graph_json_match_the_reference_writer(capsys, L):
     assert out == _document(spectrum(Level(L)).to_json_dict())
     _, out, _ = run_cli(capsys, "graph", "--L", str(L), "--format", "json")
     assert out == _document(graph_json_dict(Level(L)))
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot", "edge-list"])
+def test_graph_export_above_the_cap_is_refused(tmp_path, capsys, monkeypatch, fmt):
+    def refuse(*args):
+        raise AssertionError("edges built despite the export cap")
+
+    monkeypatch.setattr(graph, "edges", refuse)
+    target = tmp_path / "never.out"
+    code, out, err = run_cli(capsys, "graph", "--L", "12", "--format", fmt, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err == "error: graph with 8192 vertices too large for export (cap 4096)\n"
+    assert not target.exists()
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):

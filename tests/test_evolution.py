@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hyperwalk import (
     materialize_unitary,
     vacuum_state,
 )
-from hyperwalk.spectral import apply_phases, from_eigenbasis, to_eigenbasis
+from hyperwalk.spectral import apply_phases, basis_start_amplitudes, from_eigenbasis, to_eigenbasis
 
 from helpers import LARGE_TIMES, expm_unitary_via_eigh, product_state_amplitudes, random_state
 
@@ -214,15 +215,15 @@ def _transform_route(state, t):
     return from_eigenbasis(coeffs).amps
 
 
-def _count_transforms(monkeypatch):
-    """Count the spectral engine's forward transforms."""
+def _count_closed_form(monkeypatch):
+    """Count the spectral engine's one-hot closed-form evaluations."""
     calls = []
 
-    def counted(state):
+    def counted(*args):
         calls.append(1)
-        return to_eigenbasis(state)
+        return basis_start_amplitudes(*args)
 
-    monkeypatch.setattr(evolution, "to_eigenbasis", counted)
+    monkeypatch.setattr(evolution, "basis_start_amplitudes", counted)
     return calls
 
 
@@ -236,21 +237,21 @@ def test_one_hot_starts_skip_the_transforms(L, monkeypatch):
         nodes = np.random.default_rng(1000 + L).integers(0, lv.dim, size=3).tolist()
     spectral = EvolutionEngine(lv, "spectral")
     product = EvolutionEngine(lv, "product")
-    calls = _count_transforms(monkeypatch)
+    calls = _count_closed_form(monkeypatch)
     for sigma in nodes:
         start = basis_state(lv, sigma)
         for t in ONE_HOT_TIMES:
             got = evolve(spectral, start, t).amps
             assert np.abs(got - _transform_route(start, t)).max() < 1e-12, (sigma, t)
             assert np.abs(got - evolve(product, start, t).amps).max() < 1e-12, (sigma, t)
-    assert not calls
+    assert len(calls) == len(nodes) * len(ONE_HOT_TIMES)
 
 
 def test_one_hot_start_carries_its_global_phase(monkeypatch):
     lv = Level(5)
     spectral = EvolutionEngine(lv, "spectral")
     product = EvolutionEngine(lv, "product")
-    calls = _count_transforms(monkeypatch)
+    calls = _count_closed_form(monkeypatch)
     for phi in (0.3, -1.9, math.pi):
         for sigma in (0, 9, lv.full_mask):
             start = StateVector(lv, np.exp(1j * phi) * basis_state(lv, sigma).amps)
@@ -258,14 +259,14 @@ def test_one_hot_start_carries_its_global_phase(monkeypatch):
                 got = evolve(spectral, start, t).amps
                 assert np.abs(got - _transform_route(start, t)).max() < 1e-12
                 assert np.abs(got - evolve(product, start, t).amps).max() < 1e-12
-    assert not calls
+    assert len(calls) == 3 * 3 * 4
 
 
 def test_unnormalized_one_hot_start_is_renormalized(monkeypatch):
     lv = Level(4)
     spectral = EvolutionEngine(lv, "spectral")
     product = EvolutionEngine(lv, "product")
-    calls = _count_transforms(monkeypatch)
+    calls = _count_closed_form(monkeypatch)
     amps = np.zeros(lv.dim, dtype=np.complex128)
     amps[11] = 2.5 * np.exp(0.8j)
     start = StateVector(lv, amps)
@@ -276,19 +277,56 @@ def test_unnormalized_one_hot_start_is_renormalized(monkeypatch):
         assert abs(np.linalg.norm(got) - 1.0) < 1e-12
         assert np.abs(got - _transform_route(start.normalized(), t)).max() < 1e-12
         assert np.abs(got - evolve(product, start, t, renormalize=True).amps).max() < 1e-12
-    assert not calls
+    assert len(calls) == 3
 
 
-def test_two_hot_start_takes_the_transform_route(monkeypatch):
+def test_two_hot_start_takes_the_per_bit_sweep(monkeypatch):
     lv = Level(6)
     spectral = EvolutionEngine(lv, "spectral")
     product = EvolutionEngine(lv, "product")
-    calls = _count_transforms(monkeypatch)
+    calls = _count_closed_form(monkeypatch)
     amps = np.zeros(lv.dim, dtype=np.complex128)
     amps[5] = 0.6
     amps[40] = 0.8j
     start = StateVector(lv, amps)
     for t in (0.5, -3.1, 1e9):
         got = evolve(spectral, start, t).amps
+        assert np.abs(got - _transform_route(start, t)).max() < 1e-12
         assert np.abs(got - evolve(product, start, t).amps).max() < 1e-12
-    assert len(calls) == 3
+    assert not calls
+
+
+DENSE_TIMES = [
+    0.0, 0.4, 2.9, -0.4, -2.9, -37.5,
+    math.pi / 2, math.pi, 3 * math.pi / 2, -math.pi / 2, -math.pi, 2 * math.pi,
+] + LARGE_TIMES
+
+
+@pytest.mark.parametrize("L", range(13))
+def test_dense_states_match_the_transform_route_and_the_product_engine(L):
+    lv = Level(L)
+    spectral = EvolutionEngine(lv, "spectral")
+    product = EvolutionEngine(lv, "product")
+    rng = np.random.default_rng(2000 + L)
+    times = DENSE_TIMES if L <= 8 else DENSE_TIMES[::3]
+    for _ in range(2):
+        start = random_state(lv, rng)
+        for t in times:
+            got = evolve(spectral, start, t).amps
+            assert np.abs(got - _transform_route(start, t)).max() < 1e-12, t
+            assert np.abs(got - evolve(product, start, t).amps).max() < 1e-12, t
+
+
+def test_dense_evolve_peaks_near_one_state():
+    lv = Level(16)
+    engine = EvolutionEngine(lv)
+    start = random_state(lv, np.random.default_rng(5))
+    evolve(engine, start, 0.3)  # warm up: first-call allocations are not the kernel's
+    tracemalloc.start()
+    try:
+        out = evolve(engine, start, 0.7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.amps.nbytes == start.amps.nbytes
+    assert peak <= 1.25 * start.amps.nbytes, peak / start.amps.nbytes

@@ -18,29 +18,40 @@ from hyperwalk import (
     to_eigenbasis,
     vacuum_state,
 )
-from hyperwalk._walsh import parity_signs, walsh_transform
+from hyperwalk._walsh import apply_per_bit, parity_signs
 from hyperwalk.formatting import dumps_json
 
-from helpers import literal_kernel_matrix, random_state
+from helpers import literal_kernel_matrix, pm1_transform, random_state
 
 
 @pytest.mark.parametrize("L", [0, 1, 2, 3, 4, 5, 6])
 def test_fast_transform_matches_literal_kernel_exactly(L):
-    """The sign-then-butterfly factorization must reproduce the literal kernel
-    with exact integer signs on every basis vector."""
+    """The per-bit factor [[1, -1], [1, 1]] (parity sign folded in) and its
+    transpose must reproduce the literal kernel with exact integer signs on
+    every basis vector."""
     lv = Level(L)
     kernel = literal_kernel_matrix(L)
-    signs = parity_signs(lv.dim)
     for sigma in range(lv.dim):
-        one_hot = np.zeros(lv.dim)
-        one_hot[sigma] = 1.0
         # forward rows: unnormalized coefficient vector of the one-hot state
-        forward = walsh_transform(signs * one_hot)
+        forward = basis_state(lv, sigma).amps
+        apply_per_bit(forward, [[1, -1], [1, 1]])
         assert np.array_equal(forward.real, kernel[sigma, :])
         assert np.abs(forward.imag).max() == 0.0
         # inverse columns: unnormalized signed basis vector
-        inverse = signs * walsh_transform(one_hot)
+        inverse = basis_state(lv, sigma).amps
+        apply_per_bit(inverse, [[1, 1], [-1, 1]])
         assert np.array_equal(inverse.real, kernel[:, sigma])
+        assert np.abs(inverse.imag).max() == 0.0
+
+
+@pytest.mark.parametrize("L", [0, 3, 6])
+def test_change_of_basis_is_the_parity_sign_then_the_pm1_transform(L, rng):
+    lv = Level(L)
+    signs = parity_signs(lv.dim)
+    scale = 1 / math.sqrt(lv.dim)
+    xi = random_state(lv, rng)
+    assert np.abs(to_eigenbasis(xi).amps - scale * pm1_transform(signs * xi.amps)).max() < 1e-13
+    assert np.abs(from_eigenbasis(xi).amps - scale * signs * pm1_transform(xi.amps)).max() < 1e-13
 
 
 @pytest.mark.parametrize("L", [0, 2, 5])
