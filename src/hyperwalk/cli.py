@@ -17,7 +17,7 @@ import numpy as np
 
 from .evolution import ENGINE_KINDS, EvolutionEngine, evolve
 from .formatting import format_float, iter_csv, iter_json
-from .graph import GRAPH_FORMATS, check_export_size, export_graph, graph_json_dict
+from .graph import GRAPH_FORMATS, export_graph, graph_json_dict
 from .measure import is_symmetric, time_average
 from .operators import basis_state
 from .spectral import spectrum
@@ -215,7 +215,6 @@ def cmd_pst(args: argparse.Namespace) -> Iterable[str]:
 
 def cmd_graph(args: argparse.Namespace) -> Iterable[str]:
     level = Level(args.L)
-    check_export_size(level)
     if args.format == "json":
         return _json_document({"schema": SCHEMA, **graph_json_dict(level)})
     return [export_graph(level, args.format)]

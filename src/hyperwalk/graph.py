@@ -86,6 +86,7 @@ def graph_laplacian_matrix(level: Level, dense_cap: int = DENSE_CAP) -> np.ndarr
 
 
 def graph_json_dict(level: Level) -> dict:
+    _check_export_size(level)
     return {
         "L": level.L,
         "vertices": level.dim,
@@ -93,7 +94,7 @@ def graph_json_dict(level: Level) -> dict:
     }
 
 
-def check_export_size(level: Level) -> None:
+def _check_export_size(level: Level) -> None:
     """Refuse an export above EXPORT_CAP vertices, before any edge is built."""
     if level.dim > EXPORT_CAP:
         raise ValueError(
@@ -105,7 +106,7 @@ def export_graph(level: Level, fmt: str) -> str:
     """Text export of the graph; deterministic vertex and edge order."""
     if fmt not in GRAPH_FORMATS:
         raise ValueError(f"unknown graph format {fmt!r}; expected one of {GRAPH_FORMATS}")
-    check_export_size(level)
+    _check_export_size(level)
     if fmt == "dot":
         lines = [f'graph "hypercube_L{level.L}" {{']
         for a, b in edges(level):

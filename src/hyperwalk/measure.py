@@ -211,18 +211,10 @@ def is_symmetric(dist: TimeAverageDistribution | Distribution, tol: float = 1e-1
 
 def pst_check(sigma: int, tau: int, t0: float, engine: EvolutionEngine) -> float:
     """Transfer fidelity: magnitude of the overlap between the evolved one-hot
-    state at sigma and the one-hot state at tau.  1 means perfect transfer.
-
-    The spectral engine reads the one amplitude off the basis-start table at
-    distance popcount(sigma ^ tau), in O(L); the other engines evolve the state.
-    """
+    state at sigma and the one-hot state at tau.  1 means perfect transfer."""
     level = engine.level
     level.validate_node(sigma)
     level.validate_node(tau)
-    if engine.kind == "spectral":
-        if not math.isfinite(t0):
-            raise ValueError(f"time must be finite, got {t0!r}")
-        return float(abs(basis_start_table(t0, level.L + 1)[cardinality(sigma ^ tau)]))
     state = evolve(engine, basis_state(level, sigma), t0)
     return float(abs(state.amps[tau]))
 

@@ -160,5 +160,7 @@ def test_json_export():
 def test_export_caps_and_format_validation():
     with pytest.raises(ValueError):
         export_graph(Level(12), "dot")
+    with pytest.raises(ValueError, match="too large for export"):
+        graph_json_dict(Level(12))
     with pytest.raises(ValueError):
         export_graph(Level(1), "gml")

@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hyperwalk import measure
 from hyperwalk import (
     EvolutionEngine,
     Level,
@@ -299,43 +298,6 @@ def test_spectral_pst_check_matches_evolve_for_every_pair(L):
             got = np.array([pst_check(sigma, tau, t, spectral) for tau in range(lv.dim)])
             assert np.abs(got - want).max() < 1e-12, (sigma, t)
             assert np.abs(got - near).max() < 1e-12, (sigma, t)
-
-
-@pytest.mark.parametrize("L", [7, 10, 14, 17, 20])
-def test_spectral_pst_check_matches_evolve_at_seeded_pairs(L):
-    lv = Level(L)
-    spectral = EvolutionEngine(lv, "spectral")
-    product = EvolutionEngine(lv, "product") if L <= 14 else None
-    rng = np.random.default_rng(3000 + L)
-    times = [0.7, -1.3, math.pi / 2] + LARGE_TIMES[::4]
-    for sigma in rng.integers(0, lv.dim, size=2).tolist():
-        taus = rng.integers(0, lv.dim, size=5).tolist() + [sigma, complement(sigma, lv)]
-        for t in times:
-            amps = [evolve(spectral, basis_state(lv, sigma), t).amps]
-            if product is not None:
-                amps.append(evolve(product, basis_state(lv, sigma), t).amps)
-            for tau in taus:
-                for ref in amps:
-                    assert abs(pst_check(sigma, tau, t, spectral) - abs(ref[tau])) < 1e-12
-
-
-def test_spectral_pst_check_builds_no_state(monkeypatch):
-    lv = Level(24)
-    engine = EvolutionEngine(lv)
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("pst_check evolved a state")
-
-    monkeypatch.setattr(measure, "evolve", refuse)
-    assert pst_check(0, lv.full_mask, math.pi / 2, engine) >= 1.0 - 1e-12
-    assert pst_check(5, 5, math.pi, engine) >= 1.0 - 1e-12
-    for t in LARGE_TIMES:
-        # distance 4 of m = 25 bits: |cos t|**21 * |sin t|**4
-        want = abs(math.cos(t)) ** 21 * abs(math.sin(t)) ** 4
-        assert abs(pst_check(3, 12, t, engine) - want) < 1e-12
-    for bad in (math.inf, -math.inf, math.nan):
-        with pytest.raises(ValueError):
-            pst_check(0, 1, bad, engine)
 
 
 @pytest.mark.parametrize("L", range(9))
