@@ -76,18 +76,7 @@ def evolve(
     """
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
-    if engine.level != initial.level:
-        raise ValueError(
-            f"engine level L={engine.level.L} does not match state level L={initial.level.L}"
-        )
-    if not initial.is_normalized(NORM_TOL):
-        if renormalize:
-            initial = initial.normalized()
-        else:
-            raise ValueError(
-                f"initial state is not normalized (norm {initial.norm()!r}); "
-                "pass renormalize=True to scale it"
-            )
+    initial = checked_start(engine, initial, renormalize)
     if engine.kind == "spectral":
         return _evolve_spectral(initial, t)
     if engine.kind == "product":
@@ -95,12 +84,40 @@ def evolve(
     return _evolve_dense(engine, initial, t)
 
 
+def checked_start(
+    engine: EvolutionEngine, initial: StateVector, renormalize: bool = False
+) -> StateVector:
+    """The start evolve runs from: on the engine's level and normalized, or
+    scaled to norm 1 when renormalize is set; ValueError otherwise."""
+    if engine.level != initial.level:
+        raise ValueError(
+            f"engine level L={engine.level.L} does not match state level L={initial.level.L}"
+        )
+    if not initial.is_normalized(NORM_TOL):
+        if renormalize:
+            return initial.normalized()
+        raise ValueError(
+            f"initial state is not normalized (norm {initial.norm()!r}); "
+            "pass renormalize=True to scale it"
+        )
+    return initial
+
+
+def one_hot_node(amps: np.ndarray) -> int | None:
+    """The node of a state with exactly one nonzero amplitude, else None.
+
+    count_nonzero allocates nothing, so a dense state pays one pass.
+    """
+    if np.count_nonzero(amps) != 1:
+        return None
+    return int(np.flatnonzero(amps)[0])
+
+
 def _evolve_spectral(initial: StateVector, t: float) -> StateVector:
     amps = initial.amps
-    # a one-hot start stays a product state; count_nonzero allocates nothing,
-    # so dense states pay one pass before they take the per-bit sweep
-    if np.count_nonzero(amps) == 1:
-        sigma = int(np.flatnonzero(amps)[0])
+    # a one-hot start stays a product state
+    sigma = one_hot_node(amps)
+    if sigma is not None:
         out = basis_start_amplitudes(initial.level, sigma, t, amps[sigma])
         return StateVector(initial.level, out)
     out = amps.copy()

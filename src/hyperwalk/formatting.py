@@ -13,7 +13,7 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .subsets import node_label_chunks
+from .subsets import element_strings, format_node
 
 CHUNK = 1 << 16  # array values per yielded chunk
 
@@ -27,14 +27,15 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _float_strings(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(text, index) with text[index] the format_float string of every value, in order.
+def _float_strings(values: np.ndarray, suffix: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """(text, index) with text[index] the format_float string of every value,
+    followed by suffix, in order.
 
     Each distinct value is formatted once.  0.0 and -0.0 share an entry, which
     is exact because both format as "0".
     """
     distinct, index = np.unique(np.ravel(values), return_inverse=True)
-    text = np.array([format_float(x) for x in distinct.tolist()], dtype=object)
+    text = np.array([format_float(x) + suffix for x in distinct.tolist()], dtype=object)
     return text, index
 
 
@@ -100,11 +101,24 @@ def iter_csv(header: str, columns: Sequence[np.ndarray]) -> Iterator[str]:
     Row sigma is the quoted format_node label of sigma followed by the
     format_float text of each column at sigma.  The columns are float arrays
     of one value per node, so their length is a power of two.
+
+    A chunk is one join over a reused parts list: per row the label's opening
+    and low-bit elements (the same in every chunk), the chunk's high-bit
+    elements with the closing of the label, then the cells, each of which
+    carries its separator from its column's distinct strings.
     """
     yield header + "\n"
-    strings = [_float_strings(column) for column in columns]
-    row = '"{}"' + ",{}" * len(columns) + "\n"
-    starts = range(0, len(columns[0]), CHUNK)
-    for start, labels in zip(starts, node_label_chunks(len(columns[0]), CHUNK)):
-        cells = [text[index[start : start + CHUNK]].tolist() for text, index in strings]
-        yield "".join(map(row.format, labels, *cells))
+    dim = len(columns[0])
+    size = min(CHUNK, dim)
+    separators = [","] * (len(columns) - 1) + ["\n"]
+    strings = [_float_strings(column, sep) for column, sep in zip(columns, separators)]
+    stride = len(columns) + 2
+    parts = [""] * (size * stride)
+    parts[0::stride] = ['"{' + low for low in element_strings(size.bit_length() - 1)]
+    for start in range(0, dim, size):
+        high = format_node(start)[1:-1]  # start has no bits below the chunk's
+        parts[1::stride] = [("," + high if high else "") + '}",'] * size
+        parts[1] = high + '}",'  # row 0 of the chunk has no low-bit elements
+        for k, (text, index) in enumerate(strings):
+            parts[2 + k :: stride] = text[index[start : start + size]].tolist()
+        yield "".join(parts)

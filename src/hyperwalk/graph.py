@@ -57,19 +57,6 @@ def graph_laplacian_apply(f: StateVector) -> StateVector:
     return StateVector(level, out)
 
 
-def unitary_F(direction: str, v: StateVector) -> StateVector:
-    """Identification between vertex functions and walk states.
-
-    Both spaces index their basis by the same node bitmask, so the map is
-    the coordinate identity; it exists as an explicit operation so the
-    equivalence statements have a direct call target.  direction is "to_h"
-    (vertex functions to walk states) or "to_C" (the inverse).
-    """
-    if direction not in ("to_h", "to_C"):
-        raise ValueError(f"direction must be 'to_h' or 'to_C', got {direction!r}")
-    return v.copy()
-
-
 def adjacency_matrix(level: Level, dense_cap: int = DENSE_CAP) -> np.ndarray:
     """Dense 0/1 adjacency matrix built from the adjacency predicate."""
     if level.dim > dense_cap:

@@ -99,13 +99,12 @@ def apply_phases(coeffs: StateVector, t: float) -> None:
     (2**hi, 2**lo) grid the phase is one factor per row times one per column:
     two broadcast products, and no dim-sized phase or index array.
     """
-    m = coeffs.level.L + 1
-    powers = phase_powers(t, m)
-    lo = m // 2
-    hi = m - lo
+    powers = phase_powers(t, coeffs.level.L + 1)
+    hi, lo = grid_halves(coeffs.level)
+    rows, cols = split_distances(coeffs.level, 0)
     grid = coeffs.amps.reshape(1 << hi, 1 << lo)
-    grid *= powers[hi - np.bitwise_count(np.arange(1 << hi, dtype=np.uint64))][:, None]
-    grid *= powers[lo - np.bitwise_count(np.arange(1 << lo, dtype=np.uint64))]
+    grid *= powers[hi - rows][:, None]
+    grid *= powers[lo - cols]
 
 
 def _bit_amplitudes(t: float) -> tuple[complex, complex]:
@@ -142,20 +141,32 @@ def basis_start_amplitudes(level: Level, sigma: int, t: float, coeff: complex = 
     grid of apply_phases the state is one factor per row times one per
     column: one dim-sized output and no dim-sized index array.
     """
-    m = level.L + 1
-    lo = m // 2
-    hi = m - lo
-    rows = _distance_factors(t, hi, sigma >> lo) * coeff
-    cols = _distance_factors(t, lo, sigma & ((1 << lo) - 1))
+    hi, lo = grid_halves(level)
+    rows, cols = split_distances(level, sigma)
     amps = np.empty(level.dim, dtype=np.complex128)
-    np.multiply(rows[:, None], cols, out=amps.reshape(1 << hi, 1 << lo))
+    np.multiply(
+        (basis_start_table(t, hi)[rows] * coeff)[:, None],
+        basis_start_table(t, lo)[cols],
+        out=amps.reshape(1 << hi, 1 << lo),
+    )
     return amps
 
 
-def _distance_factors(t: float, n: int, s: int) -> np.ndarray:
-    """basis_start_table(t, n) at popcount(i ^ s) for every n-bit index i."""
-    dist = np.bitwise_count(np.arange(1 << n, dtype=np.uint64) ^ np.uint64(s))
-    return basis_start_table(t, n)[dist]
+def grid_halves(level: Level) -> tuple[int, int]:
+    """(hi, lo): the node index g read as the (2**hi, 2**lo) grid g = i * 2**lo + j,
+    with lo = (L+1) // 2."""
+    lo = (level.L + 1) // 2
+    return level.L + 1 - lo, lo
+
+
+def split_distances(level: Level, sigma: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hamming distances from node sigma split over the grid of grid_halves:
+    node i * 2**lo + j lies at distance rows[i] + cols[j], with
+    rows[i] = popcount(i ^ (sigma >> lo)) and cols[j] = popcount(j ^ low bits of sigma)."""
+    hi, lo = grid_halves(level)
+    rows = np.bitwise_count(np.arange(1 << hi, dtype=np.uint64) ^ np.uint64(sigma >> lo))
+    cols = np.bitwise_count(np.arange(1 << lo, dtype=np.uint64) ^ np.uint64(sigma & ((1 << lo) - 1)))
+    return rows, cols
 
 
 def spectrum(level: Level) -> Spectrum:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterator
 
 DEFAULT_MAX_LEVEL = 24
 MAX_LEVEL_ENV_VAR = "HYPERWALK_L_MAX"
@@ -94,23 +93,13 @@ def format_node(sigma: int) -> str:
     return "{" + ",".join(str(k) for k in elements(sigma)) + "}"
 
 
-def node_label_chunks(dim: int, size: int) -> Iterator[list[str]]:
-    """format_node of every node in [0, dim), in order, as lists of size labels.
-
-    dim and size are powers of two.  The labels of the low bits are built once
-    by doubling over the bits; each chunk then appends its high bits' elements.
-    """
-    size = min(size, dim)
-    bits = size.bit_length() - 1
+def element_strings(n: int) -> list[str]:
+    """format_node of every node in [0, 2**n) without its braces, in order,
+    built by doubling over the bits."""
     low = [""]
-    for k in range(bits):
+    for k in range(n):
         low += [f"{p},{k}" if p else str(k) for p in low]
-    for high in range(dim >> bits):
-        tail = ",".join(str(k + bits) for k in elements(high))
-        if not tail:
-            yield ["{" + p + "}" for p in low]
-        else:
-            yield ["{" + tail + "}"] + ["{" + p + "," + tail + "}" for p in low[1:]]
+    return low
 
 
 def parse_node(text: str, level: Level) -> int:

@@ -11,7 +11,7 @@ from typing import Any
 
 import numpy as np
 
-from hyperwalk import Level, StateVector, format_node
+from hyperwalk import EvolutionEngine, Level, StateVector, distribution_at, format_node
 from hyperwalk.formatting import format_float
 
 # fixed large times, then seeded log-uniform ones up to 1e15; those carry a
@@ -140,6 +140,19 @@ def krawtchouk_average_by_card(L: int) -> list[float]:
     """Vacuum-start period average per node cardinality from the Krawtchouk
     table: the sum of squared sign sums over dim**2."""
     return [float(sum(a * a for a in row)) / 4.0 ** (L + 1) for row in cardinality_sign_sums(L)]
+
+
+def quadrature_oracle(initial: StateVector, engine: EvolutionEngine | None = None) -> np.ndarray:
+    """The quadrature time average as the literal loop: the pointwise
+    distribution summed over the 2L+4 equispaced times in [0, pi), then
+    divided by their number."""
+    level = initial.level
+    engine = engine or EvolutionEngine(level)
+    m = 2 * level.L + 4
+    acc = np.zeros(level.dim, dtype=np.float64)
+    for j in range(m):
+        acc += distribution_at(engine, initial, j * math.pi / m).probs
+    return acc / m
 
 
 def expm_unitary_via_eigh(hermitian: np.ndarray, t: float) -> np.ndarray:

@@ -9,6 +9,7 @@ import pytest
 from hyperwalk import (
     EvolutionEngine,
     Level,
+    TimeAverageDistribution,
     basis_state,
     evolve,
     format_node,
@@ -20,7 +21,7 @@ from hyperwalk import (
 from hyperwalk import cli, graph
 from hyperwalk.cli import main
 
-from helpers import reference_csv, reference_dumps_json
+from helpers import quadrature_oracle, reference_csv, reference_dumps_json
 
 
 def run_cli(capsys, *argv):
@@ -248,7 +249,11 @@ def _expected_evolve(L, t, node, engine, amplitudes, fmt):
 
 def _expected_time_average(L, method, node, fmt):
     lv = Level(L)
-    dist = time_average(basis_state(lv, node), method=method.replace("-", "_"))
+    start = basis_state(lv, node)
+    if method == "quadrature":
+        dist = TimeAverageDistribution(level=lv, probs=quadrature_oracle(start), method="quadrature")
+    else:
+        dist = time_average(start, method=method.replace("-", "_"))
     report = is_symmetric(dist, 1e-10)
     if fmt == "csv":
         deviation = reference_dumps_json(report.max_deviation)

@@ -9,6 +9,7 @@ from hyperwalk.formatting import dumps_json, iter_csv, iter_json
 from helpers import reference_csv, reference_dumps_json
 
 CHUNK = 16  # small chunks, so that short arrays cross chunk boundaries
+REAL_CHUNK = formatting.CHUNK
 
 
 @pytest.fixture(autouse=True)
@@ -85,3 +86,15 @@ def test_writers_stream_in_chunks():
     values = _repeating(2 * CHUNK + 1)
     assert len(list(iter_json(values))) == 5  # "[", three chunks, "]"
     assert len(list(iter_csv("node,p", [_repeating(4 * CHUNK)]))) == 5  # header, four chunks
+
+
+@pytest.mark.parametrize("ncols", [1, 3])
+def test_csv_matches_reference_at_the_real_chunk(monkeypatch, ncols):
+    # L = 16: two chunks of the real size, the second with high-bit elements
+    monkeypatch.setattr(formatting, "CHUNK", REAL_CHUNK)
+    dim = 2 * REAL_CHUNK
+    columns = [_repeating(dim), _all_distinct(dim), -_repeating(dim)][:ncols]
+    header = "node," + ",".join(f"c{i}" for i in range(ncols))
+    chunks = list(iter_csv(header, columns))
+    assert len(chunks) == 3
+    assert "".join(chunks) == reference_csv(header, columns)

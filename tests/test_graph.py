@@ -18,7 +18,6 @@ from hyperwalk import (
     is_adjacent,
     materialize_matrix,
     neighborhood,
-    unitary_F,
 )
 
 from helpers import random_state
@@ -110,24 +109,16 @@ def test_adjacency_matrix_row_sums_are_degrees():
     assert (adj.sum(axis=1) == lv.L + 1).all()
 
 
-def test_identification_map_is_the_coordinate_identity(rng):
-    lv = Level(3)
-    v = random_state(lv, rng)
-    assert np.array_equal(unitary_F("to_h", v).amps, v.amps)
-    assert np.array_equal(unitary_F("to_C", v).amps, v.amps)
-    with pytest.raises(ValueError):
-        unitary_F("sideways", v)
-
-
 def test_flip_conjugated_through_the_identification():
-    # moving a basis flip across the identification lands on the expected vertex rule
+    # vertex functions and walk states share coordinates, so flipping element k
+    # of a basis state lands on the vertex tau ^ (1 << k)
     from hyperwalk import apply_involution
 
     lv = Level(2)
     for tau in range(lv.dim):
         for k in range(lv.L + 1):
             e_tau = basis_state(lv, tau)
-            image = unitary_F("to_C", apply_involution(k, unitary_F("to_h", e_tau)))
+            image = apply_involution(k, e_tau)
             expected = basis_state(lv, tau ^ (1 << k))
             assert np.array_equal(image.amps, expected.amps)
 

@@ -7,6 +7,7 @@ import pytest
 from hyperwalk import (
     EvolutionEngine,
     Level,
+    StateVector,
     TimeAverageDistribution,
     basis_state,
     closed_form_distribution,
@@ -23,6 +24,7 @@ from hyperwalk import (
     vacuum_average_value,
     vacuum_state,
 )
+from hyperwalk import measure
 
 from helpers import (
     LARGE_TIMES,
@@ -31,6 +33,7 @@ from helpers import (
     literal_time_average,
     literal_vacuum_prob,
     product_state_amplitudes,
+    quadrature_oracle,
     random_state,
 )
 
@@ -190,6 +193,83 @@ def test_quadrature_accepts_arbitrary_initial_states(rng):
     lv = Level(2)
     dist = time_average(random_state(lv, rng), "quadrature")
     assert abs(dist.probs.sum() - 1.0) < 1e-10
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("L", range(7))
+def test_node_quadrature_matches_the_loop_bit_for_bit_at_every_node(L):
+    lv = Level(L)
+    for sigma in range(lv.dim):
+        start = basis_state(lv, sigma)
+        assert _same_bits(time_average(start).probs, quadrature_oracle(start)), sigma
+
+
+@pytest.mark.parametrize("L", [7, 10, 13, 15, 17])
+def test_node_quadrature_matches_the_loop_bit_for_bit_at_seeded_nodes(L):
+    lv = Level(L)
+    nodes = [lv.full_mask] + np.random.default_rng(L).integers(0, lv.dim, size=2).tolist()
+    for sigma in nodes:
+        start = basis_state(lv, sigma)
+        assert _same_bits(time_average(start).probs, quadrature_oracle(start)), sigma
+
+
+# unit-modulus phases, and a modulus inside the normalization tolerance
+@pytest.mark.parametrize("coeff", [-1.0, 1j, np.exp(0.7j), np.exp(-2.9j), 1.0 + 4e-13])
+def test_node_quadrature_carries_the_start_coefficient_bit_for_bit(coeff):
+    for L in (0, 3, 6, 11):
+        lv = Level(L)
+        for sigma in (0, 5 % lv.dim, lv.full_mask):
+            start = basis_state(lv, sigma)
+            start.amps[sigma] = coeff
+            assert _same_bits(time_average(start).probs, quadrature_oracle(start)), (L, sigma)
+
+
+def test_node_quadrature_keeps_the_evolve_errors():
+    lv = Level(3)
+    start = basis_state(lv, 5)
+    start.amps[5] = 1.5
+    with pytest.raises(ValueError) as fast:
+        time_average(start)
+    with pytest.raises(ValueError) as loop:
+        quadrature_oracle(start)
+    assert "not normalized" in str(fast.value)
+    assert str(fast.value) == str(loop.value)
+    with pytest.raises(ValueError, match="engine level does not match the initial state"):
+        time_average(basis_state(lv, 5), engine=EvolutionEngine(Level(2)))
+
+
+def test_other_starts_and_engines_take_the_loop(monkeypatch):
+    calls = []
+    real = measure.distribution_at
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(measure, "distribution_at", counted)
+    lv = Level(4)
+    one_hot = basis_state(lv, 6)
+    time_average(one_hot)
+    assert calls == []
+    two_hot = StateVector(lv, (basis_state(lv, 1).amps + basis_state(lv, 6).amps) / math.sqrt(2))
+    for start, kind in ((two_hot, "spectral"), (one_hot, "product"), (one_hot, "dense")):
+        calls.clear()
+        engine = EvolutionEngine(lv, kind)
+        got = time_average(start, engine=engine).probs
+        assert len(calls) == quadrature_point_count(lv), kind
+        assert _same_bits(got, quadrature_oracle(start, engine)), kind
+
+
+def test_symmetry_report_reads_the_complement_of_every_node():
+    lv = Level(4)
+    probs = np.random.default_rng(3).random(lv.dim)
+    report = is_symmetric(TimeAverageDistribution(level=lv, probs=probs, method="quadrature"))
+    dev = [abs(probs[g] - probs[complement(g, lv)]) for g in range(lv.dim)]
+    assert report.max_deviation == max(dev)
+    assert report.worst_node == dev.index(max(dev))
 
 
 def test_vacuum_only_methods_reject_other_initial_states(rng):

@@ -11,7 +11,7 @@ from hyperwalk import (
     parse_node,
     symmetric_difference,
 )
-from hyperwalk.subsets import node_label_chunks
+from hyperwalk.subsets import element_strings
 
 from helpers import popcount, setminus_card
 
@@ -43,12 +43,9 @@ def test_malformed_env_cap_is_named_in_the_error(monkeypatch, raw):
         Level(1)
 
 
-@pytest.mark.parametrize("dim", [2, 4, 64, 1 << 12])
-@pytest.mark.parametrize("size", [1, 2, 16, 1 << 16])
-def test_node_label_chunks_match_format_node(dim, size):
-    chunks = list(node_label_chunks(dim, size))
-    assert {len(c) for c in chunks} == {min(size, dim)}
-    assert [label for c in chunks for label in c] == [format_node(s) for s in range(dim)]
+@pytest.mark.parametrize("n", [0, 1, 2, 6, 12])
+def test_element_strings_match_format_node(n):
+    assert ["{" + e + "}" for e in element_strings(n)] == [format_node(s) for s in range(1 << n)]
 
 
 @pytest.mark.parametrize(
