@@ -3,14 +3,16 @@
 State vectors are indexed by subset bitmasks of {0, ..., L}; the walk
 generator is the sum over elements of (identity minus bit-flip), which
 diagonalizes over a signed Walsh eigenbasis; its evolution is exactly the
-tensor power of one 2×2 factor per element.
+tensor power of one 2×2 factor per element.  One engine applies that factor
+(in closed form from a node), and the period average comes as the
+quadrature or the exact krawtchouk value; the literal-definition oracles
+they are checked against live in the test suite.
 """
 
 from .evolution import (
     ENGINE_KINDS,
     EvolutionEngine,
     evolve,
-    materialize_unitary,
 )
 from .graph import (
     GRAPH_FORMATS,
@@ -25,7 +27,6 @@ from .graph import (
     neighborhood,
 )
 from .measure import (
-    PAIR_SUM_MAX_LEVEL,
     TIME_AVERAGE_METHODS,
     Distribution,
     SymmetryReport,
@@ -81,7 +82,6 @@ __all__ = [
     "DENSE_CAP",
     "ENGINE_KINDS",
     "GRAPH_FORMATS",
-    "PAIR_SUM_MAX_LEVEL",
     "TIME_AVERAGE_METHODS",
     "Distribution",
     "EvolutionEngine",
@@ -120,7 +120,6 @@ __all__ = [
     "is_adjacent",
     "is_symmetric",
     "materialize_matrix",
-    "materialize_unitary",
     "max_level",
     "neighborhood",
     "parse_node",

@@ -18,19 +18,19 @@ import numpy as np
 from .evolution import ENGINE_KINDS, EvolutionEngine, evolve
 from .formatting import format_float, iter_csv, iter_json
 from .graph import GRAPH_FORMATS, export_graph, graph_json_dict
-from .measure import is_symmetric, time_average
+from .measure import TIME_AVERAGE_METHODS, is_symmetric, time_average
 from .operators import basis_state
 from .spectral import spectrum
 from .subsets import Level, format_node, parse_node
 
 SCHEMA = "hyperwalk/1"
 
-_METHOD_FLAGS = {"quadrature": "quadrature", "pair-sum": "pair_sum", "krawtchouk": "krawtchouk"}
-
 # peak bytes of a subcommand in units of one complex array over the nodes
-# (dim * 16 bytes): the traced peak at L = 18 over every engine, format and
-# --amplitudes, rounded up (evolve 6.6, time-average 5.5, pst 5.0)
-_PEAK_ARRAYS = {"evolve": 7, "time-average": 6, "pst": 6}
+# (dim * 16 bytes): the tracemalloc peak of main() at L = 18 and 20 over every
+# format, method and --amplitudes, rounded up (evolve 6.63 with --amplitudes
+# to JSON and 3.09 without, time-average 3.50 for krawtchouk and 3.07 for
+# quadrature, pst 3.07)
+_PEAK_ARRAYS = {"evolve": 7, "time-average": 4, "pst": 4}
 
 
 def _parse_pi_fraction(text: str) -> float:
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ta = sub.add_parser("time-average", help="period-averaged distribution")
     _add_level(ta)
-    ta.add_argument("--method", choices=tuple(_METHOD_FLAGS), default="quadrature")
+    ta.add_argument("--method", choices=TIME_AVERAGE_METHODS, default="quadrature")
     ta.add_argument("--initial", default="", help="initial node string (default: empty set)")
     ta.add_argument("--engine", choices=ENGINE_KINDS, default="spectral")
     ta.add_argument("--tol", type=float, default=1e-10)
@@ -168,10 +168,9 @@ def cmd_evolve(args: argparse.Namespace) -> Iterable[str]:
 
 def cmd_time_average(args: argparse.Namespace) -> Iterable[str]:
     level = Level(args.L)
-    method = _METHOD_FLAGS[args.method]
     initial_node = parse_node(args.initial, level)
-    engine = EvolutionEngine(level, args.engine) if method == "quadrature" else None
-    dist = time_average(basis_state(level, initial_node), method=method, engine=engine)
+    engine = EvolutionEngine(level, args.engine) if args.method == "quadrature" else None
+    dist = time_average(basis_state(level, initial_node), method=args.method, engine=engine)
     report = is_symmetric(dist, args.tol)
     if args.format == "csv":
         footer = f"# symmetry_max_deviation,{format_float(report.max_deviation)}\n"

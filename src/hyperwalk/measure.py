@@ -1,6 +1,6 @@
 """Node-occupation probabilities of the walk and their long-run averages.
 
-The time-average distribution from the vacuum is computed three ways:
+The time-average distribution is computed two ways:
 
 * ``quadrature``: equal-weight average of the pointwise distribution over
   M = 2L+4 equispaced times in [0, pi).  Every occupation probability is a
@@ -8,18 +8,19 @@ The time-average distribution from the vacuum is computed three ways:
   at most 2(L+1), so any equispaced average with M >= 2L+3 points kills all
   nonzero frequencies by aliasing and the finite sum equals the integral
   exactly; M = 2L+4 keeps one point of margin.  Works for any initial state.
-  From a node (one nonzero amplitude) on the spectral engine every
-  probability depends only on the node's split distance from the start, so
-  the sum runs on the (hi+1, lo+1) table of distance classes, O(L**2) per
-  sample time, plus one O(dim) gather; the bits are those of the
-  per-time loop that every other state and engine takes.
-* ``pair_sum``: the literal double sum over index pairs of equal cardinality,
-  O(4**(L+1)); kept as the ground-truth oracle and gated to L <= 7.
+  From a node (one nonzero amplitude) every probability depends only on the
+  node's split distance from the start, so the sum runs on the (hi+1, lo+1)
+  table of distance classes, O(L**2) per sample time, plus one O(dim)
+  gather; the bits are those of the per-time loop that every other state
+  takes.
 * ``krawtchouk``: the exact value per cardinality class.  From the vacuum
   the walk is a product state whose occupation at a node of cardinality d
   is cos(t)**(2(m-d)) * sin(t)**(2d), with m = L+1, so the period average
   is the Beta integral (2(m-d)-1)!! (2d-1)!! / (2m)!!, kept as a Fraction
   until it is gathered over nodes.  Vacuum initial state only.
+
+The literal double sum over equal-cardinality index pairs, the ground-truth
+oracle for both, lives in the test suite.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from .operators import StateVector, basis_state
 from .spectral import basis_start_amplitudes, basis_start_table, grid_halves, split_distances
 from .subsets import Level, cardinality
 
-TIME_AVERAGE_METHODS = ("quadrature", "pair_sum", "krawtchouk")
-PAIR_SUM_MAX_LEVEL = 7
+TIME_AVERAGE_METHODS = ("quadrature", "krawtchouk")
 VACUUM_TOL = 1e-12
 
 
@@ -125,9 +125,9 @@ def time_average(
 ) -> TimeAverageDistribution:
     """Average distribution over one period of the walk.
 
-    quadrature accepts any normalized initial state (and any engine, default
-    spectral); pair_sum and krawtchouk implement the vacuum-start closed
-    forms and reject other initial states.
+    quadrature accepts any normalized initial state (and an engine on its
+    level); krawtchouk implements the vacuum-start closed form and rejects
+    other initial states.
     """
     level = initial.level
     if method not in TIME_AVERAGE_METHODS:
@@ -136,13 +136,6 @@ def time_average(
         )
     if method == "quadrature":
         probs = _quadrature_average(initial, engine)
-    elif method == "pair_sum":
-        if level.L > PAIR_SUM_MAX_LEVEL:
-            raise ValueError(
-                f"pair_sum is gated to L <= {PAIR_SUM_MAX_LEVEL}, got L={level.L}"
-            )
-        _require_vacuum(initial)
-        probs = _pair_sum_average(level)
     else:
         _require_vacuum(initial)
         probs = _grouped_average(level)
@@ -156,7 +149,7 @@ def _quadrature_average(initial: StateVector, engine: EvolutionEngine | None) ->
     elif engine.level != level:
         raise ValueError("engine level does not match the initial state")
     m = quadrature_point_count(level)
-    sigma = one_hot_node(initial.amps) if engine.kind == "spectral" else None
+    sigma = one_hot_node(initial.amps)
     if sigma is not None:
         checked_start(engine, initial)
         return _class_average(level, sigma, initial.amps[sigma], m)
@@ -169,9 +162,9 @@ def _quadrature_average(initial: StateVector, engine: EvolutionEngine | None) ->
 def _class_average(level: Level, sigma: int, coeff: complex, m: int) -> np.ndarray:
     """The m-point quadrature from coeff times node sigma, per distance class.
 
-    From a node the spectral engine's amplitude at node i * 2**lo + j depends
-    only on its split distance (rows[i], cols[j]) (see split_distances), so
-    the squared magnitudes accumulate on the (hi+1, lo+1) class table, with
+    From a node the amplitude at node i * 2**lo + j depends only on its
+    split distance (rows[i], cols[j]) (see split_distances), so the squared
+    magnitudes accumulate on the (hi+1, lo+1) class table, with
     the elementwise operations of basis_start_amplitudes and distribution_at
     in the same order, and are gathered over the nodes once.  The result is
     bit-identical to the per-time loop at O(L**2) per time plus one O(dim)
@@ -186,25 +179,6 @@ def _class_average(level: Level, sigma: int, coeff: complex, m: int) -> np.ndarr
         acc += probs
     rows, cols = split_distances(level, sigma)
     return np.take((acc / m)[rows], cols, axis=1).reshape(-1)
-
-
-def _pair_sum_average(level: Level) -> np.ndarray:
-    """Literal double sum over pairs of equal-cardinality subsets."""
-    dim = level.dim
-    full = np.uint64(level.full_mask)
-    idx = np.arange(dim, dtype=np.uint64)
-    cards = np.bitwise_count(idx)
-    classes = [idx[cards == k] for k in range(level.L + 2)]
-    probs = np.empty(dim, dtype=np.float64)
-    scale = float(dim) ** 2
-    for sigma in range(dim):
-        total = 0
-        for members in classes:
-            diff = np.uint64(sigma) & ~members & full
-            signs = 1 - 2 * (np.bitwise_count(diff).astype(np.int64) & 1)
-            total += int(np.outer(signs, signs).sum())
-        probs[sigma] = total / scale
-    return probs
 
 
 def _grouped_average(level: Level) -> np.ndarray:

@@ -68,49 +68,14 @@ def eigenvalues_by_index(level: Level) -> np.ndarray:
     return 2.0 * (level.L + 1 - cards)
 
 
-def phase_powers(t: float, m: int) -> np.ndarray:
-    """z**j for j = 0..m, with z = exp(2it), by repeated multiplication.
-
-    The eigenvalue 2j evolves by the phase z**j.  libm reduces the exact
-    argument 2t correctly at any magnitude; forming j*t, or reducing t by the
-    float pi, first would round the phase away at large t.
-    """
-    z = cmath.exp(2j * t)
-    powers = np.empty(m + 1, dtype=np.complex128)
-    w = 1.0 + 0.0j
-    for j in range(m + 1):
-        powers[j] = w
-        w *= z
-    return powers
-
-
-def phases_by_index(level: Level, t: float) -> np.ndarray:
-    """exp(i t eigenvalue) at every basis index; dim-sized, for the dense paths."""
-    m = level.L + 1
-    cards = np.bitwise_count(np.arange(level.dim, dtype=np.uint64))
-    return phase_powers(t, m)[m - cards]
-
-
-def apply_phases(coeffs: StateVector, t: float) -> None:
-    """Multiply every eigenbasis coefficient by exp(i t eigenvalue), in place.
-
-    Coefficient s takes z**(m - popcount(s)).  The popcount adds over the high
-    and low halves of the index, so on the coefficients viewed as a
-    (2**hi, 2**lo) grid the phase is one factor per row times one per column:
-    two broadcast products, and no dim-sized phase or index array.
-    """
-    powers = phase_powers(t, coeffs.level.L + 1)
-    hi, lo = grid_halves(coeffs.level)
-    rows, cols = split_distances(coeffs.level, 0)
-    grid = coeffs.amps.reshape(1 << hi, 1 << lo)
-    grid *= powers[hi - rows][:, None]
-    grid *= powers[lo - cols]
-
-
 def _bit_amplitudes(t: float) -> tuple[complex, complex]:
-    """(a0, a1) = ((1+z)/2, (1-z)/2) with z = exp(2it) on the unreduced t, as
-    in phase_powers: e^{it}(cos t I - i sin t X) maps one bit to a0 times
-    itself plus a1 times its flip."""
+    """(a0, a1) = ((1+z)/2, (1-z)/2) with z = exp(2it): e^{it}(cos t I - i sin t X)
+    maps one bit to a0 times itself plus a1 times its flip.
+
+    The only place the walk's phase is computed.  libm reduces the exact
+    argument 2t correctly at any magnitude; reducing t by the float pi first
+    would round the phase away at large t.
+    """
     z = cmath.exp(2j * t)
     return (1.0 + z) / 2.0, (1.0 - z) / 2.0
 
@@ -138,7 +103,7 @@ def basis_start_amplitudes(level: Level, sigma: int, t: float, coeff: complex = 
     The generator is a sum of commuting one-bit terms, so the evolved state is
     a product state: amp[g] = coeff * a0**(m-d) * a1**d, d = popcount(g ^ sigma).
     d adds over the high and low halves of the index, so on the (2**hi, 2**lo)
-    grid of apply_phases the state is one factor per row times one per
+    grid of grid_halves the state is one factor per row times one per
     column: one dim-sized output and no dim-sized index array.
     """
     hi, lo = grid_halves(level)
@@ -154,7 +119,8 @@ def basis_start_amplitudes(level: Level, sigma: int, t: float, coeff: complex = 
 
 def grid_halves(level: Level) -> tuple[int, int]:
     """(hi, lo): the node index g read as the (2**hi, 2**lo) grid g = i * 2**lo + j,
-    with lo = (L+1) // 2."""
+    with lo = (L+1) // 2.  A quantity that depends on g only through a
+    popcount splits into one factor per row times one per column on it."""
     lo = (level.L + 1) // 2
     return level.L + 1 - lo, lo
 

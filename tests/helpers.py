@@ -11,8 +11,19 @@ from typing import Any
 
 import numpy as np
 
-from hyperwalk import EvolutionEngine, Level, StateVector, distribution_at, format_node
+from hyperwalk import (
+    EvolutionEngine,
+    Level,
+    StateVector,
+    distribution_at,
+    format_node,
+    materialize_matrix,
+)
+from hyperwalk._walsh import flip_bit
 from hyperwalk.formatting import format_float
+from hyperwalk.spectral import grid_halves, split_distances
+
+PAIR_SUM_MAX_LEVEL = 7
 
 # fixed large times, then seeded log-uniform ones up to 1e15; those carry a
 # fractional part, so j*t rounds for small integers j
@@ -30,6 +41,7 @@ def setminus_card(a: int, b: int, full: int) -> int:
     return popcount(a & ~b & full)
 
 
+@lru_cache(maxsize=None)
 def literal_kernel_matrix(L: int) -> np.ndarray:
     """Unnormalized signed basis kernel, entry [gamma, sigma] = (-1)**#(gamma minus sigma).
 
@@ -43,6 +55,73 @@ def literal_kernel_matrix(L: int) -> np.ndarray:
         for sigma in range(dim):
             mat[gamma, sigma] = (-1) ** setminus_card(gamma, sigma, full)
     return mat
+
+
+def phase_powers(t: float, m: int) -> np.ndarray:
+    """z**j for j = 0..m, with z = exp(2it) on the unreduced t, by repeated
+    multiplication: the eigenvalue 2j evolves by the phase z**j."""
+    z = cmath.exp(2j * t)
+    powers = np.empty(m + 1, dtype=np.complex128)
+    w = 1.0 + 0.0j
+    for j in range(m + 1):
+        powers[j] = w
+        w *= z
+    return powers
+
+
+def phases_by_index(level: Level, t: float) -> np.ndarray:
+    """exp(i t eigenvalue) at every eigenbasis index: z**(m - popcount(s))."""
+    m = level.L + 1
+    cards = np.bitwise_count(np.arange(level.dim, dtype=np.uint64))
+    return phase_powers(t, m)[m - cards]
+
+
+def apply_phases(coeffs: StateVector, t: float) -> None:
+    """Multiply every eigenbasis coefficient by exp(i t eigenvalue), in place.
+
+    Coefficient s takes z**(m - popcount(s)); on the (2**hi, 2**lo) grid the
+    popcount splits over rows and columns, so the phase is one factor per row
+    times one per column.
+    """
+    powers = phase_powers(t, coeffs.level.L + 1)
+    hi, lo = grid_halves(coeffs.level)
+    rows, cols = split_distances(coeffs.level, 0)
+    grid = coeffs.amps.reshape(1 << hi, 1 << lo)
+    grid *= powers[hi - rows][:, None]
+    grid *= powers[lo - cols]
+
+
+def _literal_basis(level: Level) -> np.ndarray:
+    """Orthogonal matrix whose column s is the literal signed basis vector s,
+    of eigenvalue 2(m - popcount(s))."""
+    return literal_kernel_matrix(level.L) / math.sqrt(level.dim)
+
+
+def materialize_unitary(level: Level, t: float) -> np.ndarray:
+    """Dense evolution unitary at time t: the literal signed basis, scaled by
+    its phases, times its transpose."""
+    basis = _literal_basis(level)
+    return (basis * phases_by_index(level, t)[None, :]) @ basis.T
+
+
+def evolve_dense(initial: StateVector, t: float) -> StateVector:
+    """materialize_unitary(level, t) applied to the state, as the two dense
+    changes of basis around the phases, O(dim**2) instead of O(dim**3)."""
+    basis = _literal_basis(initial.level)
+    coeffs = phases_by_index(initial.level, t) * (basis.T @ initial.amps)
+    return StateVector(initial.level, basis @ coeffs)
+
+
+def evolve_product(initial: StateVector, t: float) -> StateVector:
+    """The walk as the literal product of its commuting one-element factors,
+    each acting as e^{it} (cos t - i sin t * flip of its bit)."""
+    cos_t = math.cos(t)
+    sin_t = math.sin(t)
+    phase = complex(cos_t, sin_t)
+    out = initial.amps
+    for k in range(initial.level.L + 1):
+        out = phase * (cos_t * out - 1j * sin_t * flip_bit(out, k))
+    return StateVector(initial.level, out)
 
 
 @lru_cache(maxsize=None)
@@ -101,6 +180,29 @@ def literal_time_average(sigma: int, L: int) -> float:
     return total / dim**2
 
 
+def pair_sum_average(level: Level) -> np.ndarray:
+    """Vacuum-start time average by the double sum over pairs of
+    equal-cardinality subsets, vectorized over each class; gated to
+    L <= PAIR_SUM_MAX_LEVEL."""
+    if level.L > PAIR_SUM_MAX_LEVEL:
+        raise ValueError(f"pair sum is gated to L <= {PAIR_SUM_MAX_LEVEL}, got L={level.L}")
+    dim = level.dim
+    full = np.uint64(level.full_mask)
+    idx = np.arange(dim, dtype=np.uint64)
+    cards = np.bitwise_count(idx)
+    classes = [idx[cards == k] for k in range(level.L + 2)]
+    probs = np.empty(dim, dtype=np.float64)
+    scale = float(dim) ** 2
+    for sigma in range(dim):
+        total = 0
+        for members in classes:
+            diff = np.uint64(sigma) & ~members & full
+            signs = 1 - 2 * (np.bitwise_count(diff).astype(np.int64) & 1)
+            total += int(np.outer(signs, signs).sum())
+        probs[sigma] = total / scale
+    return probs
+
+
 @lru_cache(maxsize=None)
 def cardinality_sign_sums(L: int) -> tuple[tuple[int, ...], ...]:
     """Krawtchouk table.  Row s, column k: integer sum of
@@ -155,11 +257,17 @@ def quadrature_oracle(initial: StateVector, engine: EvolutionEngine | None = Non
     return acc / m
 
 
-def expm_unitary_via_eigh(hermitian: np.ndarray, t: float) -> np.ndarray:
-    """exp(i t H) through a LAPACK eigendecomposition; independent of the
-    package's transform and engines."""
-    w, v = np.linalg.eigh(hermitian)
-    return (v * np.exp(1j * t * w)) @ v.conj().T
+@lru_cache(maxsize=None)
+def _laplacian_eigh(L: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.linalg.eigh(materialize_matrix("laplacian", Level(L)).real)
+
+
+def evolve_via_eigh(initial: StateVector, t: float) -> np.ndarray:
+    """exp(i t H) applied to the state's amplitudes, H the dense generator,
+    through one LAPACK eigendecomposition per level; independent of the
+    package's kernel and of the other oracles."""
+    w, v = _laplacian_eigh(initial.level.L)
+    return v @ (np.exp(1j * t * w) * (v.T @ initial.amps))
 
 
 def random_state(level: Level, rng: np.random.Generator) -> StateVector:

@@ -12,7 +12,6 @@ from fractions import Fraction
 import numpy as np
 
 from hyperwalk import (
-    ENGINE_KINDS,
     EvolutionEngine,
     Level,
     basis_state,
@@ -30,7 +29,14 @@ from hyperwalk import (
     vacuum_state,
 )
 
-from helpers import krawtchouk_vacuum_probs, random_state
+from helpers import (
+    evolve_dense,
+    evolve_product,
+    evolve_via_eigh,
+    krawtchouk_vacuum_probs,
+    pair_sum_average,
+    random_state,
+)
 
 
 def _report(num, name, failures, detail=""):
@@ -104,19 +110,21 @@ def test_criterion_03_periodicity():
     worst = 0.0
     for L in range(11):
         lv = Level(L)
-        engines = [EvolutionEngine(lv, "spectral"), EvolutionEngine(lv, "product")]
+        engine = EvolutionEngine(lv)
+        runs = {
+            "spectral": lambda xi, t: evolve(engine, xi, t).amps,
+            "product": lambda xi, t: evolve_product(xi, t).amps,
+        }
         if L <= 8:
-            engines.append(EvolutionEngine(lv, "dense"))
+            runs["dense"] = lambda xi, t: evolve_dense(xi, t).amps
         for _ in range(100):
             xi = random_state(lv, rng)
             t = float(rng.normal(0.0, 3.0))  # full-mantissa times
-            for engine in engines:
-                a = evolve(engine, xi, t + math.pi)
-                b = evolve(engine, xi, t)
-                dev = float(np.linalg.norm(a.amps - b.amps))
+            for name, run in runs.items():
+                dev = float(np.linalg.norm(run(xi, t + math.pi) - run(xi, t)))
                 worst = max(worst, dev)
                 if dev > 1e-10:
-                    failures.append(f"L={L} {engine.kind} t={t}: norm deviation {dev}")
+                    failures.append(f"L={L} {name} t={t}: norm deviation {dev}")
     _report(3, "periodicity", failures, f"max norm deviation {worst:.2e}")
 
 
@@ -156,21 +164,19 @@ def test_criterion_05_time_average_value():
         if L in spot and exact != spot[L]:
             failures.append(f"L={L}: exact value {exact} != spot value {spot[L]}")
         dists = {
-            "quadrature": time_average(vac, "quadrature"),
-            "krawtchouk": time_average(vac, "krawtchouk"),
+            "quadrature": time_average(vac, "quadrature").probs,
+            "krawtchouk": time_average(vac, "krawtchouk").probs,
         }
         if L <= 6:
-            dists["pair_sum"] = time_average(vac, "pair_sum")
-        for name, dist in dists.items():
+            dists["pair_sum"] = pair_sum_average(lv)
+        for name, probs in dists.items():
             for node in (0, lv.full_mask):
-                dev = abs(float(dist.probs[node]) - exact)
+                dev = abs(float(probs[node]) - exact)
                 worst = max(worst, dev)
                 if dev > 1e-10:
                     failures.append(f"L={L} {name} node={node}: deviation {dev}")
         if L <= 6:
-            cross = float(
-                np.abs(dists["pair_sum"].probs - dists["quadrature"].probs).max()
-            )
+            cross = float(np.abs(dists["pair_sum"] - dists["quadrature"]).max())
             worst = max(worst, cross)
             if cross > 1e-10:
                 failures.append(f"L={L}: pair-sum vs quadrature deviation {cross}")
@@ -236,17 +242,23 @@ def test_criterion_08_graph_equivalence():
 
 
 def test_criterion_09_engine_triangulation():
+    # the library's per-bit kernel, the literal product of one-element
+    # factors, and a LAPACK-diagonalized exponential of the dense generator
     rng = np.random.default_rng(9099)
     failures = []
     worst_triple = 0.0
     worst_pair = 0.0
     for L in range(9):
         lv = Level(L)
-        engines = [EvolutionEngine(lv, kind) for kind in ENGINE_KINDS]
+        engine = EvolutionEngine(lv)
         for _ in range(100):
             xi = random_state(lv, rng)
             t = float(rng.uniform(-8, 8))
-            outs = [evolve(engine, xi, t).amps for engine in engines]
+            outs = [
+                evolve(engine, xi, t).amps,
+                evolve_product(xi, t).amps,
+                evolve_via_eigh(xi, t),
+            ]
             dev = max(
                 float(np.abs(outs[i] - outs[j]).max())
                 for i in range(3)
@@ -257,14 +269,11 @@ def test_criterion_09_engine_triangulation():
                 failures.append(f"L={L} t={t}: three-engine deviation {dev}")
     for L in range(9, 15):
         lv = Level(L)
-        spectral = EvolutionEngine(lv, "spectral")
-        product = EvolutionEngine(lv, "product")
+        spectral = EvolutionEngine(lv)
         for _ in range(100):
             xi = random_state(lv, rng)
             t = float(rng.uniform(-8, 8))
-            dev = float(
-                np.abs(evolve(spectral, xi, t).amps - evolve(product, xi, t).amps).max()
-            )
+            dev = float(np.abs(evolve(spectral, xi, t).amps - evolve_product(xi, t).amps).max())
             worst_pair = max(worst_pair, dev)
             if dev > 1e-10:
                 failures.append(f"L={L} t={t}: spectral/product deviation {dev}")

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,18 +119,12 @@ def test_time_average_values_and_symmetry_report(capsys):
     assert doc["symmetry_max_deviation"] <= 1e-12
 
 
-@pytest.mark.parametrize("method", ["quadrature", "pair-sum", "krawtchouk"])
+@pytest.mark.parametrize("method", ["quadrature", "krawtchouk"])
 def test_time_average_methods_agree_via_cli(capsys, method):
     code, out, _ = run_cli(capsys, "time-average", "--L", "2", "--method", method)
     assert code == 0
     doc = json.loads(out)
     assert doc["probs"][0] == pytest.approx(0.3125, abs=1e-10)
-
-
-def test_time_average_pair_sum_gate(capsys):
-    code, _, err = run_cli(capsys, "time-average", "--L", "8", "--method", "pair-sum")
-    assert code == 2
-    assert "gated" in err
 
 
 def test_time_average_method_initial_mismatch(capsys):
@@ -184,9 +179,23 @@ def test_graph_formats(capsys):
     assert len(out.splitlines()) == 12
 
 
-def test_dense_engine_gate(capsys):
-    code, _, _ = run_cli(capsys, "evolve", "--L", "12", "--t", "1", "--engine", "dense")
+@pytest.mark.parametrize(
+    "argv, allowed",
+    [
+        (["evolve", "--t", "1", "--engine", "product"], "'spectral'"),
+        (["evolve", "--t", "1", "--engine", "dense"], "'spectral'"),
+        (["time-average", "--engine", "dense"], "'spectral'"),
+        (["pst", "--engine", "product"], "'spectral'"),
+        (["time-average", "--method", "pair-sum"], "'quadrature', 'krawtchouk'"),
+    ],
+)
+def test_removed_choices_exit_2(tmp_path, capsys, argv, allowed):
+    target = tmp_path / "never.out"
+    code, out, err = run_cli(capsys, argv[0], "--L", "3", *argv[1:], "--out", str(target))
     assert code == 2
+    assert out == ""
+    assert f"invalid choice: '{argv[-1]}' (choose from {allowed})" in err
+    assert not target.exists()
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -232,15 +241,15 @@ def _document(doc: dict) -> str:
     return reference_dumps_json({"schema": "hyperwalk/1", **doc}) + "\n"
 
 
-def _expected_evolve(L, t, node, engine, amplitudes, fmt):
+def _expected_evolve(L, t, node, amplitudes, fmt):
     lv = Level(L)
-    amps = evolve(EvolutionEngine(lv, engine), basis_state(lv, node), t).amps
+    amps = evolve(EvolutionEngine(lv), basis_state(lv, node), t).amps
     probs = np.abs(amps) ** 2
     if fmt == "csv":
         if amplitudes:
             return reference_csv("node,probability,amp_re,amp_im", [probs, amps.real, amps.imag])
         return reference_csv("node,probability", [probs])
-    doc = {"L": L, "engine": engine, "initial": format_node(node), "t": t}
+    doc = {"L": L, "engine": "spectral", "initial": format_node(node), "t": t}
     doc["probs"] = [float(p) for p in probs]
     if amplitudes:
         doc["amps"] = [[float(a.real), float(a.imag)] for a in amps]
@@ -253,7 +262,7 @@ def _expected_time_average(L, method, node, fmt):
     if method == "quadrature":
         dist = TimeAverageDistribution(level=lv, probs=quadrature_oracle(start), method="quadrature")
     else:
-        dist = time_average(start, method=method.replace("-", "_"))
+        dist = time_average(start, method=method)
     report = is_symmetric(dist, 1e-10)
     if fmt == "csv":
         deviation = reference_dumps_json(report.max_deviation)
@@ -286,19 +295,17 @@ for L, node in ((0, 1), (5, 0b100101), (12, 0b1010)):
             for amplitudes in (False, True):
                 argv = ["evolve", "--L", str(L), "--t", repr(t), "--initial", format_node(node)]
                 argv += ["--format", fmt] + ["--amplitudes"] * amplitudes
-                BYTE_CASES.append((argv, (_expected_evolve, L, t, node, "spectral", amplitudes, fmt)))
-        methods = ("quadrature", "krawtchouk") + (("pair-sum",) * (L <= 7))
-        for method in methods:
+                BYTE_CASES.append((argv, (_expected_evolve, L, t, node, amplitudes, fmt)))
+        for method in ("quadrature", "krawtchouk"):
             start = node if method == "quadrature" else 0
             argv = ["time-average", "--L", str(L), "--method", method, "--initial", format_node(start)]
             BYTE_CASES.append((argv + ["--format", fmt], (_expected_time_average, L, method, start, fmt)))
         for t0 in (math.pi / 2, 0.9):
             argv = ["pst", "--L", str(L), "--from", format_node(node), "--t0", repr(t0), "--format", fmt]
             BYTE_CASES.append((argv, (_expected_pst, L, node, t0, fmt)))
-for kind in ("product", "dense"):
-    for fmt in ("json", "csv"):
-        argv = ["evolve", "--L", "5", "--t", "0.4", "--engine", kind, "--format", fmt, "--amplitudes"]
-        BYTE_CASES.append((argv, (_expected_evolve, 5, 0.4, 0, kind, True, fmt)))
+for fmt in ("json", "csv"):
+    argv = ["evolve", "--L", "5", "--t", "0.4", "--engine", "spectral", "--format", fmt, "--amplitudes"]
+    BYTE_CASES.append((argv, (_expected_evolve, 5, 0.4, 0, True, fmt)))
 
 
 @pytest.mark.parametrize("argv, expected", BYTE_CASES, ids=[" ".join(c[0]) for c in BYTE_CASES])
@@ -371,6 +378,34 @@ def test_level_beyond_physical_memory_is_refused(tmp_path, capsys, monkeypatch, 
     assert out == ""
     assert "physical memory" in err
     assert not target.exists()
+
+
+PEAK_CASES = [
+    ["evolve", "--t", "0.7", "--initial", "0,2", "--format", fmt, *amplitudes]
+    for fmt in ("json", "csv")
+    for amplitudes in ([], ["--amplitudes"])
+] + [
+    [cmd, *start, "--format", fmt]
+    for cmd, start in (
+        ("time-average", ["--initial", "0,2"]),
+        ("time-average", ["--method", "krawtchouk"]),
+        ("pst", ["--from", "0,2"]),
+    )
+    for fmt in ("json", "csv")
+]
+
+
+@pytest.mark.parametrize("argv", PEAK_CASES, ids=[" ".join(a) for a in PEAK_CASES])
+def test_peak_stays_within_the_memory_estimate(tmp_path, argv):
+    # the preflight's multiple bounds the traced peak of the whole command
+    lv = Level(18)
+    tracemalloc.start()
+    try:
+        assert main([argv[0], "--L", str(lv.L), *argv[1:], "--out", str(tmp_path / "out")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= cli._PEAK_ARRAYS[argv[0]] * lv.dim * 16, peak / (lv.dim * 16)
 
 
 def test_memory_check_skips_subcommands_without_node_arrays(capsys, monkeypatch):

@@ -28,10 +28,12 @@ from hyperwalk import measure
 
 from helpers import (
     LARGE_TIMES,
+    evolve_product,
     krawtchouk_average_by_card,
     krawtchouk_vacuum_probs,
     literal_time_average,
     literal_vacuum_prob,
+    pair_sum_average,
     product_state_amplitudes,
     quadrature_oracle,
     random_state,
@@ -139,32 +141,31 @@ def test_time_average_two_level_case():
 def test_time_average_four_level_frozen_values():
     # hand evaluation of the grouped sums at L=1: 6/16 on {} and {0,1}, 2/16 on the singletons
     expected = np.array([0.375, 0.125, 0.125, 0.375])
-    for method in ("quadrature", "pair_sum", "krawtchouk"):
+    for method in ("quadrature", "krawtchouk"):
         dist = time_average(vacuum_state(Level(1)), method)
         assert np.abs(dist.probs - expected).max() < 1e-12, method
+    assert np.abs(pair_sum_average(Level(1)) - expected).max() < 1e-12
 
 
 @pytest.mark.parametrize("L", [0, 1, 2, 3])
 def test_pair_sum_matches_literal_double_loop(L):
-    dist = time_average(vacuum_state(Level(L)), "pair_sum")
+    probs = pair_sum_average(Level(L))
     for sigma in range(Level(L).dim):
-        assert dist.probs[sigma] == pytest.approx(literal_time_average(sigma, L), abs=1e-13)
+        assert probs[sigma] == pytest.approx(literal_time_average(sigma, L), abs=1e-13)
 
 
 @pytest.mark.parametrize("L", range(7))
 def test_quadrature_agrees_with_pair_sum(L):
     vac = vacuum_state(Level(L))
     quad = time_average(vac, "quadrature")
-    pairs = time_average(vac, "pair_sum")
-    assert np.abs(quad.probs - pairs.probs).max() < 1e-10
+    assert np.abs(quad.probs - pair_sum_average(Level(L))).max() < 1e-10
 
 
 @pytest.mark.parametrize("L", range(7))
 def test_krawtchouk_agrees_with_pair_sum(L):
     vac = vacuum_state(Level(L))
     grouped = time_average(vac, "krawtchouk")
-    pairs = time_average(vac, "pair_sum")
-    assert np.abs(grouped.probs - pairs.probs).max() < 1e-12
+    assert np.abs(grouped.probs - pair_sum_average(Level(L))).max() < 1e-12
 
 
 def test_krawtchouk_equals_the_sign_sum_table_exactly():
@@ -241,7 +242,7 @@ def test_node_quadrature_keeps_the_evolve_errors():
         time_average(basis_state(lv, 5), engine=EvolutionEngine(Level(2)))
 
 
-def test_other_starts_and_engines_take_the_loop(monkeypatch):
+def test_other_starts_take_the_loop(monkeypatch):
     calls = []
     real = measure.distribution_at
 
@@ -255,12 +256,11 @@ def test_other_starts_and_engines_take_the_loop(monkeypatch):
     time_average(one_hot)
     assert calls == []
     two_hot = StateVector(lv, (basis_state(lv, 1).amps + basis_state(lv, 6).amps) / math.sqrt(2))
-    for start, kind in ((two_hot, "spectral"), (one_hot, "product"), (one_hot, "dense")):
+    for start in (two_hot, random_state(lv, np.random.default_rng(4))):
         calls.clear()
-        engine = EvolutionEngine(lv, kind)
-        got = time_average(start, engine=engine).probs
-        assert len(calls) == quadrature_point_count(lv), kind
-        assert _same_bits(got, quadrature_oracle(start, engine)), kind
+        got = time_average(start, engine=EvolutionEngine(lv)).probs
+        assert len(calls) == quadrature_point_count(lv)
+        assert _same_bits(got, quadrature_oracle(start))
 
 
 def test_symmetry_report_reads_the_complement_of_every_node():
@@ -274,18 +274,17 @@ def test_symmetry_report_reads_the_complement_of_every_node():
 
 def test_vacuum_only_methods_reject_other_initial_states(rng):
     lv = Level(2)
-    for method in ("pair_sum", "krawtchouk"):
-        with pytest.raises(ValueError):
-            time_average(basis_state(lv, 3), method)
-        with pytest.raises(ValueError):
-            time_average(random_state(lv, rng), method)
+    with pytest.raises(ValueError):
+        time_average(basis_state(lv, 3), "krawtchouk")
+    with pytest.raises(ValueError):
+        time_average(random_state(lv, rng), "krawtchouk")
 
 
-def test_pair_sum_is_gated():
-    with pytest.raises(ValueError):
-        time_average(vacuum_state(Level(8)), "pair_sum")
-    with pytest.raises(ValueError):
-        time_average(vacuum_state(Level(1)), "riemann")
+def test_two_time_average_methods():
+    assert measure.TIME_AVERAGE_METHODS == ("quadrature", "krawtchouk")
+    for method in ("pair_sum", "riemann"):
+        with pytest.raises(ValueError, match=r"expected one of \('quadrature', 'krawtchouk'\)"):
+            time_average(vacuum_state(Level(1)), method)
 
 
 @pytest.mark.parametrize(
@@ -368,12 +367,11 @@ def test_pst_returns_home_after_a_full_period():
 @pytest.mark.parametrize("L", range(7))
 def test_spectral_pst_check_matches_evolve_for_every_pair(L):
     lv = Level(L)
-    spectral = EvolutionEngine(lv, "spectral")
-    product = EvolutionEngine(lv, "product")
+    spectral = EvolutionEngine(lv)
     for t in (0.4, -2.9, math.pi / 2, math.pi, 1e12):
         for sigma in range(lv.dim):
             start = basis_state(lv, sigma)
-            want = np.abs(evolve(product, start, t).amps)
+            want = np.abs(evolve_product(start, t).amps)
             near = np.abs(evolve(spectral, start, t).amps)
             got = np.array([pst_check(sigma, tau, t, spectral) for tau in range(lv.dim)])
             assert np.abs(got - want).max() < 1e-12, (sigma, t)

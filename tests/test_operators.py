@@ -214,7 +214,7 @@ def test_overlaps_between_plain_and_signed_bases(L):
 def test_materialize_rejects_oversized_dimension():
     with pytest.raises(ValueError):
         materialize_matrix("laplacian", Level(12))
-    assert Level(11).dim == DENSE_CAP  # largest level the dense oracle accepts
+    assert Level(11).dim == DENSE_CAP  # largest level materialize_matrix accepts
 
 
 def test_materialize_hat_is_scaled_projector():
