@@ -2,6 +2,10 @@
 
 Output is deterministic byte for byte: fixed float formatting, fixed key and
 row order.  Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
+
+Every subcommand that prints a value per node starts from a basis node, so
+it computes and writes a ClassTable: O(L**2) numbers, never a node-sized
+array, at any level up to the cap.
 """
 
 from __future__ import annotations
@@ -15,22 +19,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .evolution import ENGINE_KINDS, EvolutionEngine, evolve
+from .evolution import ENGINE_KINDS
 from .formatting import format_float, iter_csv, iter_json
 from .graph import GRAPH_FORMATS, export_graph, graph_json_dict
-from .measure import TIME_AVERAGE_METHODS, is_symmetric, time_average
-from .operators import basis_state
-from .spectral import spectrum
+from .measure import TIME_AVERAGE_METHODS, is_symmetric, node_time_average
+from .spectral import basis_start_classes, spectrum
 from .subsets import Level, format_node, parse_node
 
 SCHEMA = "hyperwalk/1"
-
-# peak bytes of a subcommand in units of one complex array over the nodes
-# (dim * 16 bytes): the tracemalloc peak of main() at L = 18 and 20 over every
-# format, method and --amplitudes, rounded up (evolve 6.63 with --amplitudes
-# to JSON and 3.09 without, time-average 3.50 for krawtchouk and 3.07 for
-# quadrature, pst 3.07)
-_PEAK_ARRAYS = {"evolve": 7, "time-average": 4, "pst": 4}
 
 
 def _parse_pi_fraction(text: str) -> float:
@@ -144,14 +140,15 @@ def cmd_evolve(args: argparse.Namespace) -> Iterable[str]:
     level = Level(args.L)
     t = _resolve_time(args.t, args.t_pi_fraction)
     initial_node = parse_node(args.initial, level)
-    engine = EvolutionEngine(level, args.engine)
-    state = evolve(engine, basis_state(level, initial_node), t)
-    probs = np.abs(state.amps)
+    amps = basis_start_classes(level, initial_node, t)
+    probs = np.abs(amps.table)
     np.square(probs, out=probs)
+    probs = amps.with_table(probs)
     if args.format == "csv":
         if not args.amplitudes:
             return iter_csv("node,probability", [probs])
-        return iter_csv("node,probability,amp_re,amp_im", [probs, state.amps.real, state.amps.imag])
+        parts = [amps.with_table(amps.table.real), amps.with_table(amps.table.imag)]
+        return iter_csv("node,probability,amp_re,amp_im", [probs, *parts])
     doc: dict = {
         "schema": SCHEMA,
         "L": level.L,
@@ -161,26 +158,25 @@ def cmd_evolve(args: argparse.Namespace) -> Iterable[str]:
         "probs": probs,
     }
     if args.amplitudes:
-        # [re, im] rows over the complex array's own memory
-        doc["amps"] = state.amps.view(np.float64).reshape(-1, 2)
+        # [re, im] entries over the complex table's own memory
+        doc["amps"] = amps.with_table(amps.table.view(np.float64).reshape(*amps.table.shape, 2))
     return _json_document(doc)
 
 
 def cmd_time_average(args: argparse.Namespace) -> Iterable[str]:
     level = Level(args.L)
     initial_node = parse_node(args.initial, level)
-    engine = EvolutionEngine(level, args.engine) if args.method == "quadrature" else None
-    dist = time_average(basis_state(level, initial_node), method=args.method, engine=engine)
-    report = is_symmetric(dist, args.tol)
+    probs = node_time_average(level, initial_node, args.method)
+    report = is_symmetric(probs, args.tol)
     if args.format == "csv":
         footer = f"# symmetry_max_deviation,{format_float(report.max_deviation)}\n"
-        return itertools.chain(iter_csv("node,probability", [dist.probs]), [footer])
+        return itertools.chain(iter_csv("node,probability", [probs]), [footer])
     doc = {
         "schema": SCHEMA,
         "L": level.L,
         "method": args.method,
         "initial": format_node(initial_node),
-        "probs": dist.probs,
+        "probs": probs,
         "symmetry_max_deviation": report.max_deviation,
         "symmetric": report.symmetric,
     }
@@ -191,11 +187,10 @@ def cmd_pst(args: argparse.Namespace) -> Iterable[str]:
     level = Level(args.L)
     source = parse_node(args.source, level)
     t0 = _resolve_time(args.t0, args.t0_pi_fraction, default=math.pi / 2)
-    engine = EvolutionEngine(level, args.engine)
-    state = evolve(engine, basis_state(level, source), t0)
-    fidelities = np.abs(state.amps)
-    best = int(np.argmax(fidelities))
-    best_fid = float(fidelities[best])
+    amps = basis_start_classes(level, source, t0)
+    fidelities = amps.with_table(np.abs(amps.table))
+    best = fidelities.argmax()
+    best_fid = float(fidelities.at(best))
     if args.format == "csv":
         return iter_csv("node,fidelity", [fidelities])
     doc = {
@@ -219,30 +214,6 @@ def cmd_graph(args: argparse.Namespace) -> Iterable[str]:
     return [export_graph(level, args.format)]
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the platform does not report it."""
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, OSError, ValueError):
-        return None
-
-
-def _check_memory(args: argparse.Namespace) -> None:
-    """Refuse a level whose estimated peak exceeds physical memory, before
-    any node-sized array exists."""
-    arrays = _PEAK_ARRAYS.get(args.command)
-    memory = _physical_memory()
-    if arrays is None or memory is None:
-        return
-    level = Level(args.L)
-    need = arrays * level.dim * 16
-    if need > memory:
-        raise ValueError(
-            f"{args.command} at L={level.L} needs about {need / 2**30:.2f} GiB, "
-            f"more than the {memory / 2**30:.2f} GiB of physical memory"
-        )
-
-
 def _json_document(doc: dict) -> Iterable[str]:
     return itertools.chain(iter_json(doc), ["\n"])
 
@@ -256,7 +227,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # handlers compute and validate everything before they return; only
         # the formatting of the returned chunks is left to the writes below
-        _check_memory(args)
         chunks = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,18 +1,21 @@
 """Deterministic text output: fixed float formatting and stable JSON and CSV writers.
 
 The writers produce their text as a sequence of chunks, so a caller can
-stream a document without holding it whole.  Float arrays are formatted once
-per distinct value (format_float stays the only source of the bytes) and the
-strings are gathered and joined CHUNK values at a time.
+stream a document without holding it whole.  A float array is formatted once
+per distinct value, a ClassTable once per class (format_float stays the only
+source of the bytes), and the strings are gathered and joined CHUNK values at
+a time.  A table never becomes a node-sized array: its gathers are per chunk,
+and a JSON row of the node grid is one of only hi+1 distinct strings.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
+from .spectral import ClassTable
 from .subsets import element_strings, format_node
 
 CHUNK = 1 << 16  # array values per yielded chunk
@@ -27,16 +30,38 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _float_strings(values: np.ndarray, suffix: str = "") -> tuple[np.ndarray, np.ndarray]:
-    """(text, index) with text[index] the format_float string of every value,
-    followed by suffix, in order.
+def _entry_strings(entries: np.ndarray, suffix: str) -> np.ndarray:
+    """format_float text of each value, or "[re,im]" of each (re, im) row of
+    a ClassTable's entries, followed by suffix."""
+    if entries.ndim == 1:
+        text = [format_float(x) + suffix for x in entries.tolist()]
+    else:
+        text = [f"[{format_float(re)},{format_float(im)}]{suffix}" for re, im in entries.tolist()]
+    return np.array(text, dtype=object)
 
-    Each distinct value is formatted once.  0.0 and -0.0 share an entry, which
-    is exact because both format as "0".
+
+def _float_strings(values: np.ndarray | ClassTable, suffix: str = "") -> tuple[np.ndarray, Callable]:
+    """(text, index) with text[index(a, b)] the strings of entries a..b-1 in
+    order: the format_float text of a value, or "[re,im]" of a ClassTable
+    entry of shape (2,), followed by suffix.
+
+    An array is formatted once per distinct value; 0.0 and -0.0 share one,
+    which is exact because both format as "0".  A ClassTable is formatted once
+    per class, and index(a, b) looks up the classes of nodes a..b-1.
     """
-    distinct, index = np.unique(np.ravel(values), return_inverse=True)
-    text = np.array([format_float(x) + suffix for x in distinct.tolist()], dtype=object)
-    return text, index
+    if isinstance(values, ClassTable):
+        table = values.table
+        text = _entry_strings(table.reshape(-1, *table.shape[2:]), suffix).reshape(table.shape[:2])
+        rows, cols = values.distances()
+        lo = len(cols).bit_length() - 1
+
+        def index(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+            g = np.arange(a, min(b, len(values)))
+            return rows[g >> lo], cols[g & (len(cols) - 1)]
+
+        return text, index
+    distinct, index = np.unique(values, return_inverse=True)
+    return _entry_strings(distinct, suffix), lambda a, b: index[a:b]
 
 
 def dumps_json(obj: Any) -> str:
@@ -51,8 +76,8 @@ def dumps_json(obj: Any) -> str:
 def iter_json(obj: Any) -> Iterator[str]:
     """The text of dumps_json(obj) as a sequence of chunks.
 
-    1-D float64 arrays and (n, 2) float64 arrays (written as [re, im] pairs)
-    go through _float_strings and come out CHUNK values at a time.
+    1-D float64 arrays and ClassTables go through _float_strings and come
+    out CHUNK values at a time.
     """
     if isinstance(obj, str):
         yield json.dumps(obj)
@@ -68,7 +93,7 @@ def iter_json(obj: Any) -> Iterator[str]:
             yield ("," if i else "") + json.dumps(str(key)) + ":"
             yield from iter_json(value)
         yield "}"
-    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and (obj.ndim == 1 or obj.shape[1:] == (2,)):
+    elif isinstance(obj, ClassTable) or (isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 1):
         yield from _float_array_json(obj)
     elif isinstance(obj, (list, tuple, np.ndarray)):
         yield "["
@@ -83,15 +108,18 @@ def iter_json(obj: Any) -> Iterator[str]:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _float_array_json(values: np.ndarray) -> Iterator[str]:
+def _float_array_json(values: np.ndarray | ClassTable) -> Iterator[str]:
     text, index = _float_strings(values)
-    step = CHUNK * (2 if values.ndim == 2 else 1)  # the values in CHUNK rows
+    count, step = len(values), CHUNK
+    if isinstance(values, ClassTable):
+        # grid row i is the joined text of row class rows[i]: join each once
+        rows, cols = values.distances()
+        text = np.array([",".join(text[r, cols].tolist()) for r in range(len(text))], dtype=object)
+        count, step = len(rows), max(1, CHUNK // len(cols))
+        index = lambda a, b: rows[a:b]
     yield "["
-    for start in range(0, index.size, step):
-        strs = text[index[start : start + step]].tolist()
-        if values.ndim == 2:
-            strs = map("[{},{}]".format, strs[0::2], strs[1::2])
-        yield ("," if start else "") + ",".join(strs)
+    for start in range(0, count, step):
+        yield ("," if start else "") + ",".join(text[index(start, start + step)].tolist())
     yield "]"
 
 
@@ -100,7 +128,7 @@ def iter_csv(header: str, columns: Sequence[np.ndarray]) -> Iterator[str]:
 
     Row sigma is the quoted format_node label of sigma followed by the
     format_float text of each column at sigma.  The columns are float arrays
-    of one value per node, so their length is a power of two.
+    of one value per node, or ClassTables, so their length is a power of two.
 
     A chunk is one join over a reused parts list: per row the label's opening
     and low-bit elements (the same in every chunk), the chunk's high-bit
@@ -120,5 +148,5 @@ def iter_csv(header: str, columns: Sequence[np.ndarray]) -> Iterator[str]:
         parts[1::stride] = [("," + high if high else "") + '}",'] * size
         parts[1] = high + '}",'  # row 0 of the chunk has no low-bit elements
         for k, (text, index) in enumerate(strings):
-            parts[2 + k :: stride] = text[index[start : start + size]].tolist()
+            parts[2 + k :: stride] = text[index(start, start + size)].tolist()
         yield "".join(parts)

@@ -10,14 +10,13 @@ The time-average distribution is computed two ways:
   exactly; M = 2L+4 keeps one point of margin.  Works for any initial state.
   From a node (one nonzero amplitude) every probability depends only on the
   node's split distance from the start, so the sum runs on the (hi+1, lo+1)
-  table of distance classes, O(L**2) per sample time, plus one O(dim)
-  gather; the bits are those of the per-time loop that every other state
-  takes.
-* ``krawtchouk``: the exact value per cardinality class.  From the vacuum
-  the walk is a product state whose occupation at a node of cardinality d
-  is cos(t)**(2(m-d)) * sin(t)**(2d), with m = L+1, so the period average
-  is the Beta integral (2(m-d)-1)!! (2d-1)!! / (2m)!!, kept as a Fraction
-  until it is gathered over nodes.  Vacuum initial state only.
+  ClassTable of distance classes, O(L**2) per sample time; the bits are
+  those of the per-time loop that every other state takes.
+* ``krawtchouk``: the exact value per distance class.  From a basis node the
+  walk is a product state whose occupation at distance d is
+  cos(t)**(2(m-d)) * sin(t)**(2d), with m = L+1, so the period average is
+  the Beta integral (2(m-d)-1)!! (2d-1)!! / (2m)!!, kept as a Fraction
+  until it is rounded once per class.  Basis-node initial states only.
 
 The literal double sum over equal-cardinality index pairs, the ground-truth
 oracle for both, lives in the test suite.
@@ -34,12 +33,11 @@ import numpy as np
 
 from .evolution import EvolutionEngine, checked_start, evolve, one_hot_node
 from .formatting import iter_csv
-from .operators import StateVector, basis_state
-from .spectral import basis_start_amplitudes, basis_start_table, grid_halves, split_distances
+from .operators import StateVector
+from .spectral import ClassTable, basis_start_amplitudes, basis_start_classes, basis_start_table, grid_halves
 from .subsets import Level, cardinality
 
 TIME_AVERAGE_METHODS = ("quadrature", "krawtchouk")
-VACUUM_TOL = 1e-12
 
 
 @dataclass
@@ -111,13 +109,6 @@ def quadrature_point_count(level: Level) -> int:
     return 2 * level.L + 4
 
 
-def _require_vacuum(initial: StateVector) -> None:
-    ref = np.zeros(initial.level.dim, dtype=np.complex128)
-    ref[0] = 1.0
-    if np.max(np.abs(initial.amps - ref)) > VACUUM_TOL:
-        raise ValueError("this method requires the vacuum (empty-node basis) initial state")
-
-
 def time_average(
     initial: StateVector,
     method: str = "quadrature",
@@ -126,65 +117,55 @@ def time_average(
     """Average distribution over one period of the walk.
 
     quadrature accepts any normalized initial state (and an engine on its
-    level); krawtchouk implements the vacuum-start closed form and rejects
-    other initial states.
+    level); krawtchouk implements the basis-node closed form and rejects
+    other initial states.  From a node both run on node_time_average's
+    class table, gathered over the nodes for the returned distribution.
     """
     level = initial.level
     if method not in TIME_AVERAGE_METHODS:
         raise ValueError(
             f"unknown method {method!r}; expected one of {TIME_AVERAGE_METHODS}"
         )
-    if method == "quadrature":
-        probs = _quadrature_average(initial, engine)
-    else:
-        _require_vacuum(initial)
-        probs = _grouped_average(level)
-    return TimeAverageDistribution(level=level, probs=probs, method=method)
-
-
-def _quadrature_average(initial: StateVector, engine: EvolutionEngine | None) -> np.ndarray:
-    level = initial.level
     if engine is None:
         engine = EvolutionEngine(level)
     elif engine.level != level:
         raise ValueError("engine level does not match the initial state")
-    m = quadrature_point_count(level)
     sigma = one_hot_node(initial.amps)
     if sigma is not None:
         checked_start(engine, initial)
-        return _class_average(level, sigma, initial.amps[sigma], m)
-    acc = np.zeros(level.dim, dtype=np.float64)
-    for j in range(m):
-        acc += distribution_at(engine, initial, j * math.pi / m).probs
-    return acc / m
+        probs = node_time_average(level, sigma, method, initial.amps[sigma]).materialize()
+    elif method == "krawtchouk":
+        raise ValueError("krawtchouk requires a basis-node initial state (one nonzero amplitude)")
+    else:
+        m = quadrature_point_count(level)
+        probs = np.zeros(level.dim, dtype=np.float64)
+        for j in range(m):
+            probs += distribution_at(engine, initial, j * math.pi / m).probs
+        probs /= m
+    return TimeAverageDistribution(level=level, probs=probs, method=method)
 
 
-def _class_average(level: Level, sigma: int, coeff: complex, m: int) -> np.ndarray:
-    """The m-point quadrature from coeff times node sigma, per distance class.
+def node_time_average(level: Level, sigma: int, method: str = "quadrature", coeff: complex = 1.0) -> ClassTable:
+    """The period average from coeff times node sigma (|coeff| = 1), per
+    distance class.
 
-    From a node the amplitude at node i * 2**lo + j depends only on its
-    split distance (rows[i], cols[j]) (see split_distances), so the squared
-    magnitudes accumulate on the (hi+1, lo+1) class table, with
-    the elementwise operations of basis_start_amplitudes and distribution_at
-    in the same order, and are gathered over the nodes once.  The result is
-    bit-identical to the per-time loop at O(L**2) per time plus one O(dim)
-    gather.
+    krawtchouk reads the exact average at distance d = r + c for class (r, c).
+    quadrature accumulates the squared magnitudes of basis_start_classes on
+    the table, with the elementwise operations of distribution_at in the same
+    order, so the table gathers to the per-time loop's bits at O(L**2) per
+    sample time.
     """
     hi, lo = grid_halves(level)
+    if method == "krawtchouk":
+        by_distance = np.array([float(p) for p in _period_averages(level.L + 1)])
+        return ClassTable(level, sigma, by_distance[np.add.outer(np.arange(hi + 1), np.arange(lo + 1))])
+    m = quadrature_point_count(level)
     acc = np.zeros((hi + 1, lo + 1), dtype=np.float64)
     for j in range(m):
-        t = j * math.pi / m
-        probs = np.abs((basis_start_table(t, hi) * coeff)[:, None] * basis_start_table(t, lo))
+        probs = np.abs(basis_start_classes(level, sigma, j * math.pi / m, coeff).table)
         np.square(probs, out=probs)
         acc += probs
-    rows, cols = split_distances(level, sigma)
-    return np.take((acc / m)[rows], cols, axis=1).reshape(-1)
-
-
-def _grouped_average(level: Level) -> np.ndarray:
-    by_distance = np.array([float(p) for p in _period_averages(level.L + 1)])
-    cards = np.bitwise_count(np.arange(level.dim, dtype=np.uint64)).astype(np.intp)
-    return by_distance[cards]
+    return ClassTable(level, sigma, acc / m)
 
 
 def _period_averages(m: int) -> list[Fraction]:
@@ -204,23 +185,33 @@ def vacuum_average_value(level: Level) -> Fraction:
     return _period_averages(level.L + 1)[0]
 
 
-def is_symmetric(dist: TimeAverageDistribution | Distribution, tol: float = 1e-12) -> SymmetryReport:
+def is_symmetric(
+    dist: TimeAverageDistribution | Distribution | ClassTable, tol: float = 1e-12
+) -> SymmetryReport:
     """Check invariance under node complement; reports the worst node."""
-    # the complement of node g is dim - 1 - g
-    dev = np.abs(dist.probs - dist.probs[::-1])
-    worst = int(np.argmax(dev))
-    max_dev = float(dev[worst])
+    if isinstance(dist, ClassTable):
+        # the complement maps class (r, c) to (hi - r, lo - c)
+        dev = dist.with_table(np.abs(dist.table - dist.table[::-1, ::-1]))
+        worst = dev.argmax()
+        max_dev = float(dev.at(worst))
+    else:
+        # the complement of node g is dim - 1 - g
+        dev = np.abs(dist.probs - dist.probs[::-1])
+        worst = int(np.argmax(dev))
+        max_dev = float(dev[worst])
     return SymmetryReport(symmetric=max_dev <= tol, max_deviation=max_dev, worst_node=worst)
 
 
 def pst_check(sigma: int, tau: int, t0: float, engine: EvolutionEngine) -> float:
     """Transfer fidelity: magnitude of the overlap between the evolved one-hot
-    state at sigma and the one-hot state at tau.  1 means perfect transfer."""
+    state at sigma and the one-hot state at tau.  1 means perfect transfer.
+    One entry of the class table: O(L**2) time and memory at any level."""
     level = engine.level
     level.validate_node(sigma)
     level.validate_node(tau)
-    state = evolve(engine, basis_state(level, sigma), t0)
-    return float(abs(state.amps[tau]))
+    if not math.isfinite(t0):
+        raise ValueError(f"time must be finite, got {t0!r}")
+    return float(abs(basis_start_classes(level, sigma, t0).at(tau)))
 
 
 def distribution_csv(dist: TimeAverageDistribution | Distribution, value_header: str = "probability") -> str:

@@ -97,24 +97,23 @@ def basis_start_table(t: float, n: int) -> np.ndarray:
     return np.array([a0 ** (n - d) * a1**d for d in range(n + 1)], dtype=np.complex128)
 
 
-def basis_start_amplitudes(level: Level, sigma: int, t: float, coeff: complex = 1.0) -> np.ndarray:
+def basis_start_classes(level: Level, sigma: int, t: float, coeff: complex = 1.0) -> ClassTable:
     """Amplitudes at time t of the walk started from coeff times node sigma.
 
     The generator is a sum of commuting one-bit terms, so the evolved state is
     a product state: amp[g] = coeff * a0**(m-d) * a1**d, d = popcount(g ^ sigma).
-    d adds over the high and low halves of the index, so on the (2**hi, 2**lo)
-    grid of grid_halves the state is one factor per row times one per
-    column: one dim-sized output and no dim-sized index array.
+    d adds over the high and low halves of the index, so class (r, c) holds
+    the row factor coeff * a0**(hi-r) * a1**r times the column factor
+    a0**(lo-c) * a1**c.
     """
     hi, lo = grid_halves(level)
-    rows, cols = split_distances(level, sigma)
-    amps = np.empty(level.dim, dtype=np.complex128)
-    np.multiply(
-        (basis_start_table(t, hi)[rows] * coeff)[:, None],
-        basis_start_table(t, lo)[cols],
-        out=amps.reshape(1 << hi, 1 << lo),
-    )
-    return amps
+    table = (basis_start_table(t, hi) * coeff)[:, None] * basis_start_table(t, lo)
+    return ClassTable(level, sigma, table)
+
+
+def basis_start_amplitudes(level: Level, sigma: int, t: float, coeff: complex = 1.0) -> np.ndarray:
+    """basis_start_classes gathered over the nodes: one dim-sized output."""
+    return basis_start_classes(level, sigma, t, coeff).materialize()
 
 
 def grid_halves(level: Level) -> tuple[int, int]:
@@ -133,6 +132,52 @@ def split_distances(level: Level, sigma: int) -> tuple[np.ndarray, np.ndarray]:
     rows = np.bitwise_count(np.arange(1 << hi, dtype=np.uint64) ^ np.uint64(sigma >> lo))
     cols = np.bitwise_count(np.arange(1 << lo, dtype=np.uint64) ^ np.uint64(sigma & ((1 << lo) - 1)))
     return rows, cols
+
+
+@dataclass(frozen=True)
+class ClassTable:
+    """A value per node that depends on node g only through its split distance
+    from the start node sigma: on the grid of grid_halves, g = i * 2**lo + j
+    holds table[rows[i], cols[j]] (see split_distances).
+
+    table has shape (hi+1, lo+1), followed by the shape of one entry, so a
+    quantity over all 2**(L+1) nodes is carried in O(L**2) numbers.
+    """
+
+    level: Level
+    sigma: int
+    table: np.ndarray
+
+    def __len__(self) -> int:
+        return self.level.dim
+
+    def with_table(self, table: np.ndarray) -> ClassTable:
+        """Another quantity over the same classes."""
+        return ClassTable(self.level, self.sigma, table)
+
+    def distances(self) -> tuple[np.ndarray, np.ndarray]:
+        return split_distances(self.level, self.sigma)
+
+    def at(self, g: int) -> np.ndarray:
+        """The entry of node g, in O(L)."""
+        d = g ^ self.sigma
+        lo = grid_halves(self.level)[1]
+        return self.table[(d >> lo).bit_count(), (d & ((1 << lo) - 1)).bit_count()]
+
+    def materialize(self) -> np.ndarray:
+        """The entries of every node in index order: one gather of the table."""
+        rows, cols = self.distances()
+        return np.take(self.table[rows], cols, axis=1).reshape(self.level.dim, *self.table.shape[2:])
+
+    def argmax(self) -> int:
+        """np.argmax of materialize() for a 2-D table: the smallest node in a
+        class that holds the largest entry.  Every row class occurs in rows and
+        every column class in cols, so the first grid row whose class holds a
+        maximum contains the answer."""
+        rows, cols = self.distances()
+        hit = self.table == self.table.max()
+        i = int(np.argmax(hit.any(axis=1)[rows]))
+        return i * len(cols) + int(np.argmax(hit[rows[i]][cols]))
 
 
 def spectrum(level: Level) -> Spectrum:

@@ -1,8 +1,10 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +21,11 @@ from hyperwalk import (
     spectrum,
     time_average,
 )
-from hyperwalk import cli, graph
-from hyperwalk.cli import main
+import hyperwalk
+from hyperwalk import evolution, graph, measure, spectral
+from hyperwalk.cli import _parse_pi_fraction, main
+from hyperwalk.formatting import format_float
+from hyperwalk.spectral import ClassTable, basis_start_table, grid_halves, split_distances
 
 from helpers import quadrature_oracle, reference_csv, reference_dumps_json
 
@@ -127,11 +132,15 @@ def test_time_average_methods_agree_via_cli(capsys, method):
     assert doc["probs"][0] == pytest.approx(0.3125, abs=1e-10)
 
 
-def test_time_average_method_initial_mismatch(capsys):
-    code, _, _ = run_cli(
-        capsys, "time-average", "--L", "2", "--method", "krawtchouk", "--initial", "0"
-    )
-    assert code == 2
+def test_time_average_methods_agree_from_any_node(capsys):
+    # every --initial is a basis node, so krawtchouk serves all of them
+    docs = []
+    for method in ("quadrature", "krawtchouk"):
+        code, out, _ = run_cli(capsys, "time-average", "--L", "2", "--method", method, "--initial", "0")
+        assert code == 0
+        docs.append(json.loads(out))
+    assert np.abs(np.subtract(docs[0]["probs"], docs[1]["probs"])).max() < 1e-12
+    assert docs[1]["probs"][0b001] == pytest.approx(0.3125, abs=1e-15)
 
 
 def test_time_average_csv_includes_symmetry_comment(capsys):
@@ -306,6 +315,32 @@ for L, node in ((0, 1), (5, 0b100101), (12, 0b1010)):
 for fmt in ("json", "csv"):
     argv = ["evolve", "--L", "5", "--t", "0.4", "--engine", "spectral", "--format", fmt, "--amplitudes"]
     BYTE_CASES.append((argv, (_expected_evolve, 5, 0.4, 0, True, fmt)))
+# lo = 0 at L = 0, and the largest level the per-element writers check in a
+# few seconds a case; the empty, the full and a mixed node
+for L, nodes in ((0, (0, 1)), (17, (0, (1 << 18) - 1, 0b101100111000101011))):
+    for node in nodes:
+        for fmt in ("json", "csv") if L == 0 else ("json",):
+            argv = ["evolve", "--L", str(L), "--t", "0.731", "--initial", format_node(node), "--format", fmt]
+            argv += ["--amplitudes"] * (L == 0)
+            BYTE_CASES.append((argv, (_expected_evolve, L, 0.731, node, L == 0, fmt)))
+            argv = ["pst", "--L", str(L), "--from", format_node(node), "--t0", "0.9", "--format", fmt]
+            BYTE_CASES.append((argv, (_expected_pst, L, node, 0.9, fmt)))
+        for method, fmt in (("quadrature", "csv"), ("krawtchouk", "json")):
+            argv = ["time-average", "--L", str(L), "--method", method, "--initial", format_node(node), "--format", fmt]
+            BYTE_CASES.append((argv, (_expected_time_average, L, method, node, fmt)))
+for fmt in ("json", "csv"):
+    # multiples of pi, where many probabilities round to zero or tie, and a large t
+    for time in (["--t-pi-fraction", "1/2"], ["--t-pi-fraction", "1/4"], ["--t-pi-fraction", "1000000001/2"], ["--t", "1e15"]):
+        t = _parse_pi_fraction(time[1]) if time[0] == "--t-pi-fraction" else float(time[1])
+        for amplitudes in (False, True):
+            argv = ["evolve", "--L", "5", *time, "--initial", "{0,2,5}", "--format", fmt] + ["--amplitudes"] * amplitudes
+            BYTE_CASES.append((argv, (_expected_evolve, 5, t, 0b100101, amplitudes, fmt)))
+    # best_target breaks ties: one maximum at t0 = 0; at pi/4 all 2**(L+1)
+    # fidelities are equal in exact arithmetic
+    for L in (3, 8):
+        for t0 in (0.0, math.pi / 4):
+            argv = ["pst", "--L", str(L), "--from", "{1,3}", "--t0", repr(t0), "--format", fmt]
+            BYTE_CASES.append((argv, (_expected_pst, L, 0b1010, t0, fmt)))
 
 
 @pytest.mark.parametrize("argv, expected", BYTE_CASES, ids=[" ".join(c[0]) for c in BYTE_CASES])
@@ -354,32 +389,6 @@ def test_rejected_level_creates_no_out_file(tmp_path, capsys):
     assert not target.exists()
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["evolve", "--t", "0.5"],
-        ["time-average", "--format", "csv"],
-        ["pst"],
-    ],
-)
-def test_level_beyond_physical_memory_is_refused(tmp_path, capsys, monkeypatch, argv):
-    # 64 KiB of "physical memory" fits L = 2 (dim 8) but not L = 10 (dim 2048)
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 1 << 16)
-    target = tmp_path / "never.out"
-    code, _, _ = run_cli(capsys, argv[0], "--L", "2", *argv[1:])
-    assert code == 0
-
-    def refuse(*args):
-        raise AssertionError("state allocated despite the memory refusal")
-
-    monkeypatch.setattr(cli, "basis_state", refuse)
-    code, out, err = run_cli(capsys, argv[0], "--L", "10", *argv[1:], "--out", str(target))
-    assert code == 2
-    assert out == ""
-    assert "physical memory" in err
-    assert not target.exists()
-
-
 PEAK_CASES = [
     ["evolve", "--t", "0.7", "--initial", "0,2", "--format", fmt, *amplitudes]
     for fmt in ("json", "csv")
@@ -395,28 +404,79 @@ PEAK_CASES = [
 ]
 
 
-@pytest.mark.parametrize("argv", PEAK_CASES, ids=[" ".join(a) for a in PEAK_CASES])
-def test_peak_stays_within_the_memory_estimate(tmp_path, argv):
-    # the preflight's multiple bounds the traced peak of the whole command
-    lv = Level(18)
+def _traced_peak(argv: list[str], L: int, out) -> int:
     tracemalloc.start()
     try:
-        assert main([argv[0], "--L", str(lv.L), *argv[1:], "--out", str(tmp_path / "out")]) == 0
-        _, peak = tracemalloc.get_traced_memory()
+        assert main([argv[0], "--L", str(L), *argv[1:], "--out", str(out)]) == 0
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= cli._PEAK_ARRAYS[argv[0]] * lv.dim * 16, peak / (lv.dim * 16)
 
 
-def test_memory_check_skips_subcommands_without_node_arrays(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_physical_memory", lambda: 1)
-    assert run_cli(capsys, "spectrum", "--L", "20")[0] == 0
-    assert run_cli(capsys, "graph", "--L", "3")[0] == 0
+@pytest.mark.parametrize("argv", PEAK_CASES, ids=[" ".join(a) for a in PEAK_CASES])
+def test_peak_does_not_grow_with_the_level(tmp_path, argv):
+    # from L = 17 to L = 20 one complex node array grows by 28 MiB; the
+    # chunked writers hold the same CHUNK rows at both levels
+    small = _traced_peak(argv, 17, tmp_path / "out")
+    large = _traced_peak(argv, 20, tmp_path / "out")
+    assert large - small <= 4 << 20, (small, large)
 
 
-def test_physical_memory_is_read():
-    memory = cli._physical_memory()
-    assert memory is None or memory > 0
+def test_node_starts_gather_nothing_node_sized(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("node-sized array built on a CLI path")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    monkeypatch.setattr(ClassTable, "materialize", refuse)
+    for module in (spectral, evolution, measure):
+        monkeypatch.setattr(module, "basis_start_amplitudes", refuse)
+    for argv in (
+        ["evolve", "--t", "0.7", "--initial", "0,5"],
+        ["evolve", "--t", "0.7", "--initial", "0,5", "--amplitudes"],
+        ["pst", "--from", "1,2"],
+        ["time-average", "--initial", "3"],
+        ["time-average", "--method", "krawtchouk", "--initial", "3"],
+    ):
+        for fmt in ("json", "csv"):
+            code, _, err = run_cli(capsys, argv[0], "--L", "12", *argv[1:], "--format", fmt, "--out", str(tmp_path / "out"))
+            assert (code, err) == (0, ""), argv
+
+
+def test_evolve_at_the_level_cap_streams_in_little_memory():
+    # L = 24: 2**25 probabilities, about 770 MB of JSON, read as it streams
+    L, t, node = 24, 0.7, 0b100001
+    env = {k: v for k, v in os.environ.items() if k != "HYPERWALK_L_MAX"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(hyperwalk.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    argv = [sys.executable, "-m", "hyperwalk.cli", "evolve", "--L", str(L), "--t", repr(t), "--initial", "0,5"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, env=env)
+    head, tail, count = b"", b"", 0
+    while chunk := proc.stdout.read(1 << 20):
+        if len(head) < 1 << 17:
+            head += chunk[: (1 << 17) - len(head)]
+        tail = (tail + chunk)[-(1 << 17) :]
+        count += len(chunk)
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert usage.ru_maxrss <= 256 << 10, usage.ru_maxrss  # KiB
+
+    lv = Level(L)
+    hi, lo = grid_halves(lv)
+    # row class r of the grid holds |a_hi[r] * a_lo[c]|**2 in column class c
+    table = np.square(np.abs(basis_start_table(t, hi)[:, None] * basis_start_table(t, lo)))
+    prefix = f'{{"schema":"hyperwalk/1","L":{L},"engine":"spectral","initial":"{{0,5}}","t":{format_float(t)},"probs":['
+    cells = sum(
+        math.comb(hi, r) * math.comb(lo, c) * (len(format_float(table[r, c])) + 1)
+        for r in range(hi + 1)
+        for c in range(lo + 1)
+    )
+    assert count == len(prefix) + cells - 1 + len("]}\n")
+    assert head.startswith(prefix.encode()) and tail.endswith(b"]}\n")
+    rows, cols = split_distances(lv, node)
+    first = [float(x) for x in head[len(prefix) :].split(b",")[: 1 << lo]]
+    last = [float(x) for x in tail[: -len("]}\n")].split(b",")[-(1 << lo) :]]
+    assert np.abs(np.array(first) - table[rows[0], cols]).max() < 1e-12
+    assert np.abs(np.array(last) - table[rows[-1], cols]).max() < 1e-12
 
 
 @pytest.mark.parametrize("raw", ["abc", "-3"])

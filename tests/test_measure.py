@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -272,12 +273,60 @@ def test_symmetry_report_reads_the_complement_of_every_node():
     assert report.worst_node == dev.index(max(dev))
 
 
-def test_vacuum_only_methods_reject_other_initial_states(rng):
+def test_krawtchouk_rejects_starts_that_are_not_basis_nodes(rng):
     lv = Level(2)
-    with pytest.raises(ValueError):
-        time_average(basis_state(lv, 3), "krawtchouk")
-    with pytest.raises(ValueError):
-        time_average(random_state(lv, rng), "krawtchouk")
+    two_hot = StateVector(lv, (basis_state(lv, 1).amps + basis_state(lv, 6).amps) / math.sqrt(2))
+    # a node with float residue elsewhere is not one-hot: no tolerance applies
+    near_vacuum = basis_state(lv, 0)
+    near_vacuum.amps[2] = 1e-16
+    for start in (two_hot, random_state(lv, rng), near_vacuum):
+        with pytest.raises(ValueError, match="basis-node initial state"):
+            time_average(start, "krawtchouk")
+    # quadrature averages it over the time loop, next to the vacuum's average
+    loop = time_average(near_vacuum, "quadrature").probs
+    assert np.abs(loop - time_average(basis_state(lv, 0), "krawtchouk").probs).max() < 1e-12
+    unnormalized = basis_state(lv, 3)
+    unnormalized.amps[3] = 1.5
+    with pytest.raises(ValueError, match="not normalized"):
+        time_average(unnormalized, "krawtchouk")
+    # a node times a unit phase is a basis-node start
+    phased = basis_state(lv, 3)
+    phased.amps[3] = np.exp(0.7j)
+    assert np.array_equal(time_average(phased, "krawtchouk").probs, time_average(basis_state(lv, 3), "krawtchouk").probs)
+
+
+@pytest.mark.parametrize("L", range(6))
+def test_krawtchouk_from_every_node_is_the_relabeled_pair_sum(L):
+    # from node sigma the average at g is the vacuum-start one at g ^ sigma
+    lv = Level(L)
+    vacuum = pair_sum_average(lv)
+    nodes = np.arange(lv.dim)
+    for sigma in range(lv.dim):
+        got = time_average(basis_state(lv, sigma), "krawtchouk").probs
+        assert np.abs(got - vacuum[nodes ^ sigma]).max() < 1e-12, sigma
+
+
+@pytest.mark.parametrize("L", [6, 9, 12])
+def test_krawtchouk_from_seeded_nodes_matches_the_quadrature_oracle(L):
+    lv = Level(L)
+    for sigma in [lv.full_mask, *np.random.default_rng(L).integers(0, lv.dim, size=2).tolist()]:
+        start = basis_state(lv, sigma)
+        got = time_average(start, "krawtchouk").probs
+        assert np.abs(got - quadrature_oracle(start)).max() < 1e-12, sigma
+
+
+def test_class_table_symmetry_report_equals_the_gathered_one(rng):
+    for L in (0, 1, 4, 7):
+        lv = Level(L)
+        for sigma in (0, lv.full_mask, int(rng.integers(lv.dim))):
+            for method in ("quadrature", "krawtchouk"):
+                table = measure.node_time_average(lv, sigma, method)
+                dist = TimeAverageDistribution(level=lv, probs=table.materialize(), method=method)
+                assert is_symmetric(table) == is_symmetric(dist)
+            # an asymmetric table: the worst node is np.argmax's, ties included
+            table = table.with_table(rng.integers(0, 4, size=table.table.shape).astype(np.float64))
+            dist = TimeAverageDistribution(level=lv, probs=table.materialize(), method="quadrature")
+            assert is_symmetric(table) == is_symmetric(dist)
 
 
 def test_two_time_average_methods():
@@ -399,3 +448,27 @@ def test_distribution_exports():
     assert doc["probs"] == [0.375, 0.125, 0.125, 0.375]
     at_t = distribution_at(EvolutionEngine(lv), vacuum_state(lv), 0.0)
     assert distribution_json_dict(at_t)["t"] == 0.0
+
+
+def test_pst_check_allocates_nothing_node_sized(monkeypatch):
+    # at the cap one complex node array would be 512 MiB
+    monkeypatch.delenv("HYPERWALK_L_MAX", raising=False)
+    lv = Level(24)
+    engine = EvolutionEngine(lv)
+    sigma = 0b1011001
+    tracemalloc.start()
+    try:
+        fid = pst_check(sigma, complement(sigma, lv), math.pi / 2, engine)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fid >= 1.0 - 1e-12
+    assert peak < 1 << 20, peak
+    assert pst_check(sigma, sigma ^ 1, math.pi / 2, engine) <= 1e-12
+
+
+def test_pst_check_rejects_non_finite_times():
+    engine = EvolutionEngine(Level(3))
+    for t0 in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="time must be finite"):
+            pst_check(0, 1, t0, engine)

@@ -20,8 +20,9 @@ from hyperwalk import (
 )
 from hyperwalk._walsh import apply_per_bit, parity_signs
 from hyperwalk.formatting import dumps_json
+from hyperwalk.spectral import ClassTable, basis_start_amplitudes, basis_start_classes, grid_halves
 
-from helpers import literal_kernel_matrix, pm1_transform, random_state
+from helpers import literal_kernel_matrix, pm1_transform, popcount, random_state
 
 
 @pytest.mark.parametrize("L", [0, 1, 2, 3, 4, 5, 6])
@@ -164,3 +165,44 @@ def test_spectrum_json_shape():
         ],
     }
     assert isinstance(spectrum(Level(1)), Spectrum)
+
+
+def _random_tables(rng):
+    """ClassTables of random entries, with ties, from the empty, the full and
+    seeded nodes."""
+    for L in (0, 1, 2, 5, 8):
+        lv = Level(L)
+        hi, lo = grid_halves(lv)
+        for sigma in {0, lv.full_mask, int(rng.integers(lv.dim))}:
+            # few distinct values, so maxima tie across classes
+            yield ClassTable(lv, sigma, rng.integers(0, 3, size=(hi + 1, lo + 1)).astype(np.float64))
+            yield ClassTable(lv, sigma, rng.random((hi + 1, lo + 1)))
+
+
+def test_class_table_reads_the_split_distance_of_every_node(rng):
+    for table in _random_tables(rng):
+        lv = table.level
+        values = table.materialize()
+        assert len(table) == lv.dim == values.size
+        lo = grid_halves(lv)[1]
+        for g in range(lv.dim):
+            d = g ^ table.sigma
+            assert values[g] == table.table[popcount(d >> lo), popcount(d % (1 << lo))]
+            assert table.at(g) == values[g]
+
+
+def test_class_table_argmax_is_numpy_argmax_with_ties(rng):
+    for table in _random_tables(rng):
+        assert table.argmax() == int(np.argmax(table.materialize()))
+
+
+def test_basis_start_classes_gather_to_basis_start_amplitudes():
+    for L in (0, 3, 6):
+        lv = Level(L)
+        for sigma in (0, 5 % lv.dim, lv.full_mask):
+            for t in (0.0, 0.4, -2.9, 1e12):
+                table = basis_start_classes(lv, sigma, t)
+                amps = basis_start_amplitudes(lv, sigma, t)
+                assert np.array_equal(table.materialize(), amps)
+                pairs = table.with_table(table.table.view(np.float64).reshape(*table.table.shape, 2))
+                assert np.array_equal(pairs.materialize(), amps.view(np.float64).reshape(-1, 2))
