@@ -10,7 +10,6 @@ they are checked against live in the test suite.
 """
 
 from .evolution import (
-    ENGINE_KINDS,
     EvolutionEngine,
     evolve,
 )
@@ -80,7 +79,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_MAX_LEVEL",
     "DENSE_CAP",
-    "ENGINE_KINDS",
     "GRAPH_FORMATS",
     "TIME_AVERAGE_METHODS",
     "Distribution",

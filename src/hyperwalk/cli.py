@@ -4,8 +4,8 @@ Output is deterministic byte for byte: fixed float formatting, fixed key and
 row order.  Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 
 Every subcommand that prints a value per node starts from a basis node, so
-it computes and writes a ClassTable: O(L**2) numbers, never a node-sized
-array, at any level up to the cap.
+it computes and writes a ClassTable: one entry per Hamming distance from
+that node, never a node-sized array, at any level up to the cap.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .evolution import ENGINE_KINDS
 from .formatting import format_float, iter_csv, iter_json
 from .graph import GRAPH_FORMATS, export_graph, graph_json_dict
 from .measure import TIME_AVERAGE_METHODS, is_symmetric, node_time_average
@@ -61,6 +60,15 @@ def _resolve_time(value: float | None, fraction: str | None, default: float | No
     raise ValueError("a time is required (use --t or --t-pi-fraction)")
 
 
+def tolerance(text: str) -> float:
+    """--tol: a finite float >= 0.  A nan, negative or infinite tolerance
+    would decide is_pst and symmetric the same way whatever the values."""
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperwalk",
@@ -81,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--t", type=float, help="evolution time (dimensionless)")
     group.add_argument("--t-pi-fraction", metavar="P/Q", help="time as an exact multiple of pi")
     ev.add_argument("--initial", default="", help="initial node string (default: empty set)")
-    ev.add_argument("--engine", choices=ENGINE_KINDS, default="spectral")
     ev.add_argument("--amplitudes", action="store_true", help="include [re, im] amplitude pairs")
     ev.add_argument("--format", choices=("json", "csv"), default="json")
     _add_out(ev)
@@ -91,8 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_level(ta)
     ta.add_argument("--method", choices=TIME_AVERAGE_METHODS, default="quadrature")
     ta.add_argument("--initial", default="", help="initial node string (default: empty set)")
-    ta.add_argument("--engine", choices=ENGINE_KINDS, default="spectral")
-    ta.add_argument("--tol", type=float, default=1e-10)
+    ta.add_argument("--tol", type=tolerance, default=1e-10)
     ta.add_argument("--format", choices=("json", "csv"), default="json")
     _add_out(ta)
     ta.set_defaults(handler=cmd_time_average)
@@ -103,8 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = ps.add_mutually_exclusive_group()
     group.add_argument("--t0", type=float, help="transfer time (default pi/2)")
     group.add_argument("--t0-pi-fraction", metavar="P/Q", help="transfer time as a multiple of pi")
-    ps.add_argument("--engine", choices=ENGINE_KINDS, default="spectral")
-    ps.add_argument("--tol", type=float, default=1e-10)
+    ps.add_argument("--tol", type=tolerance, default=1e-10)
     ps.add_argument("--format", choices=("json", "csv"), default="json")
     _add_out(ps)
     ps.set_defaults(handler=cmd_pst)
@@ -152,7 +157,7 @@ def cmd_evolve(args: argparse.Namespace) -> Iterable[str]:
     doc: dict = {
         "schema": SCHEMA,
         "L": level.L,
-        "engine": args.engine,
+        "engine": "spectral",
         "initial": format_node(initial_node),
         "t": t,
         "probs": probs,
@@ -198,7 +203,7 @@ def cmd_pst(args: argparse.Namespace) -> Iterable[str]:
         "L": level.L,
         "from": format_node(source),
         "t0": t0,
-        "engine": args.engine,
+        "engine": "spectral",
         "best_target": format_node(best),
         "best_fidelity": best_fid,
         "is_pst": best_fid >= 1.0 - args.tol,

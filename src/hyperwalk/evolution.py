@@ -20,9 +20,6 @@ from .operators import NORM_TOL, StateVector
 from .spectral import basis_start_amplitudes, bit_factor
 from .subsets import Level
 
-ENGINE_KINDS = ("spectral",)
-
-
 class EvolutionEngine:
     """Handle binding the evolution to a fixed level.
 
@@ -30,14 +27,11 @@ class EvolutionEngine:
     safe because every call works on its own buffers.
     """
 
-    def __init__(self, level: Level, kind: str = "spectral"):
-        if kind not in ENGINE_KINDS:
-            raise ValueError(f"unknown engine kind {kind!r}; expected one of {ENGINE_KINDS}")
-        self.kind = kind
+    def __init__(self, level: Level):
         self.level = level
 
     def __repr__(self) -> str:
-        return f"EvolutionEngine(level=Level({self.level.L}), kind={self.kind!r})"
+        return f"EvolutionEngine(level=Level({self.level.L}))"
 
 
 def evolve(

@@ -2,10 +2,11 @@
 
 The writers produce their text as a sequence of chunks, so a caller can
 stream a document without holding it whole.  A float array is formatted once
-per distinct value, a ClassTable once per class (format_float stays the only
-source of the bytes), and the strings are gathered and joined CHUNK values at
-a time.  A table never becomes a node-sized array: its gathers are per chunk,
-and a JSON row of the node grid is one of only hi+1 distinct strings.
+per distinct value, a ClassTable once per Hamming distance (format_float stays
+the only source of the bytes), and the strings are gathered and joined CHUNK
+values at a time.  A table never becomes a node-sized array: its gathers are
+per chunk, and a JSON row of the node grid (ClassTable.grid) is one of only
+hi+1 distinct strings.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ def format_float(x: float) -> str:
 
 
 def _entry_strings(entries: np.ndarray, suffix: str) -> np.ndarray:
-    """format_float text of each value, or "[re,im]" of each (re, im) row of
-    a ClassTable's entries, followed by suffix."""
+    """format_float text of each value, or "[re,im]" of each (re, im) row,
+    followed by suffix."""
     if entries.ndim == 1:
         text = [format_float(x) + suffix for x in entries.tolist()]
     else:
@@ -47,19 +48,18 @@ def _float_strings(values: np.ndarray | ClassTable, suffix: str = "") -> tuple[n
 
     An array is formatted once per distinct value; 0.0 and -0.0 share one,
     which is exact because both format as "0".  A ClassTable is formatted once
-    per class, and index(a, b) looks up the classes of nodes a..b-1.
+    per distance, and index(a, b) looks up the distances of nodes a..b-1 on
+    its grid.
     """
     if isinstance(values, ClassTable):
-        table = values.table
-        text = _entry_strings(table.reshape(-1, *table.shape[2:]), suffix).reshape(table.shape[:2])
-        rows, cols = values.distances()
+        _, rows, cols = values.grid()
         lo = len(cols).bit_length() - 1
 
-        def index(a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+        def index(a: int, b: int) -> np.ndarray:
             g = np.arange(a, min(b, len(values)))
-            return rows[g >> lo], cols[g & (len(cols) - 1)]
+            return rows[g >> lo] + cols[g & (len(cols) - 1)]
 
-        return text, index
+        return _entry_strings(values.table, suffix), index
     distinct, index = np.unique(values, return_inverse=True)
     return _entry_strings(distinct, suffix), lambda a, b: index[a:b]
 
@@ -113,7 +113,7 @@ def _float_array_json(values: np.ndarray | ClassTable) -> Iterator[str]:
     count, step = len(values), CHUNK
     if isinstance(values, ClassTable):
         # grid row i is the joined text of row class rows[i]: join each once
-        rows, cols = values.distances()
+        text, rows, cols = values.with_table(text).grid()
         text = np.array([",".join(text[r, cols].tolist()) for r in range(len(text))], dtype=object)
         count, step = len(rows), max(1, CHUNK // len(cols))
         index = lambda a, b: rows[a:b]

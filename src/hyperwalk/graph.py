@@ -57,18 +57,18 @@ def graph_laplacian_apply(f: StateVector) -> StateVector:
     return StateVector(level, out)
 
 
-def adjacency_matrix(level: Level, dense_cap: int = DENSE_CAP) -> np.ndarray:
+def adjacency_matrix(level: Level) -> np.ndarray:
     """Dense 0/1 adjacency matrix built from the adjacency predicate."""
-    if level.dim > dense_cap:
-        raise ValueError(f"dimension {level.dim} exceeds dense cap {dense_cap}")
+    if level.dim > DENSE_CAP:
+        raise ValueError(f"dimension {level.dim} exceeds dense cap {DENSE_CAP}")
     idx = np.arange(level.dim, dtype=np.uint64)
     xor = idx[:, None] ^ idx[None, :]
     return (np.bitwise_count(xor) == 1).astype(np.int64)
 
 
-def graph_laplacian_matrix(level: Level, dense_cap: int = DENSE_CAP) -> np.ndarray:
+def graph_laplacian_matrix(level: Level) -> np.ndarray:
     """Dense integer Laplacian: degree on the diagonal minus adjacency."""
-    adj = adjacency_matrix(level, dense_cap)
+    adj = adjacency_matrix(level)
     return (level.L + 1) * np.eye(level.dim, dtype=np.int64) - adj
 
 

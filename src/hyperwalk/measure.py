@@ -9,14 +9,14 @@ The time-average distribution is computed two ways:
   nonzero frequencies by aliasing and the finite sum equals the integral
   exactly; M = 2L+4 keeps one point of margin.  Works for any initial state.
   From a node (one nonzero amplitude) every probability depends only on the
-  node's split distance from the start, so the sum runs on the (hi+1, lo+1)
-  ClassTable of distance classes, O(L**2) per sample time; the bits are
-  those of the per-time loop that every other state takes.
+  node's Hamming distance from the start, so the sum runs on the ClassTable
+  of L+2 distances, O(L) per sample time; the bits are those of the per-time
+  loop that every other state takes.
 * ``krawtchouk``: the exact value per distance class.  From a basis node the
   walk is a product state whose occupation at distance d is
   cos(t)**(2(m-d)) * sin(t)**(2d), with m = L+1, so the period average is
   the Beta integral (2(m-d)-1)!! (2d-1)!! / (2m)!!, kept as a Fraction
-  until it is rounded once per class.  Basis-node initial states only.
+  until it is rounded once per distance.  Basis-node initial states only.
 
 The literal double sum over equal-cardinality index pairs, the ground-truth
 oracle for both, lives in the test suite.
@@ -34,7 +34,7 @@ import numpy as np
 from .evolution import EvolutionEngine, checked_start, evolve, one_hot_node
 from .formatting import iter_csv
 from .operators import StateVector
-from .spectral import ClassTable, basis_start_amplitudes, basis_start_classes, basis_start_table, grid_halves
+from .spectral import ClassTable, basis_start_amplitudes, basis_start_classes, basis_start_table
 from .subsets import Level, cardinality
 
 TIME_AVERAGE_METHODS = ("quadrature", "krawtchouk")
@@ -147,20 +147,17 @@ def time_average(
 
 def node_time_average(level: Level, sigma: int, method: str = "quadrature", coeff: complex = 1.0) -> ClassTable:
     """The period average from coeff times node sigma (|coeff| = 1), per
-    distance class.
+    Hamming distance.
 
-    krawtchouk reads the exact average at distance d = r + c for class (r, c).
-    quadrature accumulates the squared magnitudes of basis_start_classes on
-    the table, with the elementwise operations of distribution_at in the same
-    order, so the table gathers to the per-time loop's bits at O(L**2) per
-    sample time.
+    krawtchouk reads the exact average at each distance.  quadrature
+    accumulates the squared magnitudes of basis_start_classes on the table,
+    with the elementwise operations of distribution_at in the same order, so
+    the table gathers to the per-time loop's bits at O(L) per sample time.
     """
-    hi, lo = grid_halves(level)
     if method == "krawtchouk":
-        by_distance = np.array([float(p) for p in _period_averages(level.L + 1)])
-        return ClassTable(level, sigma, by_distance[np.add.outer(np.arange(hi + 1), np.arange(lo + 1))])
+        return ClassTable(level, sigma, np.array([float(p) for p in _period_averages(level.L + 1)]))
     m = quadrature_point_count(level)
-    acc = np.zeros((hi + 1, lo + 1), dtype=np.float64)
+    acc = np.zeros(level.L + 2, dtype=np.float64)
     for j in range(m):
         probs = np.abs(basis_start_classes(level, sigma, j * math.pi / m, coeff).table)
         np.square(probs, out=probs)
@@ -190,8 +187,8 @@ def is_symmetric(
 ) -> SymmetryReport:
     """Check invariance under node complement; reports the worst node."""
     if isinstance(dist, ClassTable):
-        # the complement maps class (r, c) to (hi - r, lo - c)
-        dev = dist.with_table(np.abs(dist.table - dist.table[::-1, ::-1]))
+        # the complement maps distance d to m - d
+        dev = dist.with_table(np.abs(dist.table - dist.table[::-1]))
         worst = dev.argmax()
         max_dev = float(dev.at(worst))
     else:
@@ -205,7 +202,7 @@ def is_symmetric(
 def pst_check(sigma: int, tau: int, t0: float, engine: EvolutionEngine) -> float:
     """Transfer fidelity: magnitude of the overlap between the evolved one-hot
     state at sigma and the one-hot state at tau.  1 means perfect transfer.
-    One entry of the class table: O(L**2) time and memory at any level."""
+    One entry of the class table: O(L) time and memory at any level."""
     level = engine.level
     level.validate_node(sigma)
     level.validate_node(tau)
@@ -214,9 +211,9 @@ def pst_check(sigma: int, tau: int, t0: float, engine: EvolutionEngine) -> float
     return float(abs(basis_start_classes(level, sigma, t0).at(tau)))
 
 
-def distribution_csv(dist: TimeAverageDistribution | Distribution, value_header: str = "probability") -> str:
+def distribution_csv(dist: TimeAverageDistribution | Distribution) -> str:
     """CSV export with canonical node strings (node field always quoted)."""
-    return "".join(iter_csv(f"node,{value_header}", [dist.probs]))
+    return "".join(iter_csv("node,probability", [dist.probs]))
 
 
 def distribution_json_dict(dist: TimeAverageDistribution | Distribution) -> dict:

@@ -130,20 +130,18 @@ def inner_product(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-def materialize_matrix(
-    kind: str, level: Level, index: int | None = None, dense_cap: int = DENSE_CAP
-) -> np.ndarray:
+def materialize_matrix(kind: str, level: Level, index: int | None = None) -> np.ndarray:
     """Dense matrix of an operator in the node basis, column by column.
 
     Entry [tau, sigma] is the coefficient of the image of the one-hot state
     at sigma on the basis vector of tau.  kind is one of "laplacian",
     "involution" (index = flip element) or "hat" (index = sign subset).
-    Intended as a small-scale oracle; gated by dense_cap.
+    Intended as a small-scale oracle; refused above DENSE_CAP nodes.
     """
     if kind not in MATRIX_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}; expected one of {MATRIX_KINDS}")
-    if level.dim > dense_cap:
-        raise ValueError(f"dimension {level.dim} exceeds dense cap {dense_cap}")
+    if level.dim > DENSE_CAP:
+        raise ValueError(f"dimension {level.dim} exceeds dense cap {DENSE_CAP}")
     if kind == "laplacian":
         op = apply_laplacian
     elif kind == "involution":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,14 +69,20 @@ def eigenvalues_by_index(level: Level) -> np.ndarray:
     return 2.0 * (level.L + 1 - cards)
 
 
+T_MAX = sys.float_info.max / 2  # the largest |t| whose phase argument 2t is finite
+
+
 def _bit_amplitudes(t: float) -> tuple[complex, complex]:
     """(a0, a1) = ((1+z)/2, (1-z)/2) with z = exp(2it): e^{it}(cos t I - i sin t X)
     maps one bit to a0 times itself plus a1 times its flip.
 
     The only place the walk's phase is computed.  libm reduces the exact
     argument 2t correctly at any magnitude; reducing t by the float pi first
-    would round the phase away at large t.
+    would round the phase away at large t.  Above T_MAX the argument 2t
+    overflows, so such a time is refused.
     """
+    if abs(t) > T_MAX:
+        raise ValueError(f"time {t!r} exceeds the largest evaluable magnitude {T_MAX!r}")
     z = cmath.exp(2j * t)
     return (1.0 + z) / 2.0, (1.0 - z) / 2.0
 
@@ -101,14 +108,10 @@ def basis_start_classes(level: Level, sigma: int, t: float, coeff: complex = 1.0
     """Amplitudes at time t of the walk started from coeff times node sigma.
 
     The generator is a sum of commuting one-bit terms, so the evolved state is
-    a product state: amp[g] = coeff * a0**(m-d) * a1**d, d = popcount(g ^ sigma).
-    d adds over the high and low halves of the index, so class (r, c) holds
-    the row factor coeff * a0**(hi-r) * a1**r times the column factor
-    a0**(lo-c) * a1**c.
+    a product state: amp[g] = coeff * a0**(m-d) * a1**d, d = popcount(g ^ sigma),
+    one entry of basis_start_table per distance.
     """
-    hi, lo = grid_halves(level)
-    table = (basis_start_table(t, hi) * coeff)[:, None] * basis_start_table(t, lo)
-    return ClassTable(level, sigma, table)
+    return ClassTable(level, sigma, basis_start_table(t, level.L + 1) * coeff)
 
 
 def basis_start_amplitudes(level: Level, sigma: int, t: float, coeff: complex = 1.0) -> np.ndarray:
@@ -116,32 +119,14 @@ def basis_start_amplitudes(level: Level, sigma: int, t: float, coeff: complex = 
     return basis_start_classes(level, sigma, t, coeff).materialize()
 
 
-def grid_halves(level: Level) -> tuple[int, int]:
-    """(hi, lo): the node index g read as the (2**hi, 2**lo) grid g = i * 2**lo + j,
-    with lo = (L+1) // 2.  A quantity that depends on g only through a
-    popcount splits into one factor per row times one per column on it."""
-    lo = (level.L + 1) // 2
-    return level.L + 1 - lo, lo
-
-
-def split_distances(level: Level, sigma: int) -> tuple[np.ndarray, np.ndarray]:
-    """Hamming distances from node sigma split over the grid of grid_halves:
-    node i * 2**lo + j lies at distance rows[i] + cols[j], with
-    rows[i] = popcount(i ^ (sigma >> lo)) and cols[j] = popcount(j ^ low bits of sigma)."""
-    hi, lo = grid_halves(level)
-    rows = np.bitwise_count(np.arange(1 << hi, dtype=np.uint64) ^ np.uint64(sigma >> lo))
-    cols = np.bitwise_count(np.arange(1 << lo, dtype=np.uint64) ^ np.uint64(sigma & ((1 << lo) - 1)))
-    return rows, cols
-
-
 @dataclass(frozen=True)
 class ClassTable:
-    """A value per node that depends on node g only through its split distance
-    from the start node sigma: on the grid of grid_halves, g = i * 2**lo + j
-    holds table[rows[i], cols[j]] (see split_distances).
+    """A value per node that depends on node g only through its Hamming
+    distance d = popcount(g ^ sigma) from the start node sigma: g holds table[d].
 
-    table has shape (hi+1, lo+1), followed by the shape of one entry, so a
-    quantity over all 2**(L+1) nodes is carried in O(L**2) numbers.
+    table has shape (L+2,), one entry per distance 0..L+1, followed by the
+    shape of one entry, so a quantity over all 2**(L+1) nodes is carried in
+    O(L) numbers.
     """
 
     level: Level
@@ -155,27 +140,34 @@ class ClassTable:
         """Another quantity over the same classes."""
         return ClassTable(self.level, self.sigma, table)
 
-    def distances(self) -> tuple[np.ndarray, np.ndarray]:
-        return split_distances(self.level, self.sigma)
-
     def at(self, g: int) -> np.ndarray:
-        """The entry of node g, in O(L)."""
-        d = g ^ self.sigma
-        lo = grid_halves(self.level)[1]
-        return self.table[(d >> lo).bit_count(), (d & ((1 << lo) - 1)).bit_count()]
+        """The entry of node g."""
+        return self.table[(g ^ self.sigma).bit_count()]
+
+    def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(classes, rows, cols) on the node index read as the (2**hi, 2**lo)
+        grid g = i * 2**lo + j, with lo = (L+1) // 2: node g lies at distance
+        rows[i] + cols[j], the popcounts of the high and low bits of g ^ sigma,
+        so it holds classes[rows[i], cols[j]] with classes[r, c] = table[r + c],
+        of shape (hi+1, lo+1)."""
+        lo = (self.level.L + 1) // 2
+        hi = self.level.L + 1 - lo
+        rows = np.bitwise_count(np.arange(1 << hi, dtype=np.uint64) ^ np.uint64(self.sigma >> lo))
+        cols = np.bitwise_count(np.arange(1 << lo, dtype=np.uint64) ^ np.uint64(self.sigma & ((1 << lo) - 1)))
+        return self.table[np.add.outer(np.arange(hi + 1), np.arange(lo + 1))], rows, cols
 
     def materialize(self) -> np.ndarray:
-        """The entries of every node in index order: one gather of the table."""
-        rows, cols = self.distances()
-        return np.take(self.table[rows], cols, axis=1).reshape(self.level.dim, *self.table.shape[2:])
+        """The entries of every node in index order: one gather of the grid."""
+        classes, rows, cols = self.grid()
+        return np.take(classes[rows], cols, axis=1).reshape(self.level.dim, *self.table.shape[1:])
 
     def argmax(self) -> int:
-        """np.argmax of materialize() for a 2-D table: the smallest node in a
-        class that holds the largest entry.  Every row class occurs in rows and
-        every column class in cols, so the first grid row whose class holds a
-        maximum contains the answer."""
-        rows, cols = self.distances()
-        hit = self.table == self.table.max()
+        """np.argmax of materialize() for a 1-D table: the smallest node at a
+        distance that holds the largest entry.  Every row class occurs in rows
+        and every column class in cols, so the first grid row whose class
+        holds a maximum contains the answer."""
+        classes, rows, cols = self.grid()
+        hit = classes == classes.max()
         i = int(np.argmax(hit.any(axis=1)[rows]))
         return i * len(cols) + int(np.argmax(hit[rows[i]][cols]))
 

@@ -21,7 +21,6 @@ from hyperwalk import (
 )
 from hyperwalk._walsh import flip_bit
 from hyperwalk.formatting import format_float
-from hyperwalk.spectral import grid_halves, split_distances
 
 PAIR_SUM_MAX_LEVEL = 7
 
@@ -77,18 +76,9 @@ def phases_by_index(level: Level, t: float) -> np.ndarray:
 
 
 def apply_phases(coeffs: StateVector, t: float) -> None:
-    """Multiply every eigenbasis coefficient by exp(i t eigenvalue), in place.
-
-    Coefficient s takes z**(m - popcount(s)); on the (2**hi, 2**lo) grid the
-    popcount splits over rows and columns, so the phase is one factor per row
-    times one per column.
-    """
-    powers = phase_powers(t, coeffs.level.L + 1)
-    hi, lo = grid_halves(coeffs.level)
-    rows, cols = split_distances(coeffs.level, 0)
-    grid = coeffs.amps.reshape(1 << hi, 1 << lo)
-    grid *= powers[hi - rows][:, None]
-    grid *= powers[lo - cols]
+    """Multiply every eigenbasis coefficient by exp(i t eigenvalue), in place:
+    coefficient s takes z**(m - popcount(s))."""
+    coeffs.amps *= phases_by_index(coeffs.level, t)
 
 
 def _literal_basis(level: Level) -> np.ndarray:

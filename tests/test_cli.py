@@ -25,7 +25,7 @@ import hyperwalk
 from hyperwalk import evolution, graph, measure, spectral
 from hyperwalk.cli import _parse_pi_fraction, main
 from hyperwalk.formatting import format_float
-from hyperwalk.spectral import ClassTable, basis_start_table, grid_halves, split_distances
+from hyperwalk.spectral import ClassTable, basis_start_table
 
 from helpers import quadrature_oracle, reference_csv, reference_dumps_json
 
@@ -188,22 +188,33 @@ def test_graph_formats(capsys):
     assert len(out.splitlines()) == 12
 
 
-@pytest.mark.parametrize(
-    "argv, allowed",
-    [
-        (["evolve", "--t", "1", "--engine", "product"], "'spectral'"),
-        (["evolve", "--t", "1", "--engine", "dense"], "'spectral'"),
-        (["time-average", "--engine", "dense"], "'spectral'"),
-        (["pst", "--engine", "product"], "'spectral'"),
-        (["time-average", "--method", "pair-sum"], "'quadrature', 'krawtchouk'"),
-    ],
-)
-def test_removed_choices_exit_2(tmp_path, capsys, argv, allowed):
+_UNRECOGNIZED = "unrecognized arguments: --engine "
+_TOL = "argument --tol: tolerance must be finite and >= 0, got "
+_HUGE_T = "error: time {} exceeds the largest evaluable magnitude 8.988465674311579e+307\n"
+REFUSED = [
+    # removed options and choices
+    (["evolve", "--t", "1", "--engine", "product"], _UNRECOGNIZED + "product"),
+    (["evolve", "--t", "1", "--engine", "dense"], _UNRECOGNIZED + "dense"),
+    (["time-average", "--engine", "dense"], _UNRECOGNIZED + "dense"),
+    (["pst", "--engine", "product"], _UNRECOGNIZED + "product"),
+    (["pst", "--engine", "spectral"], _UNRECOGNIZED + "spectral"),
+    (["time-average", "--engine", "spectral"], _UNRECOGNIZED + "spectral"),
+    (["evolve", "--t", "0.4", "--engine", "spectral", "--format", "json", "--amplitudes"], _UNRECOGNIZED + "spectral"),
+    (["evolve", "--t", "0.4", "--engine", "spectral", "--format", "csv", "--amplitudes"], _UNRECOGNIZED + "spectral"),
+    (["time-average", "--method", "pair-sum"], "invalid choice: 'pair-sum' (choose from 'quadrature', 'krawtchouk')"),
+    # values the walk cannot serve
+    *[([command, f"--tol={tol}"], _TOL + repr(tol)) for command in ("pst", "time-average") for tol in ("nan", "-1", "inf")],
+    *[([command, f"{flag}={t}"], _HUGE_T.format(t)) for command, flag in (("evolve", "--t"), ("pst", "--t0")) for t in ("1e+308", "-1e+308")],
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSED, ids=[" ".join(argv) for argv, _ in REFUSED])
+def test_refused_arguments_exit_2(tmp_path, capsys, argv, message):
     target = tmp_path / "never.out"
     code, out, err = run_cli(capsys, argv[0], "--L", "3", *argv[1:], "--out", str(target))
     assert code == 2
     assert out == ""
-    assert f"invalid choice: '{argv[-1]}' (choose from {allowed})" in err
+    assert message in err
     assert not target.exists()
 
 
@@ -312,9 +323,6 @@ for L, node in ((0, 1), (5, 0b100101), (12, 0b1010)):
         for t0 in (math.pi / 2, 0.9):
             argv = ["pst", "--L", str(L), "--from", format_node(node), "--t0", repr(t0), "--format", fmt]
             BYTE_CASES.append((argv, (_expected_pst, L, node, t0, fmt)))
-for fmt in ("json", "csv"):
-    argv = ["evolve", "--L", "5", "--t", "0.4", "--engine", "spectral", "--format", fmt, "--amplitudes"]
-    BYTE_CASES.append((argv, (_expected_evolve, 5, 0.4, 0, True, fmt)))
 # lo = 0 at L = 0, and the largest level the per-element writers check in a
 # few seconds a case; the empty, the full and a mixed node
 for L, nodes in ((0, (0, 1)), (17, (0, (1 << 18) - 1, 0b101100111000101011))):
@@ -460,23 +468,16 @@ def test_evolve_at_the_level_cap_streams_in_little_memory():
     assert os.waitstatus_to_exitcode(status) == 0
     assert usage.ru_maxrss <= 256 << 10, usage.ru_maxrss  # KiB
 
-    lv = Level(L)
-    hi, lo = grid_halves(lv)
-    # row class r of the grid holds |a_hi[r] * a_lo[c]|**2 in column class c
-    table = np.square(np.abs(basis_start_table(t, hi)[:, None] * basis_start_table(t, lo)))
+    # node g holds |a0**(m-d) * a1**d|**2 at distance d = popcount(g ^ node)
+    table = np.square(np.abs(basis_start_table(t, L + 1)))
     prefix = f'{{"schema":"hyperwalk/1","L":{L},"engine":"spectral","initial":"{{0,5}}","t":{format_float(t)},"probs":['
-    cells = sum(
-        math.comb(hi, r) * math.comb(lo, c) * (len(format_float(table[r, c])) + 1)
-        for r in range(hi + 1)
-        for c in range(lo + 1)
-    )
+    cells = sum(math.comb(L + 1, d) * (len(format_float(p)) + 1) for d, p in enumerate(table))
     assert count == len(prefix) + cells - 1 + len("]}\n")
     assert head.startswith(prefix.encode()) and tail.endswith(b"]}\n")
-    rows, cols = split_distances(lv, node)
-    first = [float(x) for x in head[len(prefix) :].split(b",")[: 1 << lo]]
-    last = [float(x) for x in tail[: -len("]}\n")].split(b",")[-(1 << lo) :]]
-    assert np.abs(np.array(first) - table[rows[0], cols]).max() < 1e-12
-    assert np.abs(np.array(last) - table[rows[-1], cols]).max() < 1e-12
+    first = [float(x) for x in head[len(prefix) :].split(b",")[:4096]]
+    last = [float(x) for x in tail[: -len("]}\n")].split(b",")[-4096:]]
+    ends = np.r_[0:4096, (1 << (L + 1)) - 4096 : 1 << (L + 1)].astype(np.uint64)
+    assert np.array_equal(np.array(first + last), table[np.bitwise_count(ends ^ np.uint64(node))])
 
 
 @pytest.mark.parametrize("raw", ["abc", "-3"])

@@ -1,12 +1,13 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import hyperwalk
 from hyperwalk import evolution
 from hyperwalk import (
-    ENGINE_KINDS,
     EvolutionEngine,
     Level,
     StateVector,
@@ -14,9 +15,10 @@ from hyperwalk import (
     basis_state,
     complement,
     evolve,
+    pst_check,
     vacuum_state,
 )
-from hyperwalk.spectral import basis_start_amplitudes, from_eigenbasis, to_eigenbasis
+from hyperwalk.spectral import T_MAX, basis_start_amplitudes, from_eigenbasis, to_eigenbasis
 
 from helpers import (
     LARGE_TIMES,
@@ -38,10 +40,12 @@ def _spectral(initial: StateVector, t: float) -> StateVector:
 EVOLVERS = {"spectral": _spectral, "product": evolve_product, "dense": evolve_dense}
 
 
-def test_one_engine_kind():
-    assert ENGINE_KINDS == ("spectral",)
-    for kind in ("product", "dense", "magic"):
-        with pytest.raises(ValueError, match=r"expected one of \('spectral',\)"):
+def test_engine_takes_only_a_level():
+    engine = EvolutionEngine(Level(1))
+    assert engine.level == Level(1)
+    assert not hasattr(engine, "kind") and not hasattr(hyperwalk, "ENGINE_KINDS")
+    for kind in ("spectral", "product", "dense"):
+        with pytest.raises(TypeError):
             EvolutionEngine(Level(1), kind)
 
 
@@ -78,6 +82,30 @@ def test_non_finite_times_are_rejected(bad):
     engine = EvolutionEngine(Level(1))
     with pytest.raises(ValueError):
         evolve(engine, vacuum_state(Level(1)), bad)
+
+
+@pytest.mark.parametrize("t", [1e308, -1e308])
+def test_overflowing_times_are_refused_plainly(t, rng):
+    lv = Level(2)
+    engine = EvolutionEngine(lv)
+    message = re.escape(f"time {t!r} exceeds the largest evaluable magnitude {T_MAX!r}")
+    for start in (vacuum_state(lv), random_state(lv, rng)):
+        with pytest.raises(ValueError, match=message):
+            evolve(engine, start, t)
+    with pytest.raises(ValueError, match=message):
+        pst_check(0, 1, t, engine)
+
+
+def test_the_largest_times_still_evaluate(rng):
+    # 2t stays finite up to T_MAX, half the largest float
+    assert 8.98e307 < T_MAX < 8.99e307 and math.isfinite(2 * T_MAX)
+    lv = Level(2)
+    engine = EvolutionEngine(lv)
+    for t in (8.98e307, -8.98e307, T_MAX):
+        for start in (vacuum_state(lv), random_state(lv, rng)):
+            out = evolve(engine, start, t)
+            assert np.abs(out.amps - evolve_product(start, t).amps).max() < 1e-12
+        assert abs(pst_check(0, 3, t, engine) - abs(evolve_product(vacuum_state(lv), t).amps[3])) < 1e-12
 
 
 def test_evolution_at_reduced_time_agrees(rng):

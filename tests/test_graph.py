@@ -109,6 +109,12 @@ def test_adjacency_matrix_row_sums_are_degrees():
     assert (adj.sum(axis=1) == lv.L + 1).all()
 
 
+def test_dense_graph_matrices_refuse_levels_above_the_cap():
+    for build in (adjacency_matrix, graph_laplacian_matrix):
+        with pytest.raises(ValueError, match="dimension 8192 exceeds dense cap 4096"):
+            build(Level(12))
+
+
 def test_flip_conjugated_through_the_identification():
     # vertex functions and walk states share coordinates, so flipping element k
     # of a basis state lands on the vertex tau ^ (1 << k)

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -18,6 +19,7 @@ from hyperwalk import (
     distribution_csv,
     distribution_json_dict,
     evolve,
+    format_node,
     is_symmetric,
     pst_check,
     quadrature_point_count,
@@ -26,6 +28,7 @@ from hyperwalk import (
     vacuum_state,
 )
 from hyperwalk import measure
+from hyperwalk.cli import _parse_pi_fraction, build_parser, cmd_pst
 
 from helpers import (
     LARGE_TIMES,
@@ -313,6 +316,39 @@ def test_krawtchouk_from_seeded_nodes_matches_the_quadrature_oracle(L):
         start = basis_state(lv, sigma)
         got = time_average(start, "krawtchouk").probs
         assert np.abs(got - quadrature_oracle(start)).max() < 1e-12, sigma
+
+
+EQUAL_DISTANCE_TIMES = [0.5, 0.731, -2.5, 1e12, _parse_pi_fraction("1/4"), _parse_pi_fraction("1/2")]
+
+
+def _one_value_per_distance(values: np.ndarray, sigma: int) -> bool:
+    """Whether nodes at equal Hamming distance from sigma hold equal bits."""
+    bits = values.view(np.uint64)
+    d = np.bitwise_count(np.arange(len(values), dtype=np.uint64) ^ np.uint64(sigma))
+    per_distance = np.zeros((d.max() + 1, *bits.shape[1:]), dtype=np.uint64)
+    per_distance[d] = bits  # one node's entry per distance
+    return np.array_equal(bits, per_distance[d])
+
+
+@pytest.mark.parametrize("L", [*range(9), 12, 17])
+def test_node_start_quantities_take_one_value_per_distance(L):
+    # the walk commutes with every relabeling of the elements, so from a node
+    # everything depends on the target only through its distance
+    lv, engine, parser = Level(L), EvolutionEngine(Level(L)), build_parser()
+    sigmas = range(lv.dim) if L <= 8 else np.random.default_rng(L).integers(lv.dim, size=2).tolist()
+    for sigma in sigmas:
+        start = basis_state(lv, sigma)
+        for method in ("quadrature", "krawtchouk"):
+            assert _one_value_per_distance(time_average(start, method).probs, sigma), (sigma, method)
+        for t in EQUAL_DISTANCE_TIMES:
+            args = parser.parse_args(["pst", "--L", str(L), "--from", format_node(sigma), f"--t0={t!r}"])
+            quantities = {
+                "probs": distribution_at(engine, start, t).probs,
+                "amps": evolve(engine, start, t).amps.view(np.float64).reshape(-1, 2),
+                "fidelities": np.array(json.loads("".join(cmd_pst(args)))["fidelities"]),
+            }
+            for name, values in quantities.items():
+                assert _one_value_per_distance(values, sigma), (sigma, t, name)
 
 
 def test_class_table_symmetry_report_equals_the_gathered_one(rng):

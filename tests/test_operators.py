@@ -212,7 +212,7 @@ def test_overlaps_between_plain_and_signed_bases(L):
 
 
 def test_materialize_rejects_oversized_dimension():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension 8192 exceeds dense cap 4096"):
         materialize_matrix("laplacian", Level(12))
     assert Level(11).dim == DENSE_CAP  # largest level materialize_matrix accepts
 

@@ -20,7 +20,7 @@ from hyperwalk import (
 )
 from hyperwalk._walsh import apply_per_bit, parity_signs
 from hyperwalk.formatting import dumps_json
-from hyperwalk.spectral import ClassTable, basis_start_amplitudes, basis_start_classes, grid_halves
+from hyperwalk.spectral import ClassTable, basis_start_amplitudes, basis_start_classes
 
 from helpers import literal_kernel_matrix, pm1_transform, popcount, random_state
 
@@ -168,26 +168,23 @@ def test_spectrum_json_shape():
 
 
 def _random_tables(rng):
-    """ClassTables of random entries, with ties, from the empty, the full and
-    seeded nodes."""
+    """ClassTables of random entries, one per distance, with ties, from the
+    empty, the full and seeded nodes."""
     for L in (0, 1, 2, 5, 8):
         lv = Level(L)
-        hi, lo = grid_halves(lv)
         for sigma in {0, lv.full_mask, int(rng.integers(lv.dim))}:
-            # few distinct values, so maxima tie across classes
-            yield ClassTable(lv, sigma, rng.integers(0, 3, size=(hi + 1, lo + 1)).astype(np.float64))
-            yield ClassTable(lv, sigma, rng.random((hi + 1, lo + 1)))
+            # few distinct values, so maxima tie across distances
+            yield ClassTable(lv, sigma, rng.integers(0, 3, size=L + 2).astype(np.float64))
+            yield ClassTable(lv, sigma, rng.random(L + 2))
 
 
-def test_class_table_reads_the_split_distance_of_every_node(rng):
+def test_class_table_reads_the_distance_of_every_node(rng):
     for table in _random_tables(rng):
         lv = table.level
         values = table.materialize()
         assert len(table) == lv.dim == values.size
-        lo = grid_halves(lv)[1]
         for g in range(lv.dim):
-            d = g ^ table.sigma
-            assert values[g] == table.table[popcount(d >> lo), popcount(d % (1 << lo))]
+            assert values[g] == table.table[popcount(g ^ table.sigma)]
             assert table.at(g) == values[g]
 
 
