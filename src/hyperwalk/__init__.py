@@ -4,9 +4,9 @@ State vectors are indexed by subset bitmasks of {0, ..., L}; the walk
 generator is the sum over elements of (identity minus bit-flip), which
 diagonalizes over a signed Walsh eigenbasis; its evolution is exactly the
 tensor power of one 2×2 factor per element.  One engine applies that factor
-(in closed form from a node), and the period average comes as the
-quadrature or the exact krawtchouk value; the literal-definition oracles
-they are checked against live in the test suite.
+(in closed form from a node); the period average is the exact per-distance
+value from a node and the quadrature from any other state.  The
+literal-definition oracles they are checked against live in the test suite.
 """
 
 from .evolution import (
@@ -20,7 +20,6 @@ from .graph import (
     edges,
     export_graph,
     graph_json_dict,
-    graph_laplacian_apply,
     graph_laplacian_matrix,
     is_adjacent,
     neighborhood,
@@ -112,7 +111,6 @@ __all__ = [
     "format_node",
     "from_eigenbasis",
     "graph_json_dict",
-    "graph_laplacian_apply",
     "graph_laplacian_matrix",
     "inner_product",
     "is_adjacent",

@@ -59,12 +59,6 @@ def _chunks(grid: np.ndarray, size: int):
                 yield grid[r : r + 1, :, c : c + step]
 
 
-def parity_signs(n: int) -> np.ndarray:
-    """Vector of (-1)**popcount(i) for i in [0, n), as float64."""
-    counts = np.bitwise_count(np.arange(n, dtype=np.uint64))
-    return 1.0 - 2.0 * (counts & 1).astype(np.float64)
-
-
 def sign_column(sigma: int, n: int) -> np.ndarray:
     """Vector of (-1)**popcount(i & sigma): one column of the unnormalized transform."""
     counts = np.bitwise_count(np.arange(n, dtype=np.uint64) & np.uint64(sigma))

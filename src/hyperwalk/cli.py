@@ -14,6 +14,7 @@ import argparse
 import itertools
 import math
 import os
+import re
 import sys
 from typing import Iterable
 
@@ -21,11 +22,17 @@ import numpy as np
 
 from .formatting import format_float, iter_csv, iter_json
 from .graph import GRAPH_FORMATS, export_graph, graph_json_dict
-from .measure import TIME_AVERAGE_METHODS, is_symmetric, node_time_average
+from .measure import is_symmetric, node_time_average
 from .spectral import basis_start_classes, spectrum
 from .subsets import Level, format_node, parse_node
 
 SCHEMA = "hyperwalk/1"
+
+# argparse reads an argument as a value rather than an option only when it
+# matches its parser's negative-number pattern, by default just the -123 and
+# -1.5 shapes.  No hyperwalk option starts with "-" and a digit, so every
+# such argument, -1e-3 and -1/2 included, can be a value.
+NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
 
 def _parse_pi_fraction(text: str) -> float:
@@ -62,7 +69,7 @@ def _resolve_time(value: float | None, fraction: str | None, default: float | No
 
 def tolerance(text: str) -> float:
     """--tol: a finite float >= 0.  A nan, negative or infinite tolerance
-    would decide is_pst and symmetric the same way whatever the values."""
+    would decide is_pst the same way whatever the fidelities."""
     tol = float(text)
     if not (math.isfinite(tol) and tol >= 0):
         raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
@@ -96,9 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ta = sub.add_parser("time-average", help="period-averaged distribution")
     _add_level(ta)
-    ta.add_argument("--method", choices=TIME_AVERAGE_METHODS, default="quadrature")
     ta.add_argument("--initial", default="", help="initial node string (default: empty set)")
-    ta.add_argument("--tol", type=tolerance, default=1e-10)
     ta.add_argument("--format", choices=("json", "csv"), default="json")
     _add_out(ta)
     ta.set_defaults(handler=cmd_time_average)
@@ -120,6 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(gr)
     gr.set_defaults(handler=cmd_graph)
 
+    for subparser in sub.choices.values():
+        subparser._negative_number_matcher = NEGATIVE_NUMBER
     return parser
 
 
@@ -171,15 +178,15 @@ def cmd_evolve(args: argparse.Namespace) -> Iterable[str]:
 def cmd_time_average(args: argparse.Namespace) -> Iterable[str]:
     level = Level(args.L)
     initial_node = parse_node(args.initial, level)
-    probs = node_time_average(level, initial_node, args.method)
-    report = is_symmetric(probs, args.tol)
+    probs = node_time_average(level, initial_node)
+    report = is_symmetric(probs)
     if args.format == "csv":
         footer = f"# symmetry_max_deviation,{format_float(report.max_deviation)}\n"
         return itertools.chain(iter_csv("node,probability", [probs]), [footer])
     doc = {
         "schema": SCHEMA,
         "L": level.L,
-        "method": args.method,
+        "method": "krawtchouk",
         "initial": format_node(initial_node),
         "probs": probs,
         "symmetry_max_deviation": report.max_deviation,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .formatting import dumps_json
-from .operators import DENSE_CAP, StateVector
+from .operators import DENSE_CAP
 from .subsets import Level, format_node
 
 GRAPH_FORMATS = ("dot", "json", "edge-list")
@@ -43,18 +43,6 @@ def edges(level: Level) -> list[tuple[int, int]]:
             if sigma < tau:
                 out.append((sigma, tau))
     return out
-
-
-def graph_laplacian_apply(f: StateVector) -> StateVector:
-    """Combinatorial Laplacian on vertex functions: sum over neighbors of
-    f(vertex) - f(neighbor), i.e. degree * f minus the neighbor sum."""
-    level = f.level
-    deg = level.L + 1
-    idx = np.arange(level.dim, dtype=np.intp)
-    out = deg * f.amps
-    for k in range(deg):
-        out = out - f.amps[idx ^ (1 << k)]
-    return StateVector(level, out)
 
 
 def adjacency_matrix(level: Level) -> np.ndarray:

@@ -1,22 +1,21 @@
 """Node-occupation probabilities of the walk and their long-run averages.
 
-The time-average distribution is computed two ways:
+The time-average distribution is computed one of two ways, chosen by the
+initial state:
 
-* ``quadrature``: equal-weight average of the pointwise distribution over
-  M = 2L+4 equispaced times in [0, pi).  Every occupation probability is a
-  trigonometric polynomial whose frequencies are even integers of magnitude
-  at most 2(L+1), so any equispaced average with M >= 2L+3 points kills all
-  nonzero frequencies by aliasing and the finite sum equals the integral
-  exactly; M = 2L+4 keeps one point of margin.  Works for any initial state.
-  From a node (one nonzero amplitude) every probability depends only on the
-  node's Hamming distance from the start, so the sum runs on the ClassTable
-  of L+2 distances, O(L) per sample time; the bits are those of the per-time
-  loop that every other state takes.
-* ``krawtchouk``: the exact value per distance class.  From a basis node the
-  walk is a product state whose occupation at distance d is
+* From a basis node (one nonzero amplitude), the exact value per distance
+  class.  The walk is then a product state whose occupation at distance d is
   cos(t)**(2(m-d)) * sin(t)**(2d), with m = L+1, so the period average is
   the Beta integral (2(m-d)-1)!! (2d-1)!! / (2m)!!, kept as a Fraction
-  until it is rounded once per distance.  Basis-node initial states only.
+  until it is rounded once per distance.  The table is exactly symmetric
+  under d -> m - d, the complement.
+* From any other state, the ``quadrature``: equal-weight average of the
+  pointwise distribution over M = 2L+4 equispaced times in [0, pi).  Every
+  occupation probability is a trigonometric polynomial whose frequencies are
+  even integers of magnitude at most 2(L+1), so any equispaced average with
+  M >= 2L+3 points kills all nonzero frequencies by aliasing and the finite
+  sum equals the integral exactly; M = 2L+4 keeps one point of margin.
+  ``krawtchouk`` names the closed form alone and refuses such states.
 
 The literal double sum over equal-cardinality index pairs, the ground-truth
 oracle for both, lives in the test suite.
@@ -116,10 +115,10 @@ def time_average(
 ) -> TimeAverageDistribution:
     """Average distribution over one period of the walk.
 
-    quadrature accepts any normalized initial state (and an engine on its
-    level); krawtchouk implements the basis-node closed form and rejects
-    other initial states.  From a node both run on node_time_average's
-    class table, gathered over the nodes for the returned distribution.
+    From a basis node, under either method, this is node_time_average's
+    exact table gathered over the nodes.  Any other normalized initial state
+    (with an engine on its level) takes the quadrature loop; krawtchouk
+    rejects it.
     """
     level = initial.level
     if method not in TIME_AVERAGE_METHODS:
@@ -133,7 +132,7 @@ def time_average(
     sigma = one_hot_node(initial.amps)
     if sigma is not None:
         checked_start(engine, initial)
-        probs = node_time_average(level, sigma, method, initial.amps[sigma]).materialize()
+        probs = node_time_average(level, sigma).materialize()
     elif method == "krawtchouk":
         raise ValueError("krawtchouk requires a basis-node initial state (one nonzero amplitude)")
     else:
@@ -145,24 +144,9 @@ def time_average(
     return TimeAverageDistribution(level=level, probs=probs, method=method)
 
 
-def node_time_average(level: Level, sigma: int, method: str = "quadrature", coeff: complex = 1.0) -> ClassTable:
-    """The period average from coeff times node sigma (|coeff| = 1), per
-    Hamming distance.
-
-    krawtchouk reads the exact average at each distance.  quadrature
-    accumulates the squared magnitudes of basis_start_classes on the table,
-    with the elementwise operations of distribution_at in the same order, so
-    the table gathers to the per-time loop's bits at O(L) per sample time.
-    """
-    if method == "krawtchouk":
-        return ClassTable(level, sigma, np.array([float(p) for p in _period_averages(level.L + 1)]))
-    m = quadrature_point_count(level)
-    acc = np.zeros(level.L + 2, dtype=np.float64)
-    for j in range(m):
-        probs = np.abs(basis_start_classes(level, sigma, j * math.pi / m, coeff).table)
-        np.square(probs, out=probs)
-        acc += probs
-    return ClassTable(level, sigma, acc / m)
+def node_time_average(level: Level, sigma: int) -> ClassTable:
+    """The exact period average from node sigma, per Hamming distance."""
+    return ClassTable(level, sigma, np.array([float(p) for p in _period_averages(level.L + 1)]))
 
 
 def _period_averages(m: int) -> list[Fraction]:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._walsh import flip_bit, parity_signs, sign_column
+from ._walsh import flip_bit, sign_column
 from .subsets import Level
 
 DENSE_CAP = 4096
@@ -100,15 +100,15 @@ def apply_hat_involution(sigma: int, state: StateVector) -> StateVector:
 
     Algebraically this equals dim times the orthogonal projection onto one
     signed basis vector, which is how it is evaluated here (two O(dim)
-    passes instead of 2**(L+1) permutation terms).  Composing it with itself
-    scales by dim; distinct sigma annihilate each other.
+    passes instead of 2**(L+1) permutation terms).  That vector is the sign
+    column of the complement of sigma: the parity sign of g times
+    (-1)**popcount(g & sigma) is (-1)**popcount(g & ~sigma).  Composing it
+    with itself scales by dim; distinct sigma annihilate each other.
     """
     level = state.level
     level.validate_node(sigma)
-    signs = parity_signs(level.dim)
-    col = sign_column(sigma, level.dim)
-    coeff = np.dot(col, signs * state.amps)
-    return StateVector(level, coeff * (signs * col))
+    col = sign_column(level.full_mask ^ sigma, level.dim)
+    return StateVector(level, np.dot(col, state.amps) * col)
 
 
 def apply_laplacian(state: StateVector) -> StateVector:

@@ -12,7 +12,6 @@ import pytest
 from hyperwalk import (
     EvolutionEngine,
     Level,
-    TimeAverageDistribution,
     basis_state,
     evolve,
     format_node,
@@ -27,7 +26,7 @@ from hyperwalk.cli import _parse_pi_fraction, main
 from hyperwalk.formatting import format_float
 from hyperwalk.spectral import ClassTable, basis_start_table
 
-from helpers import quadrature_oracle, reference_csv, reference_dumps_json
+from helpers import reference_csv, reference_dumps_json
 
 
 def run_cli(capsys, *argv):
@@ -124,23 +123,15 @@ def test_time_average_values_and_symmetry_report(capsys):
     assert doc["symmetry_max_deviation"] <= 1e-12
 
 
-@pytest.mark.parametrize("method", ["quadrature", "krawtchouk"])
-def test_time_average_methods_agree_via_cli(capsys, method):
-    code, out, _ = run_cli(capsys, "time-average", "--L", "2", "--method", method)
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["probs"][0] == pytest.approx(0.3125, abs=1e-10)
-
-
-def test_time_average_methods_agree_from_any_node(capsys):
-    # every --initial is a basis node, so krawtchouk serves all of them
-    docs = []
-    for method in ("quadrature", "krawtchouk"):
-        code, out, _ = run_cli(capsys, "time-average", "--L", "2", "--method", method, "--initial", "0")
+def test_time_average_is_exact_from_any_node(capsys):
+    # 5/16 = 5!!/6!! at the start node and its complement
+    for initial, start in (("", 0b000), ("0", 0b001)):
+        code, out, _ = run_cli(capsys, "time-average", "--L", "2", "--initial", initial)
         assert code == 0
-        docs.append(json.loads(out))
-    assert np.abs(np.subtract(docs[0]["probs"], docs[1]["probs"])).max() < 1e-12
-    assert docs[1]["probs"][0b001] == pytest.approx(0.3125, abs=1e-15)
+        doc = json.loads(out)
+        assert doc["method"] == "krawtchouk"
+        assert doc["probs"][start] == doc["probs"][start ^ 0b111] == 0.3125
+        assert doc["symmetry_max_deviation"] == 0
 
 
 def test_time_average_csv_includes_symmetry_comment(capsys):
@@ -201,9 +192,11 @@ REFUSED = [
     (["time-average", "--engine", "spectral"], _UNRECOGNIZED + "spectral"),
     (["evolve", "--t", "0.4", "--engine", "spectral", "--format", "json", "--amplitudes"], _UNRECOGNIZED + "spectral"),
     (["evolve", "--t", "0.4", "--engine", "spectral", "--format", "csv", "--amplitudes"], _UNRECOGNIZED + "spectral"),
-    (["time-average", "--method", "pair-sum"], "invalid choice: 'pair-sum' (choose from 'quadrature', 'krawtchouk')"),
+    (["time-average", "--method", "krawtchouk"], "unrecognized arguments: --method krawtchouk"),
+    (["time-average", "--method", "quadrature"], "unrecognized arguments: --method quadrature"),
+    (["time-average", "--tol", "1e-9"], "unrecognized arguments: --tol 1e-9"),
     # values the walk cannot serve
-    *[([command, f"--tol={tol}"], _TOL + repr(tol)) for command in ("pst", "time-average") for tol in ("nan", "-1", "inf")],
+    *[(["pst", f"--tol={tol}"], _TOL + repr(tol)) for tol in ("nan", "-1", "inf")],
     *[([command, f"{flag}={t}"], _HUGE_T.format(t)) for command, flag in (("evolve", "--t"), ("pst", "--t0")) for t in ("1e+308", "-1e+308")],
 ]
 
@@ -276,18 +269,13 @@ def _expected_evolve(L, t, node, amplitudes, fmt):
     return _document(doc)
 
 
-def _expected_time_average(L, method, node, fmt):
-    lv = Level(L)
-    start = basis_state(lv, node)
-    if method == "quadrature":
-        dist = TimeAverageDistribution(level=lv, probs=quadrature_oracle(start), method="quadrature")
-    else:
-        dist = time_average(start, method=method)
-    report = is_symmetric(dist, 1e-10)
+def _expected_time_average(L, node, fmt):
+    dist = time_average(basis_state(Level(L), node), method="krawtchouk")
+    report = is_symmetric(dist)
     if fmt == "csv":
         deviation = reference_dumps_json(report.max_deviation)
         return reference_csv("node,probability", [dist.probs]) + f"# symmetry_max_deviation,{deviation}\n"
-    doc = {"L": L, "method": method, "initial": format_node(node)}
+    doc = {"L": L, "method": "krawtchouk", "initial": format_node(node)}
     doc["probs"] = [float(p) for p in dist.probs]
     doc["symmetry_max_deviation"] = report.max_deviation
     doc["symmetric"] = report.symmetric
@@ -316,10 +304,9 @@ for L, node in ((0, 1), (5, 0b100101), (12, 0b1010)):
                 argv = ["evolve", "--L", str(L), "--t", repr(t), "--initial", format_node(node)]
                 argv += ["--format", fmt] + ["--amplitudes"] * amplitudes
                 BYTE_CASES.append((argv, (_expected_evolve, L, t, node, amplitudes, fmt)))
-        for method in ("quadrature", "krawtchouk"):
-            start = node if method == "quadrature" else 0
-            argv = ["time-average", "--L", str(L), "--method", method, "--initial", format_node(start)]
-            BYTE_CASES.append((argv + ["--format", fmt], (_expected_time_average, L, method, start, fmt)))
+        for start in (0, node):
+            argv = ["time-average", "--L", str(L), "--initial", format_node(start), "--format", fmt]
+            BYTE_CASES.append((argv, (_expected_time_average, L, start, fmt)))
         for t0 in (math.pi / 2, 0.9):
             argv = ["pst", "--L", str(L), "--from", format_node(node), "--t0", repr(t0), "--format", fmt]
             BYTE_CASES.append((argv, (_expected_pst, L, node, t0, fmt)))
@@ -333,9 +320,9 @@ for L, nodes in ((0, (0, 1)), (17, (0, (1 << 18) - 1, 0b101100111000101011))):
             BYTE_CASES.append((argv, (_expected_evolve, L, 0.731, node, L == 0, fmt)))
             argv = ["pst", "--L", str(L), "--from", format_node(node), "--t0", "0.9", "--format", fmt]
             BYTE_CASES.append((argv, (_expected_pst, L, node, 0.9, fmt)))
-        for method, fmt in (("quadrature", "csv"), ("krawtchouk", "json")):
-            argv = ["time-average", "--L", str(L), "--method", method, "--initial", format_node(node), "--format", fmt]
-            BYTE_CASES.append((argv, (_expected_time_average, L, method, node, fmt)))
+        for fmt in ("json", "csv"):
+            argv = ["time-average", "--L", str(L), "--initial", format_node(node), "--format", fmt]
+            BYTE_CASES.append((argv, (_expected_time_average, L, node, fmt)))
 for fmt in ("json", "csv"):
     # multiples of pi, where many probabilities round to zero or tie, and a large t
     for time in (["--t-pi-fraction", "1/2"], ["--t-pi-fraction", "1/4"], ["--t-pi-fraction", "1000000001/2"], ["--t", "1e15"]):
@@ -405,7 +392,7 @@ PEAK_CASES = [
     [cmd, *start, "--format", fmt]
     for cmd, start in (
         ("time-average", ["--initial", "0,2"]),
-        ("time-average", ["--method", "krawtchouk"]),
+        ("time-average", []),
         ("pst", ["--from", "0,2"]),
     )
     for fmt in ("json", "csv")
@@ -443,7 +430,6 @@ def test_node_starts_gather_nothing_node_sized(tmp_path, capsys, monkeypatch):
         ["evolve", "--t", "0.7", "--initial", "0,5", "--amplitudes"],
         ["pst", "--from", "1,2"],
         ["time-average", "--initial", "3"],
-        ["time-average", "--method", "krawtchouk", "--initial", "3"],
     ):
         for fmt in ("json", "csv"):
             code, _, err = run_cli(capsys, argv[0], "--L", "12", *argv[1:], "--format", fmt, "--out", str(tmp_path / "out"))
@@ -495,6 +481,25 @@ def test_pi_fraction_is_reduced_exactly_over_periods(capsys):
     assert json.loads(far)["t"] == math.pi / 2
     _, negative, _ = run_cli(capsys, "evolve", "--L", "3", "--t-pi-fraction=-3/-2")
     assert negative == near
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("evolve", "--t", "-1e5"),
+        ("evolve", "--t", "-2.5"),
+        ("evolve", "--t-pi-fraction", "-1/2"),
+        ("evolve", "--t-pi-fraction", "-3/-2"),
+        ("pst", "--t0", "-1e-3"),
+        ("pst", "--t0", "-.5"),
+        ("pst", "--t0-pi-fraction", "-1/4"),
+    ],
+)
+def test_negative_times_parse_as_separate_arguments(capsys, command, option, value):
+    separate = run_cli(capsys, command, "--L", "3", option, value, "--format", "csv")
+    joined = run_cli(capsys, command, "--L", "3", f"{option}={value}", "--format", "csv")
+    assert separate[0] == 0, separate[2]
+    assert separate == joined
 
 
 def test_pst_holds_at_a_large_pi_fraction(capsys):

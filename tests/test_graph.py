@@ -5,22 +5,17 @@ import pytest
 
 from hyperwalk import (
     Level,
-    StateVector,
     adjacency_matrix,
-    apply_laplacian,
     basis_state,
     edge_count,
     edges,
     export_graph,
     graph_json_dict,
-    graph_laplacian_apply,
     graph_laplacian_matrix,
     is_adjacent,
     materialize_matrix,
     neighborhood,
 )
-
-from helpers import random_state
 
 
 def test_adjacency_examples():
@@ -71,24 +66,6 @@ def test_edge_counts(L, count):
     lv = Level(L)
     assert edge_count(lv) == count
     assert len(edges(lv)) == count
-
-
-def test_graph_laplacian_on_constants_and_basis():
-    lv = Level(2)
-    const = StateVector(lv, np.full(lv.dim, 0.5 + 0.25j))
-    assert np.abs(graph_laplacian_apply(const).amps).max() < 1e-14
-    lv0 = Level(0)
-    out = graph_laplacian_apply(basis_state(lv0, 0))
-    assert np.array_equal(out.amps, np.array([1.0 + 0j, -1.0 + 0j]))
-
-
-@pytest.mark.parametrize("L", [1, 4, 7])
-def test_graph_laplacian_equals_walk_laplacian_on_shared_coordinates(L, rng):
-    lv = Level(L)
-    f = random_state(lv, rng)
-    a = graph_laplacian_apply(f).amps
-    b = apply_laplacian(f).amps
-    assert np.abs(a - b).max() < 1e-12
 
 
 @pytest.mark.parametrize("L", range(9))

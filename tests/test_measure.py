@@ -204,32 +204,43 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-@pytest.mark.parametrize("L", range(7))
-def test_node_quadrature_matches_the_loop_bit_for_bit_at_every_node(L):
-    lv = Level(L)
+def _odd_double_factorial(k: int) -> int:
+    """(2k-1)!!, with (-1)!! = 1."""
+    return math.prod(range(1, 2 * k, 2))
+
+
+@pytest.mark.parametrize("L", range(9))
+def test_node_average_is_the_exact_table_at_every_node(L):
+    # the Beta integral (2(m-d)-1)!! (2d-1)!! / (2m)!! at distance d, rounded once
+    lv, m = Level(L), L + 1
+    even = math.prod(range(2, 2 * m + 1, 2))
+    exact = np.array([float(Fraction(_odd_double_factorial(m - d) * _odd_double_factorial(d), even)) for d in range(m + 1)])
+    extreme = float(Fraction(math.prod(range(1, 2 * L + 2, 2)), math.prod(range(2, 2 * L + 3, 2))))
+    nodes = np.arange(lv.dim, dtype=np.uint64)
     for sigma in range(lv.dim):
         start = basis_state(lv, sigma)
-        assert _same_bits(time_average(start).probs, quadrature_oracle(start)), sigma
-
-
-@pytest.mark.parametrize("L", [7, 10, 13, 15, 17])
-def test_node_quadrature_matches_the_loop_bit_for_bit_at_seeded_nodes(L):
-    lv = Level(L)
-    nodes = [lv.full_mask] + np.random.default_rng(L).integers(0, lv.dim, size=2).tolist()
-    for sigma in nodes:
-        start = basis_state(lv, sigma)
-        assert _same_bits(time_average(start).probs, quadrature_oracle(start)), sigma
+        oracle = quadrature_oracle(start)
+        for method in ("quadrature", "krawtchouk"):
+            probs = time_average(start, method).probs
+            assert np.array_equal(probs, exact[np.bitwise_count(nodes ^ np.uint64(sigma))]), (sigma, method)
+            assert is_symmetric(TimeAverageDistribution(level=lv, probs=probs, method=method)).max_deviation == 0.0
+            # the empty and full nodes from the vacuum; the start and its complement in general
+            assert probs[sigma] == probs[complement(sigma, lv)] == extreme, (sigma, method)
+            assert np.abs(probs - oracle).max() < 1e-12, (sigma, method)
 
 
 # unit-modulus phases, and a modulus inside the normalization tolerance
 @pytest.mark.parametrize("coeff", [-1.0, 1j, np.exp(0.7j), np.exp(-2.9j), 1.0 + 4e-13])
-def test_node_quadrature_carries_the_start_coefficient_bit_for_bit(coeff):
+def test_node_average_does_not_depend_on_the_start_coefficient(coeff):
     for L in (0, 3, 6, 11):
         lv = Level(L)
         for sigma in (0, 5 % lv.dim, lv.full_mask):
             start = basis_state(lv, sigma)
             start.amps[sigma] = coeff
-            assert _same_bits(time_average(start).probs, quadrature_oracle(start)), (L, sigma)
+            plain = time_average(basis_state(lv, sigma)).probs
+            for method in ("quadrature", "krawtchouk"):
+                assert np.array_equal(time_average(start, method).probs, plain), (L, sigma, method)
+            assert np.abs(plain - quadrature_oracle(start)).max() < 1e-12, (L, sigma)
 
 
 def test_node_quadrature_keeps_the_evolve_errors():
@@ -355,10 +366,9 @@ def test_class_table_symmetry_report_equals_the_gathered_one(rng):
     for L in (0, 1, 4, 7):
         lv = Level(L)
         for sigma in (0, lv.full_mask, int(rng.integers(lv.dim))):
-            for method in ("quadrature", "krawtchouk"):
-                table = measure.node_time_average(lv, sigma, method)
-                dist = TimeAverageDistribution(level=lv, probs=table.materialize(), method=method)
-                assert is_symmetric(table) == is_symmetric(dist)
+            table = measure.node_time_average(lv, sigma)
+            dist = TimeAverageDistribution(level=lv, probs=table.materialize(), method="krawtchouk")
+            assert is_symmetric(table) == is_symmetric(dist)
             # an asymmetric table: the worst node is np.argmax's, ties included
             table = table.with_table(rng.integers(0, 4, size=table.table.shape).astype(np.float64))
             dist = TimeAverageDistribution(level=lv, probs=table.materialize(), method="quadrature")

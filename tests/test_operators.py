@@ -144,6 +144,15 @@ def test_laplacian_small_matrix_and_action():
     assert np.array_equal(mat.imag, np.zeros((2, 2)))
 
 
+def test_laplacian_on_constants_and_basis():
+    lv = Level(2)
+    const = StateVector(lv, np.full(lv.dim, 0.5 + 0.25j))
+    assert np.abs(apply_laplacian(const).amps).max() < 1e-14
+    lv0 = Level(0)
+    out = apply_laplacian(basis_state(lv0, 0))
+    assert np.array_equal(out.amps, np.array([1.0 + 0j, -1.0 + 0j]))
+
+
 def test_involution_matrix_small():
     mat = materialize_matrix("involution", Level(0), 0)
     assert np.array_equal(mat.real, np.array([[0, 1], [1, 0]]))

@@ -18,7 +18,7 @@ from hyperwalk import (
     to_eigenbasis,
     vacuum_state,
 )
-from hyperwalk._walsh import apply_per_bit, parity_signs
+from hyperwalk._walsh import apply_per_bit, sign_column
 from hyperwalk.formatting import dumps_json
 from hyperwalk.spectral import ClassTable, basis_start_amplitudes, basis_start_classes
 
@@ -48,7 +48,7 @@ def test_fast_transform_matches_literal_kernel_exactly(L):
 @pytest.mark.parametrize("L", [0, 3, 6])
 def test_change_of_basis_is_the_parity_sign_then_the_pm1_transform(L, rng):
     lv = Level(L)
-    signs = parity_signs(lv.dim)
+    signs = sign_column(lv.dim - 1, lv.dim)
     scale = 1 / math.sqrt(lv.dim)
     xi = random_state(lv, rng)
     assert np.abs(to_eigenbasis(xi).amps - scale * pm1_transform(signs * xi.amps)).max() < 1e-13
