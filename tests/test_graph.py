@@ -6,6 +6,7 @@ import pytest
 from hyperwalk import (
     Level,
     adjacency_matrix,
+    apply_laplacian,
     basis_state,
     edge_count,
     edges,
@@ -16,6 +17,8 @@ from hyperwalk import (
     materialize_matrix,
     neighborhood,
 )
+
+from helpers import random_state
 
 
 def test_adjacency_examples():
@@ -66,6 +69,15 @@ def test_edge_counts(L, count):
     lv = Level(L)
     assert edge_count(lv) == count
     assert len(edges(lv)) == count
+
+
+@pytest.mark.parametrize("L", [1, 4, 7])
+def test_graph_laplacian_equals_walk_laplacian_on_shared_coordinates(L, rng):
+    lv = Level(L)
+    f = random_state(lv, rng)
+    a = graph_laplacian_matrix(lv) @ f.amps
+    b = apply_laplacian(f).amps
+    assert np.abs(a - b).max() < 1e-12
 
 
 @pytest.mark.parametrize("L", range(9))
