@@ -22,7 +22,7 @@ import numpy as np
 
 from .formatting import format_float, iter_csv, iter_json
 from .graph import GRAPH_FORMATS, export_graph, graph_json_dict
-from .measure import is_symmetric, node_time_average
+from .measure import is_symmetric, node_time_average, probabilities
 from .spectral import basis_start_classes, spectrum
 from .subsets import Level, format_node, parse_node
 
@@ -41,10 +41,10 @@ def _parse_pi_fraction(text: str) -> float:
     The time is reduced into [0, pi), one period of the walk.
     """
     body = text.strip()
-    num_str, _, den_str = body.partition("/")
+    num_str, slash, den_str = body.partition("/")
     try:
         num = int(num_str)
-        den = int(den_str) if den_str else 1
+        den = int(den_str) if slash else 1
     except ValueError:
         raise ValueError(f"expected an integer fraction like '1/2', got {text!r}") from None
     if den == 0:
@@ -56,15 +56,12 @@ def _parse_pi_fraction(text: str) -> float:
 
 
 def _resolve_time(value: float | None, fraction: str | None, default: float | None = None) -> float:
+    """The time of a float option or its pi-fraction twin, else default.
+    Whether the walk can evaluate it is decided where its phase is computed
+    (spectral._bit_amplitudes)."""
     if fraction is not None:
         return _parse_pi_fraction(fraction)
-    if value is not None:
-        if not math.isfinite(value):
-            raise ValueError(f"time must be finite, got {value!r}")
-        return value
-    if default is not None:
-        return default
-    raise ValueError("a time is required (use --t or --t-pi-fraction)")
+    return default if value is None else value
 
 
 def tolerance(text: str) -> float:
@@ -153,9 +150,7 @@ def cmd_evolve(args: argparse.Namespace) -> Iterable[str]:
     t = _resolve_time(args.t, args.t_pi_fraction)
     initial_node = parse_node(args.initial, level)
     amps = basis_start_classes(level, initial_node, t)
-    probs = np.abs(amps.table)
-    np.square(probs, out=probs)
-    probs = amps.with_table(probs)
+    probs = amps.with_table(probabilities(amps.table))
     if args.format == "csv":
         if not args.amplitudes:
             return iter_csv("node,probability", [probs])
@@ -247,7 +242,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(args.out, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        with fh:
             fh.writelines(chunks)
     else:
         try:

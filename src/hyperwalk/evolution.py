@@ -2,22 +2,22 @@
 
 The generator has even integer eigenvalues, so the evolution unitary is
 exactly pi-periodic in time.  It is the tensor power of the one-bit factor
-R(t) = [[a0, a1], [a1, a0]], applied to a copy of the state in one in-place
-per-bit sweep (``apply_per_bit``); O(dim * (L+1)) per call, with a
-fixed-size buffer as the only other memory.  A one-hot start (a basis node
-times a unit phase) is evaluated in closed form instead, in O(dim).  The
+R(t) = [[a0, a1], [a1, a0]] (``spectral.bit_factor``, which also refuses a
+time it cannot evaluate before anything is copied), applied to a copy of the
+state in one in-place per-bit sweep (``apply_per_bit``); O(dim * (L+1)) per
+call, with a fixed-size buffer as the only other memory.  A one-hot start (a
+basis node times a unit phase) is its distance-class table gathered over the
+nodes instead (``spectral.basis_start_classes``), in O(dim).  The
 literal-definition oracles it is tested against live in the test suite.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ._walsh import apply_per_bit
 from .operators import NORM_TOL, StateVector
-from .spectral import basis_start_amplitudes, bit_factor
+from .spectral import basis_start_classes, bit_factor
 from .subsets import Level
 
 class EvolutionEngine:
@@ -43,11 +43,20 @@ def evolve(
     """State at time t from the given initial state.
 
     The input must be normalized; pass renormalize=True to scale it instead
-    of rejecting it.  Output norm is preserved to machine precision.
+    of rejecting it.  Output norm is preserved to machine precision.  A time
+    that bit_factor refuses is refused before the start is scaled or copied.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
-    return _evolve_spectral(checked_start(engine, initial, renormalize), t)
+    factor = bit_factor(t)
+    start = checked_start(engine, initial, renormalize)
+    amps = start.amps
+    # a one-hot start stays a product state
+    sigma = one_hot_node(amps)
+    if sigma is not None:
+        out = basis_start_classes(start.level, sigma, t, amps[sigma]).materialize()
+    else:
+        out = amps.copy()
+        apply_per_bit(out, factor)
+    return StateVector(start.level, out)
 
 
 def checked_start(
@@ -78,14 +87,3 @@ def one_hot_node(amps: np.ndarray) -> int | None:
         return None
     return int(np.flatnonzero(amps)[0])
 
-
-def _evolve_spectral(initial: StateVector, t: float) -> StateVector:
-    amps = initial.amps
-    # a one-hot start stays a product state
-    sigma = one_hot_node(amps)
-    if sigma is not None:
-        out = basis_start_amplitudes(initial.level, sigma, t, amps[sigma])
-        return StateVector(initial.level, out)
-    out = amps.copy()
-    apply_per_bit(out, bit_factor(t))
-    return StateVector(initial.level, out)

@@ -17,8 +17,10 @@ initial state:
   sum equals the integral exactly; M = 2L+4 keeps one point of margin.
   ``krawtchouk`` names the closed form alone and refuses such states.
 
-The literal double sum over equal-cardinality index pairs, the ground-truth
-oracle for both, lives in the test suite.
+Every probability is rounded the same way, by ``probabilities``: the
+magnitude of each amplitude, squared in place.  The literal double sum over
+equal-cardinality index pairs, the ground-truth oracle for both averages,
+lives in the test suite.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from .evolution import EvolutionEngine, checked_start, evolve, one_hot_node
 from .formatting import iter_csv
 from .operators import StateVector
-from .spectral import ClassTable, basis_start_amplitudes, basis_start_classes, basis_start_table
+from .spectral import ClassTable, basis_start_classes
 from .subsets import Level, cardinality
 
 TIME_AVERAGE_METHODS = ("quadrature", "krawtchouk")
@@ -75,31 +77,33 @@ class SymmetryReport(NamedTuple):
     worst_node: int
 
 
+def probabilities(amps: np.ndarray) -> np.ndarray:
+    """Occupation probabilities |a|**2 of an array of amplitudes: np.abs,
+    then squared in place."""
+    probs = np.abs(amps)
+    np.square(probs, out=probs)
+    return probs
+
+
 def distribution_at(engine: EvolutionEngine, initial: StateVector, t: float) -> Distribution:
     """Pointwise distribution: squared amplitude magnitudes of the evolved state."""
     state = evolve(engine, initial, t)
-    probs = np.abs(state.amps)
-    np.square(probs, out=probs)
-    return Distribution(level=engine.level, probs=probs, time=float(t))
+    return Distribution(level=engine.level, probs=probabilities(state.amps), time=float(t))
 
 
 def closed_form_pt(sigma: int, t: float, level: Level) -> float:
     """Vacuum-start occupation probability of one node at time t, in closed form.
 
     The walk from the vacuum is a product state, so the amplitude at sigma is
-    one entry of the basis-start table: the one at distance popcount(sigma).
+    one entry of its class table: the one at distance popcount(sigma).
     """
     level.validate_node(sigma)
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
-    return abs(basis_start_table(t, level.L + 1)[cardinality(sigma)]) ** 2
+    return probabilities(basis_start_classes(level, 0, t).table)[cardinality(sigma)]
 
 
 def closed_form_distribution(level: Level, t: float) -> Distribution:
     """Vacuum-start distribution over all nodes via the closed form."""
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t!r}")
-    probs = np.abs(basis_start_amplitudes(level, 0, t)) ** 2
+    probs = probabilities(basis_start_classes(level, 0, t).materialize())
     return Distribution(level=level, probs=probs, time=float(t))
 
 
@@ -116,9 +120,9 @@ def time_average(
     """Average distribution over one period of the walk.
 
     From a basis node, under either method, this is node_time_average's
-    exact table gathered over the nodes.  Any other normalized initial state
-    (with an engine on its level) takes the quadrature loop; krawtchouk
-    rejects it.
+    exact table gathered over the nodes, labelled krawtchouk.  Any other
+    normalized initial state (with an engine on its level) takes the
+    quadrature loop, labelled quadrature; krawtchouk rejects it.
     """
     level = initial.level
     if method not in TIME_AVERAGE_METHODS:
@@ -127,21 +131,18 @@ def time_average(
         )
     if engine is None:
         engine = EvolutionEngine(level)
-    elif engine.level != level:
-        raise ValueError("engine level does not match the initial state")
+    checked_start(engine, initial)
     sigma = one_hot_node(initial.amps)
     if sigma is not None:
-        checked_start(engine, initial)
-        probs = node_time_average(level, sigma).materialize()
-    elif method == "krawtchouk":
+        return TimeAverageDistribution(level, node_time_average(level, sigma).materialize(), "krawtchouk")
+    if method == "krawtchouk":
         raise ValueError("krawtchouk requires a basis-node initial state (one nonzero amplitude)")
-    else:
-        m = quadrature_point_count(level)
-        probs = np.zeros(level.dim, dtype=np.float64)
-        for j in range(m):
-            probs += distribution_at(engine, initial, j * math.pi / m).probs
-        probs /= m
-    return TimeAverageDistribution(level=level, probs=probs, method=method)
+    m = quadrature_point_count(level)
+    probs = np.zeros(level.dim, dtype=np.float64)
+    for j in range(m):
+        probs += distribution_at(engine, initial, j * math.pi / m).probs
+    probs /= m
+    return TimeAverageDistribution(level=level, probs=probs, method="quadrature")
 
 
 def node_time_average(level: Level, sigma: int) -> ClassTable:
@@ -190,9 +191,7 @@ def pst_check(sigma: int, tau: int, t0: float, engine: EvolutionEngine) -> float
     level = engine.level
     level.validate_node(sigma)
     level.validate_node(tau)
-    if not math.isfinite(t0):
-        raise ValueError(f"time must be finite, got {t0!r}")
-    return float(abs(basis_start_classes(level, sigma, t0).at(tau)))
+    return float(np.abs(basis_start_classes(level, sigma, t0).table)[(sigma ^ tau).bit_count()])
 
 
 def distribution_csv(dist: TimeAverageDistribution | Distribution) -> str:

@@ -76,11 +76,14 @@ def _bit_amplitudes(t: float) -> tuple[complex, complex]:
     """(a0, a1) = ((1+z)/2, (1-z)/2) with z = exp(2it): e^{it}(cos t I - i sin t X)
     maps one bit to a0 times itself plus a1 times its flip.
 
-    The only place the walk's phase is computed.  libm reduces the exact
-    argument 2t correctly at any magnitude; reducing t by the float pi first
-    would round the phase away at large t.  Above T_MAX the argument 2t
-    overflows, so such a time is refused.
+    The only place the walk's phase is computed, and so the only check of a
+    time: it must be finite.  libm reduces the exact argument 2t correctly at
+    any magnitude; reducing t by the float pi first would round the phase
+    away at large t.  Above T_MAX the argument 2t overflows, so such a time
+    is refused too.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t!r}")
     if abs(t) > T_MAX:
         raise ValueError(f"time {t!r} exceeds the largest evaluable magnitude {T_MAX!r}")
     z = cmath.exp(2j * t)
@@ -94,29 +97,17 @@ def bit_factor(t: float) -> np.ndarray:
     return np.array([[a0, a1], [a1, a0]], dtype=np.complex128)
 
 
-def basis_start_table(t: float, n: int) -> np.ndarray:
-    """a0**(n-d) * a1**d for d = 0..n (see bit_factor).
-
-    Over n bits a basis start reaches every index at Hamming distance d with
-    amplitude a0**(n-d) * a1**d.
-    """
-    a0, a1 = _bit_amplitudes(t)
-    return np.array([a0 ** (n - d) * a1**d for d in range(n + 1)], dtype=np.complex128)
-
-
 def basis_start_classes(level: Level, sigma: int, t: float, coeff: complex = 1.0) -> ClassTable:
     """Amplitudes at time t of the walk started from coeff times node sigma.
 
-    The generator is a sum of commuting one-bit terms, so the evolved state is
-    a product state: amp[g] = coeff * a0**(m-d) * a1**d, d = popcount(g ^ sigma),
-    one entry of basis_start_table per distance.
+    The generator is a sum of commuting one-bit terms (see bit_factor), so
+    the evolved state is a product state: over m = L+1 bits, node g holds
+    coeff * a0**(m-d) * a1**d, d = popcount(g ^ sigma), one entry per distance.
     """
-    return ClassTable(level, sigma, basis_start_table(t, level.L + 1) * coeff)
-
-
-def basis_start_amplitudes(level: Level, sigma: int, t: float, coeff: complex = 1.0) -> np.ndarray:
-    """basis_start_classes gathered over the nodes: one dim-sized output."""
-    return basis_start_classes(level, sigma, t, coeff).materialize()
+    a0, a1 = _bit_amplitudes(t)
+    m = level.L + 1
+    table = np.array([a0 ** (m - d) * a1**d for d in range(m + 1)], dtype=np.complex128)
+    return ClassTable(level, sigma, table * coeff)
 
 
 @dataclass(frozen=True)

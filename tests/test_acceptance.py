@@ -287,8 +287,8 @@ def test_criterion_09_engine_triangulation():
 
 
 def test_criterion_10_performance():
-    # the vacuum takes the closed form for basis starts; a dense state keeps
-    # the transform route under the same budget
+    # the vacuum takes the gathered class table of a basis start; a dense
+    # state takes the per-bit sweep under the same budget
     failures = []
     lv = Level(20)
     engine = EvolutionEngine(lv)

@@ -21,10 +21,10 @@ from hyperwalk import (
     time_average,
 )
 import hyperwalk
-from hyperwalk import evolution, graph, measure, spectral
+from hyperwalk import graph
 from hyperwalk.cli import _parse_pi_fraction, main
 from hyperwalk.formatting import format_float
-from hyperwalk.spectral import ClassTable, basis_start_table
+from hyperwalk.spectral import ClassTable, basis_start_classes
 
 from helpers import reference_csv, reference_dumps_json
 
@@ -182,6 +182,7 @@ def test_graph_formats(capsys):
 _UNRECOGNIZED = "unrecognized arguments: --engine "
 _TOL = "argument --tol: tolerance must be finite and >= 0, got "
 _HUGE_T = "error: time {} exceeds the largest evaluable magnitude 8.988465674311579e+307\n"
+_FRACTION = "error: expected an integer fraction like '1/2', got {!r}\n"
 REFUSED = [
     # removed options and choices
     (["evolve", "--t", "1", "--engine", "product"], _UNRECOGNIZED + "product"),
@@ -198,6 +199,9 @@ REFUSED = [
     # values the walk cannot serve
     *[(["pst", f"--tol={tol}"], _TOL + repr(tol)) for tol in ("nan", "-1", "inf")],
     *[([command, f"{flag}={t}"], _HUGE_T.format(t)) for command, flag in (("evolve", "--t"), ("pst", "--t0")) for t in ("1e+308", "-1e+308")],
+    *[([command, f"{flag}={t}"], f"error: time must be finite, got {t}\n")
+      for command, flag, t in (("evolve", "--t", "inf"), ("evolve", "--t", "nan"), ("evolve", "--t", "-inf"), ("pst", "--t0", "nan"), ("pst", "--t0", "inf"))],
+    *[([command, flag, p], _FRACTION.format(p)) for command, flag in (("evolve", "--t-pi-fraction"), ("pst", "--t0-pi-fraction")) for p in ("1/", "3/")],
 ]
 
 
@@ -228,6 +232,15 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["L"] == 1
+
+
+@pytest.mark.parametrize("target", ["missing/spectrum.json", "."])
+def test_unopenable_out_exits_2(tmp_path, capsys, target):
+    path = tmp_path / target
+    code, out, err = run_cli(capsys, "spectrum", "--L", "1", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(f"{str(path)!r}\n") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
 
 
 def test_env_cap_override(capsys, monkeypatch):
@@ -423,8 +436,6 @@ def test_node_starts_gather_nothing_node_sized(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(np, "unique", refuse)
     monkeypatch.setattr(ClassTable, "materialize", refuse)
-    for module in (spectral, evolution, measure):
-        monkeypatch.setattr(module, "basis_start_amplitudes", refuse)
     for argv in (
         ["evolve", "--t", "0.7", "--initial", "0,5"],
         ["evolve", "--t", "0.7", "--initial", "0,5", "--amplitudes"],
@@ -455,7 +466,7 @@ def test_evolve_at_the_level_cap_streams_in_little_memory():
     assert usage.ru_maxrss <= 256 << 10, usage.ru_maxrss  # KiB
 
     # node g holds |a0**(m-d) * a1**d|**2 at distance d = popcount(g ^ node)
-    table = np.square(np.abs(basis_start_table(t, L + 1)))
+    table = np.square(np.abs(basis_start_classes(Level(L), node, t).table))
     prefix = f'{{"schema":"hyperwalk/1","L":{L},"engine":"spectral","initial":"{{0,5}}","t":{format_float(t)},"probs":['
     cells = sum(math.comb(L + 1, d) * (len(format_float(p)) + 1) for d, p in enumerate(table))
     assert count == len(prefix) + cells - 1 + len("]}\n")

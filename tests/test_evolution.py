@@ -18,7 +18,7 @@ from hyperwalk import (
     pst_check,
     vacuum_state,
 )
-from hyperwalk.spectral import T_MAX, basis_start_amplitudes, from_eigenbasis, to_eigenbasis
+from hyperwalk.spectral import T_MAX, basis_start_classes, from_eigenbasis, to_eigenbasis
 
 from helpers import (
     LARGE_TIMES,
@@ -257,9 +257,9 @@ def _count_closed_form(monkeypatch):
 
     def counted(*args):
         calls.append(1)
-        return basis_start_amplitudes(*args)
+        return basis_start_classes(*args)
 
-    monkeypatch.setattr(evolution, "basis_start_amplitudes", counted)
+    monkeypatch.setattr(evolution, "basis_start_classes", counted)
     return calls
 
 
@@ -361,3 +361,20 @@ def test_dense_evolve_peaks_near_one_state():
         tracemalloc.stop()
     assert out.amps.nbytes == start.amps.nbytes
     assert peak <= 1.25 * start.amps.nbytes, peak / start.amps.nbytes
+
+
+def test_a_refused_time_allocates_nothing_node_sized():
+    # at L = 18 one complex node array is 8 MiB; the time is refused before
+    # the start is renormalized or copied
+    lv = Level(18)
+    engine = EvolutionEngine(lv)
+    start = random_state(lv, np.random.default_rng(18))
+    start.amps *= 3.0
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the largest evaluable magnitude"):
+            evolve(engine, start, 1e308, renormalize=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak

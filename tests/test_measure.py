@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -28,7 +29,8 @@ from hyperwalk import (
     vacuum_state,
 )
 from hyperwalk import measure
-from hyperwalk.cli import _parse_pi_fraction, build_parser, cmd_pst
+from hyperwalk.cli import _parse_pi_fraction, build_parser, cmd_pst, main
+from hyperwalk.spectral import T_MAX
 
 from helpers import (
     LARGE_TIMES,
@@ -253,7 +255,7 @@ def test_node_quadrature_keeps_the_evolve_errors():
         quadrature_oracle(start)
     assert "not normalized" in str(fast.value)
     assert str(fast.value) == str(loop.value)
-    with pytest.raises(ValueError, match="engine level does not match the initial state"):
+    with pytest.raises(ValueError, match="engine level L=2 does not match state level L=3"):
         time_average(basis_state(lv, 5), engine=EvolutionEngine(Level(2)))
 
 
@@ -518,3 +520,56 @@ def test_pst_check_rejects_non_finite_times():
     for t0 in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="time must be finite"):
             pst_check(0, 1, t0, engine)
+
+
+# every call that takes a time, on a node start and on a dense one
+TIME_TAKING = {
+    "evolve": lambda lv, t: evolve(EvolutionEngine(lv), vacuum_state(lv), t),
+    "evolve dense": lambda lv, t: evolve(EvolutionEngine(lv), random_state(lv, np.random.default_rng(7)), t),
+    "distribution_at": lambda lv, t: distribution_at(EvolutionEngine(lv), vacuum_state(lv), t),
+    "closed_form_pt": lambda lv, t: closed_form_pt(1, t, lv),
+    "closed_form_distribution": lambda lv, t: closed_form_distribution(lv, t),
+    "pst_check": lambda lv, t: pst_check(0, 1, t, EvolutionEngine(lv)),
+}
+
+
+@pytest.mark.parametrize("name", TIME_TAKING)
+def test_every_time_is_checked_with_the_same_messages(name):
+    call = TIME_TAKING[name]
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=re.escape(f"time must be finite, got {t!r}")):
+            call(Level(2), t)
+    with pytest.raises(ValueError, match=re.escape(f"time 1e+308 exceeds the largest evaluable magnitude {T_MAX!r}")):
+        call(Level(2), 1e308)
+
+
+@pytest.mark.parametrize("L", [0, 1, 4, 9, 17])
+def test_closed_form_pt_is_an_entry_of_the_closed_form_distribution(L):
+    lv = Level(L)
+    rng = np.random.default_rng(3000 + L)
+    nodes = range(lv.dim) if lv.dim <= 64 else rng.integers(0, lv.dim, size=64).tolist()
+    for t in [0.4, 1e12, *rng.uniform(-10.0, 10.0, size=40 if L < 17 else 8).tolist()]:
+        probs = closed_form_distribution(lv, t).probs
+        assert probs.tolist() == distribution_at(EvolutionEngine(lv), vacuum_state(lv), t).probs.tolist()
+        for s in nodes:
+            assert closed_form_pt(s, t, lv) == probs[s], (s, t)
+
+
+@pytest.mark.parametrize("L", range(10))
+def test_pst_check_equals_the_cli_fidelity(L, capsys):
+    lv = Level(L)
+    engine = EvolutionEngine(lv)
+    rng = np.random.default_rng(4000 + L)
+    for sigma, t in zip(rng.integers(0, lv.dim, size=4).tolist(), rng.uniform(-10.0, 10.0, size=4).tolist()):
+        assert main(["pst", "--L", str(L), "--from", format_node(sigma), f"--t0={t!r}"]) == 0
+        fidelities = json.loads(capsys.readouterr().out)["fidelities"]
+        assert [pst_check(sigma, tau, t, engine) for tau in range(lv.dim)] == fidelities, (sigma, t)
+
+
+def test_time_average_records_the_method_it_used(rng):
+    lv = Level(1)
+    assert distribution_json_dict(time_average(basis_state(lv, 0)))["method"] == "krawtchouk"
+    assert time_average(basis_state(lv, 3), "krawtchouk").method == "krawtchouk"
+    two_hot = StateVector(lv, np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2.0))
+    assert distribution_json_dict(time_average(two_hot))["method"] == "quadrature"
+    assert time_average(random_state(lv, rng)).method == "quadrature"

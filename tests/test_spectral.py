@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hyperwalk import (
+    EvolutionEngine,
     Level,
     Spectrum,
     StateVector,
@@ -12,6 +13,7 @@ from hyperwalk import (
     basis_state,
     eigenvalue_of,
     eigenvalues_by_index,
+    evolve,
     from_eigenbasis,
     materialize_matrix,
     spectrum,
@@ -20,7 +22,7 @@ from hyperwalk import (
 )
 from hyperwalk._walsh import apply_per_bit, sign_column
 from hyperwalk.formatting import dumps_json
-from hyperwalk.spectral import ClassTable, basis_start_amplitudes, basis_start_classes
+from hyperwalk.spectral import ClassTable, basis_start_classes
 
 from helpers import literal_kernel_matrix, pm1_transform, popcount, random_state
 
@@ -193,13 +195,13 @@ def test_class_table_argmax_is_numpy_argmax_with_ties(rng):
         assert table.argmax() == int(np.argmax(table.materialize()))
 
 
-def test_basis_start_classes_gather_to_basis_start_amplitudes():
+def test_basis_start_classes_gather_to_evolve():
     for L in (0, 3, 6):
         lv = Level(L)
         for sigma in (0, 5 % lv.dim, lv.full_mask):
             for t in (0.0, 0.4, -2.9, 1e12):
                 table = basis_start_classes(lv, sigma, t)
-                amps = basis_start_amplitudes(lv, sigma, t)
+                amps = evolve(EvolutionEngine(lv), basis_state(lv, sigma), t).amps
                 assert np.array_equal(table.materialize(), amps)
                 pairs = table.with_table(table.table.view(np.float64).reshape(*table.table.shape, 2))
                 assert np.array_equal(pairs.materialize(), amps.view(np.float64).reshape(-1, 2))
