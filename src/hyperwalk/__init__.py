@@ -7,124 +7,45 @@ tensor power of one 2×2 factor per element.  One engine applies that factor
 (in closed form from a node); the period average is the exact per-distance
 value from a node and the quadrature from any other state.  The
 literal-definition oracles they are checked against live in the test suite.
+
+Every public name is imported from its module on first access (PEP 562), and
+numpy only by the functions that build or take node-sized arrays, so the
+command line, which computes and writes per-distance tables, never loads it.
 """
 
-from .evolution import (
-    EvolutionEngine,
-    evolve,
-)
-from .graph import (
-    GRAPH_FORMATS,
-    adjacency_matrix,
-    edge_count,
-    edges,
-    export_graph,
-    graph_json_dict,
-    graph_laplacian_matrix,
-    is_adjacent,
-    neighborhood,
-)
-from .measure import (
-    TIME_AVERAGE_METHODS,
-    Distribution,
-    SymmetryReport,
-    TimeAverageDistribution,
-    closed_form_distribution,
-    closed_form_pt,
-    distribution_at,
-    distribution_csv,
-    distribution_json_dict,
-    is_symmetric,
-    pst_check,
-    quadrature_point_count,
-    time_average,
-    vacuum_average_value,
-)
-from .operators import (
-    DENSE_CAP,
-    StateVector,
-    apply_hat_involution,
-    apply_involution,
-    apply_involution_product,
-    apply_laplacian,
-    basis_state,
-    inner_product,
-    materialize_matrix,
-    vacuum_state,
-)
-from .spectral import (
-    Spectrum,
-    SpectrumEntry,
-    eigenvalue_of,
-    eigenvalues_by_index,
-    from_eigenbasis,
-    spectrum,
-    to_eigenbasis,
-)
-from .subsets import (
-    DEFAULT_MAX_LEVEL,
-    Level,
-    cardinality,
-    complement,
-    elements,
-    format_node,
-    max_level,
-    parse_node,
-    symmetric_difference,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_MAX_LEVEL",
-    "DENSE_CAP",
-    "GRAPH_FORMATS",
-    "TIME_AVERAGE_METHODS",
-    "Distribution",
-    "EvolutionEngine",
-    "Level",
-    "Spectrum",
-    "SpectrumEntry",
-    "StateVector",
-    "SymmetryReport",
-    "TimeAverageDistribution",
-    "adjacency_matrix",
-    "apply_hat_involution",
-    "apply_involution",
-    "apply_involution_product",
-    "apply_laplacian",
-    "basis_state",
-    "cardinality",
-    "closed_form_distribution",
-    "closed_form_pt",
-    "complement",
-    "distribution_at",
-    "distribution_csv",
-    "distribution_json_dict",
-    "edge_count",
-    "edges",
-    "eigenvalue_of",
-    "eigenvalues_by_index",
-    "elements",
-    "evolve",
-    "export_graph",
-    "format_node",
-    "from_eigenbasis",
-    "graph_json_dict",
-    "graph_laplacian_matrix",
-    "inner_product",
-    "is_adjacent",
-    "is_symmetric",
-    "materialize_matrix",
-    "max_level",
-    "neighborhood",
-    "parse_node",
-    "pst_check",
-    "quadrature_point_count",
-    "spectrum",
-    "symmetric_difference",
-    "time_average",
-    "to_eigenbasis",
+_EXPORTS = {
+    "evolution": "EvolutionEngine evolve",
+    "graph": "GRAPH_FORMATS adjacency_matrix edge_count edges export_graph graph_json_dict "
+    "graph_laplacian_matrix is_adjacent neighborhood",
+    "measure": "TIME_AVERAGE_METHODS Distribution SymmetryReport TimeAverageDistribution "
+    "closed_form_distribution closed_form_pt distribution_at distribution_csv "
+    "distribution_json_dict is_symmetric pst_check quadrature_point_count time_average "
     "vacuum_average_value",
+    "operators": "DENSE_CAP StateVector apply_hat_involution apply_involution "
+    "apply_involution_product apply_laplacian basis_state inner_product materialize_matrix "
     "vacuum_state",
-]
+    "spectral": "Spectrum SpectrumEntry eigenvalue_of eigenvalues_by_index from_eigenbasis "
+    "spectrum to_eigenbasis",
+    "subsets": "DEFAULT_MAX_LEVEL Level cardinality complement elements format_node max_level "
+    "parse_node symmetric_difference",
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+# constants, then classes, then functions, each alphabetical
+__all__ = sorted(_MODULE_OF, key=lambda name: (not name.isupper(), not name[0].isupper(), name))
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

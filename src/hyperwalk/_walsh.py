@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # numpy is imported where an array is built or taken
+    import numpy as np
 
 # Bits per Kronecker block (a 32×32 block) and bytes of the chunk buffer.
 # Measured on a 2-CPU Xeon with OpenBLAS at L = 20 and 22: 5-bit blocks beat
@@ -22,6 +25,7 @@ def apply_per_bit(a: np.ndarray, m2) -> None:
     buffer of SCRATCH_BYTES, each chunk copied back, so no temporary grows
     with len(a).
     """
+    import numpy as np
     n = a.shape[0]
     m = n.bit_length() - 1
     if a.ndim != 1 or n != 1 << m or a.dtype != np.complex128 or not a.flags.c_contiguous:
@@ -61,6 +65,7 @@ def _chunks(grid: np.ndarray, size: int):
 
 def sign_column(sigma: int, n: int) -> np.ndarray:
     """Vector of (-1)**popcount(i & sigma): one column of the unnormalized transform."""
+    import numpy as np
     counts = np.bitwise_count(np.arange(n, dtype=np.uint64) & np.uint64(sigma))
     return 1.0 - 2.0 * (counts & 1).astype(np.float64)
 

@@ -5,7 +5,8 @@ row order.  Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 
 Every subcommand that prints a value per node starts from a basis node, so
 it computes and writes a ClassTable: one entry per Hamming distance from
-that node, never a node-sized array, at any level up to the cap.
+that node, never a node-sized array, at any level up to the cap.  No
+subcommand imports numpy.
 """
 
 from __future__ import annotations
@@ -18,11 +19,9 @@ import re
 import sys
 from typing import Iterable
 
-import numpy as np
-
 from .formatting import format_float, iter_csv, iter_json
 from .graph import GRAPH_FORMATS, export_graph, graph_json_dict
-from .measure import is_symmetric, node_time_average, probabilities
+from .measure import is_symmetric, node_time_average, probability
 from .spectral import basis_start_classes, spectrum
 from .subsets import Level, format_node, parse_node
 
@@ -52,7 +51,10 @@ def _parse_pi_fraction(text: str) -> float:
     if den < 0:
         num, den = -num, -den
     # the walk is pi-periodic: reducing p mod q in integers keeps the time exact
-    return math.pi * (num % den) / den
+    try:
+        return math.pi * (num % den) / den
+    except OverflowError:
+        raise ValueError(f"pi fraction {text!r} has a denominator beyond the float range") from None
 
 
 def _resolve_time(value: float | None, fraction: str | None, default: float | None = None) -> float:
@@ -150,12 +152,13 @@ def cmd_evolve(args: argparse.Namespace) -> Iterable[str]:
     t = _resolve_time(args.t, args.t_pi_fraction)
     initial_node = parse_node(args.initial, level)
     amps = basis_start_classes(level, initial_node, t)
-    probs = amps.with_table(probabilities(amps.table))
+    probs = amps.with_table(tuple(map(probability, amps.table)))
     if args.format == "csv":
         if not args.amplitudes:
             return iter_csv("node,probability", [probs])
-        parts = [amps.with_table(amps.table.real), amps.with_table(amps.table.imag)]
-        return iter_csv("node,probability,amp_re,amp_im", [probs, *parts])
+        real = amps.with_table(tuple(a.real for a in amps.table))
+        imag = amps.with_table(tuple(a.imag for a in amps.table))
+        return iter_csv("node,probability,amp_re,amp_im", [probs, real, imag])
     doc: dict = {
         "schema": SCHEMA,
         "L": level.L,
@@ -165,8 +168,7 @@ def cmd_evolve(args: argparse.Namespace) -> Iterable[str]:
         "probs": probs,
     }
     if args.amplitudes:
-        # [re, im] entries over the complex table's own memory
-        doc["amps"] = amps.with_table(amps.table.view(np.float64).reshape(*amps.table.shape, 2))
+        doc["amps"] = amps.with_table(tuple((a.real, a.imag) for a in amps.table))
     return _json_document(doc)
 
 
@@ -195,9 +197,9 @@ def cmd_pst(args: argparse.Namespace) -> Iterable[str]:
     source = parse_node(args.source, level)
     t0 = _resolve_time(args.t0, args.t0_pi_fraction, default=math.pi / 2)
     amps = basis_start_classes(level, source, t0)
-    fidelities = amps.with_table(np.abs(amps.table))
+    fidelities = amps.with_table(tuple(map(abs, amps.table)))
     best = fidelities.argmax()
-    best_fid = float(fidelities.at(best))
+    best_fid = fidelities.at(best)
     if args.format == "csv":
         return iter_csv("node,fidelity", [fidelities])
     doc = {

@@ -13,12 +13,16 @@ literal-definition oracles it is tested against live in the test suite.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._walsh import apply_per_bit
 from .operators import NORM_TOL, StateVector
 from .spectral import basis_start_classes, bit_factor
 from .subsets import Level
+
+if TYPE_CHECKING:  # numpy is imported where an array is built or taken
+    import numpy as np
+
 
 class EvolutionEngine:
     """Handle binding the evolution to a fixed level.
@@ -49,10 +53,13 @@ def evolve(
     factor = bit_factor(t)
     start = checked_start(engine, initial, renormalize)
     amps = start.amps
-    # a one-hot start stays a product state
+    # a one-hot start stays a product state: its table times the start
+    # amplitude, in numpy's complex product, gathered over the nodes
     sigma = one_hot_node(amps)
     if sigma is not None:
-        out = basis_start_classes(start.level, sigma, t, amps[sigma]).materialize()
+        import numpy as np
+        classes = basis_start_classes(start.level, sigma, t)
+        out = classes.with_table(tuple(np.multiply(classes.table, amps[sigma]).tolist())).materialize()
     else:
         out = amps.copy()
         apply_per_bit(out, factor)
@@ -83,6 +90,7 @@ def one_hot_node(amps: np.ndarray) -> int | None:
 
     count_nonzero allocates nothing, so a dense state pays one pass.
     """
+    import numpy as np
     if np.count_nonzero(amps) != 1:
         return None
     return int(np.flatnonzero(amps)[0])

@@ -7,11 +7,14 @@ stored; everything derives from the adjacency predicate.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .formatting import dumps_json
 from .operators import DENSE_CAP
 from .subsets import Level, format_node
+
+if TYPE_CHECKING:  # numpy is imported where an array is built or taken
+    import numpy as np
 
 GRAPH_FORMATS = ("dot", "json", "edge-list")
 EXPORT_CAP = 4096
@@ -47,6 +50,7 @@ def edges(level: Level) -> list[tuple[int, int]]:
 
 def adjacency_matrix(level: Level) -> np.ndarray:
     """Dense 0/1 adjacency matrix built from the adjacency predicate."""
+    import numpy as np
     if level.dim > DENSE_CAP:
         raise ValueError(f"dimension {level.dim} exceeds dense cap {DENSE_CAP}")
     idx = np.arange(level.dim, dtype=np.uint64)
@@ -56,6 +60,7 @@ def adjacency_matrix(level: Level) -> np.ndarray:
 
 def graph_laplacian_matrix(level: Level) -> np.ndarray:
     """Dense integer Laplacian: degree on the diagonal minus adjacency."""
+    import numpy as np
     adj = adjacency_matrix(level)
     return (level.L + 1) * np.eye(level.dim, dtype=np.int64) - adj
 

@@ -17,10 +17,10 @@ initial state:
   sum equals the integral exactly; M = 2L+4 keeps one point of margin.
   ``krawtchouk`` names the closed form alone and refuses such states.
 
-Every probability is rounded the same way, by ``probabilities``: the
-magnitude of each amplitude, squared in place.  The literal double sum over
-equal-cardinality index pairs, the ground-truth oracle for both averages,
-lives in the test suite.
+Every probability is rounded the same way, as re² + im²: ``probability``
+on one amplitude, ``probabilities`` bit for bit on an array.  The literal
+double sum over equal-cardinality index pairs, the ground-truth oracle for
+both averages, lives in the test suite.
 """
 
 from __future__ import annotations
@@ -28,15 +28,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
+from ._walsh import SCRATCH_BYTES
 from .evolution import EvolutionEngine, checked_start, evolve, one_hot_node
 from .formatting import iter_csv
 from .operators import StateVector
 from .spectral import ClassTable, basis_start_classes
 from .subsets import Level, cardinality
+
+if TYPE_CHECKING:  # numpy is imported where an array is built or taken
+    import numpy as np
 
 TIME_AVERAGE_METHODS = ("quadrature", "krawtchouk")
 
@@ -50,6 +52,7 @@ class Distribution:
     time: float | None = None
 
     def __post_init__(self) -> None:
+        import numpy as np
         probs = np.ascontiguousarray(self.probs, dtype=np.float64)
         if probs.shape != (self.level.dim,):
             raise ValueError(f"probability array must have shape ({self.level.dim},)")
@@ -65,6 +68,7 @@ class TimeAverageDistribution:
     method: str
 
     def __post_init__(self) -> None:
+        import numpy as np
         probs = np.ascontiguousarray(self.probs, dtype=np.float64)
         if probs.shape != (self.level.dim,):
             raise ValueError(f"probability array must have shape ({self.level.dim},)")
@@ -77,11 +81,21 @@ class SymmetryReport(NamedTuple):
     worst_node: int
 
 
+def probability(z: complex) -> float:
+    """Occupation probability |z|**2 of one amplitude, rounded as re² + im²."""
+    return z.real * z.real + z.imag * z.imag
+
+
 def probabilities(amps: np.ndarray) -> np.ndarray:
-    """Occupation probabilities |a|**2 of an array of amplitudes: np.abs,
-    then squared in place."""
-    probs = np.abs(amps)
-    np.square(probs, out=probs)
+    """probability() of every amplitude of an array, bit for bit: the squared
+    real parts, plus the squared imaginary parts one fixed buffer at a time,
+    so nothing node-sized is allocated but the output."""
+    import numpy as np
+    probs = np.square(amps.real)
+    buf = np.empty(SCRATCH_BYTES // 8)
+    for a in range(0, len(probs), len(buf)):
+        part = amps.imag[a : a + len(buf)]
+        probs[a : a + len(buf)] += np.square(part, out=buf[: len(part)])
     return probs
 
 
@@ -98,7 +112,7 @@ def closed_form_pt(sigma: int, t: float, level: Level) -> float:
     one entry of its class table: the one at distance popcount(sigma).
     """
     level.validate_node(sigma)
-    return probabilities(basis_start_classes(level, 0, t).table)[cardinality(sigma)]
+    return probability(basis_start_classes(level, 0, t).table[cardinality(sigma)])
 
 
 def closed_form_distribution(level: Level, t: float) -> Distribution:
@@ -137,6 +151,7 @@ def time_average(
         return TimeAverageDistribution(level, node_time_average(level, sigma).materialize(), "krawtchouk")
     if method == "krawtchouk":
         raise ValueError("krawtchouk requires a basis-node initial state (one nonzero amplitude)")
+    import numpy as np
     m = quadrature_point_count(level)
     probs = np.zeros(level.dim, dtype=np.float64)
     for j in range(m):
@@ -147,7 +162,7 @@ def time_average(
 
 def node_time_average(level: Level, sigma: int) -> ClassTable:
     """The exact period average from node sigma, per Hamming distance."""
-    return ClassTable(level, sigma, np.array([float(p) for p in _period_averages(level.L + 1)]))
+    return ClassTable(level, sigma, tuple(float(p) for p in _period_averages(level.L + 1)))
 
 
 def _period_averages(m: int) -> list[Fraction]:
@@ -173,10 +188,11 @@ def is_symmetric(
     """Check invariance under node complement; reports the worst node."""
     if isinstance(dist, ClassTable):
         # the complement maps distance d to m - d
-        dev = dist.with_table(np.abs(dist.table - dist.table[::-1]))
+        dev = dist.with_table(tuple(abs(p - q) for p, q in zip(dist.table, reversed(dist.table))))
         worst = dev.argmax()
-        max_dev = float(dev.at(worst))
+        max_dev = dev.at(worst)
     else:
+        import numpy as np
         # the complement of node g is dim - 1 - g
         dev = np.abs(dist.probs - dist.probs[::-1])
         worst = int(np.argmax(dev))
@@ -191,7 +207,7 @@ def pst_check(sigma: int, tau: int, t0: float, engine: EvolutionEngine) -> float
     level = engine.level
     level.validate_node(sigma)
     level.validate_node(tau)
-    return float(np.abs(basis_start_classes(level, sigma, t0).table)[(sigma ^ tau).bit_count()])
+    return abs(basis_start_classes(level, sigma, t0).table[(sigma ^ tau).bit_count()])
 
 
 def distribution_csv(dist: TimeAverageDistribution | Distribution) -> str:

@@ -8,11 +8,13 @@ permutations; nothing in the hot path touches a matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._walsh import flip_bit, sign_column
 from .subsets import Level
+
+if TYPE_CHECKING:  # numpy is imported where an array is built or taken
+    import numpy as np
 
 DENSE_CAP = 4096
 NORM_TOL = 1e-12
@@ -29,6 +31,7 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
         amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
         if amps.shape != (self.level.dim,):
             raise ValueError(
@@ -37,9 +40,11 @@ class StateVector:
         self.amps = amps
 
     def norm(self) -> float:
+        import numpy as np
         return float(np.linalg.norm(self.amps))
 
     def is_normalized(self, tol: float = NORM_TOL) -> bool:
+        import numpy as np
         return abs(float(np.vdot(self.amps, self.amps).real) - 1.0) <= tol
 
     def normalized(self) -> "StateVector":
@@ -54,6 +59,7 @@ class StateVector:
 
 def basis_state(level: Level, sigma: int) -> StateVector:
     """One-hot state at node sigma."""
+    import numpy as np
     level.validate_node(sigma)
     amps = np.zeros(level.dim, dtype=np.complex128)
     amps[sigma] = 1.0
@@ -87,6 +93,7 @@ def apply_involution_product(sigma: int, state: StateVector) -> StateVector:
     The flips commute, so the product is order-free and acts as one XOR
     relabeling: out[g] = in[g ^ sigma].  The empty product is the identity.
     """
+    import numpy as np
     level = state.level
     level.validate_node(sigma)
     if sigma == 0:
@@ -105,6 +112,7 @@ def apply_hat_involution(sigma: int, state: StateVector) -> StateVector:
     (-1)**popcount(g & sigma) is (-1)**popcount(g & ~sigma).  Composing it
     with itself scales by dim; distinct sigma annihilate each other.
     """
+    import numpy as np
     level = state.level
     level.validate_node(sigma)
     col = sign_column(level.full_mask ^ sigma, level.dim)
@@ -126,6 +134,7 @@ def apply_laplacian(state: StateVector) -> StateVector:
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
     """Hermitian inner product, conjugate-linear in the first argument."""
+    import numpy as np
     require_same_level(a, b)
     return complex(np.vdot(a.amps, b.amps))
 
@@ -138,6 +147,7 @@ def materialize_matrix(kind: str, level: Level, index: int | None = None) -> np.
     "involution" (index = flip element) or "hat" (index = sign subset).
     Intended as a small-scale oracle; refused above DENSE_CAP nodes.
     """
+    import numpy as np
     if kind not in MATRIX_KINDS:
         raise ValueError(f"unknown operator kind {kind!r}; expected one of {MATRIX_KINDS}")
     if level.dim > DENSE_CAP:

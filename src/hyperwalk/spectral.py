@@ -14,12 +14,14 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ._walsh import apply_per_bit
 from .operators import StateVector
 from .subsets import Level, cardinality
+
+if TYPE_CHECKING:  # numpy is imported where an array is built or taken
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,7 @@ def eigenvalue_of(sigma: int, level: Level) -> int:
 
 def eigenvalues_by_index(level: Level) -> np.ndarray:
     """Float array of the eigenvalue at every basis index."""
+    import numpy as np
     cards = np.bitwise_count(np.arange(level.dim, dtype=np.uint64)).astype(np.float64)
     return 2.0 * (level.L + 1 - cards)
 
@@ -90,24 +93,23 @@ def _bit_amplitudes(t: float) -> tuple[complex, complex]:
     return (1.0 + z) / 2.0, (1.0 - z) / 2.0
 
 
-def bit_factor(t: float) -> np.ndarray:
+def bit_factor(t: float) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
     """The walk's one-bit factor R(t) = [[a0, a1], [a1, a0]]; the evolution
     unitary at time t is its tensor power over the L+1 bits."""
     a0, a1 = _bit_amplitudes(t)
-    return np.array([[a0, a1], [a1, a0]], dtype=np.complex128)
+    return ((a0, a1), (a1, a0))
 
 
-def basis_start_classes(level: Level, sigma: int, t: float, coeff: complex = 1.0) -> ClassTable:
-    """Amplitudes at time t of the walk started from coeff times node sigma.
+def basis_start_classes(level: Level, sigma: int, t: float) -> ClassTable:
+    """Amplitudes at time t of the walk started from node sigma.
 
     The generator is a sum of commuting one-bit terms (see bit_factor), so
     the evolved state is a product state: over m = L+1 bits, node g holds
-    coeff * a0**(m-d) * a1**d, d = popcount(g ^ sigma), one entry per distance.
+    a0**(m-d) * a1**d, d = popcount(g ^ sigma), one entry per distance.
     """
     a0, a1 = _bit_amplitudes(t)
     m = level.L + 1
-    table = np.array([a0 ** (m - d) * a1**d for d in range(m + 1)], dtype=np.complex128)
-    return ClassTable(level, sigma, table * coeff)
+    return ClassTable(level, sigma, tuple(a0 ** (m - d) * a1**d for d in range(m + 1)))
 
 
 @dataclass(frozen=True)
@@ -115,52 +117,55 @@ class ClassTable:
     """A value per node that depends on node g only through its Hamming
     distance d = popcount(g ^ sigma) from the start node sigma: g holds table[d].
 
-    table has shape (L+2,), one entry per distance 0..L+1, followed by the
-    shape of one entry, so a quantity over all 2**(L+1) nodes is carried in
-    O(L) numbers.
+    table is a tuple of L+2 Python numbers (or pairs of them), one entry per
+    distance 0..L+1, so a quantity over all 2**(L+1) nodes is carried in O(L)
+    numbers.
     """
 
     level: Level
     sigma: int
-    table: np.ndarray
+    table: tuple
 
     def __len__(self) -> int:
         return self.level.dim
 
-    def with_table(self, table: np.ndarray) -> ClassTable:
+    def with_table(self, table: tuple) -> ClassTable:
         """Another quantity over the same classes."""
         return ClassTable(self.level, self.sigma, table)
 
-    def at(self, g: int) -> np.ndarray:
+    def at(self, g: int):
         """The entry of node g."""
         return self.table[(g ^ self.sigma).bit_count()]
 
-    def grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def grid(self, lo: int | None = None) -> tuple[list[tuple], list[int], list[int]]:
         """(classes, rows, cols) on the node index read as the (2**hi, 2**lo)
-        grid g = i * 2**lo + j, with lo = (L+1) // 2: node g lies at distance
-        rows[i] + cols[j], the popcounts of the high and low bits of g ^ sigma,
-        so it holds classes[rows[i], cols[j]] with classes[r, c] = table[r + c],
-        of shape (hi+1, lo+1)."""
-        lo = (self.level.L + 1) // 2
-        hi = self.level.L + 1 - lo
-        rows = np.bitwise_count(np.arange(1 << hi, dtype=np.uint64) ^ np.uint64(self.sigma >> lo))
-        cols = np.bitwise_count(np.arange(1 << lo, dtype=np.uint64) ^ np.uint64(self.sigma & ((1 << lo) - 1)))
-        return self.table[np.add.outer(np.arange(hi + 1), np.arange(lo + 1))], rows, cols
+        grid g = i * 2**lo + j, with hi = L+1 - lo and by default lo = (L+1) // 2:
+        node g lies at distance rows[i] + cols[j], the popcounts of the high and
+        low bits of g ^ sigma, so it holds classes[rows[i]][cols[j]] with
+        classes[r][c] = table[r + c], hi+1 classes of lo+1 entries."""
+        m = self.level.L + 1
+        lo = m // 2 if lo is None else lo
+        high, low = self.sigma >> lo, self.sigma & ((1 << lo) - 1)
+        rows = [(i ^ high).bit_count() for i in range(1 << (m - lo))]
+        cols = [(j ^ low).bit_count() for j in range(1 << lo)]
+        return [self.table[r : r + lo + 1] for r in range(m - lo + 1)], rows, cols
 
     def materialize(self) -> np.ndarray:
-        """The entries of every node in index order: one gather of the grid."""
+        """The entries of every node in index order, as a numpy array: one
+        gather of the grid."""
+        import numpy as np
         classes, rows, cols = self.grid()
-        return np.take(classes[rows], cols, axis=1).reshape(self.level.dim, *self.table.shape[1:])
+        return np.take(np.array(classes)[rows], cols, axis=1).reshape(self.level.dim, *np.shape(self.table[0]))
 
     def argmax(self) -> int:
-        """np.argmax of materialize() for a 1-D table: the smallest node at a
-        distance that holds the largest entry.  Every row class occurs in rows
-        and every column class in cols, so the first grid row whose class
-        holds a maximum contains the answer."""
+        """np.argmax of materialize() for a table of real numbers: the smallest
+        node at a distance that holds the largest entry.  Every row class occurs
+        in rows and every column class in cols, so the first grid row whose
+        class holds a maximum contains the answer."""
         classes, rows, cols = self.grid()
-        hit = classes == classes.max()
-        i = int(np.argmax(hit.any(axis=1)[rows]))
-        return i * len(cols) + int(np.argmax(hit[rows[i]][cols]))
+        best = max(self.table)
+        i = next(i for i, r in enumerate(rows) if best in classes[r])
+        return i * len(cols) + next(j for j, c in enumerate(cols) if classes[rows[i]][c] == best)
 
 
 def spectrum(level: Level) -> Spectrum:
@@ -175,7 +180,8 @@ def spectrum(level: Level) -> Spectrum:
 
 # one-bit factor of the forward change of basis: row s, column g holds
 # (-1)**(g & ~s) / sqrt(2); the inverse applies its transpose
-_FORWARD_BIT = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
+_HALF_ROOT = 1.0 / math.sqrt(2.0)
+_FORWARD_BIT = ((_HALF_ROOT, -_HALF_ROOT), (_HALF_ROOT, _HALF_ROOT))
 
 
 def to_eigenbasis(state: StateVector) -> StateVector:
@@ -189,5 +195,5 @@ def to_eigenbasis(state: StateVector) -> StateVector:
 def from_eigenbasis(coeffs: StateVector) -> StateVector:
     """Inverse change of basis: the per-bit sweep of W's transpose."""
     work = coeffs.amps.copy()
-    apply_per_bit(work, _FORWARD_BIT.T)
+    apply_per_bit(work, tuple(zip(*_FORWARD_BIT)))
     return StateVector(coeffs.level, work)

@@ -202,6 +202,9 @@ REFUSED = [
     *[([command, f"{flag}={t}"], f"error: time must be finite, got {t}\n")
       for command, flag, t in (("evolve", "--t", "inf"), ("evolve", "--t", "nan"), ("evolve", "--t", "-inf"), ("pst", "--t0", "nan"), ("pst", "--t0", "inf"))],
     *[([command, flag, p], _FRACTION.format(p)) for command, flag in (("evolve", "--t-pi-fraction"), ("pst", "--t0-pi-fraction")) for p in ("1/", "3/")],
+    # a denominator beyond the float range
+    *[([command, flag, p], f"error: pi fraction {p!r} has a denominator beyond the float range\n")
+      for command, flag in (("evolve", "--t-pi-fraction"), ("pst", "--t0-pi-fraction")) for p in ("1/1" + "0" * 400, "-7/3" + "0" * 309)],
 ]
 
 
@@ -270,7 +273,7 @@ def _document(doc: dict) -> str:
 def _expected_evolve(L, t, node, amplitudes, fmt):
     lv = Level(L)
     amps = evolve(EvolutionEngine(lv), basis_state(lv, node), t).amps
-    probs = np.abs(amps) ** 2
+    probs = amps.real * amps.real + amps.imag * amps.imag
     if fmt == "csv":
         if amplitudes:
             return reference_csv("node,probability,amp_re,amp_im", [probs, amps.real, amps.imag])
@@ -297,7 +300,8 @@ def _expected_time_average(L, node, fmt):
 
 def _expected_pst(L, source, t0, fmt):
     lv = Level(L)
-    fidelities = np.abs(evolve(EvolutionEngine(lv), basis_state(lv, source), t0).amps)
+    amps = evolve(EvolutionEngine(lv), basis_state(lv, source), t0).amps
+    fidelities = np.hypot(amps.real, amps.imag)
     if fmt == "csv":
         return reference_csv("node,fidelity", [fidelities])
     best = int(np.argmax(fidelities))
@@ -465,8 +469,9 @@ def test_evolve_at_the_level_cap_streams_in_little_memory():
     assert os.waitstatus_to_exitcode(status) == 0
     assert usage.ru_maxrss <= 256 << 10, usage.ru_maxrss  # KiB
 
-    # node g holds |a0**(m-d) * a1**d|**2 at distance d = popcount(g ^ node)
-    table = np.square(np.abs(basis_start_classes(Level(L), node, t).table))
+    # node g holds |a0**(m-d) * a1**d|**2, rounded as re² + im², at distance
+    # d = popcount(g ^ node)
+    table = np.array([a.real * a.real + a.imag * a.imag for a in basis_start_classes(Level(L), node, t).table])
     prefix = f'{{"schema":"hyperwalk/1","L":{L},"engine":"spectral","initial":"{{0,5}}","t":{format_float(t)},"probs":['
     cells = sum(math.comb(L + 1, d) * (len(format_float(p)) + 1) for d, p in enumerate(table))
     assert count == len(prefix) + cells - 1 + len("]}\n")

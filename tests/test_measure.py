@@ -372,7 +372,7 @@ def test_class_table_symmetry_report_equals_the_gathered_one(rng):
             dist = TimeAverageDistribution(level=lv, probs=table.materialize(), method="krawtchouk")
             assert is_symmetric(table) == is_symmetric(dist)
             # an asymmetric table: the worst node is np.argmax's, ties included
-            table = table.with_table(rng.integers(0, 4, size=table.table.shape).astype(np.float64))
+            table = table.with_table(tuple(rng.integers(0, 4, size=len(table.table)).astype(np.float64).tolist()))
             dist = TimeAverageDistribution(level=lv, probs=table.materialize(), method="quadrature")
             assert is_symmetric(table) == is_symmetric(dist)
 
@@ -564,6 +564,44 @@ def test_pst_check_equals_the_cli_fidelity(L, capsys):
         assert main(["pst", "--L", str(L), "--from", format_node(sigma), f"--t0={t!r}"]) == 0
         fidelities = json.loads(capsys.readouterr().out)["fidelities"]
         assert [pst_check(sigma, tau, t, engine) for tau in range(lv.dim)] == fidelities, (sigma, t)
+
+
+@pytest.mark.parametrize("L", range(10))
+def test_closed_form_pt_equals_the_cli_probability(L, capsys):
+    lv = Level(L)
+    rng = np.random.default_rng(5000 + L)
+    for t in rng.uniform(-10.0, 10.0, size=4).tolist():
+        assert main(["evolve", "--L", str(L), f"--t={t!r}"]) == 0
+        probs = json.loads(capsys.readouterr().out)["probs"]
+        assert [closed_form_pt(s, t, lv) for s in range(lv.dim)] == probs, t
+
+
+def _rounding_samples(rng, n):
+    """Complex values of random magnitude, subnormal, tiny, near 1 and
+    large, with signed and zero parts."""
+    scale = 10.0 ** rng.uniform(-320, 150, size=n)
+    values = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
+    phase = np.exp(1j * rng.uniform(0.0, 2 * math.pi, size=n))
+    near_one = phase * (1.0 + rng.standard_normal(n) * 1e-15)
+    subnormal = (rng.integers(-50, 50, size=n) + 1j * rng.integers(-50, 50, size=n)) * 5e-324
+    edges = np.array([0j, -0.0 - 0j, 1 + 0j, 1j, -1j, 5e-324j, 1e-160 + 1e-160j, 1e153 + 1e153j])
+    return np.concatenate([values, near_one, subnormal, edges])
+
+
+def test_probabilities_equal_the_one_amplitude_rule_bit_for_bit(rng):
+    # more values than one buffer of the chunked sum holds, and not a multiple of it
+    amps = _rounding_samples(rng, 40000)
+    assert len(amps) > measure.SCRATCH_BYTES // 8 and len(amps) % (measure.SCRATCH_BYTES // 8)
+    got = measure.probabilities(amps)
+    want = np.array([measure.probability(z) for z in amps.tolist()])
+    assert got.dtype == np.float64 and got.shape == amps.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_fidelities_take_one_rounding_in_python_and_numpy(rng):
+    amps = _rounding_samples(rng, 20000)
+    fidelities = np.array([abs(z) for z in amps.tolist()])
+    assert np.array_equal(np.hypot(amps.real, amps.imag).view(np.uint64), fidelities.view(np.uint64))
 
 
 def test_time_average_records_the_method_it_used(rng):

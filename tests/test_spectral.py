@@ -176,8 +176,8 @@ def _random_tables(rng):
         lv = Level(L)
         for sigma in {0, lv.full_mask, int(rng.integers(lv.dim))}:
             # few distinct values, so maxima tie across distances
-            yield ClassTable(lv, sigma, rng.integers(0, 3, size=L + 2).astype(np.float64))
-            yield ClassTable(lv, sigma, rng.random(L + 2))
+            yield ClassTable(lv, sigma, tuple(rng.integers(0, 3, size=L + 2).astype(np.float64).tolist()))
+            yield ClassTable(lv, sigma, tuple(rng.random(L + 2).tolist()))
 
 
 def test_class_table_reads_the_distance_of_every_node(rng):
@@ -203,5 +203,5 @@ def test_basis_start_classes_gather_to_evolve():
                 table = basis_start_classes(lv, sigma, t)
                 amps = evolve(EvolutionEngine(lv), basis_state(lv, sigma), t).amps
                 assert np.array_equal(table.materialize(), amps)
-                pairs = table.with_table(table.table.view(np.float64).reshape(*table.table.shape, 2))
+                pairs = table.with_table(tuple((a.real, a.imag) for a in table.table))
                 assert np.array_equal(pairs.materialize(), amps.view(np.float64).reshape(-1, 2))
