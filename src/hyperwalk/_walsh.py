@@ -1,4 +1,12 @@
-"""In-place per-bit 2×2 kernel and sign-vector helpers."""
+"""The per-bit kernel and sign-vector helpers.
+
+Every operator the kernel applies is the tensor power of a one-bit factor
+r2 = phase * D m2 D, with m2 real and D = diag(1, d) for d in {1, -i}, so its
+power over m bits is phase**m * D^⊗m m2^⊗m D^⊗m: a real operator between two
+diagonals of units ±1, ±i, which multiply exactly.  The walk's factor is
+R(t) = e^{it} D M(t) D with M(t) = [[cos t, sin t], [sin t, -cos t]] and
+d = -i; the change of basis is real (phase 1, d = 1).
+"""
 
 from __future__ import annotations
 
@@ -7,45 +15,97 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # numpy is imported where an array is built or taken
     import numpy as np
 
-# Bits per Kronecker block (a 32×32 block) and bytes of the chunk buffer.
-# Measured on a 2-CPU Xeon with OpenBLAS at L = 20 and 22: 5-bit blocks beat
-# 3 and 4 bits by 15-30%; buffers of 256 KiB to 1 MiB time the same within
-# noise, 128 KiB is about 10% slower, 2 MiB and up slower again.
-BLOCK_BITS = 5
+# Bits per Kronecker block and bytes of the chunk buffer.  Measured on a
+# 2-CPU Xeon with OpenBLAS, distribution_at on a dense state (real blocks on
+# the higher groups, complex on the lowest), medians at L = 22: 3-bit blocks
+# 0.36 s, 4 bits (16×16) 0.33 s, 5 bits 0.34 s, 6 bits 0.41 s, 7 bits 0.51 s.
+# In ten alternated pairs 4 bits beat 5 in 7 to 10, at L = 20 (0.072 against
+# 0.078 s) and L = 22 (0.31 against 0.33 s).  Buffers of 256 KiB to 1 MiB time
+# the same within noise; 128 KiB and less, and 2 MiB and more, are slower.
+BLOCK_BITS = 4
 SCRATCH_BYTES = 1 << 18
 
 
-def apply_per_bit(a: np.ndarray, m2) -> None:
-    """Replace a, in place, with (m2 ⊗ ... ⊗ m2) a: entry [s, g] of the
-    operator is the product over bits k of m2[bit k of s, bit k of g].
+def apply_per_bit(
+    src: np.ndarray, m2, phase: complex = 1.0, d: complex = 1.0, square=None
+) -> np.ndarray:
+    """(r2 ⊗ ... ⊗ r2) src as a new array, for the one-bit factor
+    r2 = phase * D m2 D with D = diag(1, d): m2 is a real 2×2 matrix (a
+    complex one is refused), phase a unit complex number and d is 1 or -1j.
+    Entry [s, g] of the operator is the product over bits k of
+    r2[bit k of s, bit k of g].  src is not changed.
 
-    a must be a contiguous complex128 vector of power-of-two length.  Bits are
-    taken BLOCK_BITS at a time (the last group takes what remains); each
-    group's Kronecker block is applied by matrix products over chunks of one
-    buffer of SCRATCH_BYTES, each chunk copied back, so no temporary grows
-    with len(a).
+    src must be a contiguous complex128 vector of power-of-two length 2**m.
+    Bits are taken BLOCK_BITS at a time; the lowest group of b bits indexes
+    within a row of 2**b amplitudes, the others index the rows h.  Passes:
+
+    1. the new array is src times the unit d**popcount(h) of its row;
+    2. every higher group applies the real Kronecker block of m2, with real
+       matrix products on the float64 view of the complex array;
+    3. the lowest group applies, row by row, the complex block of r2 times
+       phase**(m - b), an integer power, and the row's unit again.
+
+    Each pass works in chunks of one buffer of SCRATCH_BYTES, so no temporary
+    grows with len(src).  With square, a function from complex chunks to real
+    arrays of their length that depends only on magnitudes (such as
+    measure.probabilities), pass 3 returns square of the result instead,
+    chunk by chunk, and never stores the result.  It squares each chunk
+    before the row units, which only permute and negate the real and
+    imaginary parts.
     """
     import numpy as np
-    n = a.shape[0]
+    n = src.shape[0]
     m = n.bit_length() - 1
-    if a.ndim != 1 or n != 1 << m or a.dtype != np.complex128 or not a.flags.c_contiguous:
+    if src.ndim != 1 or n != 1 << m or src.dtype != np.complex128 or not src.flags.c_contiguous:
         raise ValueError("expected a contiguous complex128 vector of power-of-two length")
-    m2 = np.asarray(m2, dtype=np.complex128)
-    scratch = np.empty(min(n, SCRATCH_BYTES // 16), dtype=np.complex128)
-    for low in range(0, m, BLOCK_BITS):
+    if np.iscomplexobj(m2):
+        raise ValueError("m2 must be real: complex content enters through phase and d")
+    m2 = np.asarray(m2, dtype=np.float64)
+    d = complex(d)
+    b = min(BLOCK_BITS, m)
+    size = min(n, max(SCRATCH_BYTES // 16, 1 << b))
+    scratch = np.empty(size, dtype=np.complex128)
+    # rows per chunk of passes 1 and 3: a power of two, so row r0 + i of a
+    # chunk has the unit d**(popcount(r0) + popcount(i)), one of four tables
+    step = 1 << ((size >> b).bit_length() - 1)
+    units = np.array([1, d, d * d, d * d * d])
+    tables = [units[(np.bitwise_count(np.arange(step)) + k) & 3][:, None] for k in range(4)]
+    src_rows, rows = src.reshape(-1, 1 << b), np.empty_like(src).reshape(-1, 1 << b)
+
+    for r0 in range(0, len(rows), step):
+        np.multiply(src_rows[r0 : r0 + step], tables[r0.bit_count() & 3], out=rows[r0 : r0 + step])
+
+    flat = rows.reshape(-1).view(np.float64)
+    for low in range(b, m, BLOCK_BITS):
         bits = min(BLOCK_BITS, m - low)
-        block = m2
-        for _ in range(bits - 1):
-            block = np.kron(block, m2)
-        # (rows, 2**bits, 2**low): the block acts along the middle axis
-        for src in _chunks(a.reshape(-1, 1 << bits, 1 << low), scratch.size):
-            out = scratch[: src.size].reshape(src.shape)
-            if low == 0:
-                # contiguous rows of 2**bits amplitudes: one product with block.T
-                np.matmul(src[..., 0], block.T, out=out[..., 0])
-            else:
-                np.matmul(block, src, out=out)
-            src[...] = out
+        block = _kron_power(m2, bits)
+        # (rows, 2**bits, 2 * 2**low) of floats: the block acts along the middle axis
+        for chunk in _chunks(flat.reshape(-1, 1 << bits, 2 << low), 2 * size):
+            res = scratch.view(np.float64)[: chunk.size].reshape(chunk.shape)
+            np.matmul(block, chunk, out=res)
+            chunk[...] = res
+
+    phase = complex(phase)
+    r2 = phase * np.array([[m2[0, 0], d * m2[0, 1]], [d * m2[1, 0], d * d * m2[1, 1]]])
+    block_t = (phase ** (m - b) * _kron_power(r2, b)).T
+    squares = None if square is None else np.empty(n)
+    for r0 in range(0, len(rows), step):
+        chunk = rows[r0 : r0 + step]
+        res = scratch[: chunk.size].reshape(chunk.shape)
+        np.matmul(chunk, block_t, out=res)
+        if squares is not None:
+            squares[r0 << b : (r0 + step) << b] = square(res.reshape(-1))
+        else:
+            np.multiply(res, tables[r0.bit_count() & 3], out=chunk)
+    return rows.reshape(-1) if squares is None else squares
+
+
+def _kron_power(m2: np.ndarray, bits: int) -> np.ndarray:
+    import numpy as np
+    block = np.ones((1, 1), dtype=m2.dtype)
+    for _ in range(bits):
+        block = np.kron(block, m2)
+    return block
 
 
 def _chunks(grid: np.ndarray, size: int):

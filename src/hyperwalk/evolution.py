@@ -2,13 +2,19 @@
 
 The generator has even integer eigenvalues, so the evolution unitary is
 exactly pi-periodic in time.  It is the tensor power of the one-bit factor
-R(t) = [[a0, a1], [a1, a0]] (``spectral.bit_factor``, which also refuses a
-time it cannot evaluate before anything is copied), applied to a copy of the
-state in one in-place per-bit sweep (``apply_per_bit``); O(dim * (L+1)) per
-call, with a fixed-size buffer as the only other memory.  A one-hot start (a
-basis node times a unit phase) is its distance-class table gathered over the
-nodes instead (``spectral.basis_start_classes``), in O(dim).  The
-literal-definition oracles it is tested against live in the test suite.
+R(t) = [[a0, a1], [a1, a0]] = e^{it} D M(t) D, with the real reflection
+M(t) = [[cos t, sin t], [sin t, -cos t]] and D = diag(1, -i)
+(``spectral.bit_factor``, which also refuses a time it cannot evaluate
+before anything is allocated).  The per-bit kernel (``apply_per_bit``)
+applies it from the state into a new array: the exact units of D on the
+high bits as it reads, the real blocks of M on the high bits, then R on the
+lowest bits with the other bits' phase e^{it} raised to an integer power,
+and the units again; O(dim * (L+1)) per call, with a fixed-size buffer as
+the only other memory.  ``distribution_at`` squares that last pass's chunks
+instead of storing them.  A one-hot start (a basis node times a unit phase)
+is its distance-class table gathered over the nodes instead
+(``spectral.basis_start_classes``), in O(dim).  The literal-definition
+oracles it is tested against live in the test suite.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from .subsets import Level
 
 if TYPE_CHECKING:  # numpy is imported where an array is built or taken
     import numpy as np
+
+ONE_HOT_PROBE = 16  # leading amplitudes one_hot_node reads before it counts them all
 
 
 class EvolutionEngine:
@@ -50,20 +58,30 @@ def evolve(
     of rejecting it.  Output norm is preserved to machine precision.  A time
     that bit_factor refuses is refused before the start is scaled or copied.
     """
-    factor = bit_factor(t)
+    return StateVector(engine.level, _evolve(engine, initial, t, renormalize))
+
+
+def _evolve(
+    engine: EvolutionEngine,
+    initial: StateVector,
+    t: float,
+    renormalize: bool = False,
+    square=None,
+) -> np.ndarray:
+    """evolve's amplitudes; with square (as apply_per_bit takes it), square
+    of them, taken chunk by chunk in the kernel's last pass."""
+    m2, phase, d = bit_factor(t)
     start = checked_start(engine, initial, renormalize)
     amps = start.amps
+    sigma = one_hot_node(amps)
+    if sigma is None:
+        return apply_per_bit(amps, m2, phase, d, square)
     # a one-hot start stays a product state: its table times the start
     # amplitude, in numpy's complex product, gathered over the nodes
-    sigma = one_hot_node(amps)
-    if sigma is not None:
-        import numpy as np
-        classes = basis_start_classes(start.level, sigma, t)
-        out = classes.with_table(tuple(np.multiply(classes.table, amps[sigma]).tolist())).materialize()
-    else:
-        out = amps.copy()
-        apply_per_bit(out, factor)
-    return StateVector(start.level, out)
+    import numpy as np
+    classes = basis_start_classes(start.level, sigma, t)
+    out = classes.with_table(tuple(np.multiply(classes.table, amps[sigma]).tolist())).materialize()
+    return out if square is None else square(out)
 
 
 def checked_start(
@@ -88,10 +106,11 @@ def checked_start(
 def one_hot_node(amps: np.ndarray) -> int | None:
     """The node of a state with exactly one nonzero amplitude, else None.
 
-    count_nonzero allocates nothing, so a dense state pays one pass.
+    Two nonzero amplitudes among the first ONE_HOT_PROBE settle a dense state
+    at once; any other state pays one count_nonzero pass, which allocates
+    nothing.
     """
     import numpy as np
-    if np.count_nonzero(amps) != 1:
+    if np.count_nonzero(amps[:ONE_HOT_PROBE]) > 1 or np.count_nonzero(amps) != 1:
         return None
     return int(np.flatnonzero(amps)[0])
-

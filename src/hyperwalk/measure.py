@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from ._walsh import SCRATCH_BYTES
-from .evolution import EvolutionEngine, checked_start, evolve, one_hot_node
+from .evolution import EvolutionEngine, _evolve, checked_start, one_hot_node
 from .formatting import iter_csv
 from .operators import StateVector
 from .spectral import ClassTable, basis_start_classes
@@ -100,9 +100,12 @@ def probabilities(amps: np.ndarray) -> np.ndarray:
 
 
 def distribution_at(engine: EvolutionEngine, initial: StateVector, t: float) -> Distribution:
-    """Pointwise distribution: squared amplitude magnitudes of the evolved state."""
-    state = evolve(engine, initial, t)
-    return Distribution(level=engine.level, probs=probabilities(state.amps), time=float(t))
+    """Pointwise distribution: squared amplitude magnitudes of the evolved
+    state, bit for bit probabilities(evolve(engine, initial, t).amps).  A
+    dense state's amplitudes are squared chunk by chunk as the kernel's last
+    pass makes them; the evolved amplitudes are never stored."""
+    probs = _evolve(engine, initial, t, square=probabilities)
+    return Distribution(level=engine.level, probs=probs, time=float(t))
 
 
 def closed_form_pt(sigma: int, t: float, level: Level) -> float:

@@ -75,29 +75,33 @@ def eigenvalues_by_index(level: Level) -> np.ndarray:
 T_MAX = sys.float_info.max / 2  # the largest |t| whose phase argument 2t is finite
 
 
-def _bit_amplitudes(t: float) -> tuple[complex, complex]:
-    """(a0, a1) = ((1+z)/2, (1-z)/2) with z = exp(2it): e^{it}(cos t I - i sin t X)
-    maps one bit to a0 times itself plus a1 times its flip.
+def _bit_amplitudes(t: float) -> tuple[complex, complex, float, float, complex]:
+    """(a0, a1, cos t, sin t, e^{it}), with (a0, a1) = ((1+z)/2, (1-z)/2) and
+    z = exp(2it): e^{it}(cos t I - i sin t X) maps one bit to a0 times itself
+    plus a1 times its flip.
 
     The only place the walk's phase is computed, and so the only check of a
-    time: it must be finite.  libm reduces the exact argument 2t correctly at
-    any magnitude; reducing t by the float pi first would round the phase
-    away at large t.  Above T_MAX the argument 2t overflows, so such a time
-    is refused too.
+    time: it must be finite.  libm reduces the exact arguments t and 2t
+    correctly at any magnitude; reducing t by the float pi first would round
+    the phase away at large t.  Above T_MAX the argument 2t overflows, so
+    such a time is refused too.
     """
     if not math.isfinite(t):
         raise ValueError(f"time must be finite, got {t!r}")
     if abs(t) > T_MAX:
         raise ValueError(f"time {t!r} exceeds the largest evaluable magnitude {T_MAX!r}")
     z = cmath.exp(2j * t)
-    return (1.0 + z) / 2.0, (1.0 - z) / 2.0
+    cos_t, sin_t = math.cos(t), math.sin(t)
+    return (1.0 + z) / 2.0, (1.0 - z) / 2.0, cos_t, sin_t, complex(cos_t, sin_t)
 
 
-def bit_factor(t: float) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    """The walk's one-bit factor R(t) = [[a0, a1], [a1, a0]]; the evolution
-    unitary at time t is its tensor power over the L+1 bits."""
-    a0, a1 = _bit_amplitudes(t)
-    return ((a0, a1), (a1, a0))
+def bit_factor(t: float) -> tuple[tuple, complex, complex]:
+    """The walk's one-bit factor R(t) = [[a0, a1], [a1, a0]] as the per-bit
+    kernel takes it, (M(t), e^{it}, -1j): R(t) = e^{it} D M(t) D with the real
+    M(t) = [[cos t, sin t], [sin t, -cos t]] and D = diag(1, -i).  The
+    evolution unitary at time t is its tensor power over the L+1 bits."""
+    _, _, cos_t, sin_t, phase = _bit_amplitudes(t)
+    return ((cos_t, sin_t), (sin_t, -cos_t)), phase, -1j
 
 
 def basis_start_classes(level: Level, sigma: int, t: float) -> ClassTable:
@@ -107,7 +111,7 @@ def basis_start_classes(level: Level, sigma: int, t: float) -> ClassTable:
     the evolved state is a product state: over m = L+1 bits, node g holds
     a0**(m-d) * a1**d, d = popcount(g ^ sigma), one entry per distance.
     """
-    a0, a1 = _bit_amplitudes(t)
+    a0, a1, *_ = _bit_amplitudes(t)
     m = level.L + 1
     return ClassTable(level, sigma, tuple(a0 ** (m - d) * a1**d for d in range(m + 1)))
 
@@ -186,14 +190,10 @@ _FORWARD_BIT = ((_HALF_ROOT, -_HALF_ROOT), (_HALF_ROOT, _HALF_ROOT))
 
 def to_eigenbasis(state: StateVector) -> StateVector:
     """Coefficients of the state on the signed eigenbasis: one per-bit sweep
-    of W = [[1, -1], [1, 1]] / sqrt(2) over a copy."""
-    work = state.amps.copy()
-    apply_per_bit(work, _FORWARD_BIT)
-    return StateVector(state.level, work)
+    of W = [[1, -1], [1, 1]] / sqrt(2) into a new array."""
+    return StateVector(state.level, apply_per_bit(state.amps, _FORWARD_BIT))
 
 
 def from_eigenbasis(coeffs: StateVector) -> StateVector:
     """Inverse change of basis: the per-bit sweep of W's transpose."""
-    work = coeffs.amps.copy()
-    apply_per_bit(work, tuple(zip(*_FORWARD_BIT)))
-    return StateVector(coeffs.level, work)
+    return StateVector(coeffs.level, apply_per_bit(coeffs.amps, tuple(zip(*_FORWARD_BIT))))

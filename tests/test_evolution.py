@@ -328,10 +328,12 @@ def test_two_hot_start_takes_the_per_bit_sweep(monkeypatch):
     assert not calls
 
 
+# L > 8 takes every third time (1e15, 8.98e307 and -1e15 among them) and
+# 1e12: there an overall phase exp(1j * m * t) would round m * t far beyond 1e-12
 DENSE_TIMES = [
     0.0, 0.4, 2.9, -0.4, -2.9, -37.5,
     math.pi / 2, math.pi, 3 * math.pi / 2, -math.pi / 2, -math.pi, 2 * math.pi,
-] + LARGE_TIMES
+] + LARGE_TIMES + [8.98e307, -1e12, -8.98e307, -1e15]
 
 
 @pytest.mark.parametrize("L", range(13))
@@ -339,13 +341,38 @@ def test_dense_states_match_the_transform_route_and_the_product_engine(L):
     lv = Level(L)
     spectral = EvolutionEngine(lv)
     rng = np.random.default_rng(2000 + L)
-    times = DENSE_TIMES if L <= 8 else DENSE_TIMES[::3]
+    times = DENSE_TIMES if L <= 8 else DENSE_TIMES[::3] + [1e12]
     for _ in range(2):
         start = random_state(lv, rng)
         for t in times:
             got = evolve(spectral, start, t).amps
             assert np.abs(got - _transform_route(start, t)).max() < 1e-12, t
             assert np.abs(got - evolve_product(start, t).amps).max() < 1e-12, t
+
+
+@pytest.mark.parametrize("L", [0, 1, 4, 10])
+def test_one_hot_node_finds_every_one_hot_state(L):
+    lv = Level(L)
+    probe = evolution.ONE_HOT_PROBE
+    for sigma in sorted({0, 1, probe - 1, probe, lv.dim - 1} & set(range(lv.dim))):
+        amps = np.zeros(lv.dim, dtype=np.complex128)
+        amps[sigma] = np.exp(0.3j)
+        assert evolution.one_hot_node(amps) == sigma
+
+
+@pytest.mark.parametrize("L", [1, 4, 10])
+def test_one_hot_node_refuses_two_hot_states(L):
+    lv = Level(L)
+    probe = evolution.ONE_HOT_PROBE
+    pairs = [(0, lv.dim - 1), (1, 2), (0, probe - 1), (probe - 1, probe), (probe, lv.dim - 1)]
+    for i, j in pairs:
+        if max(i, j) >= lv.dim or i == j:
+            continue
+        amps = np.zeros(lv.dim, dtype=np.complex128)
+        amps[i], amps[j] = 0.6, 0.8j
+        assert evolution.one_hot_node(amps) is None, (i, j)
+    assert evolution.one_hot_node(np.zeros(lv.dim, dtype=np.complex128)) is None
+    assert evolution.one_hot_node(random_state(lv, np.random.default_rng(L)).amps) is None
 
 
 def test_dense_evolve_peaks_near_one_state():

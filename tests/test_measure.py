@@ -28,7 +28,7 @@ from hyperwalk import (
     vacuum_average_value,
     vacuum_state,
 )
-from hyperwalk import measure
+from hyperwalk import _walsh, measure
 from hyperwalk.cli import _parse_pi_fraction, build_parser, cmd_pst, main
 from hyperwalk.spectral import T_MAX
 
@@ -82,6 +82,25 @@ def test_distributions_sum_to_one(L, rng):
         dist = distribution_at(engine, random_state(lv, rng), float(rng.uniform(-5, 5)))
         assert abs(dist.probs.sum() - 1.0) < 1e-10
         assert dist.probs.min() >= 0.0
+
+
+@pytest.mark.parametrize("L, scratch_entries", [(0, None), (3, None), (9, None), (14, None), (9, 40), (9, 96)])
+def test_distribution_at_squares_evolve_bit_for_bit(L, scratch_entries, monkeypatch):
+    # a dense start's last kernel pass is squared chunk by chunk, before the
+    # row units ±1, ±i that evolve's amplitudes carry, to which re² + im² is
+    # blind.  L = 0, 3 and 9 fit in one chunk shorter than the buffer and
+    # L = 14 fills two; the small buffers cut the higher groups into ragged
+    # chunks and leave the lowest group's runs of rows shorter than the buffer
+    if scratch_entries:
+        monkeypatch.setattr(_walsh, "SCRATCH_BYTES", 16 * scratch_entries)
+    lv = Level(L)
+    engine = EvolutionEngine(lv)
+    rng = np.random.default_rng(4000 + L)
+    for start in (random_state(lv, rng), basis_state(lv, lv.dim // 3)):
+        for t in (0.0, 0.7, -2.9, math.pi / 2, 1e12, 8.98e307):
+            want = measure.probabilities(evolve(engine, start, t).amps)
+            got = distribution_at(engine, start, t).probs
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), t
 
 
 def test_closed_form_two_level_case():

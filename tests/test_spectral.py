@@ -36,13 +36,11 @@ def test_fast_transform_matches_literal_kernel_exactly(L):
     kernel = literal_kernel_matrix(L)
     for sigma in range(lv.dim):
         # forward rows: unnormalized coefficient vector of the one-hot state
-        forward = basis_state(lv, sigma).amps
-        apply_per_bit(forward, [[1, -1], [1, 1]])
+        forward = apply_per_bit(basis_state(lv, sigma).amps, [[1, -1], [1, 1]])
         assert np.array_equal(forward.real, kernel[sigma, :])
         assert np.abs(forward.imag).max() == 0.0
         # inverse columns: unnormalized signed basis vector
-        inverse = basis_state(lv, sigma).amps
-        apply_per_bit(inverse, [[1, 1], [-1, 1]])
+        inverse = apply_per_bit(basis_state(lv, sigma).amps, [[1, 1], [-1, 1]])
         assert np.array_equal(inverse.real, kernel[:, sigma])
         assert np.abs(inverse.imag).max() == 0.0
 
