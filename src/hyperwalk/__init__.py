@@ -5,8 +5,10 @@ generator is the sum over elements of (identity minus bit-flip), which
 diagonalizes over a signed Walsh eigenbasis; its evolution is exactly the
 tensor power of one 2×2 factor per element.  One engine applies that factor
 (in closed form from a node); the period average is the exact per-distance
-value from a node and the quadrature from any other state.  The
-literal-definition oracles they are checked against live in the test suite.
+value from a node and the quadrature from any other state.  The operator
+functions act on state vectors directly and never build a matrix; the
+literal-definition oracles everything is checked against, dense operator,
+graph and evolution matrices among them, live in the test suite.
 
 Every public name is imported from its module on first access (PEP 562), and
 numpy only by the functions that build or take node-sized arrays, so the
@@ -19,17 +21,15 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "evolution": "EvolutionEngine evolve",
-    "graph": "GRAPH_FORMATS adjacency_matrix edge_count edges export_graph graph_json_dict "
-    "graph_laplacian_matrix is_adjacent neighborhood",
+    "graph": "GRAPH_FORMATS edge_count edges export_graph graph_json_dict is_adjacent "
+    "neighborhood",
     "measure": "TIME_AVERAGE_METHODS Distribution SymmetryReport TimeAverageDistribution "
     "closed_form_distribution closed_form_pt distribution_at distribution_csv "
     "distribution_json_dict is_symmetric pst_check quadrature_point_count time_average "
     "vacuum_average_value",
-    "operators": "DENSE_CAP StateVector apply_hat_involution apply_involution "
-    "apply_involution_product apply_laplacian basis_state inner_product materialize_matrix "
-    "vacuum_state",
-    "spectral": "Spectrum SpectrumEntry eigenvalue_of eigenvalues_by_index from_eigenbasis "
-    "spectrum to_eigenbasis",
+    "operators": "StateVector apply_hat_involution apply_involution apply_involution_product "
+    "apply_laplacian basis_state inner_product vacuum_state",
+    "spectral": "Spectrum SpectrumEntry eigenvalue_of from_eigenbasis spectrum to_eigenbasis",
     "subsets": "DEFAULT_MAX_LEVEL Level cardinality complement elements format_node max_level "
     "parse_node symmetric_difference",
 }

@@ -107,10 +107,14 @@ def one_hot_node(amps: np.ndarray) -> int | None:
     """The node of a state with exactly one nonzero amplitude, else None.
 
     Two nonzero amplitudes among the first ONE_HOT_PROBE settle a dense state
-    at once; any other state pays one count_nonzero pass, which allocates
-    nothing.
+    at once; any other state pays one comparison pass into a mask of one byte
+    per amplitude, which is then counted and, for a one-hot state, searched
+    up to its node.
     """
     import numpy as np
-    if np.count_nonzero(amps[:ONE_HOT_PROBE]) > 1 or np.count_nonzero(amps) != 1:
+    if np.count_nonzero(amps[:ONE_HOT_PROBE]) > 1:
         return None
-    return int(np.flatnonzero(amps)[0])
+    nonzero = amps != 0
+    if np.count_nonzero(nonzero) != 1:
+        return None
+    return int(np.argmax(nonzero))

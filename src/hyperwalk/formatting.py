@@ -1,19 +1,19 @@
 """Deterministic text output: fixed float formatting and stable JSON and CSV writers.
 
 The writers produce their text as a sequence of chunks, so a caller can
-stream a document without holding it whole.  A float array is formatted once
-per distinct value, a ClassTable once per Hamming distance (format_float stays
-the only source of the bytes), and the strings are gathered and joined CHUNK
-values at a time.  A table is written in plain Python and never becomes a
-node-sized array: on the node grid (ClassTable.grid) a JSON row is one of
-only hi+1 distinct strings, and a CSV chunk's cells one of hi+1 lists.
-Only the array branches import numpy.
+stream a document without holding it whole.  JSON takes Python values and
+ClassTables; CSV takes ClassTables or float arrays.  A ClassTable is formatted
+once per Hamming distance, a CSV float array once per distinct value
+(format_float stays the only source of the bytes), and the strings are
+gathered and joined CHUNK values at a time.  A table is written in plain
+Python and never becomes a node-sized array: on the node grid
+(ClassTable.grid) a JSON row is one of only hi+1 distinct strings, and a CSV
+chunk's cells one of hi+1 lists.  Only the CSV array branch imports numpy.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from .spectral import ClassTable
@@ -32,13 +32,6 @@ def format_float(x: float) -> str:
     if abs(x) < 1e-4:
         return format(x, ".16e")
     return format(x, ".17g")
-
-
-def _is_numpy(obj: Any, kind: str) -> bool:
-    """isinstance(obj, numpy.<kind>) without importing numpy: no numpy
-    object exists before numpy is loaded."""
-    np = sys.modules.get("numpy")
-    return np is not None and isinstance(obj, getattr(np, kind))
 
 
 def _array_cells(values: np.ndarray, suffix: str = "") -> Callable[[int, int], list[str]]:
@@ -68,15 +61,15 @@ def dumps_json(obj: Any) -> str:
 def iter_json(obj: Any) -> Iterator[str]:
     """The text of dumps_json(obj) as a sequence of chunks.
 
-    ClassTables and 1-D float64 arrays come out CHUNK values at a time.
+    ClassTables come out CHUNK values at a time.
     """
     if isinstance(obj, str):
         yield json.dumps(obj)
     elif isinstance(obj, bool):
         yield "true" if obj else "false"
-    elif isinstance(obj, int) or _is_numpy(obj, "integer"):
+    elif isinstance(obj, int):
         yield str(int(obj))
-    elif isinstance(obj, float) or _is_numpy(obj, "floating"):
+    elif isinstance(obj, float):
         yield format_float(float(obj))
     elif isinstance(obj, dict):
         yield "{"
@@ -86,13 +79,7 @@ def iter_json(obj: Any) -> Iterator[str]:
         yield "}"
     elif isinstance(obj, ClassTable):
         yield from _table_json(obj)
-    elif _is_numpy(obj, "ndarray") and obj.dtype == "float64" and obj.ndim == 1:
-        cells = _array_cells(obj)
-        yield "["
-        for start in range(0, len(obj), CHUNK):
-            yield ("," if start else "") + ",".join(cells(start, CHUNK))
-        yield "]"
-    elif isinstance(obj, (list, tuple)) or _is_numpy(obj, "ndarray"):
+    elif isinstance(obj, (list, tuple)):
         yield "["
         for i, value in enumerate(obj):
             if i:

@@ -1,4 +1,4 @@
-"""Hypercube view of the node set: adjacency, combinatorial Laplacian, exports.
+"""Hypercube view of the node set: adjacency, neighborhoods, edges and exports.
 
 Nodes are adjacent when their masks differ in exactly one bit, which makes
 the node set the (L+1)-dimensional hypercube graph.  The graph is never
@@ -7,14 +7,8 @@ stored; everything derives from the adjacency predicate.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .formatting import dumps_json
-from .operators import DENSE_CAP
 from .subsets import Level, format_node
-
-if TYPE_CHECKING:  # numpy is imported where an array is built or taken
-    import numpy as np
 
 GRAPH_FORMATS = ("dot", "json", "edge-list")
 EXPORT_CAP = 4096
@@ -46,23 +40,6 @@ def edges(level: Level) -> list[tuple[int, int]]:
             if sigma < tau:
                 out.append((sigma, tau))
     return out
-
-
-def adjacency_matrix(level: Level) -> np.ndarray:
-    """Dense 0/1 adjacency matrix built from the adjacency predicate."""
-    import numpy as np
-    if level.dim > DENSE_CAP:
-        raise ValueError(f"dimension {level.dim} exceeds dense cap {DENSE_CAP}")
-    idx = np.arange(level.dim, dtype=np.uint64)
-    xor = idx[:, None] ^ idx[None, :]
-    return (np.bitwise_count(xor) == 1).astype(np.int64)
-
-
-def graph_laplacian_matrix(level: Level) -> np.ndarray:
-    """Dense integer Laplacian: degree on the diagonal minus adjacency."""
-    import numpy as np
-    adj = adjacency_matrix(level)
-    return (level.L + 1) * np.eye(level.dim, dtype=np.int64) - adj
 
 
 def graph_json_dict(level: Level) -> dict:

@@ -30,11 +30,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from ._walsh import SCRATCH_BYTES
+from ._walsh import SCRATCH_BYTES, apply_per_bit
 from .evolution import EvolutionEngine, _evolve, checked_start, one_hot_node
 from .formatting import iter_csv
 from .operators import StateVector
-from .spectral import ClassTable, basis_start_classes
+from .spectral import ClassTable, basis_start_classes, bit_factor
 from .subsets import Level, cardinality
 
 if TYPE_CHECKING:  # numpy is imported where an array is built or taken
@@ -44,12 +44,11 @@ TIME_AVERAGE_METHODS = ("quadrature", "krawtchouk")
 
 
 @dataclass
-class Distribution:
-    """Occupation probabilities over nodes at one instant."""
+class _NodeProbabilities:
+    """A float64 probability per node of the level, checked on construction."""
 
     level: Level
     probs: np.ndarray
-    time: float | None = None
 
     def __post_init__(self) -> None:
         import numpy as np
@@ -60,19 +59,17 @@ class Distribution:
 
 
 @dataclass
-class TimeAverageDistribution:
+class Distribution(_NodeProbabilities):
+    """Occupation probabilities over nodes at one instant."""
+
+    time: float | None = None
+
+
+@dataclass
+class TimeAverageDistribution(_NodeProbabilities):
     """Average occupation probabilities over one full period."""
 
-    level: Level
-    probs: np.ndarray
     method: str
-
-    def __post_init__(self) -> None:
-        import numpy as np
-        probs = np.ascontiguousarray(self.probs, dtype=np.float64)
-        if probs.shape != (self.level.dim,):
-            raise ValueError(f"probability array must have shape ({self.level.dim},)")
-        self.probs = probs
 
 
 class SymmetryReport(NamedTuple):
@@ -148,8 +145,8 @@ def time_average(
         )
     if engine is None:
         engine = EvolutionEngine(level)
-    checked_start(engine, initial)
-    sigma = one_hot_node(initial.amps)
+    amps = checked_start(engine, initial).amps
+    sigma = one_hot_node(amps)
     if sigma is not None:
         return TimeAverageDistribution(level, node_time_average(level, sigma).materialize(), "krawtchouk")
     if method == "krawtchouk":
@@ -157,8 +154,9 @@ def time_average(
     import numpy as np
     m = quadrature_point_count(level)
     probs = np.zeros(level.dim, dtype=np.float64)
+    # distribution_at's dense path on the start checked once above
     for j in range(m):
-        probs += distribution_at(engine, initial, j * math.pi / m).probs
+        probs += apply_per_bit(amps, *bit_factor(j * math.pi / m), square=probabilities)
     probs /= m
     return TimeAverageDistribution(level=level, probs=probs, method="quadrature")
 

@@ -16,10 +16,7 @@ from .subsets import Level
 if TYPE_CHECKING:  # numpy is imported where an array is built or taken
     import numpy as np
 
-DENSE_CAP = 4096
 NORM_TOL = 1e-12
-
-MATRIX_KINDS = ("laplacian", "involution", "hat")
 
 
 @dataclass
@@ -53,9 +50,6 @@ class StateVector:
             raise ValueError("cannot normalize the zero vector")
         return StateVector(self.level, self.amps / n)
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.level, self.amps.copy())
-
 
 def basis_state(level: Level, sigma: int) -> StateVector:
     """One-hot state at node sigma."""
@@ -69,12 +63,6 @@ def basis_state(level: Level, sigma: int) -> StateVector:
 def vacuum_state(level: Level) -> StateVector:
     """One-hot state at the empty set."""
     return basis_state(level, 0)
-
-
-def require_same_level(a: StateVector, b: StateVector) -> Level:
-    if a.level != b.level:
-        raise ValueError(f"mismatched levels: L={a.level.L} vs L={b.level.L}")
-    return a.level
 
 
 def apply_involution(k: int, state: StateVector) -> StateVector:
@@ -96,8 +84,6 @@ def apply_involution_product(sigma: int, state: StateVector) -> StateVector:
     import numpy as np
     level = state.level
     level.validate_node(sigma)
-    if sigma == 0:
-        return state.copy()
     idx = np.arange(level.dim, dtype=np.intp) ^ sigma
     return StateVector(level, state.amps[idx])
 
@@ -135,40 +121,7 @@ def apply_laplacian(state: StateVector) -> StateVector:
 def inner_product(a: StateVector, b: StateVector) -> complex:
     """Hermitian inner product, conjugate-linear in the first argument."""
     import numpy as np
-    require_same_level(a, b)
+    if a.level != b.level:
+        raise ValueError(f"mismatched levels: L={a.level.L} vs L={b.level.L}")
     return complex(np.vdot(a.amps, b.amps))
 
-
-def materialize_matrix(kind: str, level: Level, index: int | None = None) -> np.ndarray:
-    """Dense matrix of an operator in the node basis, column by column.
-
-    Entry [tau, sigma] is the coefficient of the image of the one-hot state
-    at sigma on the basis vector of tau.  kind is one of "laplacian",
-    "involution" (index = flip element) or "hat" (index = sign subset).
-    Intended as a small-scale oracle; refused above DENSE_CAP nodes.
-    """
-    import numpy as np
-    if kind not in MATRIX_KINDS:
-        raise ValueError(f"unknown operator kind {kind!r}; expected one of {MATRIX_KINDS}")
-    if level.dim > DENSE_CAP:
-        raise ValueError(f"dimension {level.dim} exceeds dense cap {DENSE_CAP}")
-    if kind == "laplacian":
-        op = apply_laplacian
-    elif kind == "involution":
-        if index is None:
-            raise ValueError("involution matrix requires the flip element index")
-
-        def op(s: StateVector) -> StateVector:
-            return apply_involution(index, s)
-
-    else:
-        if index is None:
-            raise ValueError("hat matrix requires the sign subset index")
-
-        def op(s: StateVector) -> StateVector:
-            return apply_hat_involution(index, s)
-    dim = level.dim
-    mat = np.empty((dim, dim), dtype=np.complex128)
-    for sigma in range(dim):
-        mat[:, sigma] = op(basis_state(level, sigma)).amps
-    return mat

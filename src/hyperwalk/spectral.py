@@ -65,13 +65,6 @@ def eigenvalue_of(sigma: int, level: Level) -> int:
     return 2 * (level.L + 1 - cardinality(sigma))
 
 
-def eigenvalues_by_index(level: Level) -> np.ndarray:
-    """Float array of the eigenvalue at every basis index."""
-    import numpy as np
-    cards = np.bitwise_count(np.arange(level.dim, dtype=np.uint64)).astype(np.float64)
-    return 2.0 * (level.L + 1 - cards)
-
-
 T_MAX = sys.float_info.max / 2  # the largest |t| whose phase argument 2t is finite
 
 

@@ -15,9 +15,11 @@ from hyperwalk import (
     EvolutionEngine,
     Level,
     StateVector,
+    apply_laplacian,
+    basis_state,
     distribution_at,
     format_node,
-    materialize_matrix,
+    is_adjacent,
 )
 from hyperwalk._walsh import flip_bit
 from hyperwalk.formatting import format_float
@@ -38,6 +40,24 @@ def popcount(x: int) -> int:
 def setminus_card(a: int, b: int, full: int) -> int:
     """Cardinality of (a minus b) inside the ground set mask."""
     return popcount(a & ~b & full)
+
+
+def operator_matrix(op, level: Level) -> np.ndarray:
+    """Dense matrix of an operator function in the node basis, column by
+    column: entry [tau, sigma] is the coefficient on node tau of op applied
+    to the one-hot state at sigma."""
+    return np.column_stack([op(basis_state(level, sigma)).amps for sigma in range(level.dim)])
+
+
+def adjacency_matrix(level: Level) -> np.ndarray:
+    """0/1 adjacency matrix of the hypercube from the adjacency predicate, pair by pair."""
+    nodes = range(level.dim)
+    return np.array([[int(is_adjacent(a, b)) for b in nodes] for a in nodes], dtype=np.int64)
+
+
+def graph_laplacian_matrix(level: Level) -> np.ndarray:
+    """Integer graph Laplacian: the degree L+1 on the diagonal minus adjacency."""
+    return (level.L + 1) * np.eye(level.dim, dtype=np.int64) - adjacency_matrix(level)
 
 
 @lru_cache(maxsize=None)
@@ -249,7 +269,7 @@ def quadrature_oracle(initial: StateVector, engine: EvolutionEngine | None = Non
 
 @lru_cache(maxsize=None)
 def _laplacian_eigh(L: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.linalg.eigh(materialize_matrix("laplacian", Level(L)).real)
+    return np.linalg.eigh(operator_matrix(apply_laplacian, Level(L)).real)
 
 
 def evolve_via_eigh(initial: StateVector, t: float) -> np.ndarray:

@@ -14,13 +14,12 @@ import numpy as np
 from hyperwalk import (
     EvolutionEngine,
     Level,
+    apply_laplacian,
     basis_state,
     closed_form_distribution,
     complement,
     distribution_at,
     evolve,
-    graph_laplacian_matrix,
-    materialize_matrix,
     neighborhood,
     pst_check,
     spectrum,
@@ -33,7 +32,9 @@ from helpers import (
     evolve_dense,
     evolve_product,
     evolve_via_eigh,
+    graph_laplacian_matrix,
     krawtchouk_vacuum_probs,
+    operator_matrix,
     pair_sum_average,
     random_state,
 )
@@ -60,7 +61,7 @@ def test_criterion_01_spectrum():
     worst = 0.0
     for L in range(7):
         lv = Level(L)
-        values = np.linalg.eigvalsh(materialize_matrix("laplacian", lv).real)
+        values = np.linalg.eigvalsh(operator_matrix(apply_laplacian, lv).real)
         rounded = np.round(values / 2).astype(int) * 2
         worst = max(worst, float(np.abs(values - rounded).max()))
         if np.abs(values - rounded).max() > 1e-9:
@@ -227,7 +228,7 @@ def test_criterion_08_graph_equivalence():
     failures = []
     for L in range(9):
         lv = Level(L)
-        from_operator = materialize_matrix("laplacian", lv)
+        from_operator = operator_matrix(apply_laplacian, lv)
         if float(np.abs(from_operator.imag).max()) != 0.0:
             failures.append(f"L={L}: operator matrix has imaginary parts")
         as_int = np.rint(from_operator.real).astype(np.int64)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from hyperwalk import formatting
+from hyperwalk import Level, formatting
 from hyperwalk.formatting import dumps_json, iter_csv, iter_json
+from hyperwalk.spectral import ClassTable
 
 from helpers import reference_csv, reference_dumps_json
 
@@ -47,9 +48,9 @@ ARRAYS["repeating, several chunks"] = _repeating(3 * CHUNK + 2)
 
 @pytest.mark.parametrize("name", list(ARRAYS))
 def test_float_array_json_matches_reference(name):
-    values = ARRAYS[name]
+    values = ARRAYS[name].tolist()
     assert dumps_json(values) == reference_dumps_json(values)
-    pairs = values[: values.size // 2 * 2].reshape(-1, 2)
+    pairs = ARRAYS[name][: len(values) // 2 * 2].reshape(-1, 2).tolist()
     assert dumps_json(pairs) == reference_dumps_json(pairs)
     doc = {"a": values, "n": len(values), "pairs": pairs, "flag": True, "x": -0.0, "none": None}
     assert "".join(iter_json(doc)) == reference_dumps_json(doc)
@@ -57,14 +58,15 @@ def test_float_array_json_matches_reference(name):
 
 def test_other_values_take_the_element_path():
     doc = {
-        "ints": np.arange(5),
-        "grid": np.eye(3),
-        "wide": np.ones((2, 3)),
-        "single": np.array([0.1, 1e-5], dtype=np.float32),
+        "ints": np.arange(5).tolist(),
+        "grid": np.eye(3).tolist(),
+        "wide": np.ones((2, 3)).tolist(),
+        "single": np.array([0.1, 1e-5], dtype=np.float32).tolist(),
         "list": [0.5, [1e-5]],
     }
     assert dumps_json(doc) == reference_dumps_json(doc)
-    for bad in (object(), np.array(1.0)):
+    # the writer takes Python values and ClassTables: numpy arrays are refused
+    for bad in (object(), np.array(1.0), np.zeros(2)):
         with pytest.raises(TypeError):
             dumps_json({"bad": bad})
 
@@ -83,8 +85,11 @@ def test_csv_matches_reference(dim):
 
 
 def test_writers_stream_in_chunks():
-    values = _repeating(2 * CHUNK + 1)
-    assert len(list(iter_json(values))) == 5  # "[", three chunks, "]"
+    # L = 5: 64 nodes on an 8 x 8 grid, CHUNK = 16 values per chunk
+    table = ClassTable(Level(5), 0b100101, tuple(_all_distinct(7).tolist()))
+    chunks = list(iter_json(table))
+    assert len(chunks) == 6  # "[", four chunks, "]"
+    assert "".join(chunks) == reference_dumps_json(table.materialize().tolist())
     assert len(list(iter_csv("node,p", [_repeating(4 * CHUNK)]))) == 5  # header, four chunks
 
 

@@ -5,20 +5,17 @@ import pytest
 
 from hyperwalk import (
     Level,
-    adjacency_matrix,
     apply_laplacian,
     basis_state,
     edge_count,
     edges,
     export_graph,
     graph_json_dict,
-    graph_laplacian_matrix,
     is_adjacent,
-    materialize_matrix,
     neighborhood,
 )
 
-from helpers import random_state
+from helpers import adjacency_matrix, graph_laplacian_matrix, operator_matrix, random_state
 
 
 def test_adjacency_examples():
@@ -84,7 +81,7 @@ def test_graph_laplacian_equals_walk_laplacian_on_shared_coordinates(L, rng):
 def test_dense_laplacians_are_identical_integer_matrices(L):
     lv = Level(L)
     from_graph = graph_laplacian_matrix(lv)
-    from_operator = materialize_matrix("laplacian", lv)
+    from_operator = operator_matrix(apply_laplacian, lv)
     assert np.abs(from_operator.imag).max() == 0.0
     as_int = np.rint(from_operator.real).astype(np.int64)
     assert np.abs(from_operator.real - as_int).max() == 0.0
@@ -96,12 +93,6 @@ def test_adjacency_matrix_row_sums_are_degrees():
     adj = adjacency_matrix(lv)
     assert np.array_equal(adj, adj.T)
     assert (adj.sum(axis=1) == lv.L + 1).all()
-
-
-def test_dense_graph_matrices_refuse_levels_above_the_cap():
-    for build in (adjacency_matrix, graph_laplacian_matrix):
-        with pytest.raises(ValueError, match="dimension 8192 exceeds dense cap 4096"):
-            build(Level(12))
 
 
 def test_flip_conjugated_through_the_identification():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from hyperwalk import (
+    Distribution,
     EvolutionEngine,
     Level,
     StateVector,
@@ -279,14 +280,16 @@ def test_node_quadrature_keeps_the_evolve_errors():
 
 
 def test_other_starts_take_the_loop(monkeypatch):
+    # one kernel call per quadrature point, equal bit for bit to the loop of
+    # distribution_at calls
     calls = []
-    real = measure.distribution_at
+    real = measure.apply_per_bit
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(measure, "distribution_at", counted)
+    monkeypatch.setattr(measure, "apply_per_bit", counted)
     lv = Level(4)
     one_hot = basis_state(lv, 6)
     time_average(one_hot)
@@ -297,6 +300,38 @@ def test_other_starts_take_the_loop(monkeypatch):
         got = time_average(start, engine=EvolutionEngine(lv)).probs
         assert len(calls) == quadrature_point_count(lv)
         assert _same_bits(got, quadrature_oracle(start))
+
+
+@pytest.mark.parametrize("L", [0, 5, 12])
+def test_a_dense_start_is_checked_once(monkeypatch, L):
+    # one normalization pass for the whole quadrature, not one per point
+    lv = Level(L)
+    start = random_state(lv, np.random.default_rng(L))
+    oracle = quadrature_oracle(start)
+    checks = []
+    real = StateVector.is_normalized
+
+    def counted(self, *args):
+        checks.append(self)
+        return real(self, *args)
+
+    monkeypatch.setattr(StateVector, "is_normalized", counted)
+    got = time_average(start).probs
+    assert checks == [start]
+    assert _same_bits(got, oracle)
+
+
+@pytest.mark.parametrize(
+    "cls, extra",
+    [(Distribution, {}), (TimeAverageDistribution, {"method": "quadrature"})],
+    ids=["Distribution", "TimeAverageDistribution"],
+)
+def test_distributions_refuse_probabilities_of_the_wrong_length(cls, extra):
+    lv = Level(2)
+    assert cls(level=lv, probs=[0.125] * lv.dim, **extra).probs.dtype == np.float64
+    for probs in ([0.125] * (lv.dim - 1), [0.125] * (lv.dim + 1), np.full((2, 4), 0.125), []):
+        with pytest.raises(ValueError, match=re.escape(f"probability array must have shape ({lv.dim},)")):
+            cls(level=lv, probs=probs, **extra)
 
 
 def test_symmetry_report_reads_the_complement_of_every_node():

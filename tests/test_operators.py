@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -5,7 +6,6 @@ import numpy as np
 import pytest
 
 from hyperwalk import (
-    DENSE_CAP,
     Level,
     StateVector,
     apply_hat_involution,
@@ -14,13 +14,13 @@ from hyperwalk import (
     apply_laplacian,
     basis_state,
     inner_product,
-    materialize_matrix,
     vacuum_state,
 )
 
 from helpers import (
     literal_hat_apply,
     literal_kernel_matrix,
+    operator_matrix,
     random_state,
     setminus_card,
 )
@@ -139,7 +139,7 @@ def test_laplacian_small_matrix_and_action():
     lv = Level(0)
     out = apply_laplacian(StateVector(lv, [1, 0]))
     assert np.allclose(out.amps, [1, -1], atol=0)
-    mat = materialize_matrix("laplacian", lv)
+    mat = operator_matrix(apply_laplacian, lv)
     assert np.array_equal(mat.real, np.array([[1, -1], [-1, 1]]))
     assert np.array_equal(mat.imag, np.zeros((2, 2)))
 
@@ -154,7 +154,7 @@ def test_laplacian_on_constants_and_basis():
 
 
 def test_involution_matrix_small():
-    mat = materialize_matrix("involution", Level(0), 0)
+    mat = operator_matrix(functools.partial(apply_involution, 0), Level(0))
     assert np.array_equal(mat.real, np.array([[0, 1], [1, 0]]))
 
 
@@ -186,7 +186,7 @@ def test_laplacian_is_self_adjoint(L, rng):
 
 
 def test_laplacian_row_sums_vanish():
-    mat = materialize_matrix("laplacian", Level(3))
+    mat = operator_matrix(apply_laplacian, Level(3))
     assert np.abs(mat.sum(axis=1)).max() < 1e-14
     assert np.abs(mat - mat.conj().T).max() == 0.0
 
@@ -220,19 +220,8 @@ def test_overlaps_between_plain_and_signed_bases(L):
             assert abs(got - expected) < 1e-12
 
 
-def test_materialize_rejects_oversized_dimension():
-    with pytest.raises(ValueError, match="dimension 8192 exceeds dense cap 4096"):
-        materialize_matrix("laplacian", Level(12))
-    assert Level(11).dim == DENSE_CAP  # largest level materialize_matrix accepts
-
-
 def test_materialize_hat_is_scaled_projector():
     lv = Level(2)
-    mat = materialize_matrix("hat", lv, 5)
+    mat = operator_matrix(functools.partial(apply_hat_involution, 5), lv)
     # squares to dim times itself
     assert np.abs(mat @ mat - lv.dim * mat).max() < 1e-10
-
-
-def test_materialize_unknown_kind():
-    with pytest.raises(ValueError):
-        materialize_matrix("adjacency", Level(1))

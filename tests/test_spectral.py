@@ -10,12 +10,11 @@ from hyperwalk import (
     Spectrum,
     StateVector,
     apply_involution,
+    apply_laplacian,
     basis_state,
     eigenvalue_of,
-    eigenvalues_by_index,
     evolve,
     from_eigenbasis,
-    materialize_matrix,
     spectrum,
     to_eigenbasis,
     vacuum_state,
@@ -24,7 +23,7 @@ from hyperwalk._walsh import apply_per_bit, sign_column
 from hyperwalk.formatting import dumps_json
 from hyperwalk.spectral import ClassTable, basis_start_classes
 
-from helpers import literal_kernel_matrix, pm1_transform, popcount, random_state
+from helpers import literal_kernel_matrix, operator_matrix, pm1_transform, popcount, random_state
 
 
 @pytest.mark.parametrize("L", [0, 1, 2, 3, 4, 5, 6])
@@ -111,13 +110,6 @@ def test_eigenvalue_of_examples():
         eigenvalue_of(4, Level(1))
 
 
-def test_eigenvalues_by_index_agree_with_scalar_form():
-    lv = Level(4)
-    vec = eigenvalues_by_index(lv)
-    for sigma in range(lv.dim):
-        assert vec[sigma] == eigenvalue_of(sigma, lv)
-
-
 @pytest.mark.parametrize(
     "L, eigenvalues, multiplicities",
     [
@@ -145,7 +137,7 @@ def test_spectrum_structure(L):
 @pytest.mark.parametrize("L", range(7))
 def test_spectrum_matches_dense_eigendecomposition(L):
     lv = Level(L)
-    dense = materialize_matrix("laplacian", lv)
+    dense = operator_matrix(apply_laplacian, lv)
     values = np.linalg.eigvalsh(dense.real)
     rounded = np.round(values / 2).astype(int) * 2
     assert np.abs(values - rounded).max() < 1e-9
