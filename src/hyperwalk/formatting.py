@@ -4,11 +4,11 @@ The writers produce their text as a sequence of chunks, so a caller can
 stream a document without holding it whole.  JSON takes Python values and
 ClassTables; CSV takes ClassTables or float arrays.  A ClassTable is formatted
 once per Hamming distance, a CSV float array once per distinct value
-(format_float stays the only source of the bytes), and the strings are
-gathered and joined CHUNK values at a time.  A table is written in plain
-Python and never becomes a node-sized array: on the node grid
-(ClassTable.grid) a JSON row is one of only hi+1 distinct strings, and a CSV
-chunk's cells one of hi+1 lists.  Only the CSV array branch imports numpy.
+(format_float stays the only source of the bytes).  A table is written in
+plain Python and never becomes a node-sized array: on the node grid
+(ClassTable.grid) a JSON row is one of only hi+1 distinct strings, yielded
+as it is, and a CSV chunk of CHUNK rows joins cells from hi+1 lists: small
+pieces page-fault far less.  Only the CSV array branch imports numpy.
 """
 
 from __future__ import annotations
@@ -22,7 +22,11 @@ from .subsets import element_strings, format_node
 if TYPE_CHECKING:  # numpy is imported where an array is built or taken
     import numpy as np
 
-CHUNK = 1 << 16  # array values per yielded chunk
+# CSV rows per chunk.  Medians on a 2-CPU Xeon, 2**11/2**12/2**13/2**16 rows:
+# time-average --L 17 0.15/0.16/0.17/0.22 s, pst --L 22 0.55/0.60/0.58/0.74 s,
+# evolve --L 22 --amplitudes 1.22/0.71/0.67/0.90 s (2**11: 4x the page faults).
+# 2**12 holds half the memory of 2**13: traced peak at L = 20 1.3 against 2.4 MiB.
+CHUNK = 1 << 12
 
 
 def format_float(x: float) -> str:
@@ -59,10 +63,7 @@ def dumps_json(obj: Any) -> str:
 
 
 def iter_json(obj: Any) -> Iterator[str]:
-    """The text of dumps_json(obj) as a sequence of chunks.
-
-    ClassTables come out CHUNK values at a time.
-    """
+    """The text of dumps_json(obj) as chunks; a ClassTable one node-grid row each."""
     if isinstance(obj, str):
         yield json.dumps(obj)
     elif isinstance(obj, bool):
@@ -93,13 +94,12 @@ def iter_json(obj: Any) -> Iterator[str]:
 
 
 def _table_json(table: ClassTable) -> Iterator[str]:
-    # grid row i is the joined text of row class rows[i]: join each once
+    # grid row i is the joined text of row class rows[i]: join each once and
+    # yield that one string for every row of its class
     classes, rows, cols = table.with_table(tuple(map(_entry_text, table.table))).grid()
-    text = [",".join([row_class[c] for c in cols]) for row_class in classes]
-    step = max(1, CHUNK // len(cols))
-    yield "["
-    for start in range(0, len(rows), step):
-        yield ("," if start else "") + ",".join([text[r] for r in rows[start : start + step]])
+    text = ["," + ",".join([row_class[c] for c in cols]) for row_class in classes]
+    yield "[" + text[rows[0]][1:]
+    yield from map(text.__getitem__, rows[1:])
     yield "]"
 
 

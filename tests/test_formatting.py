@@ -85,17 +85,26 @@ def test_csv_matches_reference(dim):
 
 
 def test_writers_stream_in_chunks():
-    # L = 5: 64 nodes on an 8 x 8 grid, CHUNK = 16 values per chunk
+    # L = 5: 64 nodes on an 8 x 8 grid.  JSON: "[" with grid row 0, then one
+    # chunk per later grid row, each row the one string of its row class,
+    # then "]".  CSV: the header, then CHUNK rows per chunk.
     table = ClassTable(Level(5), 0b100101, tuple(_all_distinct(7).tolist()))
+    _, rows, cols = table.grid()
     chunks = list(iter_json(table))
-    assert len(chunks) == 6  # "[", four chunks, "]"
+    assert len(chunks) == len(rows) + 1 and chunks[-1] == "]"
+    assert chunks[0].startswith("[") and chunks[0].count(",") == len(cols) - 1
+    assert all(chunk.startswith(",") and chunk.count(",") == len(cols) for chunk in chunks[1:-1])
+    first = {}
+    for r, chunk in zip(rows[1:], chunks[1:-1]):
+        assert first.setdefault(r, chunk) is chunk
     assert "".join(chunks) == reference_dumps_json(table.materialize().tolist())
-    assert len(list(iter_csv("node,p", [_repeating(4 * CHUNK)]))) == 5  # header, four chunks
+    for column in (_repeating(4 * CHUNK), table):
+        assert len(list(iter_csv("node,p", [column]))) == 1 + len(column) // CHUNK
 
 
 @pytest.mark.parametrize("ncols", [1, 3])
 def test_csv_matches_reference_at_the_real_chunk(monkeypatch, ncols):
-    # L = 16: two chunks of the real size, the second with high-bit elements
+    # two chunks of the real size, the second with high-bit elements
     monkeypatch.setattr(formatting, "CHUNK", REAL_CHUNK)
     dim = 2 * REAL_CHUNK
     columns = [_repeating(dim), _all_distinct(dim), -_repeating(dim)][:ncols]
