@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ._walsh import apply_per_bit
-from .operators import NORM_TOL, StateVector
+from .operators import StateVector
 from .spectral import basis_start_classes, bit_factor
 from .subsets import Level
 
@@ -46,61 +46,44 @@ class EvolutionEngine:
         return f"EvolutionEngine(level=Level({self.level.L}))"
 
 
-def evolve(
-    engine: EvolutionEngine,
-    initial: StateVector,
-    t: float,
-    renormalize: bool = False,
-) -> StateVector:
+def evolve(engine: EvolutionEngine, initial: StateVector, t: float) -> StateVector:
     """State at time t from the given initial state.
 
-    The input must be normalized; pass renormalize=True to scale it instead
-    of rejecting it.  Output norm is preserved to machine precision.  A time
-    that bit_factor refuses is refused before the start is scaled or copied.
+    The input must be on the engine's level and normalized; an unnormalized
+    start is refused, so a caller scales it first.  Output norm is preserved
+    to machine precision.  A time that bit_factor refuses is refused before
+    the start is checked.
     """
-    return StateVector(engine.level, _evolve(engine, initial, t, renormalize))
+    return StateVector(engine.level, _evolve(engine, initial, t))
 
 
-def _evolve(
-    engine: EvolutionEngine,
-    initial: StateVector,
-    t: float,
-    renormalize: bool = False,
-    square=None,
-) -> np.ndarray:
+def _evolve(engine: EvolutionEngine, initial: StateVector, t: float, square=None) -> np.ndarray:
     """evolve's amplitudes; with square (as apply_per_bit takes it), square
     of them, taken chunk by chunk in the kernel's last pass."""
     m2, phase, d = bit_factor(t)
-    start = checked_start(engine, initial, renormalize)
-    amps = start.amps
+    checked_start(engine, initial)
+    amps = initial.amps
     sigma = one_hot_node(amps)
     if sigma is None:
         return apply_per_bit(amps, m2, phase, d, square)
     # a one-hot start stays a product state: its table times the start
     # amplitude, in numpy's complex product, gathered over the nodes
     import numpy as np
-    classes = basis_start_classes(start.level, sigma, t)
+    classes = basis_start_classes(initial.level, sigma, t)
     out = classes.with_table(tuple(np.multiply(classes.table, amps[sigma]).tolist())).materialize()
     return out if square is None else square(out)
 
 
-def checked_start(
-    engine: EvolutionEngine, initial: StateVector, renormalize: bool = False
-) -> StateVector:
-    """The start evolve runs from: on the engine's level and normalized, or
-    scaled to norm 1 when renormalize is set; ValueError otherwise."""
+def checked_start(engine: EvolutionEngine, initial: StateVector) -> None:
+    """Refuse a start evolve cannot run from, with ValueError: first one on
+    another level than the engine's, then one whose squared norm is off 1 by
+    more than NORM_TOL."""
     if engine.level != initial.level:
         raise ValueError(
             f"engine level L={engine.level.L} does not match state level L={initial.level.L}"
         )
-    if not initial.is_normalized(NORM_TOL):
-        if renormalize:
-            return initial.normalized()
-        raise ValueError(
-            f"initial state is not normalized (norm {initial.norm()!r}); "
-            "pass renormalize=True to scale it"
-        )
-    return initial
+    if not initial.is_normalized():
+        raise ValueError(f"initial state is not normalized (norm {initial.norm()!r})")
 
 
 def one_hot_node(amps: np.ndarray) -> int | None:

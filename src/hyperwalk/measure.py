@@ -35,12 +35,13 @@ from .evolution import EvolutionEngine, _evolve, checked_start, one_hot_node
 from .formatting import iter_csv
 from .operators import StateVector
 from .spectral import ClassTable, basis_start_classes, bit_factor
-from .subsets import Level, cardinality
+from .subsets import Level
 
 if TYPE_CHECKING:  # numpy is imported where an array is built or taken
     import numpy as np
 
 TIME_AVERAGE_METHODS = ("quadrature", "krawtchouk")
+SYMMETRY_TOL = 1e-12  # largest deviation is_symmetric accepts
 
 
 @dataclass
@@ -62,7 +63,7 @@ class _NodeProbabilities:
 class Distribution(_NodeProbabilities):
     """Occupation probabilities over nodes at one instant."""
 
-    time: float | None = None
+    time: float
 
 
 @dataclass
@@ -109,10 +110,10 @@ def closed_form_pt(sigma: int, t: float, level: Level) -> float:
     """Vacuum-start occupation probability of one node at time t, in closed form.
 
     The walk from the vacuum is a product state, so the amplitude at sigma is
-    one entry of its class table: the one at distance popcount(sigma).
+    one entry of its class table.
     """
     level.validate_node(sigma)
-    return probability(basis_start_classes(level, 0, t).table[cardinality(sigma)])
+    return probability(basis_start_classes(level, 0, t).at(sigma))
 
 
 def closed_form_distribution(level: Level, t: float) -> Distribution:
@@ -133,10 +134,11 @@ def time_average(
 ) -> TimeAverageDistribution:
     """Average distribution over one period of the walk.
 
-    From a basis node, under either method, this is node_time_average's
-    exact table gathered over the nodes, labelled krawtchouk.  Any other
-    normalized initial state (with an engine on its level) takes the
-    quadrature loop, labelled quadrature; krawtchouk rejects it.
+    The start is checked once, as evolve checks it: one on another level
+    than the engine's, or not normalized, raises ValueError.  From a basis
+    node, under either method, the average is node_time_average's exact
+    table gathered over the nodes, labelled krawtchouk.  Any other start
+    takes the quadrature loop, labelled quadrature; krawtchouk rejects it.
     """
     level = initial.level
     if method not in TIME_AVERAGE_METHODS:
@@ -145,7 +147,8 @@ def time_average(
         )
     if engine is None:
         engine = EvolutionEngine(level)
-    amps = checked_start(engine, initial).amps
+    checked_start(engine, initial)
+    amps = initial.amps
     sigma = one_hot_node(amps)
     if sigma is not None:
         return TimeAverageDistribution(level, node_time_average(level, sigma).materialize(), "krawtchouk")
@@ -183,10 +186,10 @@ def vacuum_average_value(level: Level) -> Fraction:
     return _period_averages(level.L + 1)[0]
 
 
-def is_symmetric(
-    dist: TimeAverageDistribution | Distribution | ClassTable, tol: float = 1e-12
-) -> SymmetryReport:
-    """Check invariance under node complement; reports the worst node."""
+def is_symmetric(dist: TimeAverageDistribution | Distribution | ClassTable) -> SymmetryReport:
+    """Check invariance under node complement: symmetric when no node's value
+    differs from its complement's by more than SYMMETRY_TOL.  Reports the
+    largest deviation and the smallest node that has it."""
     if isinstance(dist, ClassTable):
         # the complement maps distance d to m - d
         dev = dist.with_table(tuple(abs(p - q) for p, q in zip(dist.table, reversed(dist.table))))
@@ -198,7 +201,7 @@ def is_symmetric(
         dev = np.abs(dist.probs - dist.probs[::-1])
         worst = int(np.argmax(dev))
         max_dev = float(dev[worst])
-    return SymmetryReport(symmetric=max_dev <= tol, max_deviation=max_dev, worst_node=worst)
+    return SymmetryReport(symmetric=max_dev <= SYMMETRY_TOL, max_deviation=max_dev, worst_node=worst)
 
 
 def pst_check(sigma: int, tau: int, t0: float, engine: EvolutionEngine) -> float:
@@ -208,7 +211,7 @@ def pst_check(sigma: int, tau: int, t0: float, engine: EvolutionEngine) -> float
     level = engine.level
     level.validate_node(sigma)
     level.validate_node(tau)
-    return abs(basis_start_classes(level, sigma, t0).table[(sigma ^ tau).bit_count()])
+    return abs(basis_start_classes(level, sigma, t0).at(tau))
 
 
 def distribution_csv(dist: TimeAverageDistribution | Distribution) -> str:
@@ -221,7 +224,7 @@ def distribution_json_dict(dist: TimeAverageDistribution | Distribution) -> dict
     doc: dict = {"L": dist.level.L}
     if isinstance(dist, TimeAverageDistribution):
         doc["method"] = dist.method
-    elif dist.time is not None:
+    else:
         doc["t"] = dist.time
     doc["probs"] = [float(p) for p in dist.probs]
     return doc

@@ -40,15 +40,10 @@ class StateVector:
         import numpy as np
         return float(np.linalg.norm(self.amps))
 
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
+    def is_normalized(self) -> bool:
+        """Whether the squared norm is within NORM_TOL of 1."""
         import numpy as np
-        return abs(float(np.vdot(self.amps, self.amps).real) - 1.0) <= tol
-
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.level, self.amps / n)
+        return abs(float(np.vdot(self.amps, self.amps).real) - 1.0) <= NORM_TOL
 
 
 def basis_state(level: Level, sigma: int) -> StateVector:

@@ -263,6 +263,24 @@ def test_console_script_runs():
     assert json.loads(proc.stdout)["entries"][0]["eigenvalue"] == 0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["evolve", "--L", "16", "--t", "0.7"], ["time-average", "--L", "16", "--format", "csv"]],
+    ids=["evolve", "time-average-csv"],
+)
+def test_a_reader_that_closes_the_pipe_ends_the_run_quietly(args):
+    # the output is megabytes, far more than a pipe buffers, so the writes
+    # after the reader has gone fail with a broken pipe
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(hyperwalk.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    argv = [sys.executable, "-m", "hyperwalk.cli", *args]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (1, b"")
+
+
 # --- byte identity with the per-element reference writers -----------------
 
 

@@ -235,8 +235,6 @@ def test_unnormalized_input_policy():
     lopsided = StateVector(lv, [2.0, 0, 0, 0])
     with pytest.raises(ValueError):
         evolve(engine, lopsided, 0.5)
-    out = evolve(engine, lopsided, 0.5, renormalize=True)
-    assert abs(out.norm() - 1.0) < 1e-12
 
 
 ONE_HOT_TIMES = [
@@ -294,23 +292,6 @@ def test_one_hot_start_carries_its_global_phase(monkeypatch):
                 assert np.abs(got - _transform_route(start, t)).max() < 1e-12
                 assert np.abs(got - evolve_product(start, t).amps).max() < 1e-12
     assert len(calls) == 3 * 3 * 4
-
-
-def test_unnormalized_one_hot_start_is_renormalized(monkeypatch):
-    lv = Level(4)
-    spectral = EvolutionEngine(lv)
-    calls = _count_closed_form(monkeypatch)
-    amps = np.zeros(lv.dim, dtype=np.complex128)
-    amps[11] = 2.5 * np.exp(0.8j)
-    start = StateVector(lv, amps)
-    with pytest.raises(ValueError):
-        evolve(spectral, start, 0.5)
-    for t in (0.5, -3.1, 1e9):
-        got = evolve(spectral, start, t, renormalize=True).amps
-        assert abs(np.linalg.norm(got) - 1.0) < 1e-12
-        assert np.abs(got - _transform_route(start.normalized(), t)).max() < 1e-12
-        assert np.abs(got - evolve_product(start.normalized(), t).amps).max() < 1e-12
-    assert len(calls) == 3
 
 
 def test_two_hot_start_takes_the_per_bit_sweep(monkeypatch):
@@ -392,7 +373,7 @@ def test_dense_evolve_peaks_near_one_state():
 
 def test_a_refused_time_allocates_nothing_node_sized():
     # at L = 18 one complex node array is 8 MiB; the time is refused before
-    # the start is renormalized or copied
+    # the start is checked
     lv = Level(18)
     engine = EvolutionEngine(lv)
     start = random_state(lv, np.random.default_rng(18))
@@ -400,7 +381,7 @@ def test_a_refused_time_allocates_nothing_node_sized():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="exceeds the largest evaluable magnitude"):
-            evolve(engine, start, 1e308, renormalize=True)
+            evolve(engine, start, 1e308)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

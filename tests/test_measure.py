@@ -323,7 +323,7 @@ def test_a_dense_start_is_checked_once(monkeypatch, L):
 
 @pytest.mark.parametrize(
     "cls, extra",
-    [(Distribution, {}), (TimeAverageDistribution, {"method": "quadrature"})],
+    [(Distribution, {"time": 0.5}), (TimeAverageDistribution, {"method": "quadrature"})],
     ids=["Distribution", "TimeAverageDistribution"],
 )
 def test_distributions_refuse_probabilities_of_the_wrong_length(cls, extra):
@@ -468,7 +468,7 @@ def test_extreme_nodes_match_the_exact_value(L):
 
 @pytest.mark.parametrize("L", range(9))
 def test_time_average_is_complement_symmetric(L):
-    report = is_symmetric(time_average(vacuum_state(Level(L))), tol=1e-12)
+    report = is_symmetric(time_average(vacuum_state(Level(L))))
     assert report.symmetric
     assert report.max_deviation <= 1e-12
 
@@ -479,7 +479,7 @@ def test_symmetry_negative_control():
     probs[1] += 1e-3
     probs[5] -= 1e-3
     perturbed = TimeAverageDistribution(level=lv, probs=probs, method="quadrature")
-    report = is_symmetric(perturbed, tol=1e-12)
+    report = is_symmetric(perturbed)
     assert not report.symmetric
     assert report.max_deviation == pytest.approx(1e-3, rel=1e-6)
     assert report.worst_node in (1, 5, complement(1, lv), complement(5, lv))

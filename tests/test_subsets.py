@@ -8,6 +8,7 @@ from hyperwalk import (
     complement,
     elements,
     format_node,
+    is_adjacent,
     parse_node,
     symmetric_difference,
 )
@@ -27,6 +28,28 @@ def test_level_derived_fields():
 def test_level_rejects_out_of_cap(bad):
     with pytest.raises(ValueError):
         Level(bad)
+
+
+@pytest.mark.parametrize(
+    "call, args, message",
+    [
+        (Level, (True,), "L must be an integer"),
+        (Level, (3.0,), "L must be an integer"),
+        (Level, ("3",), "L must be an integer"),
+        (Level(2).validate_node, (True,), "node must be an integer bitmask"),
+        (Level(2).validate_node, (1.0,), "node must be an integer bitmask"),
+        (cardinality, (-1,), "nonnegative"),
+        (symmetric_difference, (-1, 0), "nonnegative"),
+        (symmetric_difference, (0, -1), "nonnegative"),
+        (elements, (-1,), "nonnegative"),
+        (is_adjacent, (-1, 0), "nonnegative"),
+        (is_adjacent, (0, -1), "nonnegative"),
+    ],
+    ids=lambda v: repr(v) if isinstance(v, tuple) else getattr(v, "__name__", None),
+)
+def test_levels_nodes_and_masks_of_the_wrong_kind_are_refused(call, args, message):
+    with pytest.raises(ValueError, match=message):
+        call(*args)
 
 
 def test_level_env_override(monkeypatch):
