@@ -48,7 +48,7 @@ def apply_per_bit(
     Each pass works in chunks of one buffer of SCRATCH_BYTES, so no temporary
     grows with len(src).  With square, a function from complex chunks to real
     arrays of their length that depends only on magnitudes (such as
-    measure.probabilities), pass 3 returns square of the result instead,
+    measure.probability), pass 3 returns square of the result instead,
     chunk by chunk, and never stores the result.  It squares each chunk
     before the row units, which only permute and negate the real and
     imaginary parts.

@@ -13,7 +13,8 @@ and the units again; O(dim * (L+1)) per call, with a fixed-size buffer as
 the only other memory.  ``distribution_at`` squares that last pass's chunks
 instead of storing them.  A one-hot start (a basis node times a unit phase)
 is its distance-class table gathered over the nodes instead
-(``spectral.basis_start_classes``), in O(dim).  The literal-definition
+(``spectral.basis_start_classes``), in O(dim); ``distribution_at`` squares
+that table's L+2 entries before the gather.  The literal-definition
 oracles it is tested against live in the test suite.
 """
 
@@ -58,32 +59,33 @@ def evolve(engine: EvolutionEngine, initial: StateVector, t: float) -> StateVect
 
 
 def _evolve(engine: EvolutionEngine, initial: StateVector, t: float, square=None) -> np.ndarray:
-    """evolve's amplitudes; with square (as apply_per_bit takes it), square
-    of them, taken chunk by chunk in the kernel's last pass."""
+    """evolve's amplitudes, or with square (as apply_per_bit takes it) their
+    squares: per chunk of the kernel's last pass, per distance from a node."""
     m2, phase, d = bit_factor(t)
-    checked_start(engine, initial)
-    amps = initial.amps
-    sigma = one_hot_node(amps)
+    sigma = checked_start(engine, initial)
     if sigma is None:
-        return apply_per_bit(amps, m2, phase, d, square)
+        return apply_per_bit(initial.amps, m2, phase, d, square)
     # a one-hot start stays a product state: its table times the start
     # amplitude, in numpy's complex product, gathered over the nodes
     import numpy as np
     classes = basis_start_classes(initial.level, sigma, t)
-    out = classes.with_table(tuple(np.multiply(classes.table, amps[sigma]).tolist())).materialize()
-    return out if square is None else square(out)
+    table = np.multiply(classes.table, initial.amps[sigma])
+    table = table if square is None else square(table)
+    return classes.with_table(tuple(table.tolist())).materialize()
 
 
-def checked_start(engine: EvolutionEngine, initial: StateVector) -> None:
-    """Refuse a start evolve cannot run from, with ValueError: first one on
-    another level than the engine's, then one whose squared norm is off 1 by
-    more than NORM_TOL."""
+def checked_start(engine: EvolutionEngine, initial: StateVector) -> int | None:
+    """The node of a one-hot start (one_hot_node), else None, after refusing
+    a start evolve cannot run from, with ValueError: first one on another
+    level than the engine's, then one whose squared norm is off 1 by more
+    than NORM_TOL."""
     if engine.level != initial.level:
         raise ValueError(
             f"engine level L={engine.level.L} does not match state level L={initial.level.L}"
         )
     if not initial.is_normalized():
         raise ValueError(f"initial state is not normalized (norm {initial.norm()!r})")
+    return one_hot_node(initial.amps)
 
 
 def one_hot_node(amps: np.ndarray) -> int | None:

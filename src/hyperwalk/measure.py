@@ -11,16 +11,15 @@ initial state:
   under d -> m - d, the complement.
 * From any other state, the ``quadrature``: equal-weight average of the
   pointwise distribution over M = 2L+4 equispaced times in [0, pi).  Every
-  occupation probability is a trigonometric polynomial whose frequencies are
-  even integers of magnitude at most 2(L+1), so any equispaced average with
-  M >= 2L+3 points kills all nonzero frequencies by aliasing and the finite
-  sum equals the integral exactly; M = 2L+4 keeps one point of margin.
-  ``krawtchouk`` names the closed form alone and refuses such states.
+  occupation probability is a trigonometric polynomial in frequencies 2n,
+  |n| <= L+1, and M equispaced points average e^{2int} to zero unless M
+  divides n, so M >= L+2 points already give the integral exactly; M = 2L+4
+  is twice that.  ``krawtchouk`` names the closed form alone and refuses such states.
 
-Every probability is rounded the same way, as re² + im²: ``probability``
-on one amplitude, ``probabilities`` bit for bit on an array.  The literal
-double sum over equal-cardinality index pairs, the ground-truth oracle for
-both averages, lives in the test suite.
+Every probability is rounded as re² + im² by ``probability``, with the same
+bits on one amplitude as on an array; from a node, on the L+2 table entries
+before the gather.  The literal double sum over equal-cardinality index
+pairs, the ground-truth oracle for both averages, lives in the test suite.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-from ._walsh import SCRATCH_BYTES, apply_per_bit
-from .evolution import EvolutionEngine, _evolve, checked_start, one_hot_node
+from ._walsh import apply_per_bit
+from .evolution import EvolutionEngine, _evolve, checked_start
 from .formatting import iter_csv
 from .operators import StateVector
 from .spectral import ClassTable, basis_start_classes, bit_factor
@@ -79,30 +78,19 @@ class SymmetryReport(NamedTuple):
     worst_node: int
 
 
-def probability(z: complex) -> float:
-    """Occupation probability |z|**2 of one amplitude, rounded as re² + im²."""
+def probability(z):
+    """Occupation probability |z|**2 rounded as re² + im², of one complex
+    number or, entry by entry and with the same bits, of a complex array."""
     return z.real * z.real + z.imag * z.imag
-
-
-def probabilities(amps: np.ndarray) -> np.ndarray:
-    """probability() of every amplitude of an array, bit for bit: the squared
-    real parts, plus the squared imaginary parts one fixed buffer at a time,
-    so nothing node-sized is allocated but the output."""
-    import numpy as np
-    probs = np.square(amps.real)
-    buf = np.empty(SCRATCH_BYTES // 8)
-    for a in range(0, len(probs), len(buf)):
-        part = amps.imag[a : a + len(buf)]
-        probs[a : a + len(buf)] += np.square(part, out=buf[: len(part)])
-    return probs
 
 
 def distribution_at(engine: EvolutionEngine, initial: StateVector, t: float) -> Distribution:
     """Pointwise distribution: squared amplitude magnitudes of the evolved
-    state, bit for bit probabilities(evolve(engine, initial, t).amps).  A
+    state, bit for bit probability(evolve(engine, initial, t).amps).  A
     dense state's amplitudes are squared chunk by chunk as the kernel's last
-    pass makes them; the evolved amplitudes are never stored."""
-    probs = _evolve(engine, initial, t, square=probabilities)
+    pass makes them, a node start's once per distance before the gather; the
+    evolved amplitudes are never stored."""
+    probs = _evolve(engine, initial, t, square=probability)
     return Distribution(level=engine.level, probs=probs, time=float(t))
 
 
@@ -118,7 +106,8 @@ def closed_form_pt(sigma: int, t: float, level: Level) -> float:
 
 def closed_form_distribution(level: Level, t: float) -> Distribution:
     """Vacuum-start distribution over all nodes via the closed form."""
-    probs = probabilities(basis_start_classes(level, 0, t).materialize())
+    classes = basis_start_classes(level, 0, t)
+    probs = classes.with_table(tuple(map(probability, classes.table))).materialize()
     return Distribution(level=level, probs=probs, time=float(t))
 
 
@@ -147,9 +136,7 @@ def time_average(
         )
     if engine is None:
         engine = EvolutionEngine(level)
-    checked_start(engine, initial)
-    amps = initial.amps
-    sigma = one_hot_node(amps)
+    sigma = checked_start(engine, initial)
     if sigma is not None:
         return TimeAverageDistribution(level, node_time_average(level, sigma).materialize(), "krawtchouk")
     if method == "krawtchouk":
@@ -159,7 +146,7 @@ def time_average(
     probs = np.zeros(level.dim, dtype=np.float64)
     # distribution_at's dense path on the start checked once above
     for j in range(m):
-        probs += apply_per_bit(amps, *bit_factor(j * math.pi / m), square=probabilities)
+        probs += apply_per_bit(initial.amps, *bit_factor(j * math.pi / m), square=probability)
     probs /= m
     return TimeAverageDistribution(level=level, probs=probs, method="quadrature")
 

@@ -65,6 +65,8 @@ def apply_involution(k: int, state: StateVector) -> StateVector:
 
     A self-inverse index permutation, hence exactly unitary.
     """
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"flip index must be an integer, got {k!r}")
     if not 0 <= k <= state.level.L:
         raise ValueError(f"flip index {k} out of range [0, {state.level.L}]")
     return StateVector(state.level, flip_bit(state.amps, k))

@@ -99,7 +99,7 @@ def test_distribution_at_squares_evolve_bit_for_bit(L, scratch_entries, monkeypa
     rng = np.random.default_rng(4000 + L)
     for start in (random_state(lv, rng), basis_state(lv, lv.dim // 3)):
         for t in (0.0, 0.7, -2.9, math.pi / 2, 1e12, 8.98e307):
-            want = measure.probabilities(evolve(engine, start, t).amps)
+            want = measure.probability(evolve(engine, start, t).amps)
             got = distribution_at(engine, start, t).probs
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), t
 
@@ -569,6 +569,27 @@ def test_pst_check_allocates_nothing_node_sized(monkeypatch):
     assert pst_check(sigma, sigma ^ 1, math.pi / 2, engine) <= 1e-12
 
 
+@pytest.mark.parametrize("which", ["distribution_at", "closed_form_distribution"])
+def test_node_start_distributions_allocate_one_float_per_node(which):
+    # the L+2 table entries are squared before the gather, so the only
+    # node-sized array is the float64 result: no complex gather to square
+    lv = Level(16)
+    engine, start = EvolutionEngine(lv), basis_state(lv, 5)
+    run = {
+        "distribution_at": lambda: distribution_at(engine, start, 0.7),
+        "closed_form_distribution": lambda: closed_form_distribution(lv, 0.7),
+    }[which]
+    run()  # warm up: first-call allocations are not the distribution's
+    tracemalloc.start()
+    try:
+        dist = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dist.probs.nbytes == 8 * lv.dim
+    assert peak <= 1.25 * 8 * lv.dim, peak / (8 * lv.dim)
+
+
 def test_pst_check_rejects_non_finite_times():
     engine = EvolutionEngine(Level(3))
     for t0 in (math.inf, -math.inf, math.nan):
@@ -643,10 +664,8 @@ def _rounding_samples(rng, n):
 
 
 def test_probabilities_equal_the_one_amplitude_rule_bit_for_bit(rng):
-    # more values than one buffer of the chunked sum holds, and not a multiple of it
     amps = _rounding_samples(rng, 40000)
-    assert len(amps) > measure.SCRATCH_BYTES // 8 and len(amps) % (measure.SCRATCH_BYTES // 8)
-    got = measure.probabilities(amps)
+    got = measure.probability(amps)
     want = np.array([measure.probability(z) for z in amps.tolist()])
     assert got.dtype == np.float64 and got.shape == amps.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

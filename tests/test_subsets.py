@@ -4,6 +4,7 @@ import pytest
 
 from hyperwalk import (
     Level,
+    apply_involution,
     cardinality,
     complement,
     elements,
@@ -11,6 +12,7 @@ from hyperwalk import (
     is_adjacent,
     parse_node,
     symmetric_difference,
+    vacuum_state,
 )
 from hyperwalk.subsets import element_strings
 
@@ -38,6 +40,8 @@ def test_level_rejects_out_of_cap(bad):
         (Level, ("3",), "L must be an integer"),
         (Level(2).validate_node, (True,), "node must be an integer bitmask"),
         (Level(2).validate_node, (1.0,), "node must be an integer bitmask"),
+        (apply_involution, (True, vacuum_state(Level(2))), "flip index must be an integer"),
+        (apply_involution, (1.0, vacuum_state(Level(2))), "flip index must be an integer"),
         (cardinality, (-1,), "nonnegative"),
         (symmetric_difference, (-1, 0), "nonnegative"),
         (symmetric_difference, (0, -1), "nonnegative"),

@@ -3,7 +3,7 @@ import pytest
 
 from hyperwalk import _walsh
 from hyperwalk._walsh import apply_per_bit
-from hyperwalk.measure import probabilities
+from hyperwalk.measure import probability
 
 
 def _kron_power(m2: np.ndarray, m: int) -> np.ndarray:
@@ -37,9 +37,9 @@ def _check(m: int, seed: int) -> None:
         assert np.array_equal(a, source), (m, twisted)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max(), (m, twisted)
         # the squares of the last pass are the squares of the result, bit for bit
-        squared = apply_per_bit(a, *factor, square=probabilities)
+        squared = apply_per_bit(a, *factor, square=probability)
         assert np.array_equal(a, source), (m, twisted)
-        assert np.array_equal(squared.view(np.uint64), probabilities(got).view(np.uint64)), (m, twisted)
+        assert np.array_equal(squared.view(np.uint64), probability(got).view(np.uint64)), (m, twisted)
 
 
 @pytest.mark.parametrize("m", range(1, 11))
