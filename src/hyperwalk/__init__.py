@@ -10,8 +10,9 @@ functions act on state vectors directly and never build a matrix; the
 literal-definition oracles everything is checked against, dense operator,
 graph and evolution matrices among them, live in the test suite.
 
-Every public name is imported from its module on first access (PEP 562), and
-numpy only by the functions that build or take node-sized arrays, so the
+Every public name is imported from its module on first access (PEP 562).
+numpy is imported the same way, in _numpy.py alone, when a function that
+builds or takes a node-sized array first reads one of its names; so the
 command line, which computes and writes per-distance tables, never loads it.
 """
 

@@ -10,10 +10,7 @@ d = -i; the change of basis is real (phase 1, d = 1).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # numpy is imported where an array is built or taken
-    import numpy as np
+from . import _numpy as np
 
 # Bits per Kronecker block and bytes of the chunk buffer.  Measured on a
 # 2-CPU Xeon with OpenBLAS, distribution_at on a dense state (real blocks on
@@ -53,7 +50,6 @@ def apply_per_bit(
     before the row units, which only permute and negate the real and
     imaginary parts.
     """
-    import numpy as np
     n = src.shape[0]
     m = n.bit_length() - 1
     if src.ndim != 1 or n != 1 << m or src.dtype != np.complex128 or not src.flags.c_contiguous:
@@ -101,7 +97,6 @@ def apply_per_bit(
 
 
 def _kron_power(m2: np.ndarray, bits: int) -> np.ndarray:
-    import numpy as np
     block = np.ones((1, 1), dtype=m2.dtype)
     for _ in range(bits):
         block = np.kron(block, m2)
@@ -125,7 +120,6 @@ def _chunks(grid: np.ndarray, size: int):
 
 def sign_column(sigma: int, n: int) -> np.ndarray:
     """Vector of (-1)**popcount(i & sigma): one column of the unnormalized transform."""
-    import numpy as np
     counts = np.bitwise_count(np.arange(n, dtype=np.uint64) & np.uint64(sigma))
     return 1.0 - 2.0 * (counts & 1).astype(np.float64)
 

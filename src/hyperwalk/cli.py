@@ -12,6 +12,7 @@ subcommand imports numpy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import math
 import os
@@ -33,15 +34,21 @@ SCHEMA = "hyperwalk/1"
 # such argument, -1e-3 and -1/2 included, can be a value.
 NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
+# one part of a pi fraction: ASCII digits with at most one leading "-", where
+# int() would also take "+", "_" and non-ASCII digits
+INTEGER = re.compile(r"\s*-?[0-9]+\s*")
+
 
 def _parse_pi_fraction(text: str) -> float:
-    """Parse "p/q" (or "p") as the time p*pi/q, avoiding decimal truncation.
+    """Parse "p/q" (or "p"), each an INTEGER, as the time p*pi/q, avoiding
+    decimal truncation.
 
     The time is reduced into [0, pi), one period of the walk.
     """
-    body = text.strip()
-    num_str, slash, den_str = body.partition("/")
+    num_str, slash, den_str = text.strip().partition("/")
     try:
+        if not all(map(INTEGER.fullmatch, (num_str, den_str) if slash else (num_str,))):
+            raise ValueError
         num = int(num_str)
         den = int(den_str) if slash else 1
     except ValueError:
@@ -245,21 +252,24 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if args.out:
         try:
-            fh = open(args.out, "w", encoding="utf-8")
+            out = open(args.out, "w", encoding="utf-8")
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        with fh:
-            fh.writelines(chunks)
     else:
-        try:
-            sys.stdout.writelines(chunks)
-            sys.stdout.flush()
-        except BrokenPipeError:
-            # downstream reader (e.g. head) closed the pipe; exit quietly
+        out = contextlib.nullcontext(sys.stdout)
+    try:
+        with out as fh:
+            fh.writelines(chunks)
+            fh.flush()
+    except OSError as exc:
+        if not args.out:
+            # the interpreter flushes stdout again at exit: send what is left to devnull
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
-            return 1
+        if not isinstance(exc, BrokenPipeError):  # a reader (e.g. head) that closed the pipe ends quietly
+            print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

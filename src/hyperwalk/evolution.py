@@ -20,15 +20,11 @@ oracles it is tested against live in the test suite.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
+from . import _numpy as np
 from ._walsh import apply_per_bit
 from .operators import StateVector
 from .spectral import basis_start_classes, bit_factor
 from .subsets import Level
-
-if TYPE_CHECKING:  # numpy is imported where an array is built or taken
-    import numpy as np
 
 ONE_HOT_PROBE = 16  # leading amplitudes one_hot_node reads before it counts them all
 
@@ -67,7 +63,6 @@ def _evolve(engine: EvolutionEngine, initial: StateVector, t: float, square=None
         return apply_per_bit(initial.amps, m2, phase, d, square)
     # a one-hot start stays a product state: its table times the start
     # amplitude, in numpy's complex product, gathered over the nodes
-    import numpy as np
     classes = basis_start_classes(initial.level, sigma, t)
     table = np.multiply(classes.table, initial.amps[sigma])
     table = table if square is None else square(table)
@@ -96,7 +91,6 @@ def one_hot_node(amps: np.ndarray) -> int | None:
     per amplitude, which is then counted and, for a one-hot state, searched
     up to its node.
     """
-    import numpy as np
     if np.count_nonzero(amps[:ONE_HOT_PROBE]) > 1:
         return None
     nonzero = amps != 0

@@ -8,19 +8,17 @@ once per Hamming distance, a CSV float array once per distinct value
 plain Python and never becomes a node-sized array: on the node grid
 (ClassTable.grid) a JSON row is one of only hi+1 distinct strings, yielded
 as it is, and a CSV chunk of CHUNK rows joins cells from hi+1 lists: small
-pieces page-fault far less.  Only the CSV array branch imports numpy.
+pieces page-fault far less.  Only the CSV array branch uses numpy.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
+from . import _numpy as np
 from .spectral import ClassTable
 from .subsets import element_strings, format_node
-
-if TYPE_CHECKING:  # numpy is imported where an array is built or taken
-    import numpy as np
 
 # CSV rows per chunk.  Medians on a 2-CPU Xeon, 2**11/2**12/2**13/2**16 rows:
 # time-average --L 17 0.15/0.16/0.17/0.22 s, pst --L 22 0.55/0.60/0.58/0.74 s,
@@ -42,15 +40,9 @@ def _array_cells(values: np.ndarray, suffix: str = "") -> Callable[[int, int], l
     """cells(start, size): the format_float text of values[start:start+size],
     each followed by suffix.  Each distinct value is formatted once; 0.0 and
     -0.0 share one, which is exact because both format as "0"."""
-    import numpy as np
     distinct, index = np.unique(values, return_inverse=True)
     text = np.array([format_float(x) + suffix for x in distinct.tolist()], dtype=object)
     return lambda start, size: text[index[start : start + size]].tolist()
-
-
-def _entry_text(entry: Any) -> str:
-    """The JSON text of one table entry: a number, or "[re,im]" of a pair."""
-    return "".join(iter_json(entry))
 
 
 def dumps_json(obj: Any) -> str:
@@ -96,7 +88,7 @@ def iter_json(obj: Any) -> Iterator[str]:
 def _table_json(table: ClassTable) -> Iterator[str]:
     # grid row i is the joined text of row class rows[i]: join each once and
     # yield that one string for every row of its class
-    classes, rows, cols = table.with_table(tuple(map(_entry_text, table.table))).grid()
+    classes, rows, cols = table.with_table(tuple(map(dumps_json, table.table))).grid()
     text = ["," + ",".join([row_class[c] for c in cols]) for row_class in classes]
     yield "[" + text[rows[0]][1:]
     yield from map(text.__getitem__, rows[1:])
@@ -124,7 +116,7 @@ def iter_csv(header: str, columns: Sequence[np.ndarray | ClassTable]) -> Iterato
     size = min(CHUNK, dim)
     separators = [","] * (len(columns) - 1) + ["\n"]
     if all(isinstance(column, ClassTable) for column in columns):
-        text = zip(*[[_entry_text(x) + sep for x in c.table] for c, sep in zip(columns, separators)])
+        text = zip(*[[dumps_json(x) + sep for x in c.table] for c, sep in zip(columns, separators)])
         classes, rows, cols = columns[0].with_table(tuple(map("".join, text))).grid(size.bit_length() - 1)
         lists = [[row_class[c] for c in cols] for row_class in classes]
         sources = [lambda start, size: lists[rows[start // size]]]

@@ -27,17 +27,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
+from . import _numpy as np
 from ._walsh import apply_per_bit
 from .evolution import EvolutionEngine, _evolve, checked_start
 from .formatting import iter_csv
 from .operators import StateVector
 from .spectral import ClassTable, basis_start_classes, bit_factor
 from .subsets import Level
-
-if TYPE_CHECKING:  # numpy is imported where an array is built or taken
-    import numpy as np
 
 TIME_AVERAGE_METHODS = ("quadrature", "krawtchouk")
 SYMMETRY_TOL = 1e-12  # largest deviation is_symmetric accepts
@@ -51,7 +49,6 @@ class _NodeProbabilities:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        import numpy as np
         probs = np.ascontiguousarray(self.probs, dtype=np.float64)
         if probs.shape != (self.level.dim,):
             raise ValueError(f"probability array must have shape ({self.level.dim},)")
@@ -141,7 +138,6 @@ def time_average(
         return TimeAverageDistribution(level, node_time_average(level, sigma).materialize(), "krawtchouk")
     if method == "krawtchouk":
         raise ValueError("krawtchouk requires a basis-node initial state (one nonzero amplitude)")
-    import numpy as np
     m = quadrature_point_count(level)
     probs = np.zeros(level.dim, dtype=np.float64)
     # distribution_at's dense path on the start checked once above
@@ -183,7 +179,6 @@ def is_symmetric(dist: TimeAverageDistribution | Distribution | ClassTable) -> S
         worst = dev.argmax()
         max_dev = dev.at(worst)
     else:
-        import numpy as np
         # the complement of node g is dim - 1 - g
         dev = np.abs(dist.probs - dist.probs[::-1])
         worst = int(np.argmax(dev))

@@ -8,13 +8,10 @@ permutations; nothing in the hot path touches a matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from . import _numpy as np
 from ._walsh import flip_bit, sign_column
 from .subsets import Level
-
-if TYPE_CHECKING:  # numpy is imported where an array is built or taken
-    import numpy as np
 
 NORM_TOL = 1e-12
 
@@ -28,7 +25,6 @@ class StateVector:
     amps: np.ndarray
 
     def __post_init__(self) -> None:
-        import numpy as np
         amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
         if amps.shape != (self.level.dim,):
             raise ValueError(
@@ -37,18 +33,15 @@ class StateVector:
         self.amps = amps
 
     def norm(self) -> float:
-        import numpy as np
         return float(np.linalg.norm(self.amps))
 
     def is_normalized(self) -> bool:
         """Whether the squared norm is within NORM_TOL of 1."""
-        import numpy as np
         return abs(float(np.vdot(self.amps, self.amps).real) - 1.0) <= NORM_TOL
 
 
 def basis_state(level: Level, sigma: int) -> StateVector:
     """One-hot state at node sigma."""
-    import numpy as np
     level.validate_node(sigma)
     amps = np.zeros(level.dim, dtype=np.complex128)
     amps[sigma] = 1.0
@@ -78,7 +71,6 @@ def apply_involution_product(sigma: int, state: StateVector) -> StateVector:
     The flips commute, so the product is order-free and acts as one XOR
     relabeling: out[g] = in[g ^ sigma].  The empty product is the identity.
     """
-    import numpy as np
     level = state.level
     level.validate_node(sigma)
     idx = np.arange(level.dim, dtype=np.intp) ^ sigma
@@ -95,7 +87,6 @@ def apply_hat_involution(sigma: int, state: StateVector) -> StateVector:
     (-1)**popcount(g & sigma) is (-1)**popcount(g & ~sigma).  Composing it
     with itself scales by dim; distinct sigma annihilate each other.
     """
-    import numpy as np
     level = state.level
     level.validate_node(sigma)
     col = sign_column(level.full_mask ^ sigma, level.dim)
@@ -117,7 +108,6 @@ def apply_laplacian(state: StateVector) -> StateVector:
 
 def inner_product(a: StateVector, b: StateVector) -> complex:
     """Hermitian inner product, conjugate-linear in the first argument."""
-    import numpy as np
     if a.level != b.level:
         raise ValueError(f"mismatched levels: L={a.level.L} vs L={b.level.L}")
     return complex(np.vdot(a.amps, b.amps))

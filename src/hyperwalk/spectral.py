@@ -14,14 +14,11 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from . import _numpy as np
 from ._walsh import apply_per_bit
 from .operators import StateVector
 from .subsets import Level, cardinality
-
-if TYPE_CHECKING:  # numpy is imported where an array is built or taken
-    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -150,7 +147,6 @@ class ClassTable:
     def materialize(self) -> np.ndarray:
         """The entries of every node in index order, as a numpy array: one
         gather of the grid."""
-        import numpy as np
         classes, rows, cols = self.grid()
         return np.take(np.array(classes)[rows], cols, axis=1).reshape(self.level.dim, *np.shape(self.table[0]))
 

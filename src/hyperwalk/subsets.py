@@ -106,8 +106,9 @@ def parse_node(text: str, level: Level) -> int:
     """Parse a node string into a bitmask.
 
     Accepts "" or "∅" or "{}" for the empty set, otherwise comma-separated
-    distinct integers in [0, L], optionally wrapped in braces.  Parsing the
-    canonical output of :func:`format_node` round-trips.
+    distinct integers in [0, L], written in the ASCII digits 0-9 alone,
+    optionally wrapped in braces.  Parsing the canonical output of
+    :func:`format_node` round-trips.
     """
     body = text.strip()
     if body.startswith("{") and body.endswith("}"):
@@ -118,6 +119,8 @@ def parse_node(text: str, level: Level) -> int:
     for token in body.split(","):
         tok = token.strip()
         try:
+            if not (tok.isascii() and tok.isdigit()):  # int() also takes "+", "-", "_" and other digits
+                raise ValueError
             k = int(tok)
         except ValueError:
             raise ValueError(f"malformed element {token!r} in node string {text!r}") from None

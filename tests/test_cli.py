@@ -201,7 +201,9 @@ REFUSED = [
     *[([command, f"{flag}={t}"], _HUGE_T.format(t)) for command, flag in (("evolve", "--t"), ("pst", "--t0")) for t in ("1e+308", "-1e+308")],
     *[([command, f"{flag}={t}"], f"error: time must be finite, got {t}\n")
       for command, flag, t in (("evolve", "--t", "inf"), ("evolve", "--t", "nan"), ("evolve", "--t", "-inf"), ("pst", "--t0", "nan"), ("pst", "--t0", "inf"))],
-    *[([command, flag, p], _FRACTION.format(p)) for command, flag in (("evolve", "--t-pi-fraction"), ("pst", "--t0-pi-fraction")) for p in ("1/", "3/")],
+    *[([command, flag, p], _FRACTION.format(p)) for command, flag in (("evolve", "--t-pi-fraction"), ("pst", "--t0-pi-fraction")) for p in ("1/", "3/", "1_0/3")],
+    *[([command, flag, node], f"error: malformed element {node!r} in node string {node!r}\n")
+      for command, flag, node in (("time-average", "--initial", "1_0"), ("time-average", "--initial", "+1"), ("pst", "--from", "٣"))],
     # a denominator beyond the float range
     *[([command, flag, p], f"error: pi fraction {p!r} has a denominator beyond the float range\n")
       for command, flag in (("evolve", "--t-pi-fraction"), ("pst", "--t0-pi-fraction")) for p in ("1/1" + "0" * 400, "-7/3" + "0" * 309)],
@@ -279,6 +281,24 @@ def test_a_reader_that_closes_the_pipe_ends_the_run_quietly(args):
     proc.stdout.close()
     err = proc.stderr.read()
     assert (proc.wait(), err) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "args, to_stdout",
+    [(["evolve", "--L", "3", "--t", "1", "--out", "/dev/full"], False), (["spectrum", "--L", "1"], True)],
+    ids=["out", "stdout"],
+)
+def test_a_failed_write_is_reported_without_a_traceback(args, to_stdout):
+    # /dev/full opens, and every write to it fails with ENOSPC
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(hyperwalk.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    argv = [sys.executable, "-m", "hyperwalk.cli", *args]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(argv, stdout=full if to_stdout else subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "No space left on device" in proc.stderr
 
 
 # --- byte identity with the per-element reference writers -----------------
@@ -458,6 +478,9 @@ def test_node_starts_gather_nothing_node_sized(tmp_path, capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("node-sized array built on a CLI path")
 
+    # hyperwalk._numpy keeps numpy's names once read, so a cached unique is
+    # replaced too; patched first, so that undo restores numpy's own
+    monkeypatch.setattr("hyperwalk._numpy.unique", refuse, raising=False)
     monkeypatch.setattr(np, "unique", refuse)
     monkeypatch.setattr(ClassTable, "materialize", refuse)
     for argv in (

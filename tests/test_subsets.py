@@ -141,10 +141,15 @@ def test_parse_node_accepted_forms():
     assert parse_node(" 2 , 0 ", Level(2)) == 0b101
 
 
-@pytest.mark.parametrize("text", ["5", "0,0", "0,,1", "a", "0;1", "-1"])
-def test_parse_node_rejects_bad_input(text):
+# int() spellings that are not ASCII digits ("٣" is an Arabic-Indic 3) at a
+# level where their values would be in range
+BAD_NODES = [*[(text, 2) for text in ("5", "0,0", "0,,1", "a", "0;1", "-1")], *[(text, 12) for text in ("1_0", "+1", "-0", "٣")]]
+
+
+@pytest.mark.parametrize("text, L", BAD_NODES, ids=[text for text, _ in BAD_NODES])
+def test_parse_node_rejects_bad_input(text, L):
     with pytest.raises(ValueError):
-        parse_node(text, Level(2))
+        parse_node(text, Level(L))
 
 
 def test_format_node_canonical():
