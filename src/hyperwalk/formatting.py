@@ -2,21 +2,19 @@
 
 The writers produce their text as a sequence of chunks, so a caller can
 stream a document without holding it whole.  JSON takes Python values and
-ClassTables; CSV takes ClassTables or float arrays.  A ClassTable is formatted
-once per Hamming distance, a CSV float array once per distinct value
-(format_float stays the only source of the bytes).  A table is written in
-plain Python and never becomes a node-sized array: on the node grid
-(ClassTable.grid) a JSON row is one of only hi+1 distinct strings, yielded
-as it is, and a CSV chunk of CHUNK rows joins cells from hi+1 lists: small
-pieces page-fault far less.  Only the CSV array branch uses numpy.
+ClassTables; CSV takes ClassTables alone, each formatted once per Hamming
+distance (format_float stays the only source of the bytes).  A table is
+written in plain Python and never becomes a node-sized array: on the node
+grid (ClassTable.grid) a JSON row is one of only hi+1 distinct strings,
+yielded as it is, and a CSV chunk of CHUNK rows joins cells from hi+1 lists:
+small pieces page-fault far less.  No writer uses numpy.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
-from . import _numpy as np
 from .spectral import ClassTable
 from .subsets import element_strings, format_node
 
@@ -34,15 +32,6 @@ def format_float(x: float) -> str:
     if abs(x) < 1e-4:
         return format(x, ".16e")
     return format(x, ".17g")
-
-
-def _array_cells(values: np.ndarray, suffix: str = "") -> Callable[[int, int], list[str]]:
-    """cells(start, size): the format_float text of values[start:start+size],
-    each followed by suffix.  Each distinct value is formatted once; 0.0 and
-    -0.0 share one, which is exact because both format as "0"."""
-    distinct, index = np.unique(values, return_inverse=True)
-    text = np.array([format_float(x) + suffix for x in distinct.tolist()], dtype=object)
-    return lambda start, size: text[index[start : start + size]].tolist()
 
 
 def dumps_json(obj: Any) -> str:
@@ -95,40 +84,33 @@ def _table_json(table: ClassTable) -> Iterator[str]:
     yield "]"
 
 
-def iter_csv(header: str, columns: Sequence[np.ndarray | ClassTable]) -> Iterator[str]:
+def iter_csv(header: str, columns: Sequence[ClassTable]) -> Iterator[str]:
     """A header line, then one row per node in index order, as a sequence of chunks.
 
     Row sigma is the quoted format_node label of sigma followed by the
-    format_float text of each column at sigma.  The columns are float arrays
-    of one value per node, or ClassTables of one start node, so their length
-    is a power of two.
+    format_float text of each column at sigma.  The columns are ClassTables
+    of one level and one start node.
 
     A chunk is one join over a reused parts list: per row the label's opening
     and low-bit elements (the same in every chunk), the chunk's high-bit
-    elements with the closing of the label, then the cells, each of which
-    carries its separator.  An array's cells come per column from its
-    distinct strings.  The tables' cells of a row depend on its distance
+    elements with the closing of the label, then the row's cells, each
+    followed by its separator.  The cells of a row depend on its distance
     alone, so they are one string per distance, and a chunk's are the list
     of its row class on the grid split at the chunk size.
     """
     yield header + "\n"
-    dim = len(columns[0])
+    dim = columns[0].level.dim
     size = min(CHUNK, dim)
+    lo = size.bit_length() - 1
     separators = [","] * (len(columns) - 1) + ["\n"]
-    if all(isinstance(column, ClassTable) for column in columns):
-        text = zip(*[[dumps_json(x) + sep for x in c.table] for c, sep in zip(columns, separators)])
-        classes, rows, cols = columns[0].with_table(tuple(map("".join, text))).grid(size.bit_length() - 1)
-        lists = [[row_class[c] for c in cols] for row_class in classes]
-        sources = [lambda start, size: lists[rows[start // size]]]
-    else:
-        sources = [_array_cells(column, sep) for column, sep in zip(columns, separators)]
-    stride = len(sources) + 2
-    parts = [""] * (size * stride)
-    parts[0::stride] = ['"{' + low for low in element_strings(size.bit_length() - 1)]
+    text = zip(*[[dumps_json(x) + sep for x in c.table] for c, sep in zip(columns, separators)])
+    classes, rows, cols = columns[0].with_table(tuple(map("".join, text))).grid(lo)
+    lists = [[row_class[c] for c in cols] for row_class in classes]
+    parts = [""] * (size * 3)
+    parts[0::3] = ['"{' + low for low in element_strings(lo)]
     for start in range(0, dim, size):
         high = format_node(start)[1:-1]  # start has no bits below the chunk's
-        parts[1::stride] = [("," + high if high else "") + '}",'] * size
+        parts[1::3] = [("," + high if high else "") + '}",'] * size
         parts[1] = high + '}",'  # row 0 of the chunk has no low-bit elements
-        for k, cells in enumerate(sources):
-            parts[2 + k :: stride] = cells(start, size)
+        parts[2::3] = lists[rows[start >> lo]]
         yield "".join(parts)

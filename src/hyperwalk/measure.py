@@ -32,10 +32,10 @@ from typing import NamedTuple
 from . import _numpy as np
 from ._walsh import apply_per_bit
 from .evolution import EvolutionEngine, _evolve, checked_start
-from .formatting import iter_csv
+from .formatting import format_float
 from .operators import StateVector
 from .spectral import ClassTable, basis_start_classes, bit_factor
-from .subsets import Level
+from .subsets import Level, element_strings
 
 TIME_AVERAGE_METHODS = ("quadrature", "krawtchouk")
 SYMMETRY_TOL = 1e-12  # largest deviation is_symmetric accepts
@@ -197,8 +197,10 @@ def pst_check(sigma: int, tau: int, t0: float, engine: EvolutionEngine) -> float
 
 
 def distribution_csv(dist: TimeAverageDistribution | Distribution) -> str:
-    """CSV export with canonical node strings (node field always quoted)."""
-    return "".join(iter_csv("node,probability", [dist.probs]))
+    """CSV export with canonical node strings (node field always quoted),
+    written row by row: format_float on every probability."""
+    rows = zip(element_strings(dist.level.L + 1), dist.probs.tolist())
+    return "node,probability\n" + "".join([f'"{{{label}}}",{format_float(p)}\n' for label, p in rows])
 
 
 def distribution_json_dict(dist: TimeAverageDistribution | Distribution) -> dict:

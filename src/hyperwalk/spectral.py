@@ -120,9 +120,6 @@ class ClassTable:
     sigma: int
     table: tuple
 
-    def __len__(self) -> int:
-        return self.level.dim
-
     def with_table(self, table: tuple) -> ClassTable:
         """Another quantity over the same classes."""
         return ClassTable(self.level, self.sigma, table)

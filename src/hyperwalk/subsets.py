@@ -19,13 +19,10 @@ def max_level() -> int:
     raw = os.environ.get(MAX_LEVEL_ENV_VAR)
     if raw is None or raw == "":
         return DEFAULT_MAX_LEVEL
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = None
-    if cap is None or cap < 0:
+    digits = raw.strip()
+    if not (digits.isascii() and digits.isdigit()):  # the rule parse_node applies to an element
         raise ValueError(f"{MAX_LEVEL_ENV_VAR} must be a nonnegative integer, got {raw!r}")
-    return cap
+    return int(digits)
 
 
 @dataclass(frozen=True)

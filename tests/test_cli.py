@@ -525,7 +525,7 @@ def test_evolve_at_the_level_cap_streams_in_little_memory():
     assert np.array_equal(np.array(first + last), table[np.bitwise_count(ends ^ np.uint64(node))])
 
 
-@pytest.mark.parametrize("raw", ["abc", "-3"])
+@pytest.mark.parametrize("raw", ["abc", "-3", "1_0", "+3", "-0", "\u0663"])
 def test_malformed_env_cap_exits_2(capsys, monkeypatch, raw):
     monkeypatch.setenv("HYPERWALK_L_MAX", raw)
     code, _, err = run_cli(capsys, "spectrum", "--L", "1")

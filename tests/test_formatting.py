@@ -71,17 +71,33 @@ def test_other_values_take_the_element_path():
             dumps_json({"bad": bad})
 
 
-def _pad(values: np.ndarray, dim: int) -> np.ndarray:
-    return np.resize(values, dim) if values.size else np.zeros(dim)
+def _table(values, level: Level, sigma: int) -> ClassTable:
+    """values as the entries of distances 0..L+1, repeated or cut to length."""
+    return ClassTable(level, sigma, tuple(np.resize(np.array(values, dtype=np.float64), level.L + 2).tolist()))
 
 
-@pytest.mark.parametrize("dim", [2, 8, 4 * CHUNK])
-def test_csv_matches_reference(dim):
-    columns = [_pad(ARRAYS[name], dim) for name in EDGE_ARRAYS]
-    columns.append(_all_distinct(dim))
-    columns.append(_repeating(dim))
+def _tables(L: int, sigma: int) -> dict[str, ClassTable]:
+    level = Level(L)
+    tables = {name: _table(values, level, sigma) for name, values in EDGE_ARRAYS.items() if len(values)}
+    tables["all distinct"] = _table(_all_distinct(L + 2), level, sigma)
+    tables["repeating"] = _table(_repeating(L + 2), level, sigma)
+    return tables
+
+
+def _csv_matches_reference(columns: list[ClassTable]) -> list[str]:
     header = "node," + ",".join(f"c{i}" for i in range(len(columns)))
-    assert "".join(iter_csv(header, columns)) == reference_csv(header, columns)
+    chunks = list(iter_csv(header, columns))
+    assert "".join(chunks) == reference_csv(header, [column.materialize() for column in columns])
+    return chunks
+
+
+# dim 2, 8, one chunk; dim 128, eight chunks; L = 6 holds every edge value
+@pytest.mark.parametrize("L, sigma", [(0, 1), (2, 0b101), (6, 0), (6, 0b1011001)])
+def test_csv_matches_reference(L, sigma):
+    tables = _tables(L, sigma)
+    for table in tables.values():
+        _csv_matches_reference([table])
+    _csv_matches_reference(list(tables.values()))
 
 
 def test_writers_stream_in_chunks():
@@ -98,17 +114,15 @@ def test_writers_stream_in_chunks():
     for r, chunk in zip(rows[1:], chunks[1:-1]):
         assert first.setdefault(r, chunk) is chunk
     assert "".join(chunks) == reference_dumps_json(table.materialize().tolist())
-    for column in (_repeating(4 * CHUNK), table):
-        assert len(list(iter_csv("node,p", [column]))) == 1 + len(column) // CHUNK
+    assert len(list(iter_csv("node,p", [table]))) == 1 + table.level.dim // CHUNK
 
 
 @pytest.mark.parametrize("ncols", [1, 3])
 def test_csv_matches_reference_at_the_real_chunk(monkeypatch, ncols):
-    # two chunks of the real size, the second with high-bit elements
+    # L = 12: two chunks of the real size, the second with high-bit elements
     monkeypatch.setattr(formatting, "CHUNK", REAL_CHUNK)
-    dim = 2 * REAL_CHUNK
-    columns = [_repeating(dim), _all_distinct(dim), -_repeating(dim)][:ncols]
-    header = "node," + ",".join(f"c{i}" for i in range(ncols))
-    chunks = list(iter_csv(header, columns))
-    assert len(chunks) == 3
-    assert "".join(chunks) == reference_csv(header, columns)
+    L = 12
+    assert 1 << (L + 1) == 2 * REAL_CHUNK
+    tables = _tables(L, 0b1_0110_0100_1101)
+    columns = [tables["repeating"], tables["all distinct"], tables["around 1e-4"]][:ncols]
+    assert len(_csv_matches_reference(columns)) == 3

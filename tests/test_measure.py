@@ -44,6 +44,7 @@ from helpers import (
     product_state_amplitudes,
     quadrature_oracle,
     random_state,
+    reference_csv,
 )
 
 
@@ -550,6 +551,16 @@ def test_distribution_exports():
     assert doc["probs"] == [0.375, 0.125, 0.125, 0.375]
     at_t = distribution_at(EvolutionEngine(lv), vacuum_state(lv), 0.0)
     assert distribution_json_dict(at_t)["t"] == 0.0
+
+
+@pytest.mark.parametrize("L", [0, 5, 12])
+def test_distribution_csv_matches_the_reference_writer(rng, L):
+    lv = Level(L)
+    engine = EvolutionEngine(lv)
+    dense = distribution_at(engine, random_state(lv, rng), 0.7)
+    node = time_average(basis_state(lv, int(rng.integers(lv.dim))))
+    for dist in (dense, node):
+        assert distribution_csv(dist) == reference_csv("node,probability", [dist.probs])
 
 
 def test_pst_check_allocates_nothing_node_sized(monkeypatch):

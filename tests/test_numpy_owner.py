@@ -24,6 +24,22 @@ def test_only_the_owner_imports_numpy():
     assert importers == ["_numpy.py"]
 
 
+def _imports_the_owner(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name == "hyperwalk._numpy" for alias in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    # a relative import inside the package resolves against hyperwalk
+    module = ".".join(filter(None, ["hyperwalk" if node.level else "", node.module]))
+    return module == "hyperwalk._numpy" or (module == "hyperwalk" and any(alias.name == "_numpy" for alias in node.names))
+
+
+def test_the_writers_do_not_read_numpy():
+    # the command line writes through formatting, so its writers stay numpy-free
+    tree = ast.parse((PACKAGE / "formatting.py").read_text(encoding="utf-8"))
+    assert not any(map(_imports_the_owner, ast.walk(tree)))
+
+
 def test_the_owner_binds_nothing_but_its_module_getattr():
     # any other module-level name could shadow one of numpy's
     body = ast.parse((PACKAGE / "_numpy.py").read_text(encoding="utf-8")).body

@@ -63,7 +63,7 @@ def test_level_env_override(monkeypatch):
     assert Level(4).dim == 32
 
 
-@pytest.mark.parametrize("raw", ["abc", "-3"])
+@pytest.mark.parametrize("raw", ["abc", "-3", "1_0", "+3", "-0", "\u0663"])
 def test_malformed_env_cap_is_named_in_the_error(monkeypatch, raw):
     monkeypatch.setenv("HYPERWALK_L_MAX", raw)
     with pytest.raises(ValueError, match="HYPERWALK_L_MAX must be a nonnegative integer"):
