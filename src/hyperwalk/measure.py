@@ -6,9 +6,9 @@ initial state:
 * From a basis node (one nonzero amplitude), the exact value per distance
   class.  The walk is then a product state whose occupation at distance d is
   cos(t)**(2(m-d)) * sin(t)**(2d), with m = L+1, so the period average is
-  the Beta integral (2(m-d)-1)!! (2d-1)!! / (2m)!!, kept as a Fraction
-  until it is rounded once per distance.  The table is exactly symmetric
-  under d -> m - d, the complement.
+  the Beta integral (2(m-d)-1)!! (2d-1)!! / (2m)!!, rounded once per
+  distance by Python's correctly rounded int division.  The table is exactly
+  symmetric under d -> m - d, the complement.
 * From any other state, the ``quadrature``: equal-weight average of the
   pointwise distribution over M = 2L+4 equispaced times in [0, pi).  Every
   occupation probability is a trigonometric polynomial in frequencies 2n,
@@ -25,8 +25,6 @@ pairs, the ground-truth oracle for both averages, lives in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import _numpy as np
@@ -41,32 +39,30 @@ TIME_AVERAGE_METHODS = ("quadrature", "krawtchouk")
 SYMMETRY_TOL = 1e-12  # largest deviation is_symmetric accepts
 
 
-@dataclass
 class _NodeProbabilities:
     """A float64 probability per node of the level, checked on construction."""
 
-    level: Level
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        probs = np.ascontiguousarray(self.probs, dtype=np.float64)
-        if probs.shape != (self.level.dim,):
-            raise ValueError(f"probability array must have shape ({self.level.dim},)")
-        self.probs = probs
+    def __init__(self, level: Level, probs: np.ndarray) -> None:
+        probs = np.ascontiguousarray(probs, dtype=np.float64)
+        if probs.shape != (level.dim,):
+            raise ValueError(f"probability array must have shape ({level.dim},)")
+        self.level, self.probs = level, probs
 
 
-@dataclass
 class Distribution(_NodeProbabilities):
     """Occupation probabilities over nodes at one instant."""
 
-    time: float
+    def __init__(self, level: Level, probs: np.ndarray, time: float) -> None:
+        super().__init__(level, probs)
+        self.time = time
 
 
-@dataclass
 class TimeAverageDistribution(_NodeProbabilities):
     """Average occupation probabilities over one full period."""
 
-    method: str
+    def __init__(self, level: Level, probs: np.ndarray, method: str) -> None:
+        super().__init__(level, probs)
+        self.method = method
 
 
 class SymmetryReport(NamedTuple):
@@ -149,24 +145,28 @@ def time_average(
 
 def node_time_average(level: Level, sigma: int) -> ClassTable:
     """The exact period average from node sigma, per Hamming distance."""
-    return ClassTable(level, sigma, tuple(float(p) for p in _period_averages(level.L + 1)))
+    return ClassTable(level, sigma, tuple(_period_averages(level.L + 1)))
 
 
-def _period_averages(m: int) -> list[Fraction]:
-    """Exact period average of cos(t)**(2(m-d)) * sin(t)**(2d), the occupation
-    of a node at distance d from a basis start, for d = 0..m: the Beta integral
-    (2(m-d)-1)!! (2d-1)!! / (2m)!!."""
+def _period_averages(m: int) -> list[float]:
+    """Period average of cos(t)**(2(m-d)) * sin(t)**(2d), the occupation of a
+    node at distance d from a basis start, for d = 0..m: the Beta integral
+    (2(m-d)-1)!! (2d-1)!! / (2m)!!, one correctly rounded int division."""
     odd = [1]  # odd[k] = (2k-1)!!
     for k in range(1, m + 1):
         odd.append(odd[-1] * (2 * k - 1))
     even = 2**m * math.factorial(m)  # (2m)!!
-    return [Fraction(odd[m - d] * odd[d], even) for d in range(m + 1)]
+    return [odd[m - d] * odd[d] / even for d in range(m + 1)]
 
 
 def vacuum_average_value(level: Level) -> Fraction:
     """Exact average occupation of the empty node (and of the full node) for
-    the vacuum-start walk: odd double factorial over even double factorial."""
-    return _period_averages(level.L + 1)[0]
+    the vacuum-start walk: odd double factorial over even double factorial,
+    (2L+1)!!/(2L+2)!! = C(2m, m)/4**m with m = L+1."""
+    from fractions import Fraction  # kept off the command line's imports
+
+    m = level.L + 1
+    return Fraction(math.comb(2 * m, m), 4**m)
 
 
 def is_symmetric(dist: TimeAverageDistribution | Distribution | ClassTable) -> SymmetryReport:

@@ -7,8 +7,6 @@ permutations; nothing in the hot path touches a matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import _numpy as np
 from ._walsh import flip_bit, sign_column
 from .subsets import Level
@@ -16,21 +14,18 @@ from .subsets import Level
 NORM_TOL = 1e-12
 
 
-@dataclass
 class StateVector:
     """Vector in the 2**(L+1)-dimensional walk space; amps[sigma] is the
     coefficient on the basis vector of node sigma."""
 
-    level: Level
-    amps: np.ndarray
+    def __init__(self, level: Level, amps: np.ndarray) -> None:
+        amps = np.ascontiguousarray(amps, dtype=np.complex128)
+        if amps.shape != (level.dim,):
+            raise ValueError(f"amplitude array must have shape ({level.dim},), got {amps.shape}")
+        self.level, self.amps = level, amps
 
-    def __post_init__(self) -> None:
-        amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
-        if amps.shape != (self.level.dim,):
-            raise ValueError(
-                f"amplitude array must have shape ({self.level.dim},), got {amps.shape}"
-            )
-        self.amps = amps
+    def __repr__(self) -> str:
+        return f"StateVector(level={self.level!r}, amps={self.amps!r})"
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))

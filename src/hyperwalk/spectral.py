@@ -13,7 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _numpy as np
 from ._walsh import apply_per_bit
@@ -21,15 +21,13 @@ from .operators import StateVector
 from .subsets import Level, cardinality
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     eigenvalue: int
     multiplicity: int
     card: int
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Eigenvalues of the Laplacian with multiplicities, ascending.
 
     The eigenvalue 2k is carried by the signed basis vectors whose index has
@@ -106,8 +104,7 @@ def basis_start_classes(level: Level, sigma: int, t: float) -> ClassTable:
     return ClassTable(level, sigma, tuple(a0 ** (m - d) * a1**d for d in range(m + 1)))
 
 
-@dataclass(frozen=True)
-class ClassTable:
+class ClassTable(NamedTuple):
     """A value per node that depends on node g only through its Hamming
     distance d = popcount(g ^ sigma) from the start node sigma: g holds table[d].
 

@@ -8,7 +8,7 @@ its basis vector in a state array of length 2**(L+1).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 DEFAULT_MAX_LEVEL = 24
 MAX_LEVEL_ENV_VAR = "HYPERWALK_L_MAX"
@@ -25,18 +25,24 @@ def max_level() -> int:
     return int(digits)
 
 
-@dataclass(frozen=True)
-class Level:
-    """Walk order L with the derived index space [0, 2**(L+1))."""
-
+# a NamedTuple class may not define __new__, so Level's checks live in a subclass
+class _LevelFields(NamedTuple):
     L: int
 
-    def __post_init__(self) -> None:
+
+class Level(_LevelFields):
+    """Walk order L with the derived index space [0, 2**(L+1)): an immutable
+    value, equal and hashed by L and printed as Level(L=3)."""
+
+    __slots__ = ()
+
+    def __new__(cls, L: int) -> Level:
         cap = max_level()
-        if not isinstance(self.L, int) or isinstance(self.L, bool):
-            raise ValueError(f"L must be an integer, got {self.L!r}")
-        if not 0 <= self.L <= cap:
-            raise ValueError(f"L must be in [0, {cap}], got {self.L}")
+        if not isinstance(L, int) or isinstance(L, bool):
+            raise ValueError(f"L must be an integer, got {L!r}")
+        if not 0 <= L <= cap:
+            raise ValueError(f"L must be in [0, {cap}], got {L}")
+        return super().__new__(cls, L)
 
     @property
     def dim(self) -> int:

@@ -10,6 +10,7 @@ from functools import lru_cache
 from typing import Any
 
 import numpy as np
+import pytest
 
 from hyperwalk import (
     EvolutionEngine,
@@ -347,3 +348,24 @@ def reference_csv(header: str, columns: list[np.ndarray]) -> str:
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
+
+def assert_same_text(actual: str, expected: str) -> None:
+    """Exact equality of two documents.  A mismatch fails with the line and
+    the text around the first differing character: pytest's own report of a
+    failed ==, a diff of the whole strings, takes minutes on documents of
+    thousands of lines."""
+    if actual == expected:
+        return
+    lo, hi = 0, min(len(actual), len(expected))
+    while lo < hi:  # the length of the longest common prefix, by bisection
+        mid = (lo + hi) // 2
+        if actual[: mid + 1] == expected[: mid + 1]:
+            lo = mid + 1
+        else:
+            hi = mid
+    line = expected.count("\n", 0, lo) + 1
+    around = slice(max(lo - 40, 0), lo + 40)
+    pytest.fail(
+        f"documents of {len(actual)} and {len(expected)} characters differ at character {lo}, "
+        f"line {line}: {actual[around]!r} != {expected[around]!r}"
+    )

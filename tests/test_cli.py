@@ -26,7 +26,7 @@ from hyperwalk.cli import _parse_pi_fraction, main
 from hyperwalk.formatting import format_float
 from hyperwalk.spectral import ClassTable, basis_start_classes
 
-from helpers import reference_csv, reference_dumps_json
+from helpers import assert_same_text, reference_csv, reference_dumps_json
 
 
 def run_cli(capsys, *argv):
@@ -228,7 +228,7 @@ def test_unknown_flag_exits_2(capsys):
 def test_byte_identical_reruns(capsys):
     _, first, _ = run_cli(capsys, "evolve", "--L", "4", "--t", "0.731")
     _, second, _ = run_cli(capsys, "evolve", "--L", "4", "--t", "0.731")
-    assert first == second
+    assert_same_text(first, second)
 
 
 def test_out_file(tmp_path, capsys):
@@ -398,15 +398,15 @@ def test_output_matches_the_reference_writer(capsys, argv, expected):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     builder, *params = expected
-    assert out == builder(*params)
+    assert_same_text(out, builder(*params))
 
 
 @pytest.mark.parametrize("L", [0, 3, 11])
 def test_spectrum_and_graph_json_match_the_reference_writer(capsys, L):
     _, out, _ = run_cli(capsys, "spectrum", "--L", str(L))
-    assert out == _document(spectrum(Level(L)).to_json_dict())
+    assert_same_text(out, _document(spectrum(Level(L)).to_json_dict()))
     _, out, _ = run_cli(capsys, "graph", "--L", str(L), "--format", "json")
-    assert out == _document(graph_json_dict(Level(L)))
+    assert_same_text(out, _document(graph_json_dict(Level(L))))
 
 
 @pytest.mark.parametrize("fmt", ["json", "dot", "edge-list"])
@@ -428,7 +428,7 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     _, out, _ = run_cli(capsys, *argv)
     target = tmp_path / "evolve.json"
     assert run_cli(capsys, *argv, "--out", str(target))[0] == 0
-    assert target.read_text(encoding="utf-8") == out
+    assert_same_text(target.read_text(encoding="utf-8"), out)
 
 
 def test_rejected_level_creates_no_out_file(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hyperwalk import Level, formatting
 from hyperwalk.formatting import dumps_json, iter_csv, iter_json
 from hyperwalk.spectral import ClassTable
 
-from helpers import reference_csv, reference_dumps_json
+from helpers import assert_same_text, reference_csv, reference_dumps_json
 
 CHUNK = 16  # small chunks, so that short arrays cross chunk boundaries
 REAL_CHUNK = formatting.CHUNK
@@ -87,7 +87,7 @@ def _tables(L: int, sigma: int) -> dict[str, ClassTable]:
 def _csv_matches_reference(columns: list[ClassTable]) -> list[str]:
     header = "node," + ",".join(f"c{i}" for i in range(len(columns)))
     chunks = list(iter_csv(header, columns))
-    assert "".join(chunks) == reference_csv(header, [column.materialize() for column in columns])
+    assert_same_text("".join(chunks), reference_csv(header, [column.materialize() for column in columns]))
     return chunks
 
 

@@ -1,6 +1,6 @@
 """What importing the package and running the command line load: the CLI
 computes and writes per-distance tables in plain Python, so no subcommand
-imports numpy."""
+imports numpy, and its records and roundings need none of STARTUP_HEAVY."""
 
 import json
 import os
@@ -11,6 +11,11 @@ from pathlib import Path
 import pytest
 
 import hyperwalk
+
+# dataclasses loads inspect (and with it ast, dis and tokenize), fractions
+# loads decimal: start-up cost the command line's small records and its one
+# exact rounding do without
+STARTUP_HEAVY = ["dataclasses", "inspect", "fractions", "decimal"]
 
 
 def _python(code: str, *args: str) -> str:
@@ -43,6 +48,13 @@ def test_importing_the_cli_loads_its_modules_but_not_numpy():
     assert "numpy" not in loaded
 
 
+def test_importing_the_cli_loads_no_dataclasses_or_fractions():
+    code = "import json, sys; before = set(sys.modules); import hyperwalk.cli; print(json.dumps(sorted(set(sys.modules) - before)))"
+    loaded = json.loads(_python(code))
+    assert "hyperwalk.measure" in loaded
+    assert sorted(set(STARTUP_HEAVY) & set(loaded)) == []
+
+
 COMMANDS = [
     ["spectrum", "--L", "3", "--format", "json"],
     ["spectrum", "--L", "3", "--format", "csv"],
@@ -66,26 +78,29 @@ REFUSALS = [
 
 def test_no_subcommand_imports_numpy(tmp_path):
     # each command runs to stdout and to --out; a library call that takes a
-    # node-sized array runs last, to show that the check sees numpy load
+    # node-sized array runs last, to show that the check sees numpy load.
+    # Every run also lists the modules of STARTUP_HEAVY loaded since start-up.
     code = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 from hyperwalk.cli import main
 runs = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    runs.append([argv, code, len(out.getvalue()), "numpy" in sys.modules])
+    heavy = [m for m in json.loads(sys.argv[2]) if m in sys.modules and m not in before]
+    runs.append([argv, code, len(out.getvalue()), "numpy" in sys.modules, heavy])
 import hyperwalk
 hyperwalk.basis_state(hyperwalk.Level(1), 0)
 print(json.dumps([runs, "numpy" in sys.modules]))
 """
     out = tmp_path / "out"
     argvs = [*COMMANDS, *[[*argv, "--out", str(out)] for argv in COMMANDS], *REFUSALS]
-    runs, dense_loads_numpy = json.loads(_python(code, json.dumps(argvs)))
+    runs, dense_loads_numpy = json.loads(_python(code, json.dumps(argvs), json.dumps(STARTUP_HEAVY)))
     assert [argv for argv, *_ in runs] == argvs
-    for argv, code, written, numpy_loaded in runs:
+    for argv, code, written, numpy_loaded, heavy in runs:
         expected = 2 if argv in REFUSALS else 0
-        assert (code, numpy_loaded) == (expected, False), argv
+        assert (code, numpy_loaded, heavy) == (expected, False, []), argv
         assert (written > 0) == (expected == 0 and "--out" not in argv), argv
     assert out.stat().st_size > 0
     assert dense_loads_numpy

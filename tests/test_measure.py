@@ -35,6 +35,7 @@ from hyperwalk.spectral import T_MAX
 
 from helpers import (
     LARGE_TIMES,
+    assert_same_text,
     evolve_product,
     krawtchouk_average_by_card,
     krawtchouk_vacuum_probs,
@@ -232,6 +233,13 @@ def _odd_double_factorial(k: int) -> int:
     return math.prod(range(1, 2 * k, 2))
 
 
+def test_period_averages_round_the_exact_fractions_once():
+    for m in range(65):
+        even = 2**m * math.factorial(m)
+        exact = [float(Fraction(_odd_double_factorial(m - d) * _odd_double_factorial(d), even)) for d in range(m + 1)]
+        assert measure._period_averages(m) == exact, m
+
+
 @pytest.mark.parametrize("L", range(9))
 def test_node_average_is_the_exact_table_at_every_node(L):
     # the Beta integral (2(m-d)-1)!! (2d-1)!! / (2m)!! at distance d, rounded once
@@ -330,6 +338,9 @@ def test_a_dense_start_is_checked_once(monkeypatch, L):
 def test_distributions_refuse_probabilities_of_the_wrong_length(cls, extra):
     lv = Level(2)
     assert cls(level=lv, probs=[0.125] * lv.dim, **extra).probs.dtype == np.float64
+    dist = cls(lv, np.arange(lv.dim)[::-1], *extra.values())
+    assert dist.level == lv and dist.probs.flags.c_contiguous and dist.probs.tolist() == [7, 6, 5, 4, 3, 2, 1, 0]
+    assert [getattr(dist, name) for name in extra] == list(extra.values())
     for probs in ([0.125] * (lv.dim - 1), [0.125] * (lv.dim + 1), np.full((2, 4), 0.125), []):
         with pytest.raises(ValueError, match=re.escape(f"probability array must have shape ({lv.dim},)")):
             cls(level=lv, probs=probs, **extra)
@@ -560,7 +571,7 @@ def test_distribution_csv_matches_the_reference_writer(rng, L):
     dense = distribution_at(engine, random_state(lv, rng), 0.7)
     node = time_average(basis_state(lv, int(rng.integers(lv.dim))))
     for dist in (dense, node):
-        assert distribution_csv(dist) == reference_csv("node,probability", [dist.probs])
+        assert_same_text(distribution_csv(dist), reference_csv("node,probability", [dist.probs]))
 
 
 def test_pst_check_allocates_nothing_node_sized(monkeypatch):

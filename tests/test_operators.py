@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,12 +29,17 @@ from helpers import (
 
 def test_state_vector_validation():
     lv = Level(1)
-    with pytest.raises(ValueError):
-        StateVector(lv, np.zeros(3, dtype=complex))
+    for amps in (np.zeros(3, dtype=complex), np.zeros(5), np.zeros((2, 2)), []):
+        message = f"amplitude array must have shape (4,), got {np.shape(amps)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            StateVector(lv, amps)
     st = StateVector(lv, [1, 0, 0, 0])
     assert st.amps.dtype == np.complex128
     assert st.is_normalized()
     assert not StateVector(lv, [2, 0, 0, 0]).is_normalized()
+    st = StateVector(level=lv, amps=np.arange(4)[::-1])
+    assert st.level == lv and st.amps.flags.c_contiguous and st.amps.tolist() == [3, 2, 1, 0]
+    assert repr(basis_state(Level(0), 1)) == "StateVector(level=Level(L=0), amps=array([0.+0.j, 1.+0.j]))"
 
 
 def test_single_flip_on_basis_states():

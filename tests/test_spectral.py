@@ -8,6 +8,7 @@ from hyperwalk import (
     EvolutionEngine,
     Level,
     Spectrum,
+    SpectrumEntry,
     StateVector,
     apply_involution,
     apply_laplacian,
@@ -168,6 +169,22 @@ def _random_tables(rng):
             # few distinct values, so maxima tie across distances
             yield ClassTable(lv, sigma, tuple(rng.integers(0, 3, size=L + 2).astype(np.float64).tolist()))
             yield ClassTable(lv, sigma, tuple(rng.random(L + 2).tolist()))
+
+
+def test_class_tables_and_spectra_are_equal_by_value():
+    table = basis_start_classes(Level(2), 0b101, 0.7)
+    assert table == basis_start_classes(Level(2), 0b101, 0.7) == ClassTable(level=Level(2), sigma=0b101, table=table.table)
+    assert hash(table) == hash(table.with_table(table.table))
+    assert table != basis_start_classes(Level(2), 0b100, 0.7)
+    assert table != basis_start_classes(Level(2), 0b101, 0.8)
+    assert table != basis_start_classes(Level(3), 0b101, 0.7)
+    with pytest.raises(AttributeError):
+        table.sigma = 0
+    assert spectrum(Level(3)) == spectrum(Level(3)) != spectrum(Level(2))
+    assert spectrum(Level(1)) == Spectrum(
+        level=Level(1),
+        entries=(SpectrumEntry(0, 1, 2), SpectrumEntry(2, 2, 1), SpectrumEntry(eigenvalue=4, multiplicity=1, card=0)),
+    )
 
 
 def test_class_table_reads_the_distance_of_every_node(rng):

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 
@@ -24,6 +25,21 @@ def test_level_derived_fields():
     assert lv.dim == 16
     assert lv.full_mask == 0b1111
     assert cardinality(lv.full_mask) == 4
+
+
+def test_level_is_an_immutable_value():
+    lv = Level(3)
+    assert lv == Level(3) == Level(L=3) == pickle.loads(pickle.dumps(lv))
+    assert lv != Level(4)
+    assert hash(lv) == hash(Level(3))
+    assert len({Level(3), Level(3), Level(4)}) == 2
+    assert repr(lv) == "Level(L=3)"
+    for name in ("L", "dim", "other"):
+        with pytest.raises(AttributeError):
+            setattr(lv, name, 4)
+    with pytest.raises(AttributeError):
+        del lv.L
+    assert lv.L == 3 and lv.dim == 16
 
 
 @pytest.mark.parametrize("bad", [-1, 25])
