@@ -33,7 +33,7 @@ class EvolutionEngine:
     """Handle binding the evolution to a fixed level.
 
     Immutable after construction; concurrent evolve calls on one engine are
-    safe because every call works on its own buffers.
+    safe because every call works on its own buffers and its own threads.
     """
 
     def __init__(self, level: Level):

@@ -12,6 +12,7 @@ from ._walsh import flip_bit, sign_column
 from .subsets import Level
 
 NORM_TOL = 1e-12
+NORM_RUN = 8192  # amplitudes per vdot: a longer one starts OpenBLAS's threads
 
 
 class StateVector:
@@ -31,8 +32,9 @@ class StateVector:
         return float(np.linalg.norm(self.amps))
 
     def is_normalized(self) -> bool:
-        """Whether the squared norm is within NORM_TOL of 1."""
-        return abs(float(np.vdot(self.amps, self.amps).real) - 1.0) <= NORM_TOL
+        """Whether the squared norm, summed over runs of NORM_RUN, is within NORM_TOL of 1."""
+        runs = (self.amps[i : i + NORM_RUN] for i in range(0, len(self.amps), NORM_RUN))
+        return abs(sum(float(np.vdot(run, run).real) for run in runs) - 1.0) <= NORM_TOL
 
 
 def basis_state(level: Level, sigma: int) -> StateVector:

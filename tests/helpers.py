@@ -281,6 +281,17 @@ def evolve_via_eigh(initial: StateVector, t: float) -> np.ndarray:
     return v @ (np.exp(1j * t * w) * (v.T @ initial.amps))
 
 
+def eigenspace_average(initial: StateVector) -> np.ndarray:
+    """The period average of the distribution as the sum over the generator's
+    eigenspaces of |P_k psi|**2, P_k from one LAPACK eigendecomposition:
+    distinct eigenvalues differ by nonzero even integers, so every cross
+    term averages to zero over the period pi.  No quadrature enters."""
+    w, v = _laplacian_eigh(initial.level.L)
+    coeffs = v.T @ initial.amps
+    space = np.rint(w / 2).astype(int)
+    return sum(np.abs(v[:, space == k] @ coeffs[space == k]) ** 2 for k in np.unique(space))
+
+
 def random_state(level: Level, rng: np.random.Generator) -> StateVector:
     amps = rng.standard_normal(level.dim) + 1j * rng.standard_normal(level.dim)
     amps /= np.linalg.norm(amps)

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from hyperwalk import operators
 from hyperwalk import (
     Level,
     StateVector,
@@ -40,6 +41,25 @@ def test_state_vector_validation():
     st = StateVector(level=lv, amps=np.arange(4)[::-1])
     assert st.level == lv and st.amps.flags.c_contiguous and st.amps.tolist() == [3, 2, 1, 0]
     assert repr(basis_state(Level(0), 1)) == "StateVector(level=Level(L=0), amps=array([0.+0.j, 1.+0.j]))"
+
+
+@pytest.mark.parametrize("L", [13, 14])
+@pytest.mark.parametrize("off, accepted", [(2e-12, False), (-2e-12, False), (5e-13, True), (-5e-13, True)])
+def test_is_normalized_sums_every_run(L, off, accepted):
+    # the squared norm is summed over runs of NORM_RUN amplitudes: off 1 in
+    # the first or the last run alone, or spread over all of them, it is
+    # judged by the whole sum
+    lv = Level(L)
+    start = random_state(lv, np.random.default_rng(L))
+    runs = len(start.amps) // operators.NORM_RUN
+    assert runs >= 2 and start.is_normalized()
+    spread = StateVector(lv, start.amps * math.sqrt(1 + off))
+    assert spread.is_normalized() is accepted
+    for k in (0, runs - 1):
+        amps = start.amps.copy()
+        run = amps[k * operators.NORM_RUN : (k + 1) * operators.NORM_RUN]
+        run *= math.sqrt(1 + off / np.vdot(run, run).real)
+        assert StateVector(lv, amps).is_normalized() is accepted, k
 
 
 def test_single_flip_on_basis_states():
