@@ -22,17 +22,14 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "evolution": "EvolutionEngine evolve",
-    "graph": "GRAPH_FORMATS edge_count edges export_graph graph_json_dict is_adjacent "
-    "neighborhood",
+    "graph": "GRAPH_FORMATS edges export_graph graph_json_dict is_adjacent neighborhood",
     "measure": "TIME_AVERAGE_METHODS Distribution SymmetryReport TimeAverageDistribution "
-    "closed_form_distribution closed_form_pt distribution_at distribution_csv "
-    "distribution_json_dict is_symmetric pst_check quadrature_point_count time_average "
-    "vacuum_average_value",
+    "closed_form_distribution closed_form_pt distribution_at distribution_csv is_symmetric "
+    "pst_check quadrature_point_count time_average vacuum_average_value",
     "operators": "StateVector apply_hat_involution apply_involution apply_involution_product "
     "apply_laplacian basis_state inner_product vacuum_state",
-    "spectral": "Spectrum SpectrumEntry eigenvalue_of from_eigenbasis spectrum to_eigenbasis",
-    "subsets": "DEFAULT_MAX_LEVEL Level cardinality complement elements format_node max_level "
-    "parse_node symmetric_difference",
+    "spectral": "Spectrum SpectrumEntry from_eigenbasis spectrum to_eigenbasis",
+    "subsets": "DEFAULT_MAX_LEVEL Level complement elements format_node max_level parse_node",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

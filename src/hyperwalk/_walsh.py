@@ -1,4 +1,4 @@
-"""The per-bit kernel and sign-vector helpers.
+"""The per-bit kernel.
 
 Every operator the kernel applies is the tensor power of a one-bit factor
 r2 = phase * D m2 D, with m2 real and D = diag(1, d) for d in {1, -i}, so its
@@ -154,15 +154,3 @@ def _chunks(grid: np.ndarray, size: int):
         for r in range(rows):
             for c in range(0, cols, step):
                 yield grid[r : r + 1, :, c : c + step]
-
-
-def sign_column(sigma: int, n: int) -> np.ndarray:
-    """Vector of (-1)**popcount(i & sigma): one column of the unnormalized transform."""
-    counts = np.bitwise_count(np.arange(n, dtype=np.uint64) & np.uint64(sigma))
-    return 1.0 - 2.0 * (counts & 1).astype(np.float64)
-
-
-def flip_bit(amps: np.ndarray, k: int) -> np.ndarray:
-    """New array with entries at indices differing in bit k swapped."""
-    h = 1 << k
-    return amps.reshape(-1, 2, h)[:, ::-1, :].reshape(amps.shape[0])

@@ -20,13 +20,11 @@ import re
 import sys
 from typing import Iterable
 
-from .formatting import format_float, iter_csv, iter_json
-from .graph import GRAPH_FORMATS, export_graph, graph_json_dict
+from .formatting import SCHEMA, format_float, iter_csv, iter_json
+from .graph import GRAPH_FORMATS, export_graph
 from .measure import is_symmetric, node_time_average, probability
 from .spectral import basis_start_classes, spectrum
-from .subsets import Level, format_node, parse_node
-
-SCHEMA = "hyperwalk/1"
+from .subsets import Level, format_node, natural, parse_node, real
 
 # argparse reads an argument as a value rather than an option only when it
 # matches its parser's negative-number pattern, by default just the -123 and
@@ -34,23 +32,24 @@ SCHEMA = "hyperwalk/1"
 # such argument, -1e-3 and -1/2 included, can be a value.
 NEGATIVE_NUMBER = re.compile(r"^-\.?\d")
 
-# one part of a pi fraction: ASCII digits with at most one leading "-", where
-# int() would also take "+", "_" and non-ASCII digits
-INTEGER = re.compile(r"\s*-?[0-9]+\s*")
+
+def _signed(text: str) -> int:
+    """A pi-fraction part: subsets.natural after at most one leading "-",
+    between optional whitespace."""
+    body = text.strip()
+    return -natural(body[1:]) if body.startswith("-") else natural(body)
 
 
 def _parse_pi_fraction(text: str) -> float:
-    """Parse "p/q" (or "p"), each an INTEGER, as the time p*pi/q, avoiding
-    decimal truncation.
+    """Parse "p/q" (or "p"), each an integer with at most one leading "-", as
+    the time p*pi/q, avoiding decimal truncation.
 
     The time is reduced into [0, pi), one period of the walk.
     """
     num_str, slash, den_str = text.strip().partition("/")
     try:
-        if not all(map(INTEGER.fullmatch, (num_str, den_str) if slash else (num_str,))):
-            raise ValueError
-        num = int(num_str)
-        den = int(den_str) if slash else 1
+        num = _signed(num_str)
+        den = _signed(den_str) if slash else 1
     except ValueError:
         raise ValueError(f"expected an integer fraction like '1/2', got {text!r}") from None
     if den == 0:
@@ -76,7 +75,7 @@ def _resolve_time(value: float | None, fraction: str | None, default: float | No
 def tolerance(text: str) -> float:
     """--tol: a finite float >= 0.  A nan, negative or infinite tolerance
     would decide is_pst the same way whatever the fidelities."""
-    tol = float(text)
+    tol = real(text)
     if not (math.isfinite(tol) and tol >= 0):
         raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
     return tol
@@ -133,6 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     for subparser in sub.choices.values():
         subparser._negative_number_matcher = NEGATIVE_NUMBER
+        # type=int and type=float read by the rules of subsets; refusals still name int or float
+        subparser.register("type", int, lambda text: natural(text.strip()))
+        subparser.register("type", float, real)
     return parser
 
 
@@ -224,10 +226,7 @@ def cmd_pst(args: argparse.Namespace) -> Iterable[str]:
 
 
 def cmd_graph(args: argparse.Namespace) -> Iterable[str]:
-    level = Level(args.L)
-    if args.format == "json":
-        return _json_document({"schema": SCHEMA, **graph_json_dict(level)})
-    return [export_graph(level, args.format)]
+    return [export_graph(Level(args.L), args.format)]
 
 
 def _json_document(doc: dict) -> Iterable[str]:

@@ -18,6 +18,8 @@ from typing import Any, Iterator, Sequence
 from .spectral import ClassTable
 from .subsets import element_strings, format_node
 
+SCHEMA = "hyperwalk/1"  # the "schema" field of every JSON document the command line writes
+
 # CSV rows per chunk.  Medians on a 2-CPU Xeon, 2**11/2**12/2**13/2**16 rows:
 # time-average --L 17 0.15/0.16/0.17/0.22 s, pst --L 22 0.55/0.60/0.58/0.74 s,
 # evolve --L 22 --amplitudes 1.22/0.71/0.67/0.90 s (2**11: 4x the page faults).

@@ -2,12 +2,12 @@
 
 Nodes are adjacent when their masks differ in exactly one bit, which makes
 the node set the (L+1)-dimensional hypercube graph.  The graph is never
-stored; everything derives from the adjacency predicate.
+stored: neighborhoods and edges flip one bit of a node at a time.
 """
 
 from __future__ import annotations
 
-from .formatting import dumps_json
+from .formatting import SCHEMA, dumps_json
 from .subsets import Level, format_node
 
 GRAPH_FORMATS = ("dot", "json", "edge-list")
@@ -25,10 +25,6 @@ def neighborhood(sigma: int, level: Level) -> list[int]:
     """All L+1 neighbors of a node, ascending by bitmask."""
     level.validate_node(sigma)
     return sorted(sigma ^ (1 << k) for k in range(level.L + 1))
-
-
-def edge_count(level: Level) -> int:
-    return level.dim * (level.L + 1) // 2
 
 
 def edges(level: Level) -> list[tuple[int, int]]:
@@ -72,4 +68,4 @@ def export_graph(level: Level, fmt: str) -> str:
         return "\n".join(lines) + "\n"
     if fmt == "edge-list":
         return "".join(f"{format_node(a)} {format_node(b)}\n" for a, b in edges(level))
-    return dumps_json(graph_json_dict(level)) + "\n"
+    return dumps_json({"schema": SCHEMA, **graph_json_dict(level)}) + "\n"

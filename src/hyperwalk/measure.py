@@ -201,14 +201,3 @@ def distribution_csv(dist: TimeAverageDistribution | Distribution) -> str:
     written row by row: format_float on every probability."""
     rows = zip(element_strings(dist.level.L + 1), dist.probs.tolist())
     return "node,probability\n" + "".join([f'"{{{label}}}",{format_float(p)}\n' for label, p in rows])
-
-
-def distribution_json_dict(dist: TimeAverageDistribution | Distribution) -> dict:
-    """JSON-ready dict with the probs array indexed by node bitmask."""
-    doc: dict = {"L": dist.level.L}
-    if isinstance(dist, TimeAverageDistribution):
-        doc["method"] = dist.method
-    else:
-        doc["t"] = dist.time
-    doc["probs"] = [float(p) for p in dist.probs]
-    return doc

@@ -8,7 +8,6 @@ permutations; nothing in the hot path touches a matrix.
 from __future__ import annotations
 
 from . import _numpy as np
-from ._walsh import flip_bit, sign_column
 from .subsets import Level
 
 NORM_TOL = 1e-12
@@ -35,6 +34,18 @@ class StateVector:
         """Whether the squared norm, summed over runs of NORM_RUN, is within NORM_TOL of 1."""
         runs = (self.amps[i : i + NORM_RUN] for i in range(0, len(self.amps), NORM_RUN))
         return abs(sum(float(np.vdot(run, run).real) for run in runs) - 1.0) <= NORM_TOL
+
+
+def sign_column(sigma: int, n: int) -> np.ndarray:
+    """Vector of (-1)**popcount(i & sigma): one column of the unnormalized transform."""
+    counts = np.bitwise_count(np.arange(n, dtype=np.uint64) & np.uint64(sigma))
+    return 1.0 - 2.0 * (counts & 1).astype(np.float64)
+
+
+def flip_bit(amps: np.ndarray, k: int) -> np.ndarray:
+    """New array with entries at indices differing in bit k swapped."""
+    h = 1 << k
+    return amps.reshape(-1, 2, h)[:, ::-1, :].reshape(amps.shape[0])
 
 
 def basis_state(level: Level, sigma: int) -> StateVector:

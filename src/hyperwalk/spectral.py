@@ -18,7 +18,7 @@ from typing import NamedTuple
 from . import _numpy as np
 from ._walsh import apply_per_bit
 from .operators import StateVector
-from .subsets import Level, cardinality
+from .subsets import Level
 
 
 class SpectrumEntry(NamedTuple):
@@ -38,12 +38,6 @@ class Spectrum(NamedTuple):
     level: Level
     entries: tuple[SpectrumEntry, ...]
 
-    def eigenvalues(self) -> list[int]:
-        return [e.eigenvalue for e in self.entries]
-
-    def multiplicities(self) -> list[int]:
-        return [e.multiplicity for e in self.entries]
-
     def to_json_dict(self) -> dict:
         return {
             "L": self.level.L,
@@ -52,12 +46,6 @@ class Spectrum(NamedTuple):
                 for e in self.entries
             ],
         }
-
-
-def eigenvalue_of(sigma: int, level: Level) -> int:
-    """Laplacian eigenvalue of the signed basis vector indexed by sigma."""
-    level.validate_node(sigma)
-    return 2 * (level.L + 1 - cardinality(sigma))
 
 
 T_MAX = sys.float_info.max / 2  # the largest |t| whose phase argument 2t is finite

@@ -19,10 +19,27 @@ def max_level() -> int:
     raw = os.environ.get(MAX_LEVEL_ENV_VAR)
     if raw is None or raw == "":
         return DEFAULT_MAX_LEVEL
-    digits = raw.strip()
-    if not (digits.isascii() and digits.isdigit()):  # the rule parse_node applies to an element
-        raise ValueError(f"{MAX_LEVEL_ENV_VAR} must be a nonnegative integer, got {raw!r}")
-    return int(digits)
+    try:
+        return natural(raw.strip())
+    except ValueError:
+        raise ValueError(f"{MAX_LEVEL_ENV_VAR} must be a nonnegative integer, got {raw!r}") from None
+
+
+def natural(text: str) -> int:
+    """int(text) for the ASCII digits 0-9 alone, else ValueError: int() also
+    takes whitespace, a sign, "_" and other scripts' digits.  Every integer
+    read from text (node elements, --L, pi fractions, the cap) takes it."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected the digits 0-9 alone, got {text!r}")
+    return int(text)
+
+
+def real(text: str) -> float:
+    """float(text) for ASCII text without "_", else ValueError: float() also
+    takes other scripts' digits and "_" between digits (--t, --t0, --tol)."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"expected a float in ASCII without '_', got {text!r}")
+    return float(text)
 
 
 # a NamedTuple class may not define __new__, so Level's checks live in a subclass
@@ -59,20 +76,6 @@ class Level(_LevelFields):
         if not 0 <= sigma < self.dim:
             raise ValueError(f"node {sigma} out of range [0, {self.dim}) for L={self.L}")
         return sigma
-
-
-def cardinality(sigma: int) -> int:
-    """Number of elements of the subset (population count of the mask)."""
-    if sigma < 0:
-        raise ValueError(f"node mask must be nonnegative, got {sigma}")
-    return sigma.bit_count()
-
-
-def symmetric_difference(sigma: int, tau: int) -> int:
-    """Elements in exactly one of the two subsets; bitwise XOR of the masks."""
-    if sigma < 0 or tau < 0:
-        raise ValueError("node masks must be nonnegative")
-    return sigma ^ tau
 
 
 def complement(sigma: int, level: Level) -> int:
@@ -120,11 +123,8 @@ def parse_node(text: str, level: Level) -> int:
         return 0
     bits = 0
     for token in body.split(","):
-        tok = token.strip()
         try:
-            if not (tok.isascii() and tok.isdigit()):  # int() also takes "+", "-", "_" and other digits
-                raise ValueError
-            k = int(tok)
+            k = natural(token.strip())
         except ValueError:
             raise ValueError(f"malformed element {token!r} in node string {text!r}") from None
         if not 0 <= k <= level.L:

@@ -22,7 +22,7 @@ from hyperwalk import (
     format_node,
     is_adjacent,
 )
-from hyperwalk._walsh import flip_bit
+from hyperwalk.operators import flip_bit
 from hyperwalk.formatting import format_float
 
 PAIR_SUM_MAX_LEVEL = 7

@@ -14,6 +14,7 @@ from hyperwalk import (
     Level,
     basis_state,
     evolve,
+    export_graph,
     format_node,
     graph_json_dict,
     is_symmetric,
@@ -201,9 +202,13 @@ REFUSED = [
     *[([command, f"{flag}={t}"], _HUGE_T.format(t)) for command, flag in (("evolve", "--t"), ("pst", "--t0")) for t in ("1e+308", "-1e+308")],
     *[([command, f"{flag}={t}"], f"error: time must be finite, got {t}\n")
       for command, flag, t in (("evolve", "--t", "inf"), ("evolve", "--t", "nan"), ("evolve", "--t", "-inf"), ("pst", "--t0", "nan"), ("pst", "--t0", "inf"))],
-    *[([command, flag, p], _FRACTION.format(p)) for command, flag in (("evolve", "--t-pi-fraction"), ("pst", "--t0-pi-fraction")) for p in ("1/", "3/", "1_0/3")],
+    *[([command, flag, p], _FRACTION.format(p)) for command, flag in (("evolve", "--t-pi-fraction"), ("pst", "--t0-pi-fraction")) for p in ("1/", "3/", "1_0/3", "- 1/2")],
     *[([command, flag, node], f"error: malformed element {node!r} in node string {node!r}\n")
       for command, flag, node in (("time-average", "--initial", "1_0"), ("time-average", "--initial", "+1"), ("pst", "--from", "٣"))],
+    # numbers written other than in ASCII digits, or with a sign or "_" that int() and float() take
+    *[(["spectrum", "--L", value], f"argument --L: invalid int value: {value!r}") for value in ("\u0663", "1_0", "+2", "-0")],
+    *[(["evolve", "--t", value], f"argument --t: invalid float value: {value!r}") for value in ("\u0660.\u0667", "1_0.5")],
+    (["pst", "--tol", "\u0661e-3"], "argument --tol: invalid tolerance value: '\u0661e-3'"),
     # a denominator beyond the float range
     *[([command, flag, p], f"error: pi fraction {p!r} has a denominator beyond the float range\n")
       for command, flag in (("evolve", "--t-pi-fraction"), ("pst", "--t0-pi-fraction")) for p in ("1/1" + "0" * 400, "-7/3" + "0" * 309)],
@@ -407,6 +412,12 @@ def test_spectrum_and_graph_json_match_the_reference_writer(capsys, L):
     assert_same_text(out, _document(spectrum(Level(L)).to_json_dict()))
     _, out, _ = run_cli(capsys, "graph", "--L", str(L), "--format", "json")
     assert_same_text(out, _document(graph_json_dict(Level(L))))
+
+
+@pytest.mark.parametrize("L", [0, 3, 5])
+def test_graph_json_is_the_library_export(capsys, L):
+    _, out, _ = run_cli(capsys, "graph", "--L", str(L), "--format", "json")
+    assert out == export_graph(Level(L), "json")
 
 
 @pytest.mark.parametrize("fmt", ["json", "dot", "edge-list"])

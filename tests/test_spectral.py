@@ -13,14 +13,14 @@ from hyperwalk import (
     apply_involution,
     apply_laplacian,
     basis_state,
-    eigenvalue_of,
     evolve,
     from_eigenbasis,
     spectrum,
     to_eigenbasis,
     vacuum_state,
 )
-from hyperwalk._walsh import apply_per_bit, sign_column
+from hyperwalk._walsh import apply_per_bit
+from hyperwalk.operators import sign_column
 from hyperwalk.formatting import dumps_json
 from hyperwalk.spectral import ClassTable, basis_start_classes
 
@@ -103,14 +103,6 @@ def test_flip_eigenrelation_on_every_signed_vector(L):
             assert np.abs(flipped.amps - sign * zhat.amps).max() < 1e-12
 
 
-def test_eigenvalue_of_examples():
-    assert eigenvalue_of(Level(2).full_mask, Level(2)) == 0
-    assert eigenvalue_of(0, Level(2)) == 6
-    assert eigenvalue_of(0b01, Level(1)) == 2
-    with pytest.raises(ValueError):
-        eigenvalue_of(4, Level(1))
-
-
 @pytest.mark.parametrize(
     "L, eigenvalues, multiplicities",
     [
@@ -121,15 +113,16 @@ def test_eigenvalue_of_examples():
 )
 def test_spectrum_small_cases(L, eigenvalues, multiplicities):
     spec = spectrum(Level(L))
-    assert spec.eigenvalues() == eigenvalues
-    assert spec.multiplicities() == multiplicities
-    assert sum(spec.multiplicities()) == Level(L).dim
+    assert [e.eigenvalue for e in spec.entries] == eigenvalues
+    assert [e.multiplicity for e in spec.entries] == multiplicities
+    assert sum(multiplicities) == Level(L).dim
 
 
 @pytest.mark.parametrize("L", range(7))
 def test_spectrum_structure(L):
     spec = spectrum(Level(L))
-    assert spec.eigenvalues() == sorted(spec.eigenvalues())
+    eigenvalues = [e.eigenvalue for e in spec.entries]
+    assert eigenvalues == sorted(eigenvalues)
     for entry in spec.entries:
         assert entry.eigenvalue == 2 * (L + 1 - entry.card)
         assert entry.multiplicity == math.comb(L + 1, entry.card)
