@@ -10,6 +10,7 @@ from hyperwalk import (
     Spectrum,
     SpectrumEntry,
     StateVector,
+    apply_hat_involution,
     apply_involution,
     apply_laplacian,
     basis_state,
@@ -101,6 +102,18 @@ def test_flip_eigenrelation_on_every_signed_vector(L):
             sign = 1.0 if sigma >> k & 1 else -1.0
             flipped = apply_involution(k, zhat)
             assert np.abs(flipped.amps - sign * zhat.amps).max() < 1e-12
+
+
+def test_eigenvalue_of_examples():
+    # node sigma's eigenvector is the sign column apply_hat_involution projects onto
+    for L, sigma, eigenvalue in [(2, Level(2).full_mask, 0), (2, 0, 6), (1, 0b01, 2)]:
+        lv = Level(L)
+        v = apply_hat_involution(sigma, vacuum_state(lv))
+        assert np.array_equal(apply_laplacian(v).amps, eigenvalue * v.amps)
+        (entry,) = [e for e in spectrum(lv).entries if e.card == sigma.bit_count()]
+        assert entry.eigenvalue == eigenvalue
+    with pytest.raises(ValueError):
+        apply_hat_involution(4, vacuum_state(Level(1)))
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,14 @@
+import itertools
 import pickle
 
+import numpy as np
 import pytest
 
 from hyperwalk import (
     Level,
+    StateVector,
     apply_involution,
+    apply_involution_product,
     complement,
     elements,
     format_node,
@@ -13,6 +17,8 @@ from hyperwalk import (
     vacuum_state,
 )
 from hyperwalk.subsets import element_strings
+
+from helpers import setminus_card
 
 
 def test_level_derived_fields():
@@ -81,6 +87,50 @@ def test_malformed_env_cap_is_named_in_the_error(monkeypatch, raw):
 @pytest.mark.parametrize("n", [0, 1, 2, 6, 12])
 def test_element_strings_match_format_node(n):
     assert ["{" + e + "}" for e in element_strings(n)] == [format_node(s) for s in range(1 << n)]
+
+
+def symmetric_differences(lv):
+    """table[s][t] is the node that apply_involution_product(s, .) carries node t to."""
+    labels = StateVector(lv, np.arange(lv.dim))
+    return [apply_involution_product(s, labels).amps.real.astype(int).tolist() for s in range(lv.dim)]
+
+
+@pytest.mark.parametrize(
+    "sigma, expected",
+    [(0, 0), (0b11, 2), (0b101, 2)],
+)
+def test_cardinality(sigma, expected):
+    assert len(elements(sigma)) == expected
+
+
+def test_symmetric_difference_examples():
+    table = symmetric_differences(Level(2))
+    assert table[0b01][0b11] == 0b10
+    assert table[0b101][0b101] == 0
+    assert table[0][0b110] == 0b110
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 3, 4])
+def test_symmetric_difference_group_laws_exhaustive(L):
+    dim = Level(L).dim
+    table = symmetric_differences(Level(L))
+    for a in range(dim):
+        assert table[0][a] == a
+        assert table[a][a] == 0
+    # associativity over every triple
+    for a, b, c in itertools.product(range(dim), repeat=3):
+        assert table[c][table[b][a]] == table[table[c][b]][a]
+
+
+@pytest.mark.parametrize("L", [0, 2, 4])
+def test_symmetric_difference_cardinality_split(L):
+    lv = Level(L)
+    table = symmetric_differences(lv)
+    for a in range(lv.dim):
+        for b in range(lv.dim):
+            split = setminus_card(a, b, lv.full_mask) + setminus_card(b, a, lv.full_mask)
+            assert len(elements(table[a][b])) == split
+            assert is_adjacent(a, b) == (split == 1)
 
 
 def test_complement_examples():
