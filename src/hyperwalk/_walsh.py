@@ -15,23 +15,25 @@ from itertools import islice
 
 from . import _numpy as np
 
-# Bits per Kronecker block and bytes of the chunk buffer.  Measured on a
-# 2-CPU Xeon with OpenBLAS, distribution_at on a dense state (real blocks on
-# the higher groups, complex on the lowest), medians at L = 22: 3-bit blocks
-# 0.36 s, 4 bits (16×16) 0.33 s, 5 bits 0.34 s, 6 bits 0.41 s, 7 bits 0.51 s.
-# In ten alternated pairs 4 bits beat 5 in 7 to 10, at L = 20 (0.072 against
-# 0.078 s) and L = 22 (0.31 against 0.33 s).  Buffers of 256 KiB to 1 MiB time
-# the same within noise; 128 KiB and less, and 2 MiB and more, are slower.
+# Bits per Kronecker block, bytes of a strided sweep's chunk buffer and the
+# split bit, from distribution_at medians at L = 22 (two workers) on a 2-CPU
+# Xeon with OpenBLAS: 3-bit blocks 0.20 s, 4 bits (16×16) 0.19 s, 5 bits
+# 0.43 s, whose products wake OpenBLAS's threads; chunks of 256 KiB to 1 MiB
+# alike, smaller or larger slower; split 13 (three strided sweeps) 0.25 s,
+# 14 0.22 s, 15 0.20 s (runs of 512 KiB: two buffers fit a 2 MiB L2), 16
+# 0.38 s, whose 16×16×8192 product wakes OpenBLAS's threads.
 BLOCK_BITS = 4
 SCRATCH_BYTES = 1 << 18
-# Amplitudes from which the CPUs share each pass (L >= 21).  Kernel medians,
-# one worker against two: L = 14 2.35 / 3.96 ms, 16 4.66 / 7.02, 18 16.8 / 16.7,
-# 20 79.8 / 67.2, 21 178 / 160, 22 358 / 251; two won 0, 0, 5, 9, 8, 9 of 10.
-THREADS_FROM = 1 << 22
+SPLIT_BITS = 15
+# Amplitudes from which the CPUs share each sweep (L >= 18).  distribution_at
+# medians, one worker against two: L = 16 4.80 / 5.21 ms, 17 7.90 / 6.97,
+# 18 15.3 / 10.8, 19 31.4 / 22.3, 20 67.5 / 47.5; two won 5, 25, 35, 38 and
+# 40 of 40.
+THREADS_FROM = 1 << 19
 
 
 def apply_per_bit(
-    src: np.ndarray, m2, phase: complex = 1.0, d: complex = 1.0, square=None
+    src: np.ndarray, m2, phase: complex = 1.0, d: complex = 1.0, square: bool = False
 ) -> np.ndarray:
     """(r2 ⊗ ... ⊗ r2) src as a new array, for the one-bit factor
     r2 = phase * D m2 D with D = diag(1, d): m2 is a real 2×2 matrix (a
@@ -40,26 +42,27 @@ def apply_per_bit(
     r2[bit k of s, bit k of g].  src is not changed.
 
     src must be a contiguous complex128 vector of power-of-two length 2**m.
-    Bits are taken BLOCK_BITS at a time; the lowest group of b bits indexes
-    within a row of 2**b amplitudes, the others index the rows h.  Passes:
+    The lowest group of b bits (BLOCK_BITS, or m) indexes within a row, the
+    bits h above it index the rows.  Around the split bit
+    k = max(b, min(SPLIT_BITS, m - 4)) a run is 2**k amplitudes, and the row
+    unit d**popcount(h) is the outer unit d**popcount(h >> (k - b)), constant
+    over a run, times the inner unit of the bits below k, exactly:
 
-    1. the new array is src times the unit d**popcount(h) of its row;
-    2. every higher group applies the real Kronecker block of m2, with real
-       matrix products on the float64 view of the complex array;
-    3. the lowest group applies the complex block of r2 times phase**(m - b),
-       an integer power, by a real product, and each row's unit again.
+    1. Each group of BLOCK_BITS bits from k up is one strided sweep of the
+       state, in chunks of SCRATCH_BYTES: a real Kronecker block of m2 by real
+       matrix products on the float64 view.  The first reads src times the
+       outer units.
+    2. Each run is read once into two run buffers: the inner unit, the real
+       blocks of the groups from b to k, then the complex block of r2 times
+       phase**(m - b), an integer power, as a real product of at most 512
+       rows; then the exit units as it is written.  With square, the result
+       is instead measure.probability's bits, re * re + im * im, squared in
+       the buffer: the exit units only permute and negate re and im.
 
-    Each pass is a run of independent chunks of one SCRATCH_BYTES buffer, so
-    no temporary grows with len(src).  From THREADS_FROM amplitudes the
-    caller and a thread per further CPU share each pass, each with its own
-    buffer, to the same bits; an error on any is raised in the caller.  No
-    product is large enough to wake OpenBLAS's threads, which would compete.
-
-    With square, a function from complex chunks to real arrays of their
-    length that depends only on magnitudes (such as measure.probability),
-    pass 3 returns square of the result instead, chunk by chunk, and never
-    stores the result.  It squares each chunk before the row units, which
-    only permute and negate the real and imaginary parts.
+    No temporary grows with len(src).  From THREADS_FROM amplitudes the
+    caller and a thread per further CPU share each sweep's chunks and then
+    the runs, each with its own buffers, to the same bits; an error on any
+    is raised in the caller.  No product wakes OpenBLAS's threads.
     """
     import threading  # kept off the command line's imports
     n = src.shape[0]
@@ -71,50 +74,68 @@ def apply_per_bit(
     m2 = np.asarray(m2, dtype=np.float64)
     d = complex(d)
     b = min(BLOCK_BITS, m)
+    k = max(b, min(SPLIT_BITS, m - 4))  # 16 runs or more: two run buffers, an eighth of the state
+    run = 1 << k
     size = min(n, max(SCRATCH_BYTES // 16, 1 << b))
-    # rows per chunk of passes 1 and 3: a power of two, so row r0 + i of a
-    # chunk has the unit d**(popcount(r0) + popcount(i)), one of four tables;
-    # at most 512, as OpenBLAS threads a (rows×32)@(32×32) product from 1024
-    step = min(1 << ((size >> b).bit_length() - 1), 512)
     units = np.array([1, d, d * d, d * d * d])
-    tables = [units[(np.bitwise_count(np.arange(step)) + k) & 3][:, None] for k in range(4)]
-    src_rows, rows = src.reshape(-1, 1 << b), np.empty_like(src).reshape(-1, 1 << b)
-    flat = rows.reshape(-1).view(np.float64)
+    # the outer unit of each run, and the inner unit of each amplitude of a run
+    outer = units[np.bitwise_count(np.arange(n >> k)) & 3]
+    inner_units = units[np.bitwise_count(np.arange(run) >> b) & 3]
     phase = complex(phase)
     r2 = phase * np.array([[m2[0, 0], d * m2[0, 1]], [d * m2[1, 0], d * d * m2[1, 1]]])
     block_t = (phase ** (m - b) * _kron_power(r2, b)).T
     # x + iy times p + iq on interleaved floats: (x, y) @ [[p, q], [-q, p]]
     real_t = np.kron(block_t.real, np.eye(2)) + np.kron(block_t.imag, [[0.0, 1.0], [-1.0, 0.0]])
-    squares = None if square is None else np.empty(n)
+    turns = np.stack([outer.real, outer.imag, -outer.imag, outer.real], -1).reshape(-1, 2, 2)  # as real_t
+    inner = [(low, _kron_power(m2, min(BLOCK_BITS, k - low))) for low in range(b, k, BLOCK_BITS)]
+    strided = [(low, _kron_power(m2, min(BLOCK_BITS, m - low))) for low in range(k, m, BLOCK_BITS)]
+    result = np.empty(n) if square else np.empty_like(src)
+    state = (np.empty_like(src) if square else result) if strided else src
     workers = _cpus() if n >= THREADS_FROM else 1
     barrier, errors = threading.Barrier(workers), []
 
     def work(w):
         try:
-            scratch = np.empty(size, dtype=np.complex128)
-            # copyto, then *=: a ufunc that broadcasts buffers the whole chunk
-            for r0 in islice(range(0, len(rows), step), w, None, workers):
-                np.copyto(rows[r0 : r0 + step], tables[r0.bit_count() & 3])
-                rows[r0 : r0 + step] *= src_rows[r0 : r0 + step]
-            for low in range(b, m, BLOCK_BITS):
-                block = _kron_power(m2, min(BLOCK_BITS, m - low))
+            scratch = np.empty(max(size, 2 * run), dtype=np.complex128)
+            for low, block in strided:
+                grid = state.reshape(-1, len(block), 1 << low)
+                for idx in islice(_chunks(grid.shape, size), w, None, workers):
+                    chunk = grid[idx]
+                    buf = scratch[: chunk.size].reshape(chunk.shape)
+                    if low > k:
+                        np.matmul(block, chunk.view(np.float64), out=buf.view(np.float64))
+                        np.copyto(chunk, buf)
+                        continue
+                    first = src.reshape(grid.shape)[idx]
+                    if d != 1:  # the outer units, all in one product: a ufunc on a strided chunk buffers it
+                        lines = (-1, chunk.shape[-1], 2)
+                        turn = turns.reshape(*grid.shape[:2], 2, 2)[idx[0]].reshape(-1, 2, 2)
+                        turned = buf.view(np.float64).reshape(lines)
+                        np.matmul(first.view(np.float64).reshape(lines), turn, out=turned)
+                        first = buf
+                    np.matmul(block, first.view(np.float64), out=chunk.view(np.float64))
                 barrier.wait()
-                # (rows, len(block), 2 * 2**low) of floats: the block acts along the middle axis
-                grid = flat.reshape(-1, len(block), 2 << low)
-                for chunk in islice(_chunks(grid, 2 * size), w, None, workers):
-                    res = scratch.view(np.float64)[: chunk.size].reshape(chunk.shape)
-                    np.matmul(block, chunk, out=res)
-                    chunk[...] = res
-            barrier.wait()
-            for r0 in islice(range(0, len(rows), step), w, None, workers):
-                chunk = rows[r0 : r0 + step]
-                res = scratch.view(np.float64)[: 2 * chunk.size].reshape(len(chunk), -1)
-                np.matmul(chunk.view(np.float64), real_t, out=res)
-                if squares is not None:
-                    squares[r0 << b : (r0 + step) << b] = square(res.view(np.complex128).reshape(-1))
+            # a run's products, made once: each group from one run buffer into the other
+            x, y = scratch[:run].view(np.float64), scratch[run : 2 * run].view(np.float64)
+            steps = []
+            for low, block in inner:
+                shape = (-1, len(block), 2 << low)
+                steps.append((block, x.reshape(shape), y.reshape(shape)))
+                x, y = y, x
+            rows, res = x.reshape(-1, 2 << b), y.reshape(-1, 2 << b)
+            # at most 512 rows: OpenBLAS threads a (rows×32)@(32×32) product from 1024
+            steps += [(rows[r0 : r0 + 512], real_t, res[r0 : r0 + 512]) for r0 in range(0, len(rows), 512)]
+            for j in range(w, n >> k, workers):
+                np.multiply(state[j * run : (j + 1) * run], inner_units, out=scratch[:run])
+                for left, right, out in steps:
+                    np.matmul(left, right, out=out)
+                into = result[j * run : (j + 1) * run]
+                if square:
+                    np.multiply(y, y, out=y)
+                    np.add(y[0::2], y[1::2], out=into)
                 else:
-                    np.copyto(chunk, tables[r0.bit_count() & 3])
-                    chunk *= res.view(np.complex128)
+                    np.multiply(y.view(np.complex128), inner_units, out=into)
+                    into *= outer[j]
         except BaseException as exc:  # appended before the abort: errors[0] is the cause
             errors.append(exc)
             barrier.abort()
@@ -127,7 +148,7 @@ def apply_per_bit(
         thread.join()
     if errors:
         raise errors[0]
-    return rows.reshape(-1) if squares is None else squares
+    return result
 
 
 def _cpus() -> int:
@@ -141,16 +162,17 @@ def _kron_power(m2: np.ndarray, bits: int) -> np.ndarray:
     return block
 
 
-def _chunks(grid: np.ndarray, size: int):
-    """Views covering grid (rows, b, cols) in order, at most size entries each:
-    whole rows where a row fits, else column slices of one row."""
-    rows, b, cols = grid.shape
+def _chunks(shape: tuple, size: int):
+    """Indices of views covering a (rows, b, cols) grid in order, at most
+    size entries each: whole rows where a row fits, else column slices of
+    one row.  The first index is always the slice of rows."""
+    rows, b, cols = shape
     if b * cols <= size:
         step = size // (b * cols)
         for r in range(0, rows, step):
-            yield grid[r : r + step]
+            yield (slice(r, r + step),)
     else:
         step = size // b
         for r in range(rows):
             for c in range(0, cols, step):
-                yield grid[r : r + 1, :, c : c + step]
+                yield slice(r, r + 1), slice(None), slice(c, c + step)

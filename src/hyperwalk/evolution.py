@@ -6,13 +6,15 @@ R(t) = [[a0, a1], [a1, a0]] = e^{it} D M(t) D, with the real reflection
 M(t) = [[cos t, sin t], [sin t, -cos t]] and D = diag(1, -i)
 (``spectral.bit_factor``, which also refuses a time it cannot evaluate
 before anything is allocated).  The per-bit kernel (``apply_per_bit``)
-applies it from the state into a new array: the exact units of D on the
-high bits as it reads, the real blocks of M on the high bits, then R on the
-lowest bits with the other bits' phase e^{it} raised to an integer power,
-and the units again; O(dim * (L+1)) per call, with a fixed-size buffer as
-the only other memory.  ``distribution_at`` squares that last pass's chunks
-instead of storing them.  A one-hot start (a basis node times a unit phase)
-is its distance-class table gathered over the nodes instead
+applies it from the state into a new array in two phases: strided sweeps of
+the real blocks of M on the bits from the split bit up, the first reading
+the state times the exact units of D on those bits; then run by run in
+cache, the units of the bits below, their real blocks, R on the lowest bits
+with the other bits' phase e^{it} raised to an integer power, and the units
+again; O(dim * (L+1)) per call, with buffers of fixed size as the only
+other memory.  ``distribution_at`` squares each run in the buffer instead
+of storing it.  A one-hot start (a basis node times a unit phase) is its
+distance-class table gathered over the nodes instead
 (``spectral.basis_start_classes``), in O(dim); ``distribution_at`` squares
 that table's L+2 entries before the gather.  The literal-definition
 oracles it is tested against live in the test suite.
@@ -55,12 +57,12 @@ def evolve(engine: EvolutionEngine, initial: StateVector, t: float) -> StateVect
 
 
 def _evolve(engine: EvolutionEngine, initial: StateVector, t: float, square=None) -> np.ndarray:
-    """evolve's amplitudes, or with square (as apply_per_bit takes it) their
-    squares: per chunk of the kernel's last pass, per distance from a node."""
+    """evolve's amplitudes, or with square (measure.probability) their
+    squares: the kernel's, run by run in its buffer, or per distance from a node."""
     m2, phase, d = bit_factor(t)
     sigma = checked_start(engine, initial)
     if sigma is None:
-        return apply_per_bit(initial.amps, m2, phase, d, square)
+        return apply_per_bit(initial.amps, m2, phase, d, square=square is not None)
     # a one-hot start stays a product state: its table times the start
     # amplitude, in numpy's complex product, gathered over the nodes
     classes = basis_start_classes(initial.level, sigma, t)

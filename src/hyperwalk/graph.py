@@ -59,6 +59,8 @@ def export_graph(level: Level, fmt: str) -> str:
     """Text export of the graph; deterministic vertex and edge order."""
     if fmt not in GRAPH_FORMATS:
         raise ValueError(f"unknown graph format {fmt!r}; expected one of {GRAPH_FORMATS}")
+    if fmt == "json":  # graph_json_dict checks the size
+        return dumps_json({"schema": SCHEMA, **graph_json_dict(level)}) + "\n"
     _check_export_size(level)
     if fmt == "dot":
         lines = [f'graph "hypercube_L{level.L}" {{']
@@ -66,6 +68,4 @@ def export_graph(level: Level, fmt: str) -> str:
             lines.append(f'  "{format_node(a)}" -- "{format_node(b)}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
-    if fmt == "edge-list":
-        return "".join(f"{format_node(a)} {format_node(b)}\n" for a, b in edges(level))
-    return dumps_json({"schema": SCHEMA, **graph_json_dict(level)}) + "\n"
+    return "".join(f"{format_node(a)} {format_node(b)}\n" for a, b in edges(level))

@@ -80,9 +80,9 @@ def probability(z):
 def distribution_at(engine: EvolutionEngine, initial: StateVector, t: float) -> Distribution:
     """Pointwise distribution: squared amplitude magnitudes of the evolved
     state, bit for bit probability(evolve(engine, initial, t).amps).  A
-    dense state's amplitudes are squared chunk by chunk as the kernel's last
-    pass makes them, a node start's once per distance before the gather; the
-    evolved amplitudes are never stored."""
+    dense state's amplitudes are squared run by run in the kernel's buffer,
+    a node start's once per distance before the gather; the evolved
+    amplitudes are never stored."""
     probs = _evolve(engine, initial, t, square=probability)
     return Distribution(level=engine.level, probs=probs, time=float(t))
 
@@ -138,7 +138,7 @@ def time_average(
     probs = np.zeros(level.dim, dtype=np.float64)
     # distribution_at's dense path on the start checked once above
     for j in range(m):
-        probs += apply_per_bit(initial.amps, *bit_factor(j * math.pi / m), square=probability)
+        probs += apply_per_bit(initial.amps, *bit_factor(j * math.pi / m), square=True)
     probs /= m
     return TimeAverageDistribution(level=level, probs=probs, method="quadrature")
 

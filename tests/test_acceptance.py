@@ -28,7 +28,6 @@ from hyperwalk import (
     vacuum_state,
 )
 from hyperwalk._walsh import apply_per_bit
-from hyperwalk.measure import probability
 from hyperwalk.spectral import bit_factor
 
 from helpers import (
@@ -219,7 +218,7 @@ def test_criterion_07_closed_form_consistency():
             evolved = distribution_at(engine, vac, t).probs
             closed = closed_form_distribution(lv, t).probs
             grouped = krawtchouk_vacuum_probs(L, t)
-            kernel = apply_per_bit(vac.amps, *bit_factor(t), square=probability)
+            kernel = apply_per_bit(vac.amps, *bit_factor(t), square=True)
             legs = [evolved, closed, grouped, kernel]
             dev = max(
                 float(np.abs(legs[i] - legs[j]).max())

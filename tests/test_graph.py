@@ -1,9 +1,11 @@
+import contextlib
 import json
 
 import numpy as np
 import pytest
 
 from hyperwalk import (
+    GRAPH_FORMATS,
     Level,
     apply_laplacian,
     basis_state,
@@ -13,6 +15,7 @@ from hyperwalk import (
     is_adjacent,
     neighborhood,
 )
+from hyperwalk import graph
 
 from helpers import adjacency_matrix, graph_laplacian_matrix, operator_matrix, random_state
 
@@ -130,6 +133,18 @@ def test_json_export():
     doc = json.loads(export_graph(Level(1), "json"))
     assert doc == {"schema": "hyperwalk/1", "L": 1, "vertices": 4, "edges": [[0, 1], [0, 2], [1, 3], [2, 3]]}
     assert graph_json_dict(Level(0)) == {"L": 0, "vertices": 2, "edges": [[0, 1]]}
+
+
+@pytest.mark.parametrize("fmt", GRAPH_FORMATS)
+@pytest.mark.parametrize("L", [2, 12])
+def test_each_export_checks_its_size_once(monkeypatch, fmt, L):
+    calls = []
+    check = graph._check_export_size
+    monkeypatch.setattr(graph, "_check_export_size", lambda level: calls.append(level) or check(level))
+    refused = Level(L).dim > graph.EXPORT_CAP
+    with pytest.raises(ValueError, match="too large for export") if refused else contextlib.nullcontext():
+        export_graph(Level(L), fmt)
+    assert calls == [Level(L)]
 
 
 def test_export_caps_and_format_validation():

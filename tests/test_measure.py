@@ -89,11 +89,10 @@ def test_distributions_sum_to_one(L, rng):
 
 @pytest.mark.parametrize("L, scratch_entries", [(0, None), (3, None), (9, None), (14, None), (9, 40), (9, 96)])
 def test_distribution_at_squares_evolve_bit_for_bit(L, scratch_entries, monkeypatch):
-    # a dense start's last kernel pass is squared chunk by chunk, before the
+    # a dense start's runs are squared in the kernel's buffer, before the
     # row units ±1, ±i that evolve's amplitudes carry, to which re² + im² is
-    # blind.  L = 0, 3 and 9 fit in one chunk shorter than the buffer and
-    # L = 14 fills two; the small buffers cut the higher groups into ragged
-    # chunks and leave the lowest group's runs of rows shorter than the buffer
+    # blind.  L = 0 and 3 are one run; L = 9 and 14 are 16 runs after one
+    # strided sweep, which the small buffers cut into ragged chunks
     if scratch_entries:
         monkeypatch.setattr(_walsh, "SCRATCH_BYTES", 16 * scratch_entries)
     lv = Level(L)
@@ -221,7 +220,8 @@ def test_quadrature_is_already_converged(rng):
 # Largest deviation of a dense-start time_average from the eigenspace sum,
 # relative to the largest probability, that the gate accepts: the worst of
 # these 54 starts measured 1.04e-14 (L = 8, a real start), both with the
-# kernel's last pass as a complex and as a real product; about three times that.
+# kernel's last pass as a complex and as a real product, and 1.02e-14 with
+# the runs in cache; about three times that.
 EIGENSPACE_REL_TOL = 3e-14
 
 

@@ -2,14 +2,16 @@ import itertools
 import os
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hyperwalk import EvolutionEngine, Level, _walsh, evolve
+from hyperwalk import EvolutionEngine, Level, StateVector, _walsh, distribution_at, evolve
 from hyperwalk._walsh import apply_per_bit
 from hyperwalk.measure import probability
+from hyperwalk.spectral import _FORWARD_BIT
 
 from helpers import random_state
 
@@ -37,7 +39,7 @@ def _one_bit(m2, phase, d) -> np.ndarray:
 
 
 def _force_threads(monkeypatch, workers: int) -> None:
-    """Share every pass among workers, the caller included, at any length."""
+    """Share every sweep and the runs among workers, the caller included, at any length."""
     monkeypatch.setattr(_walsh, "THREADS_FROM", 0)
     monkeypatch.setattr(_walsh, "_cpus", lambda: workers)
 
@@ -47,20 +49,24 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 
 def _check(m: int, seed: int, monkeypatch) -> None:
-    for twisted in (False, True):
-        factor, a = _random_case(m, seed, twisted)
+    # a random real factor, a twisted one, and the change of basis as
+    # to_eigenbasis passes it: phase 1 and d = 1 by default
+    cases = [_random_case(m, seed, twisted) for twisted in (False, True)]
+    cases.append(((_FORWARD_BIT,), cases[0][1]))
+    for case, (factor, a) in enumerate(cases):
         source = a.copy()
-        expected = _kron_power(_one_bit(*factor), m) @ a
+        one_bit = _one_bit(*factor) if len(factor) == 3 else np.array(_FORWARD_BIT)
+        expected = _kron_power(one_bit, m) @ a
         got = apply_per_bit(a, *factor)
-        assert np.array_equal(a, source), (m, twisted)
-        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max(), (m, twisted)
-        # the squares of the last pass are the squares of the result, bit for bit
-        squared = apply_per_bit(a, *factor, square=probability)
-        assert np.array_equal(a, source), (m, twisted)
-        assert np.array_equal(_bits(squared), _bits(probability(got))), (m, twisted)
+        assert np.array_equal(a, source), (m, case)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max(), (m, case)
+        # the squares are the squares of the result, bit for bit
+        squared = apply_per_bit(a, *factor, square=True)
+        assert np.array_equal(a, source), (m, case)
+        assert np.array_equal(_bits(squared), _bits(probability(got))), (m, case)
         # two and three workers, with uneven shares and at small m more
-        # workers than chunks, give the one worker's bits; a short switch
-        # interval interleaves them finely
+        # workers than chunks or runs, give the one worker's bits; a short
+        # switch interval interleaves them finely
         interval = sys.getswitchinterval()
         for workers in (2, 3):
             with monkeypatch.context() as patch:
@@ -68,12 +74,22 @@ def _check(m: int, seed: int, monkeypatch) -> None:
                 sys.setswitchinterval(1e-6)
                 try:
                     shared = apply_per_bit(a, *factor)
-                    shared_squares = apply_per_bit(a, *factor, square=probability)
+                    shared_squares = apply_per_bit(a, *factor, square=True)
                 finally:
                     sys.setswitchinterval(interval)
-            assert np.array_equal(a, source), (m, twisted, workers)
-            assert np.array_equal(_bits(shared), _bits(got)), (m, twisted, workers)
-            assert np.array_equal(_bits(shared_squares), _bits(squared)), (m, twisted, workers)
+            assert np.array_equal(a, source), (m, case, workers)
+            assert np.array_equal(_bits(shared), _bits(got)), (m, case, workers)
+            assert np.array_equal(_bits(shared_squares), _bits(squared)), (m, case, workers)
+
+
+def _sweeps(m: int) -> list:
+    """The (rows, block, cols) grid of each strided sweep at 2**m amplitudes."""
+    shapes = []
+    chunks = _walsh._chunks
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_walsh, "_chunks", lambda shape, size: shapes.append(shape) or chunks(shape, size))
+        apply_per_bit(np.zeros(1 << m, dtype=np.complex128), np.eye(2))
+    return shapes
 
 
 @pytest.mark.parametrize("m", range(1, 11))
@@ -81,6 +97,31 @@ def test_apply_per_bit_matches_the_kronecker_product(monkeypatch, m):
     # m that BLOCK_BITS does not divide leaves a highest group narrower than the block
     for seed in range(3):
         _check(m, 100 * m + seed, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "m, block_bits, split, sweeps",
+    [
+        # no strided sweep: the state is one run (m <= k)
+        (4, 4, 15, []),
+        # one outer group, bits 5-8 above a run of 2**5: 16 runs, which three
+        # workers share unevenly
+        (9, 4, 5, [(1, 16, 32)]),
+        # two outer groups of three bits, 3-5 and 6-8: 64 runs
+        (9, 3, 3, [(8, 8, 8), (1, 8, 64)]),
+        # a narrower top group, bits 4-7 and then 8-9
+        (10, 4, 4, [(4, 16, 16), (1, 4, 256)]),
+        # four runs, bits 4 and 5 outside them: three workers, one with two
+        (6, 4, 15, [(1, 4, 16)]),
+        # the default split below 2**19 amplitudes is m - 4: runs of 2**6 here
+        (10, 4, 15, [(1, 16, 64)]),
+    ],
+)
+def test_every_shape_of_the_split(monkeypatch, m, block_bits, split, sweeps):
+    monkeypatch.setattr(_walsh, "BLOCK_BITS", block_bits)
+    monkeypatch.setattr(_walsh, "SPLIT_BITS", split)
+    assert _sweeps(m) == sweeps
+    _check(m, 11 * m + split, monkeypatch)
 
 
 @pytest.mark.parametrize("scratch_entries", [32, 40, 96, 1000])
@@ -109,7 +150,7 @@ def test_the_workers_are_the_cpus_the_process_may_use(monkeypatch):
 @pytest.mark.parametrize("workers", [2, 3])
 def test_each_further_worker_adds_one_buffer(monkeypatch, workers):
     # test_dense_evolve_peaks_near_one_state's bound plus one buffer per
-    # thread: each pass's chunk views are made as the workers reach them
+    # thread: at L = 16 a worker's two run buffers are one chunk buffer
     _force_threads(monkeypatch, workers)
     lv = Level(16)
     engine = EvolutionEngine(lv)
@@ -125,34 +166,69 @@ def test_each_further_worker_adds_one_buffer(monkeypatch, workers):
     assert peak <= 1.25 * start.amps.nbytes + (workers - 1) * _walsh.SCRATCH_BYTES, peak / start.amps.nbytes
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-@pytest.mark.parametrize("raiser", ["caller", "thread"])
-def test_an_error_on_any_worker_raises_in_the_caller(monkeypatch, workers, raiser):
-    # square raises on the third chunk that the caller, or the other
-    # threads, square; the call runs on a thread of its own, so a hang
-    # fails the test instead of stopping the suite
+def _raise_in_a_product(monkeypatch, workers: int, raiser: str, product: int) -> None:
+    """A matrix product raises on its call number product in the caller, or
+    in the other threads; the call runs on a thread of its own, so a hang
+    fails the test instead of stopping the suite."""
     _force_threads(monkeypatch, workers)
     _, a = _random_case(16, 1, False)
     calls, raised = itertools.count(), []
 
-    def square(z):
-        if (threading.current_thread() is runner) == (raiser == "caller") and next(calls) == 2:
-            raise RuntimeError("third chunk")
-        return probability(z)
+    def matmul(*args, **kwargs):
+        if (threading.current_thread() is runner) == (raiser == "caller") and next(calls) == product:
+            raise RuntimeError("that product")
+        return np.matmul(*args, **kwargs)
 
     def call():
         try:
-            apply_per_bit(a, np.eye(2), square=square)
+            apply_per_bit(a, np.eye(2), square=True)
         except RuntimeError as exc:
             raised.append(exc)
 
+    monkeypatch.setattr(_walsh.np, "matmul", matmul)
     before = threading.active_count()
     runner = threading.Thread(target=call, daemon=True)
     runner.start()
     runner.join(timeout=60)
     assert not runner.is_alive(), "the call did not return"
-    assert [str(exc) for exc in raised] == ["third chunk"]
+    assert [str(exc) for exc in raised] == ["that product"]
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("raiser", ["caller", "thread"])
+def test_an_error_on_any_worker_raises_in_the_caller(monkeypatch, workers, raiser):
+    # the third product, in the runs
+    _raise_in_a_product(monkeypatch, workers, raiser, 2)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("raiser", ["caller", "thread"])
+def test_an_error_in_a_sweep_releases_the_workers_at_the_barrier(monkeypatch, workers, raiser):
+    # the first product, in the strided sweep, while the others reach the barrier after it
+    _raise_in_a_product(monkeypatch, workers, raiser, 0)
+
+
+def test_the_kernel_keeps_openblas_threads_asleep(monkeypatch):
+    # one worker, on the run shapes of L = 22: a product that wakes
+    # OpenBLAS's pool spins it on the other CPUs, and CPU time over wall
+    # time reads about 2 on two CPUs against 1.0 for the kernel alone
+    monkeypatch.setattr(_walsh, "_cpus", lambda: 1)
+    lv = Level(20)
+    engine = EvolutionEngine(lv)
+    # normalized without a BLAS call: np.linalg.norm of so long a vector
+    # wakes the pool, which then spins for a while after it returns
+    rng = np.random.default_rng(20)
+    amps = rng.standard_normal(lv.dim) + 1j * rng.standard_normal(lv.dim)
+    start = StateVector(lv, amps / np.sqrt(np.sum(probability(amps))))
+    distribution_at(engine, start, 0.3)  # warm up
+    ratios = []
+    for t in (0.7, 1.9, 2.3):  # the median: a pool woken before the test spins through the first
+        wall, cpu = time.perf_counter(), time.process_time()
+        distribution_at(engine, start, t)
+        evolve(engine, start, t)
+        ratios.append((time.process_time() - cpu) / (time.perf_counter() - wall))
+    assert sorted(ratios)[1] < 1.3, ratios
 
 
 def test_the_row_units_are_exact():
