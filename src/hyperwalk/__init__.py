@@ -22,12 +22,12 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "evolution": "EvolutionEngine evolve",
-    "graph": "GRAPH_FORMATS edges export_graph graph_json_dict is_adjacent neighborhood",
+    "graph": "GRAPH_FORMATS edges export_graph neighborhood",
     "measure": "TIME_AVERAGE_METHODS Distribution SymmetryReport TimeAverageDistribution "
     "closed_form_distribution closed_form_pt distribution_at distribution_csv is_symmetric "
     "pst_check quadrature_point_count time_average vacuum_average_value",
     "operators": "StateVector apply_hat_involution apply_involution apply_involution_product "
-    "apply_laplacian basis_state inner_product vacuum_state",
+    "apply_laplacian basis_state vacuum_state",
     "spectral": "Spectrum SpectrumEntry from_eigenbasis spectrum to_eigenbasis",
     "subsets": "DEFAULT_MAX_LEVEL Level complement elements format_node max_level parse_node",
 }

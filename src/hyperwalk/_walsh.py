@@ -164,15 +164,9 @@ def _kron_power(m2: np.ndarray, bits: int) -> np.ndarray:
 
 def _chunks(shape: tuple, size: int):
     """Indices of views covering a (rows, b, cols) grid in order, at most
-    size entries each: whole rows where a row fits, else column slices of
-    one row.  The first index is always the slice of rows."""
+    size entries each: column slices of one row, the slice of rows first."""
     rows, b, cols = shape
-    if b * cols <= size:
-        step = size // (b * cols)
-        for r in range(0, rows, step):
-            yield (slice(r, r + step),)
-    else:
-        step = size // b
-        for r in range(rows):
-            for c in range(0, cols, step):
-                yield slice(r, r + 1), slice(None), slice(c, c + step)
+    step = size // b
+    for r in range(rows):
+        for c in range(0, cols, step):
+            yield slice(r, r + 1), slice(None), slice(c, c + step)

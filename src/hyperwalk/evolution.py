@@ -5,16 +5,11 @@ exactly pi-periodic in time.  It is the tensor power of the one-bit factor
 R(t) = [[a0, a1], [a1, a0]] = e^{it} D M(t) D, with the real reflection
 M(t) = [[cos t, sin t], [sin t, -cos t]] and D = diag(1, -i)
 (``spectral.bit_factor``, which also refuses a time it cannot evaluate
-before anything is allocated).  The per-bit kernel (``apply_per_bit``)
-applies it from the state into a new array in two phases: strided sweeps of
-the real blocks of M on the bits from the split bit up, the first reading
-the state times the exact units of D on those bits; then run by run in
-cache, the units of the bits below, their real blocks, R on the lowest bits
-with the other bits' phase e^{it} raised to an integer power, and the units
-again; O(dim * (L+1)) per call, with buffers of fixed size as the only
-other memory.  ``distribution_at`` squares each run in the buffer instead
-of storing it.  A one-hot start (a basis node times a unit phase) is its
-distance-class table gathered over the nodes instead
+before anything is allocated).  The per-bit kernel
+(``_walsh.apply_per_bit``) applies it from the state into a new array in
+O(dim * (L+1)) per call; for ``distribution_at`` it squares each amplitude
+instead of storing it.  A one-hot start (a basis node times a unit phase)
+is its distance-class table gathered over the nodes instead
 (``spectral.basis_start_classes``), in O(dim); ``distribution_at`` squares
 that table's L+2 entries before the gather.  The literal-definition
 oracles it is tested against live in the test suite.

@@ -1,4 +1,4 @@
-"""Hypercube view of the node set: adjacency, neighborhoods, edges and exports.
+"""Hypercube view of the node set: neighborhoods, edges and exports.
 
 Nodes are adjacent when their masks differ in exactly one bit, which makes
 the node set the (L+1)-dimensional hypercube graph.  The graph is never
@@ -12,13 +12,6 @@ from .subsets import Level, format_node
 
 GRAPH_FORMATS = ("dot", "json", "edge-list")
 EXPORT_CAP = 4096
-
-
-def is_adjacent(sigma: int, tau: int) -> bool:
-    """True when the symmetric difference has exactly one element."""
-    if sigma < 0 or tau < 0:
-        raise ValueError("node masks must be nonnegative")
-    return (sigma ^ tau).bit_count() == 1
 
 
 def neighborhood(sigma: int, level: Level) -> list[int]:
@@ -38,15 +31,6 @@ def edges(level: Level) -> list[tuple[int, int]]:
     return out
 
 
-def graph_json_dict(level: Level) -> dict:
-    _check_export_size(level)
-    return {
-        "L": level.L,
-        "vertices": level.dim,
-        "edges": [[a, b] for a, b in edges(level)],
-    }
-
-
 def _check_export_size(level: Level) -> None:
     """Refuse an export above EXPORT_CAP vertices, before any edge is built."""
     if level.dim > EXPORT_CAP:
@@ -59,9 +43,10 @@ def export_graph(level: Level, fmt: str) -> str:
     """Text export of the graph; deterministic vertex and edge order."""
     if fmt not in GRAPH_FORMATS:
         raise ValueError(f"unknown graph format {fmt!r}; expected one of {GRAPH_FORMATS}")
-    if fmt == "json":  # graph_json_dict checks the size
-        return dumps_json({"schema": SCHEMA, **graph_json_dict(level)}) + "\n"
     _check_export_size(level)
+    if fmt == "json":
+        pairs = [[a, b] for a, b in edges(level)]
+        return dumps_json({"schema": SCHEMA, "L": level.L, "vertices": level.dim, "edges": pairs}) + "\n"
     if fmt == "dot":
         lines = [f'graph "hypercube_L{level.L}" {{']
         for a, b in edges(level):

@@ -7,6 +7,8 @@ permutations; nothing in the hot path touches a matrix.
 
 from __future__ import annotations
 
+import math
+
 from . import _numpy as np
 from .subsets import Level
 
@@ -28,12 +30,16 @@ class StateVector:
         return f"StateVector(level={self.level!r}, amps={self.amps!r})"
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        return math.sqrt(self._squared_norm())
 
     def is_normalized(self) -> bool:
-        """Whether the squared norm, summed over runs of NORM_RUN, is within NORM_TOL of 1."""
+        """Whether the squared norm is within NORM_TOL of 1."""
+        return abs(self._squared_norm() - 1.0) <= NORM_TOL
+
+    def _squared_norm(self) -> float:
+        """The vdot of each run of NORM_RUN amplitudes with itself, summed."""
         runs = (self.amps[i : i + NORM_RUN] for i in range(0, len(self.amps), NORM_RUN))
-        return abs(sum(float(np.vdot(run, run).real) for run in runs) - 1.0) <= NORM_TOL
+        return sum(float(np.vdot(run, run).real) for run in runs)
 
 
 def sign_column(sigma: int, n: int) -> np.ndarray:
@@ -112,11 +118,4 @@ def apply_laplacian(state: StateVector) -> StateVector:
     for k in range(level.L + 1):
         out -= flip_bit(state.amps, k)
     return StateVector(level, out)
-
-
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """Hermitian inner product, conjugate-linear in the first argument."""
-    if a.level != b.level:
-        raise ValueError(f"mismatched levels: L={a.level.L} vs L={b.level.L}")
-    return complex(np.vdot(a.amps, b.amps))
 

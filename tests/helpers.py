@@ -20,7 +20,6 @@ from hyperwalk import (
     basis_state,
     distribution_at,
     format_node,
-    is_adjacent,
 )
 from hyperwalk.operators import flip_bit
 from hyperwalk.formatting import format_float
@@ -50,8 +49,13 @@ def operator_matrix(op, level: Level) -> np.ndarray:
     return np.column_stack([op(basis_state(level, sigma)).amps for sigma in range(level.dim)])
 
 
+def is_adjacent(a: int, b: int) -> bool:
+    """The hypercube's adjacency by definition: the masks differ in exactly one bit."""
+    return (a ^ b).bit_count() == 1
+
+
 def adjacency_matrix(level: Level) -> np.ndarray:
-    """0/1 adjacency matrix of the hypercube from the adjacency predicate, pair by pair."""
+    """0/1 adjacency matrix of the hypercube from is_adjacent, pair by pair."""
     nodes = range(level.dim)
     return np.array([[int(is_adjacent(a, b)) for b in nodes] for a in nodes], dtype=np.int64)
 
@@ -293,9 +297,11 @@ def eigenspace_average(initial: StateVector) -> np.ndarray:
 
 
 def random_state(level: Level, rng: np.random.Generator) -> StateVector:
-    amps = rng.standard_normal(level.dim) + 1j * rng.standard_normal(level.dim)
-    amps /= np.linalg.norm(amps)
-    return StateVector(level, amps)
+    """A normalized state of Gaussian amplitudes, scaled by StateVector.norm,
+    which makes no call that wakes OpenBLAS's threads."""
+    state = StateVector(level, rng.standard_normal(level.dim) + 1j * rng.standard_normal(level.dim))
+    state.amps /= state.norm()
+    return state
 
 
 def product_state_amplitudes(L: int, sigma: int, t: float) -> np.ndarray:

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +18,6 @@ from hyperwalk import (
     evolve,
     export_graph,
     format_node,
-    graph_json_dict,
     is_symmetric,
     spectrum,
     time_average,
@@ -27,7 +28,7 @@ from hyperwalk.cli import _parse_pi_fraction, main
 from hyperwalk.formatting import format_float
 from hyperwalk.spectral import ClassTable, basis_start_classes
 
-from helpers import assert_same_text, reference_csv, reference_dumps_json
+from helpers import assert_same_text, is_adjacent, reference_csv, reference_dumps_json
 
 
 def run_cli(capsys, *argv):
@@ -209,6 +210,9 @@ REFUSED = [
     *[(["spectrum", "--L", value], f"argument --L: invalid int value: {value!r}") for value in ("\u0663", "1_0", "+2", "-0")],
     *[(["evolve", "--t", value], f"argument --t: invalid float value: {value!r}") for value in ("\u0660.\u0667", "1_0.5")],
     (["pst", "--tol", "\u0661e-3"], "argument --tol: invalid tolerance value: '\u0661e-3'"),
+    # "--opt=--", which argparse reads as an empty list without its type or choices
+    *[(argv, "error: '--' is not an option value") for argv in (["pst", "--tol=--"], ["evolve", "--t=--"],
+      ["evolve", "--t", "1", "--initial=--"], ["pst", "--t0-pi-fraction=--"], ["graph", "--format=--"])],
     # a denominator beyond the float range
     *[([command, flag, p], f"error: pi fraction {p!r} has a denominator beyond the float range\n")
       for command, flag in (("evolve", "--t-pi-fraction"), ("pst", "--t0-pi-fraction")) for p in ("1/1" + "0" * 400, "-7/3" + "0" * 309)],
@@ -411,7 +415,9 @@ def test_spectrum_and_graph_json_match_the_reference_writer(capsys, L):
     _, out, _ = run_cli(capsys, "spectrum", "--L", str(L))
     assert_same_text(out, _document(spectrum(Level(L)).to_json_dict()))
     _, out, _ = run_cli(capsys, "graph", "--L", str(L), "--format", "json")
-    assert_same_text(out, _document(graph_json_dict(Level(L))))
+    dim = Level(L).dim
+    pairs = [[a, b] for a in range(dim) for b in range(a + 1, dim) if is_adjacent(a, b)]
+    assert_same_text(out, _document({"L": L, "vertices": dim, "edges": pairs}))
 
 
 @pytest.mark.parametrize("L", [0, 3, 5])
@@ -579,3 +585,73 @@ def test_pst_holds_at_a_large_pi_fraction(capsys):
     assert doc["is_pst"] is True
     assert doc["best_target"] == "{0,2,4}"
     assert abs(doc["best_fidelity"] - 1.0) < 1e-12
+
+
+HOSTILE = ["", " ", "\n", "nan", "inf", "-inf", "1e400", "1e308", "9" * 5000, "1/1" + "0" * 400, "3/2/1", "1/0",
+           "{", "}", "{{1}}", ",", "1,1", "\0", "\u0663", "\u00e9", "0x10", "1_0", "+1", "-0", "-", "--", "--t", "json"]
+# the hostile atoms some option takes: whitespace is the empty node, a float
+# may carry a sign and 1e308 is a finite --tol; without Python's limit on
+# digits a 5000-digit numerator is a whole number of periods
+TAKEN = {"", " ", "\n", "1e308", "9" * 5000, "+1", "-0", "json"}
+LEVELS = ["0", "1", "2", "3", "4"]
+TIMES, FRACTIONS, NODES = ["0", "0.7", "-2.5", "1e-3"], ["1/2", "-3/-2", "3"], ["0", "1,3", "{0,2}", "{}", "\u2205", "5"]
+OPTIONS = {
+    "spectrum": {"--format": ["json", "csv"]},
+    "evolve": {"--t": TIMES, "--t-pi-fraction": FRACTIONS, "--initial": NODES, "--amplitudes": None, "--format": ["json", "csv"]},
+    "time-average": {"--initial": NODES, "--format": ["json", "csv"]},
+    "pst": {"--from": NODES, "--t0": TIMES, "--t0-pi-fraction": FRACTIONS, "--tol": ["0", "1e-3"], "--format": ["json", "csv"]},
+    "graph": {"--format": ["dot", "json", "edge-list"]},
+}
+
+
+def test_fuzzed_arguments_exit_0_or_2(capsys, monkeypatch):
+    # seeded argvs and HYPERWALK_L_MAX values, each atom hostile one time in
+    # eight; an accepted L is at most 4, and an accepted run took no hostile
+    # atom outside TAKEN.  A refusal past the parser that L does not decide
+    # reruns at L = 24 under tracemalloc: it is refused before anything
+    # node-sized is built
+    rng, hostile, reruns = random.Random(8), [], []
+
+    def atom(valid):
+        if rng.random() < 1 / 8:
+            hostile.append(rng.choice(HOSTILE))
+            return hostile[-1]
+        return rng.choice(valid)
+
+    for _ in range(1000):
+        cap = atom(["", "24", "3"]).replace("\0", "")  # an environment value holds no NUL
+        monkeypatch.setenv("HYPERWALK_L_MAX", cap)
+        command, hostile[:] = rng.choice(list(OPTIONS)), []
+        argv = [command, "--L", atom(LEVELS)]
+        for option in rng.sample(list(OPTIONS[command]), rng.randint(0, len(OPTIONS[command]))):
+            if OPTIONS[command][option] is None:
+                argv.append(option)
+            else:
+                value = atom(OPTIONS[command][option])
+                argv += rng.choice([[option, value], [f"{option}={value}"]])
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 2) and (code == 0) == (err == ""), (argv, cap, err)
+        if code == 2:
+            usage = err.startswith("usage: hyperwalk") and ": error: " in err
+            assert out == "" and (usage or err.startswith("error: ") and err.count("\n") == 1), (argv, cap, err)
+            if not usage and argv[2] in LEVELS and not re.search("out of range|L must be in", err):
+                reruns.append((argv[:2] + ["24"] + argv[3:], "" if cap == "3" else cap))
+            continue
+        assert cap in ("", "24", "3") and set(hostile) <= TAKEN, (argv, cap)
+        formats = [a.partition("=")[2] or argv[i + 1] for i, a in enumerate(argv) if a.startswith("--format")]
+        fmt = (formats or OPTIONS[command]["--format"][:1])[-1]  # the default first
+        if fmt == "csv":
+            rows = [line for line in out.splitlines()[1:] if not line.startswith("#")]
+            assert len(rows) == (int(argv[2]) + 2 if command == "spectrum" else 2 << int(argv[2])), argv
+        elif fmt == "json":
+            assert json.loads(out)["L"] == int(argv[2]), argv
+    tracemalloc.start()
+    try:
+        for argv, cap in reruns:
+            monkeypatch.setenv("HYPERWALK_L_MAX", cap)
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert run_cli(capsys, *argv)[0] == 2, (argv, cap)
+            assert tracemalloc.get_traced_memory()[1] - before <= 1 << 20, (argv, cap)
+    finally:
+        tracemalloc.stop()

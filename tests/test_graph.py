@@ -11,13 +11,11 @@ from hyperwalk import (
     basis_state,
     edges,
     export_graph,
-    graph_json_dict,
-    is_adjacent,
     neighborhood,
 )
 from hyperwalk import graph
 
-from helpers import adjacency_matrix, graph_laplacian_matrix, operator_matrix, random_state
+from helpers import adjacency_matrix, graph_laplacian_matrix, is_adjacent, operator_matrix, random_state
 
 
 def test_adjacency_examples():
@@ -43,6 +41,8 @@ def test_adjacent_pairs_differ_in_exactly_one_element(L):
             if is_adjacent(a, b):
                 flips = [k for k in range(L + 1) if a ^ (1 << k) == b]
                 assert len(flips) == 1
+    pairs = [(a, b) for a in range(lv.dim) for b in range(a + 1, lv.dim) if is_adjacent(a, b)]
+    assert edges(lv) == pairs
 
 
 def test_neighborhood_small_cases():
@@ -132,7 +132,7 @@ def test_edge_list_export():
 def test_json_export():
     doc = json.loads(export_graph(Level(1), "json"))
     assert doc == {"schema": "hyperwalk/1", "L": 1, "vertices": 4, "edges": [[0, 1], [0, 2], [1, 3], [2, 3]]}
-    assert graph_json_dict(Level(0)) == {"L": 0, "vertices": 2, "edges": [[0, 1]]}
+    assert export_graph(Level(0), "json") == '{"schema":"hyperwalk/1","L":0,"vertices":2,"edges":[[0,1]]}\n'
 
 
 @pytest.mark.parametrize("fmt", GRAPH_FORMATS)
@@ -151,6 +151,6 @@ def test_export_caps_and_format_validation():
     with pytest.raises(ValueError):
         export_graph(Level(12), "dot")
     with pytest.raises(ValueError, match="too large for export"):
-        graph_json_dict(Level(12))
+        export_graph(Level(12), "json")
     with pytest.raises(ValueError):
         export_graph(Level(1), "gml")

@@ -30,7 +30,7 @@ def _python(code: str, *args: str) -> str:
 def test_package_exports_resolve_on_first_access():
     code = "import json, sys, hyperwalk; print(json.dumps(sorted(m for m in sys.modules if 'numpy' in m or 'hyperwalk.' in m)))"
     assert json.loads(_python(code)) == []
-    assert len(set(hyperwalk.__all__)) == len(hyperwalk.__all__) == 41
+    assert len(set(hyperwalk.__all__)) == len(hyperwalk.__all__) == 38
     assert set(hyperwalk.__all__) <= set(dir(hyperwalk))
     for name in hyperwalk.__all__:
         value = getattr(hyperwalk, name)

@@ -15,7 +15,6 @@ from hyperwalk import (
     apply_involution_product,
     apply_laplacian,
     basis_state,
-    inner_product,
     vacuum_state,
 )
 
@@ -206,8 +205,8 @@ def test_laplacian_eigenrelation_on_signed_vectors(L):
 def test_laplacian_is_self_adjoint(L, rng):
     lv = Level(L)
     xi, eta = random_state(lv, rng), random_state(lv, rng)
-    lhs = inner_product(apply_laplacian(xi), eta)
-    rhs = inner_product(xi, apply_laplacian(eta))
+    lhs = np.vdot(apply_laplacian(xi).amps, eta.amps)
+    rhs = np.vdot(xi.amps, apply_laplacian(eta).amps)
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -215,22 +214,6 @@ def test_laplacian_row_sums_vanish():
     mat = operator_matrix(apply_laplacian, Level(3))
     assert np.abs(mat.sum(axis=1)).max() < 1e-14
     assert np.abs(mat - mat.conj().T).max() == 0.0
-
-
-def test_inner_product_conventions():
-    lv = Level(2)
-    a = basis_state(lv, 3)
-    assert inner_product(a, a) == 1
-    assert inner_product(a, basis_state(lv, 5)) == 0
-    scaled = StateVector(lv, 1j * a.amps)
-    # conjugate-linear in the first argument
-    assert inner_product(scaled, a) == pytest.approx(-1j)
-    assert inner_product(a, scaled) == pytest.approx(1j)
-
-
-def test_inner_product_rejects_mismatched_levels():
-    with pytest.raises(ValueError):
-        inner_product(vacuum_state(Level(1)), vacuum_state(Level(2)))
 
 
 @pytest.mark.parametrize("L", [1, 2, 4])
@@ -241,7 +224,7 @@ def test_overlaps_between_plain_and_signed_bases(L):
     for sigma in range(lv.dim):
         for tau in range(lv.dim):
             zhat = StateVector(lv, kernel[:, tau] * scale)
-            got = inner_product(basis_state(lv, sigma), zhat)
+            got = np.vdot(basis_state(lv, sigma).amps, zhat.amps)
             expected = (-1) ** setminus_card(sigma, tau, lv.full_mask) * scale
             assert abs(got - expected) < 1e-12
 

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hyperwalk import EvolutionEngine, Level, StateVector, _walsh, distribution_at, evolve
+from hyperwalk import EvolutionEngine, Level, _walsh, distribution_at, evolve
 from hyperwalk._walsh import apply_per_bit
 from hyperwalk.measure import probability
 from hyperwalk.spectral import _FORWARD_BIT
@@ -124,13 +124,42 @@ def test_every_shape_of_the_split(monkeypatch, m, block_bits, split, sweeps):
     _check(m, 11 * m + split, monkeypatch)
 
 
+def _grids(m: int) -> tuple:
+    """The (rows, block, cols) grid of each strided sweep at 2**m amplitudes,
+    from the kernel's constants, and the most entries of one chunk."""
+    b = min(_walsh.BLOCK_BITS, m)
+    k = max(b, min(_walsh.SPLIT_BITS, m - 4))
+    size = min(1 << m, max(_walsh.SCRATCH_BYTES // 16, 1 << b))
+    shapes = []
+    for low in range(k, m, _walsh.BLOCK_BITS):
+        bits = min(_walsh.BLOCK_BITS, m - low)
+        shapes.append((1 << (m - low - bits), 1 << bits, 1 << low))
+    return shapes, size
+
+
+@pytest.mark.parametrize("m", range(1, 26))
+def test_the_chunks_tile_every_sweep_up_to_the_cap(m):
+    # the shipped constants, without a state: the kernel tests reach m <= 17
+    shapes, size = _grids(m)
+    if m <= 17:
+        assert _sweeps(m) == shapes
+    for rows, block, cols in shapes:
+        covered = 0
+        for r, whole, c in _walsh._chunks((rows, block, cols), size):
+            assert r.indices(rows)[:2] == (covered // cols, covered // cols + 1) and whole == slice(None)
+            start, stop, _ = c.indices(cols)
+            assert start == covered % cols and 0 < block * (stop - start) <= size
+            covered += stop - start
+        assert covered == rows * cols
+
+
 @pytest.mark.parametrize("scratch_entries", [32, 40, 96, 1000])
 @pytest.mark.parametrize("block_bits", [1, 3, 4, 5])
 def test_chunk_boundaries_inside_a_block_row(monkeypatch, scratch_entries, block_bits):
-    # buffers of a few block columns split each row of the (rows, 2**bits,
-    # 2 * 2**low) float grid of a higher group into ragged column chunks, and
-    # runs of whole rows into ragged runs; the lowest group's rows come in
-    # power-of-two runs
+    # buffers of a few block columns split each row of a sweep's (rows,
+    # 2**bits, 2**low) grid into column chunks, ragged where the buffer's
+    # columns do not divide the row; a buffer larger than a row takes one
+    # row, so multi-row grids come in one chunk per row
     monkeypatch.setattr(_walsh, "SCRATCH_BYTES", 16 * scratch_entries)
     monkeypatch.setattr(_walsh, "BLOCK_BITS", block_bits)
     for m in (1, block_bits + 1, 7, 10):
@@ -216,11 +245,7 @@ def test_the_kernel_keeps_openblas_threads_asleep(monkeypatch):
     monkeypatch.setattr(_walsh, "_cpus", lambda: 1)
     lv = Level(20)
     engine = EvolutionEngine(lv)
-    # normalized without a BLAS call: np.linalg.norm of so long a vector
-    # wakes the pool, which then spins for a while after it returns
-    rng = np.random.default_rng(20)
-    amps = rng.standard_normal(lv.dim) + 1j * rng.standard_normal(lv.dim)
-    start = StateVector(lv, amps / np.sqrt(np.sum(probability(amps))))
+    start = random_state(lv, np.random.default_rng(20))
     distribution_at(engine, start, 0.3)  # warm up
     ratios = []
     for t in (0.7, 1.9, 2.3):  # the median: a pool woken before the test spins through the first
@@ -229,6 +254,19 @@ def test_the_kernel_keeps_openblas_threads_asleep(monkeypatch):
         evolve(engine, start, t)
         ratios.append((time.process_time() - cpu) / (time.perf_counter() - wall))
     assert sorted(ratios)[1] < 1.3, ratios
+
+
+def test_a_random_state_leaves_openblas_threads_asleep(monkeypatch):
+    # random_state scales by StateVector.norm, whose runs of NORM_RUN keep
+    # every vdot on the calling thread; np.linalg.norm of 2**19 amplitudes
+    # wakes the pool, which spins on through the next kernel call
+    monkeypatch.setattr(_walsh, "_cpus", lambda: 1)
+    lv = Level(18)
+    start = random_state(lv, np.random.default_rng(18))
+    wall, cpu = time.perf_counter(), time.process_time()
+    distribution_at(EvolutionEngine(lv), start, 0.7)
+    ratio = (time.process_time() - cpu) / (time.perf_counter() - wall)
+    assert ratio < 1.3, ratio
 
 
 def test_the_row_units_are_exact():
