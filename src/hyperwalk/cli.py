@@ -237,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if [] in vars(args).values():  # argparse reads --opt=-- as an empty list, past its type and choices
+        if [] in vars(args).values():  # argparse of Python <= 3.11 reads --opt=-- as [], past type and choices
             parser.error("'--' is not an option value")
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code) if exc.code is not None else 0
