@@ -10,22 +10,26 @@ d = -i; the change of basis is real (phase 1, d = 1).
 
 from __future__ import annotations
 
+import functools
 import os
-from itertools import islice
 
 from . import _numpy as np
+from .operators import NORM_RUN
 
-# Bits per Kronecker block, bytes of a strided sweep's chunk buffer and the
-# split bit, from distribution_at medians at L = 22 (two workers) on a 2-CPU
-# Xeon with OpenBLAS: 3-bit blocks 0.20 s, 4 bits (16×16) 0.19 s, 5 bits
-# 0.43 s, whose products wake OpenBLAS's threads; chunks of 256 KiB to 1 MiB
-# alike, smaller or larger slower; split 13 (three strided sweeps) 0.25 s,
-# 14 0.22 s, 15 0.20 s (runs of 512 KiB: two buffers fit a 2 MiB L2), 16
-# 0.38 s, whose 16×16×8192 product wakes OpenBLAS's threads.
+# Bits per Kronecker block, the split bit and bytes per tile, from medians
+# of the squares at L = 22 (two workers) on a 2-CPU Xeon with OpenBLAS:
+# 4-bit blocks (16×16) 0.126 s, 3 bits alike, 5 bits 0.359 s, whose products
+# wake OpenBLAS's threads; split 13 0.195 s, 14 0.152 s, 15 0.147 s (runs of
+# 512 KiB: two buffers fit a 2 MiB L2), 16 0.265 s, whose 16×16×8192
+# product wakes OpenBLAS's threads; tiles of 512 KiB 0.146 s, 1 MiB 0.140 s.
 BLOCK_BITS = 4
-SCRATCH_BYTES = 1 << 18
 SPLIT_BITS = 15
-# Amplitudes from which the CPUs share each sweep (L >= 18).  distribution_at
+TILE_BYTES = 1 << 20
+# Float columns of a product of a 16-row block, and rows of one with the
+# 32×32 lowest block: OpenBLAS threads (16×16)@(16×4096) and (1024×32)@(32×32).
+COLUMNS = 2048
+ROWS = 512
+# Amplitudes from which the CPUs share each pass (L >= 18).  distribution_at
 # medians, one worker against two: L = 16 4.80 / 5.21 ms, 17 7.90 / 6.97,
 # 18 15.3 / 10.8, 19 31.4 / 22.3, 20 67.5 / 47.5; two won 5, 25, 35, 38 and
 # 40 of 40.
@@ -33,7 +37,8 @@ THREADS_FROM = 1 << 19
 
 
 def apply_per_bit(
-    src: np.ndarray, m2, phase: complex = 1.0, d: complex = 1.0, square: bool = False
+    src: np.ndarray, m2, phase: complex = 1.0, d: complex = 1.0, square: bool = False,
+    spare: np.ndarray | None = None, check=None,
 ) -> np.ndarray:
     """(r2 ⊗ ... ⊗ r2) src as a new array, for the one-bit factor
     r2 = phase * D m2 D with D = diag(1, d): m2 is a real 2×2 matrix (a
@@ -42,29 +47,29 @@ def apply_per_bit(
     r2[bit k of s, bit k of g].  src is not changed.
 
     src must be a contiguous complex128 vector of power-of-two length 2**m.
-    The lowest group of b bits (BLOCK_BITS, or m) indexes within a row, the
-    bits h above it index the rows.  Around the split bit
-    k = max(b, min(SPLIT_BITS, m - 4)) a run is 2**k amplitudes, and the row
-    unit d**popcount(h) is the outer unit d**popcount(h >> (k - b)), constant
-    over a run, times the inner unit of the bits below k, exactly:
+    The lowest b bits index within a row, and a run is the 2**k amplitudes
+    below the split bit k (_plan).  The unit d**popcount(g >> b) of
+    amplitude g is its run's outer unit, of the bits from k up, times its
+    inner unit, of the bits b to k, exactly.  Two passes, on two buffers:
 
-    1. Each group of BLOCK_BITS bits from k up is one strided sweep of the
-       state, in chunks of SCRATCH_BYTES: a real Kronecker block of m2 by real
-       matrix products on the float64 view.  The first reads src times the
-       outer units.
-    2. Each run is read once into two run buffers: the inner unit, the real
-       blocks of the groups from b to k, then the complex block of r2 times
-       phase**(m - b), an integer power, as a real product of at most 512
-       rows; then the exit units as it is written.  With square, the result
-       is instead measure.probability's bits, re * re + im * im, squared in
-       the buffer: the exit units only permute and negate re and im.
+    1. Each run of src is read once: its inner units, the real Kronecker
+       blocks of m2 on each group of BLOCK_BITS bits from b to k, as real
+       products on the float64 view, then r2's block times phase**(m - b),
+       an integer power, and the outer unit: one of four real 32×32
+       matrices.  It goes to the state, with its inner exit units unless
+       square.  With check, |src|² is summed on that read in runs of
+       NORM_RUN, as StateVector.is_normalized sums it, and pass 2 starts
+       with check(sum), which may raise.
+    2. Each tile, every row of the state by cols columns, gets the blocks
+       of the groups from k up and goes to the result with its outer exit
+       units, or with square as measure.probability's bits, re * re + im * im,
+       to which the exit units are blind.
 
-    No temporary grows with len(src).  From THREADS_FROM amplitudes the
-    caller and a thread per further CPU share each sweep's chunks and then
-    the runs, each with its own buffers, to the same bits; an error on any
-    is raised in the caller.  No product wakes OpenBLAS's threads.
+    The state is the result, or with square spare (an array like src) or a
+    new one; no other temporary grows with len(src).  From THREADS_FROM
+    amplitudes the caller and a thread per further CPU share each pass, to
+    the same bits.  No product wakes OpenBLAS's threads.
     """
-    import threading  # kept off the command line's imports
     n = src.shape[0]
     m = n.bit_length() - 1
     if src.ndim != 1 or n != 1 << m or src.dtype != np.complex128 or not src.flags.c_contiguous:
@@ -73,82 +78,85 @@ def apply_per_bit(
         raise ValueError("m2 must be real: complex content enters through phase and d")
     m2 = np.asarray(m2, dtype=np.float64)
     d = complex(d)
-    b = min(BLOCK_BITS, m)
-    k = max(b, min(SPLIT_BITS, m - 4))  # 16 runs or more: two run buffers, an eighth of the state
-    run = 1 << k
-    size = min(n, max(SCRATCH_BYTES // 16, 1 << b))
+    b, k, cols = _plan(m)
+    run, rows = 1 << k, n >> k
     units = np.array([1, d, d * d, d * d * d])
-    # the outer unit of each run, and the inner unit of each amplitude of a run
-    outer = units[np.bitwise_count(np.arange(n >> k)) & 3]
     inner_units = units[np.bitwise_count(np.arange(run) >> b) & 3]
     phase = complex(phase)
     r2 = phase * np.array([[m2[0, 0], d * m2[0, 1]], [d * m2[1, 0], d * d * m2[1, 1]]])
     block_t = (phase ** (m - b) * _kron_power(r2, b)).T
     # x + iy times p + iq on interleaved floats: (x, y) @ [[p, q], [-q, p]]
-    real_t = np.kron(block_t.real, np.eye(2)) + np.kron(block_t.imag, [[0.0, 1.0], [-1.0, 0.0]])
-    turns = np.stack([outer.real, outer.imag, -outer.imag, outer.real], -1).reshape(-1, 2, 2)  # as real_t
+    lowest = [np.kron(z.real, np.eye(2)) + np.kron(z.imag, [[0.0, 1.0], [-1.0, 0.0]]) for z in units[:, None, None] * block_t]
     inner = [(low, _kron_power(m2, min(BLOCK_BITS, k - low))) for low in range(b, k, BLOCK_BITS)]
-    strided = [(low, _kron_power(m2, min(BLOCK_BITS, m - low))) for low in range(k, m, BLOCK_BITS)]
+    outer = [(low, _kron_power(m2, min(BLOCK_BITS, m - k - low))) for low in range(0, m - k, BLOCK_BITS)]
     result = np.empty(n) if square else np.empty_like(src)
-    state = (np.empty_like(src) if square else result) if strided else src
-    workers = _cpus() if n >= THREADS_FROM else 1
-    barrier, errors = threading.Barrier(workers), []
+    state = (np.empty_like(src) if spare is None else spare) if square else result
+    part = min(run, NORM_RUN)
+    sums = np.empty(n // part)
+    lows = (-1, min(run >> b, ROWS), 2 << b)  # the lowest block's products
 
-    def work(w):
-        try:
-            scratch = np.empty(max(size, 2 * run), dtype=np.complex128)
-            for low, block in strided:
-                grid = state.reshape(-1, len(block), 1 << low)
-                for idx in islice(_chunks(grid.shape, size), w, None, workers):
-                    chunk = grid[idx]
-                    buf = scratch[: chunk.size].reshape(chunk.shape)
-                    if low > k:
-                        np.matmul(block, chunk.view(np.float64), out=buf.view(np.float64))
-                        np.copyto(chunk, buf)
-                        continue
-                    first = src.reshape(grid.shape)[idx]
-                    if d != 1:  # the outer units, all in one product: a ufunc on a strided chunk buffers it
-                        lines = (-1, chunk.shape[-1], 2)
-                        turn = turns.reshape(*grid.shape[:2], 2, 2)[idx[0]].reshape(-1, 2, 2)
-                        turned = buf.view(np.float64).reshape(lines)
-                        np.matmul(first.view(np.float64).reshape(lines), turn, out=turned)
-                        first = buf
-                    np.matmul(block, first.view(np.float64), out=chunk.view(np.float64))
-                barrier.wait()
-            # a run's products, made once: each group from one run buffer into the other
-            x, y = scratch[:run].view(np.float64), scratch[run : 2 * run].view(np.float64)
-            steps = []
-            for low, block in inner:
+    def runs(w, workers):
+        bufs = np.empty((2, 2 * run))  # as floats
+        for j in range(w, rows, workers):
+            into = state[j * run : (j + 1) * run]
+            np.multiply(src[j * run : (j + 1) * run], inner_units, out=bufs[0].view(np.complex128))
+            if check is not None:
+                for i in range(j * run, (j + 1) * run, part):
+                    sums[i // part] = np.vdot(src[i : i + part], src[i : i + part]).real
+            for i, (low, block) in enumerate(inner):
                 shape = (-1, len(block), 2 << low)
-                steps.append((block, x.reshape(shape), y.reshape(shape)))
-                x, y = y, x
-            rows, res = x.reshape(-1, 2 << b), y.reshape(-1, 2 << b)
-            # at most 512 rows: OpenBLAS threads a (rows×32)@(32×32) product from 1024
-            steps += [(rows[r0 : r0 + 512], real_t, res[r0 : r0 + 512]) for r0 in range(0, len(rows), 512)]
-            for j in range(w, n >> k, workers):
-                np.multiply(state[j * run : (j + 1) * run], inner_units, out=scratch[:run])
-                for left, right, out in steps:
-                    np.matmul(left, right, out=out)
-                into = result[j * run : (j + 1) * run]
-                if square:
-                    np.multiply(y, y, out=y)
-                    np.add(y[0::2], y[1::2], out=into)
-                else:
-                    np.multiply(y.view(np.complex128), inner_units, out=into)
-                    into *= outer[j]
-        except BaseException as exc:  # appended before the abort: errors[0] is the cause
-            errors.append(exc)
-            barrier.abort()
+                np.matmul(block, bufs[i & 1].reshape(shape), out=bufs[~i & 1].reshape(shape))
+            x, y = bufs[len(inner) & 1], bufs[~len(inner) & 1]
+            np.matmul(x.reshape(lows), lowest[j.bit_count() & 3], out=(into.view(np.float64) if square else y).reshape(lows))
+            if not square:
+                np.multiply(y.view(np.complex128), inner_units, out=into)
 
-    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    work(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
+    def tiles(w, workers):
+        if w == 0 and check is not None:
+            check(sum(sums.tolist()))
+        bufs = np.empty((min(2, len(outer)), rows, 2 * cols))
+        exits = None if square else np.repeat(units[np.bitwise_count(np.arange(rows)) & 3, None], cols, axis=1)
+        grid = state.view(np.float64).reshape(rows, 2 * run)
+        for c in range(w * cols, run, workers * cols):
+            tile = grid[:, 2 * c : 2 * (c + cols)]
+            for i, (low, block) in enumerate(outer):
+                np.matmul(block, _grouped(tile, low, len(block)), out=_grouped(bufs[i & 1], low, len(block)))
+                tile = bufs[i & 1]
+            into = result.reshape(rows, run)[:, c : c + cols]
+            if square:
+                np.multiply(tile, tile, out=tile)
+                np.add(tile[:, 0::2], tile[:, 1::2], out=into)
+            else:  # the outer exit units, in the buffer: broadcast or strided, a ufunc buffers
+                tile = tile.view(np.complex128)
+                np.multiply(tile, exits, out=tile)
+                np.copyto(into, tile)
+
+    from concurrent.futures import ThreadPoolExecutor  # kept off the command line's imports
+
+    workers = _cpus() if n >= THREADS_FROM else 1
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # an error waits for every worker
+        for work in runs, tiles:
+            others = [pool.submit(work, w, workers) for w in range(1, workers)]
+            work(0, workers)
+            for other in others:
+                other.result()
     return result
+
+
+def _plan(m: int) -> tuple[int, int, int]:
+    """(b, k, cols) at 2**m amplitudes: the lowest bits, the split bit (16
+    runs or more) and a tile's columns, to TILE_BYTES, COLUMNS floats and a
+    16th of the state at most."""
+    b = min(BLOCK_BITS, m)
+    k = max(b, min(SPLIT_BITS, m - 4))
+    return b, k, max(1, min(1 << k >> 4, TILE_BYTES // 16 >> (m - k), COLUMNS // 2))
+
+
+def _grouped(a: np.ndarray, low: int, size: int) -> np.ndarray:
+    """A tile's (rows, floats) as (batches, 2**low, size, floats): the
+    products of a block of size rows on the row bits from low up."""
+    rows, width = a.shape
+    return a.reshape(rows // (size << low), size, 1 << low, width).transpose(0, 2, 1, 3)
 
 
 def _cpus() -> int:
@@ -156,17 +164,4 @@ def _cpus() -> int:
 
 
 def _kron_power(m2: np.ndarray, bits: int) -> np.ndarray:
-    block = np.ones((1, 1), dtype=m2.dtype)
-    for _ in range(bits):
-        block = np.kron(block, m2)
-    return block
-
-
-def _chunks(shape: tuple, size: int):
-    """Indices of views covering a (rows, b, cols) grid in order, at most
-    size entries each: column slices of one row, the slice of rows first."""
-    rows, b, cols = shape
-    step = size // b
-    for r in range(rows):
-        for c in range(0, cols, step):
-            yield slice(r, r + 1), slice(None), slice(c, c + step)
+    return functools.reduce(np.kron, [m2] * bits, np.ones((1, 1)))

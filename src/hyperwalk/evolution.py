@@ -8,7 +8,7 @@ M(t) = [[cos t, sin t], [sin t, -cos t]] and D = diag(1, -i)
 before anything is allocated).  The per-bit kernel
 (``_walsh.apply_per_bit``) applies it from the state into a new array in
 O(dim * (L+1)) per call; for ``distribution_at`` it squares each amplitude
-instead of storing it.  A one-hot start (a basis node times a unit phase)
+instead of storing it, through the engine's one intermediate.  A one-hot start (a basis node times a unit phase)
 is its distance-class table gathered over the nodes instead
 (``spectral.basis_start_classes``), in O(dim); ``distribution_at`` squares
 that table's L+2 entries before the gather.  The literal-definition
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from . import _numpy as np
 from ._walsh import apply_per_bit
-from .operators import StateVector
+from .operators import NORM_TOL, StateVector
 from .spectral import basis_start_classes, bit_factor
 from .subsets import Level
 
@@ -29,12 +29,14 @@ ONE_HOT_PROBE = 16  # leading amplitudes one_hot_node reads before it counts the
 class EvolutionEngine:
     """Handle binding the evolution to a fixed level.
 
-    Immutable after construction; concurrent evolve calls on one engine are
-    safe because every call works on its own buffers and its own threads.
+    After its first dense distribution_at or time_average it holds one
+    state-sized array (128 MiB at L = 22, 512 MiB at L = 24), the kernel's
+    intermediate, lent to one call at a time: a concurrent call allocates.
     """
 
     def __init__(self, level: Level):
         self.level = level
+        self._spare: list = []
 
     def __repr__(self) -> str:
         return f"EvolutionEngine(level=Level({self.level.L}))"
@@ -53,11 +55,11 @@ def evolve(engine: EvolutionEngine, initial: StateVector, t: float) -> StateVect
 
 def _evolve(engine: EvolutionEngine, initial: StateVector, t: float, square=None) -> np.ndarray:
     """evolve's amplitudes, or with square (measure.probability) their
-    squares: the kernel's, run by run in its buffer, or per distance from a node."""
-    m2, phase, d = bit_factor(t)
+    squares: the kernel's (dense), or per distance from a node."""
+    factor = bit_factor(t)
     sigma = checked_start(engine, initial)
     if sigma is None:
-        return apply_per_bit(initial.amps, m2, phase, d, square=square is not None)
+        return dense(engine, initial, factor, square is not None)
     # a one-hot start stays a product state: its table times the start
     # amplitude, in numpy's complex product, gathered over the nodes
     classes = basis_start_classes(initial.level, sigma, t)
@@ -66,18 +68,40 @@ def _evolve(engine: EvolutionEngine, initial: StateVector, t: float, square=None
     return classes.with_table(tuple(table.tolist())).materialize()
 
 
+def dense(engine: EvolutionEngine, initial: StateVector, factor: tuple, square: bool, check: bool = True) -> np.ndarray:
+    """The kernel's amplitudes of a dense start, or their squares on the
+    engine's intermediate; with check, refused unless normalized."""
+    check = (lambda total: check_norm(initial, total)) if check else None
+    if not square:
+        return apply_per_bit(initial.amps, *factor, check=check)
+    try:
+        spare = engine._spare.pop()
+    except IndexError:
+        spare = np.empty_like(initial.amps)
+    try:
+        return apply_per_bit(initial.amps, *factor, square=True, spare=spare, check=check)
+    finally:
+        engine._spare[:] = [spare]
+
+
 def checked_start(engine: EvolutionEngine, initial: StateVector) -> int | None:
     """The node of a one-hot start (one_hot_node), else None, after refusing
-    a start evolve cannot run from, with ValueError: first one on another
-    level than the engine's, then one whose squared norm is off 1 by more
-    than NORM_TOL."""
+    with ValueError a start on another level than the engine's, then a
+    one-hot start that is not normalized.  The kernel checks a dense one."""
     if engine.level != initial.level:
         raise ValueError(
             f"engine level L={engine.level.L} does not match state level L={initial.level.L}"
         )
-    if not initial.is_normalized():
+    sigma = one_hot_node(initial.amps)
+    if sigma is not None:
+        check_norm(initial, abs(initial.amps[sigma]) ** 2)
+    return sigma
+
+
+def check_norm(initial: StateVector, squared_norm: float) -> None:
+    """Refuse a start whose squared norm is off 1 by more than NORM_TOL."""
+    if abs(squared_norm - 1.0) > NORM_TOL:
         raise ValueError(f"initial state is not normalized (norm {initial.norm()!r})")
-    return one_hot_node(initial.amps)
 
 
 def one_hot_node(amps: np.ndarray) -> int | None:

@@ -28,8 +28,7 @@ import math
 from typing import NamedTuple
 
 from . import _numpy as np
-from ._walsh import apply_per_bit
-from .evolution import EvolutionEngine, _evolve, checked_start
+from .evolution import EvolutionEngine, _evolve, checked_start, dense
 from .formatting import format_float
 from .operators import StateVector
 from .spectral import ClassTable, basis_start_classes, bit_factor
@@ -116,11 +115,11 @@ def time_average(
 ) -> TimeAverageDistribution:
     """Average distribution over one period of the walk.
 
-    The start is checked once, as evolve checks it: one on another level
-    than the engine's, or not normalized, raises ValueError.  From a basis
-    node, under either method, the average is node_time_average's exact
-    table gathered over the nodes, labelled krawtchouk.  Any other start
-    takes the quadrature loop, labelled quadrature; krawtchouk rejects it.
+    The start is checked as evolve checks it, a dense one on the first
+    quadrature point: one on another level than the engine's, or not
+    normalized, raises ValueError.  From a basis node, under either method,
+    the average is node_time_average's exact table over the nodes, labelled
+    krawtchouk.  Any other start takes the quadrature; krawtchouk rejects it.
     """
     level = initial.level
     if method not in TIME_AVERAGE_METHODS:
@@ -136,9 +135,9 @@ def time_average(
         raise ValueError("krawtchouk requires a basis-node initial state (one nonzero amplitude)")
     m = quadrature_point_count(level)
     probs = np.zeros(level.dim, dtype=np.float64)
-    # distribution_at's dense path on the start checked once above
+    # distribution_at's dense path, the start's norm checked on the first point
     for j in range(m):
-        probs += apply_per_bit(initial.amps, *bit_factor(j * math.pi / m), square=True)
+        probs += dense(engine, initial, bit_factor(j * math.pi / m), square=True, check=j == 0)
     probs /= m
     return TimeAverageDistribution(level=level, probs=probs, method="quadrature")
 

@@ -103,8 +103,10 @@ def apply_hat_involution(sigma: int, state: StateVector) -> StateVector:
     """
     level = state.level
     level.validate_node(sigma)
-    col = sign_column(level.full_mask ^ sigma, level.dim)
-    return StateVector(level, np.dot(col, state.amps) * col)
+    col, amps = sign_column(level.full_mask ^ sigma, level.dim), state.amps
+    # summed in runs, as _squared_norm sums: one long dot starts OpenBLAS's threads
+    overlap = sum(np.dot(col[i : i + NORM_RUN], amps[i : i + NORM_RUN]) for i in range(0, len(amps), NORM_RUN))
+    return StateVector(level, overlap * col)
 
 
 def apply_laplacian(state: StateVector) -> StateVector:

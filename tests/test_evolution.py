@@ -1,12 +1,14 @@
 import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import hyperwalk
-from hyperwalk import evolution
+from hyperwalk import _walsh, evolution
 from hyperwalk import (
     EvolutionEngine,
     Level,
@@ -14,8 +16,10 @@ from hyperwalk import (
     apply_laplacian,
     basis_state,
     complement,
+    distribution_at,
     evolve,
     pst_check,
+    time_average,
     vacuum_state,
 )
 from hyperwalk.spectral import T_MAX, basis_start_classes, from_eigenbasis, to_eigenbasis
@@ -235,6 +239,63 @@ def test_unnormalized_input_policy():
     lopsided = StateVector(lv, [2.0, 0, 0, 0])
     with pytest.raises(ValueError):
         evolve(engine, lopsided, 0.5)
+
+
+@pytest.mark.parametrize("L, workers", [(3, 1), (17, 1), (17, 3)])
+def test_a_dense_start_is_refused_from_the_kernels_sum(monkeypatch, L, workers):
+    # the kernel sums |start|² as it reads the start, from L = 16 in the
+    # runs of NORM_RUN that is_normalized sums: evolve, distribution_at and
+    # time_average each refuse a start it finds off 1 by more than NORM_TOL,
+    # with one error and message, on any number of workers
+    monkeypatch.setattr(_walsh, "THREADS_FROM", 0)
+    monkeypatch.setattr(_walsh, "_cpus", lambda: workers)
+    lv = Level(L)
+    engine = EvolutionEngine(lv)
+    start = random_state(lv, np.random.default_rng(L))
+    calls = (
+        lambda s: evolve(engine, s, 0.7),
+        lambda s: distribution_at(engine, s, 0.7),
+        lambda s: time_average(s, engine=engine),
+    )
+    for squared, refused in ((2.25, True), (1 + 3e-12, True), (1 - 3e-12, True), (1 + 3e-13, False), (0.0, True)):
+        off = StateVector(lv, start.amps * math.sqrt(squared))
+        assert off.is_normalized() is not refused, squared
+        for call in calls:
+            if refused:
+                with pytest.raises(ValueError) as err:
+                    call(off)
+                assert str(err.value) == f"initial state is not normalized (norm {off.norm()!r})"
+            else:
+                call(off)
+
+
+def test_concurrent_dense_calls_on_one_engine():
+    # each call takes the engine's intermediate, or allocates its own while
+    # another holds it: three threads switching every microsecond get each
+    # call's bits, and the engine keeps one intermediate
+    lv = Level(10)
+    start = random_state(lv, np.random.default_rng(10))
+    times = [0.1 * j for j in range(24)]
+    want = [distribution_at(EvolutionEngine(lv), start, t).probs for t in times]
+    engine, got = EvolutionEngine(lv), [None] * len(times)
+
+    def share(w):
+        for j in range(w, len(times), 3):
+            got[j] = distribution_at(engine, start, times[j]).probs
+
+    threads = [threading.Thread(target=share, args=(w,)) for w in range(3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert len(engine._spare) == 1
 
 
 ONE_HOT_TIMES = [

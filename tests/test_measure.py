@@ -28,7 +28,7 @@ from hyperwalk import (
     vacuum_average_value,
     vacuum_state,
 )
-from hyperwalk import _walsh, measure
+from hyperwalk import _walsh, evolution, measure
 from hyperwalk.cli import _parse_pi_fraction, build_parser, cmd_pst, main
 from hyperwalk.spectral import T_MAX
 
@@ -87,14 +87,14 @@ def test_distributions_sum_to_one(L, rng):
         assert dist.probs.min() >= 0.0
 
 
-@pytest.mark.parametrize("L, scratch_entries", [(0, None), (3, None), (9, None), (14, None), (9, 40), (9, 96)])
-def test_distribution_at_squares_evolve_bit_for_bit(L, scratch_entries, monkeypatch):
-    # a dense start's runs are squared in the kernel's buffer, before the
-    # row units ±1, ±i that evolve's amplitudes carry, to which re² + im² is
-    # blind.  L = 0 and 3 are one run; L = 9 and 14 are 16 runs after one
-    # strided sweep, which the small buffers cut into ragged chunks
-    if scratch_entries:
-        monkeypatch.setattr(_walsh, "SCRATCH_BYTES", 16 * scratch_entries)
+@pytest.mark.parametrize("L, tile_bytes", [(0, None), (3, None), (9, None), (14, None), (9, 256), (9, 512)])
+def test_distribution_at_squares_evolve_bit_for_bit(L, tile_bytes, monkeypatch):
+    # a dense start's tiles are squared in the kernel's buffer, before the
+    # units ±1, ±i that evolve's amplitudes carry, to which re² + im² is
+    # blind.  L = 0 and 3 are one run; L = 9 and 14 are 16 runs and 16 rows,
+    # in tiles of four columns at L = 9, or of one and two
+    if tile_bytes:
+        monkeypatch.setattr(_walsh, "TILE_BYTES", tile_bytes)
     lv = Level(L)
     engine = EvolutionEngine(lv)
     rng = np.random.default_rng(4000 + L)
@@ -313,13 +313,13 @@ def test_other_starts_take_the_loop(monkeypatch):
     # one kernel call per quadrature point, equal bit for bit to the loop of
     # distribution_at calls
     calls = []
-    real = measure.apply_per_bit
+    real = evolution.apply_per_bit
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(measure, "apply_per_bit", counted)
+    monkeypatch.setattr(evolution, "apply_per_bit", counted)
     lv = Level(4)
     one_hot = basis_state(lv, 6)
     time_average(one_hot)
@@ -334,20 +334,25 @@ def test_other_starts_take_the_loop(monkeypatch):
 
 @pytest.mark.parametrize("L", [0, 5, 12])
 def test_a_dense_start_is_checked_once(monkeypatch, L):
-    # one normalization pass for the whole quadrature, not one per point
+    # the kernel sums the start's norm on the first quadrature point only,
+    # on the engine's one intermediate, and no separate pass reads it
     lv = Level(L)
     start = random_state(lv, np.random.default_rng(L))
     oracle = quadrature_oracle(start)
-    checks = []
-    real = StateVector.is_normalized
+    checks, spares = [], []
+    real = evolution.apply_per_bit
 
-    def counted(self, *args):
-        checks.append(self)
-        return real(self, *args)
+    def counted(*args, check=None, spare=None, **kwargs):
+        checks.append(check is not None)
+        spares.append(spare)
+        return real(*args, check=check, spare=spare, **kwargs)
 
-    monkeypatch.setattr(StateVector, "is_normalized", counted)
-    got = time_average(start).probs
-    assert checks == [start]
+    monkeypatch.setattr(evolution, "apply_per_bit", counted)
+    monkeypatch.setattr(StateVector, "is_normalized", None)
+    engine = EvolutionEngine(lv)
+    got = time_average(start, engine=engine).probs
+    assert checks == [True] + [False] * (quadrature_point_count(lv) - 1)
+    assert all(spare is spares[0] for spare in spares) and engine._spare[0] is spares[0] and len(engine._spare) == 1
     assert _same_bits(got, oracle)
 
 
@@ -628,6 +633,40 @@ def test_node_start_distributions_allocate_one_float_per_node(which):
         tracemalloc.stop()
     assert dist.probs.nbytes == 8 * lv.dim
     assert peak <= 1.25 * 8 * lv.dim, peak / (8 * lv.dim)
+
+
+def test_a_second_dense_distribution_allocates_no_second_state():
+    # the engine lends its one intermediate to every call: past the first,
+    # a call allocates its float64 result, two run buffers (an eighth of the
+    # state) and a table of units, and no second state
+    lv = Level(16)
+    engine, start = EvolutionEngine(lv), random_state(lv, np.random.default_rng(16))
+    distribution_at(engine, start, 0.3)
+    tracemalloc.start()
+    try:
+        dist = distribution_at(engine, start, 0.7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dist.probs.nbytes == 8 * lv.dim
+    assert peak <= 8 * lv.dim + start.amps.nbytes / 4, peak / start.amps.nbytes
+
+
+def test_a_dense_time_average_peaks_near_two_states():
+    # a fresh engine's intermediate, the running sum and one point's squares
+    # (a float per node each) and the kernel's buffers: 2.22 times the state
+    # at L = 16, where a second intermediate would add one more
+    lv = Level(16)
+    start = random_state(lv, np.random.default_rng(16))
+    time_average(start)  # warm up: first-call allocations are not the average's
+    tracemalloc.start()
+    try:
+        average = time_average(start)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert average.probs.nbytes == 8 * lv.dim
+    assert peak <= 2.25 * start.amps.nbytes, peak / start.amps.nbytes
 
 
 def test_pst_check_rejects_non_finite_times():

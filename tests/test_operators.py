@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -148,6 +149,22 @@ def test_hat_involution_product_identities(L, rng):
         assert np.abs(twice.amps - lv.dim * once.amps).max() < 1e-10
         other = apply_hat_involution((sigma + 1) % lv.dim, once)
         assert np.abs(other.amps).max() < 1e-10
+
+
+def test_hat_involution_keeps_openblas_threads_asleep():
+    # one dot of the node-sized column with the amplitudes wakes OpenBLAS's
+    # pool, and CPU time over wall time reads about 2 on two CPUs; summed in
+    # runs it reads 1.0.  The median: a pool woken before the test spins
+    # through the first call
+    lv = Level(20)
+    state = random_state(lv, np.random.default_rng(20))
+    apply_hat_involution(3, state)
+    ratios = []
+    for sigma in (5, 77, lv.full_mask):
+        wall, cpu = time.perf_counter(), time.process_time()
+        apply_hat_involution(sigma, state)
+        ratios.append((time.process_time() - cpu) / (time.perf_counter() - wall))
+    assert sorted(ratios)[1] < 1.3, ratios
 
 
 def test_hat_involution_on_vacuum_gives_scaled_kernel_column():

@@ -1,4 +1,3 @@
-import itertools
 import os
 import sys
 import threading
@@ -8,10 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hyperwalk import EvolutionEngine, Level, _walsh, distribution_at, evolve
+from hyperwalk import EvolutionEngine, Level, StateVector, _walsh, distribution_at, evolve
 from hyperwalk._walsh import apply_per_bit
 from hyperwalk.measure import probability
-from hyperwalk.spectral import _FORWARD_BIT
+from hyperwalk.spectral import _FORWARD_BIT, bit_factor
 
 from helpers import random_state
 
@@ -82,14 +81,26 @@ def _check(m: int, seed: int, monkeypatch) -> None:
             assert np.array_equal(_bits(shared_squares), _bits(squared)), (m, case, workers)
 
 
-def _sweeps(m: int) -> list:
-    """The (rows, block, cols) grid of each strided sweep at 2**m amplitudes."""
+def _products(m: int) -> list:
+    """The (left, right) operand shapes of every matrix product the kernel
+    makes at 2**m amplitudes, each distinct pair once, in order."""
     shapes = []
-    chunks = _walsh._chunks
+    matmul = np.matmul
+
+    def recorded(left, right, **kwargs):
+        if (left.shape, right.shape) not in shapes:
+            shapes.append((left.shape, right.shape))
+        return matmul(left, right, **kwargs)
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_walsh, "_chunks", lambda shape, size: shapes.append(shape) or chunks(shape, size))
-        apply_per_bit(np.zeros(1 << m, dtype=np.complex128), np.eye(2))
+        patch.setattr(_walsh.np, "matmul", recorded)
+        apply_per_bit(np.zeros(1 << m, dtype=np.complex128), np.eye(2), square=True)
     return shapes
+
+
+def _tile_products(m: int) -> list:
+    """The shapes of the tile pass's products: a block times 4-d views."""
+    return [shapes for shapes in _products(m) if len(shapes[1]) == 4]
 
 
 @pytest.mark.parametrize("m", range(1, 11))
@@ -100,70 +111,87 @@ def test_apply_per_bit_matches_the_kronecker_product(monkeypatch, m):
 
 
 @pytest.mark.parametrize(
-    "m, block_bits, split, sweeps",
+    "m, block_bits, split, plan, tiles",
     [
-        # no strided sweep: the state is one run (m <= k)
-        (4, 4, 15, []),
-        # one outer group, bits 5-8 above a run of 2**5: 16 runs, which three
-        # workers share unevenly
-        (9, 4, 5, [(1, 16, 32)]),
-        # two outer groups of three bits, 3-5 and 6-8: 64 runs
-        (9, 3, 3, [(8, 8, 8), (1, 8, 64)]),
+        # no group above the split: the state is one run and one row, in
+        # tiles of one column (m <= k)
+        (4, 4, 15, (4, 4, 1), []),
+        # one group, bits 5-8 above runs of 2**5: 16 runs, which three
+        # workers share unevenly, and 16 rows in tiles of 2 columns
+        (9, 4, 5, (4, 5, 2), [((16, 16), (1, 1, 16, 4))]),
+        # two groups of three bits above a split at 3: 64 rows
+        (9, 3, 3, (3, 3, 1), [((8, 8), (8, 1, 8, 2)), ((8, 8), (1, 8, 8, 2))]),
         # a narrower top group, bits 4-7 and then 8-9
-        (10, 4, 4, [(4, 16, 16), (1, 4, 256)]),
+        (10, 4, 4, (4, 4, 1), [((16, 16), (4, 1, 16, 2)), ((4, 4), (1, 16, 4, 2))]),
+        # three groups, the third from the second tile buffer into the first again
+        (13, 4, 4, (4, 4, 1), [((16, 16), (32, 1, 16, 2)), ((16, 16), (2, 16, 16, 2)), ((2, 2), (1, 256, 2, 2))]),
         # four runs, bits 4 and 5 outside them: three workers, one with two
-        (6, 4, 15, [(1, 4, 16)]),
+        (6, 4, 15, (4, 4, 1), [((4, 4), (1, 1, 4, 2))]),
         # the default split below 2**19 amplitudes is m - 4: runs of 2**6 here
-        (10, 4, 15, [(1, 16, 64)]),
+        (10, 4, 15, (4, 6, 4), [((16, 16), (1, 1, 16, 8))]),
     ],
 )
-def test_every_shape_of_the_split(monkeypatch, m, block_bits, split, sweeps):
+def test_every_shape_of_the_split(monkeypatch, m, block_bits, split, plan, tiles):
     monkeypatch.setattr(_walsh, "BLOCK_BITS", block_bits)
     monkeypatch.setattr(_walsh, "SPLIT_BITS", split)
-    assert _sweeps(m) == sweeps
+    assert _walsh._plan(m) == plan
+    assert _tile_products(m) == tiles
     _check(m, 11 * m + split, monkeypatch)
 
 
-def _grids(m: int) -> tuple:
-    """The (rows, block, cols) grid of each strided sweep at 2**m amplitudes,
-    from the kernel's constants, and the most entries of one chunk."""
-    b = min(_walsh.BLOCK_BITS, m)
-    k = max(b, min(_walsh.SPLIT_BITS, m - 4))
-    size = min(1 << m, max(_walsh.SCRATCH_BYTES // 16, 1 << b))
+def _planned_products(m: int) -> list:
+    """From the kernel's plan and its views alone, with buffers of one run
+    and one tile: the shapes of each product of a run, then of a tile."""
+    b, k, cols = _walsh._plan(m)
+    run, rows = np.empty(1 << k, dtype=np.complex128), 1 << (m - k)
+    tile = np.empty((rows, 2 * cols))
     shapes = []
-    for low in range(k, m, _walsh.BLOCK_BITS):
-        bits = min(_walsh.BLOCK_BITS, m - low)
-        shapes.append((1 << (m - low - bits), 1 << bits, 1 << low))
-    return shapes, size
+    for low in range(b, k, _walsh.BLOCK_BITS):
+        size = 1 << min(_walsh.BLOCK_BITS, k - low)
+        shapes.append(((size, size), run.view(np.float64).reshape(-1, size, 2 << low).shape))
+    lows = min(len(run) >> b, _walsh.ROWS)
+    shapes.append((((len(run) >> b) // lows, lows, 2 << b), (2 << b, 2 << b)))
+    for low in range(0, m - k, _walsh.BLOCK_BITS):
+        size = 1 << min(_walsh.BLOCK_BITS, m - k - low)
+        shapes.append(((size, size), _walsh._grouped(tile, low, size).shape))
+    return shapes
 
 
 @pytest.mark.parametrize("m", range(1, 26))
-def test_the_chunks_tile_every_sweep_up_to_the_cap(m):
+def test_the_plan_covers_every_amplitude_up_to_the_cap(m):
     # the shipped constants, without a state: the kernel tests reach m <= 17
-    shapes, size = _grids(m)
+    b, k, cols = _walsh._plan(m)
+    n, run, rows = 1 << m, 1 << k, 1 << (m - k)
+    # rows runs of run amplitudes, and tiles of every row by cols columns of
+    # a run, next to each other: each covers every amplitude once
+    assert b <= k <= m and rows * run == n
+    starts = list(range(0, run, cols))
+    assert run % cols == 0 and starts[-1] + cols == run and len(starts) * rows * cols == n
+    # a tile is at most TILE_BYTES and a 16th of the state (two tile
+    # buffers are at most an eighth), as two run buffers are from m = 8
+    assert cols == 1 or rows * cols * 16 <= min(_walsh.TILE_BYTES, n)
+    assert m < 8 or run <= n >> 4
+    products = _planned_products(m)
     if m <= 17:
-        assert _sweeps(m) == shapes
-    for rows, block, cols in shapes:
-        covered = 0
-        for r, whole, c in _walsh._chunks((rows, block, cols), size):
-            assert r.indices(rows)[:2] == (covered // cols, covered // cols + 1) and whole == slice(None)
-            start, stop, _ = c.indices(cols)
-            assert start == covered % cols and 0 < block * (stop - start) <= size
-            covered += stop - start
-        assert covered == rows * cols
+        assert set(products) == set(_products(m))
+    # OpenBLAS starts its threads above these sizes
+    for left, right in products:
+        if left == (16, 16):
+            assert right[-1] <= _walsh.COLUMNS == 2048, (left, right)
+        if right == (32, 32):
+            assert left[-2] <= _walsh.ROWS == 512, (left, right)
+    if m == 25:  # three groups above the split, in tiles of 1024 rows
+        assert [left for left, right in products[-3:]] == [(16, 16), (16, 16), (4, 4)] and rows == 1024
 
 
-@pytest.mark.parametrize("scratch_entries", [32, 40, 96, 1000])
+@pytest.mark.parametrize("tile_bytes", [16, 64, 256, 1 << 20])
 @pytest.mark.parametrize("block_bits", [1, 3, 4, 5])
-def test_chunk_boundaries_inside_a_block_row(monkeypatch, scratch_entries, block_bits):
-    # buffers of a few block columns split each row of a sweep's (rows,
-    # 2**bits, 2**low) grid into column chunks, ragged where the buffer's
-    # columns do not divide the row; a buffer larger than a row takes one
-    # row, so multi-row grids come in one chunk per row
-    monkeypatch.setattr(_walsh, "SCRATCH_BYTES", 16 * scratch_entries)
+def test_tiles_of_every_width(monkeypatch, tile_bytes, block_bits):
+    # tiles of one column and wider, up to the shipped size
+    monkeypatch.setattr(_walsh, "TILE_BYTES", tile_bytes)
     monkeypatch.setattr(_walsh, "BLOCK_BITS", block_bits)
     for m in (1, block_bits + 1, 7, 10):
-        _check(m, 7 * m + scratch_entries, monkeypatch)
+        _check(m, 7 * m + tile_bytes, monkeypatch)
 
 
 def test_the_workers_are_the_cpus_the_process_may_use(monkeypatch):
@@ -179,7 +207,8 @@ def test_the_workers_are_the_cpus_the_process_may_use(monkeypatch):
 @pytest.mark.parametrize("workers", [2, 3])
 def test_each_further_worker_adds_one_buffer(monkeypatch, workers):
     # test_dense_evolve_peaks_near_one_state's bound plus one buffer per
-    # thread: at L = 16 a worker's two run buffers are one chunk buffer
+    # thread: at L = 16 a worker's two run buffers, or its tile buffer and
+    # the tile's units, are an eighth of the state
     _force_threads(monkeypatch, workers)
     lv = Level(16)
     engine = EvolutionEngine(lv)
@@ -192,21 +221,21 @@ def test_each_further_worker_adds_one_buffer(monkeypatch, workers):
     finally:
         tracemalloc.stop()
     assert out.amps.nbytes == start.amps.nbytes
-    assert peak <= 1.25 * start.amps.nbytes + (workers - 1) * _walsh.SCRATCH_BYTES, peak / start.amps.nbytes
+    assert peak <= (1.25 + (workers - 1) / 8) * start.amps.nbytes, peak / start.amps.nbytes
 
 
-def _raise_in_a_product(monkeypatch, workers: int, raiser: str, product: int) -> None:
-    """A matrix product raises on its call number product in the caller, or
-    in the other threads; the call runs on a thread of its own, so a hang
-    fails the test instead of stopping the suite."""
+def _raise_in_a_product(monkeypatch, workers: int, raiser: str, tiles: bool) -> None:
+    """The first matrix product of a run, or of a tile, raises in the
+    caller, or in the other threads; the call runs on a thread of its own,
+    so a hang fails the test instead of stopping the suite."""
     _force_threads(monkeypatch, workers)
     _, a = _random_case(16, 1, False)
-    calls, raised = itertools.count(), []
+    raised = []
 
-    def matmul(*args, **kwargs):
-        if (threading.current_thread() is runner) == (raiser == "caller") and next(calls) == product:
+    def matmul(left, right, **kwargs):
+        if (threading.current_thread() is runner) == (raiser == "caller") and (right.ndim == 4) == tiles:
             raise RuntimeError("that product")
-        return np.matmul(*args, **kwargs)
+        return np.matmul(left, right, **kwargs)
 
     def call():
         try:
@@ -227,15 +256,14 @@ def _raise_in_a_product(monkeypatch, workers: int, raiser: str, product: int) ->
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("raiser", ["caller", "thread"])
 def test_an_error_on_any_worker_raises_in_the_caller(monkeypatch, workers, raiser):
-    # the third product, in the runs
-    _raise_in_a_product(monkeypatch, workers, raiser, 2)
+    _raise_in_a_product(monkeypatch, workers, raiser, tiles=False)
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("raiser", ["caller", "thread"])
-def test_an_error_in_a_sweep_releases_the_workers_at_the_barrier(monkeypatch, workers, raiser):
-    # the first product, in the strided sweep, while the others reach the barrier after it
-    _raise_in_a_product(monkeypatch, workers, raiser, 0)
+def test_an_error_in_the_tiles_raises_in_the_caller(monkeypatch, workers, raiser):
+    # every worker has finished the runs: the error comes from the second pass
+    _raise_in_a_product(monkeypatch, workers, raiser, tiles=True)
 
 
 def test_the_kernel_keeps_openblas_threads_asleep(monkeypatch):
@@ -270,6 +298,43 @@ def test_the_row_units_are_exact():
     got = apply_per_bit(a, np.eye(2), 1.0, -1j)
     odd = np.bitwise_count(np.arange(len(a))) & 1
     assert np.array_equal(got, np.where(odd, -a, a))
+
+
+def _qubit_product(qubits: np.ndarray) -> np.ndarray:
+    out = np.ones(1, dtype=np.complex128)
+    for qubit in qubits:
+        out = np.kron(out, qubit)
+    return out
+
+
+def test_the_kernel_at_the_level_cap(monkeypatch):
+    # m = 25: three groups above the split, of 4, 4 and 2 bits, in tiles of
+    # 1024 rows, a plan no smaller state reaches.  A random product start
+    # evolves to the product of its evolved qubits: the outer product of
+    # the high ten bits' factor and the low 15's.  The bound is 2.3 times
+    # the worst of eight seeds (3.5e-15, squares at t = -2.9)
+    monkeypatch.delenv("HYPERWALK_L_MAX", raising=False)
+    lv = Level(24)
+    rng = np.random.default_rng(24)
+    qubits = rng.standard_normal((25, 2)) + 1j * rng.standard_normal((25, 2))
+    qubits /= np.linalg.norm(qubits, axis=1, keepdims=True)
+
+    def halves(qubits):  # bit b is the factor b places from the right
+        return _qubit_product(qubits[:14:-1]), _qubit_product(qubits[14::-1])
+
+    start = StateVector(lv, np.outer(*halves(qubits)).ravel())
+    engine = EvolutionEngine(lv)
+    for call, power in ((evolve, 1), (distribution_at, 2)):  # evolve first: no intermediate beside it
+        for t in (0.7, -2.9):
+            high, low = halves(qubits @ _one_bit(*bit_factor(t)).T)
+            got = call(engine, start, t)
+            got = (got.amps if power == 1 else got.probs).reshape(len(high), len(low))
+            err = 0.0
+            for r in range(0, len(high), 64):  # 64 rows at a time: the whole product is another 512 MiB
+                want = np.outer(high[r : r + 64], low)
+                err = max(err, np.abs(got[r : r + 64] - (want if power == 1 else probability(want))).max())
+            del got
+            assert err <= 8e-15 * (np.abs(high).max() * np.abs(low).max()) ** power, (call.__name__, t)
 
 
 GOOD = np.zeros(8, dtype=np.complex128)
