@@ -37,8 +37,7 @@ THREADS_FROM = 1 << 19
 
 
 def apply_per_bit(
-    src: np.ndarray, m2, phase: complex = 1.0, d: complex = 1.0, square: bool = False,
-    spare: np.ndarray | None = None, check=None,
+    src: np.ndarray, m2, phase: complex = 1.0, d: complex = 1.0, square: bool = False, check=None,
 ) -> np.ndarray:
     """(r2 ⊗ ... ⊗ r2) src as a new array, for the one-bit factor
     r2 = phase * D m2 D with D = diag(1, d): m2 is a real 2×2 matrix (a
@@ -65,8 +64,8 @@ def apply_per_bit(
        units, or with square as measure.probability's bits, re * re + im * im,
        to which the exit units are blind.
 
-    The state is the result, or with square spare (an array like src) or a
-    new one; no other temporary grows with len(src).  From THREADS_FROM
+    The state is the result, or with square a new array like src; no other
+    temporary grows with len(src).  From THREADS_FROM
     amplitudes the caller and a thread per further CPU share each pass, to
     the same bits.  No product wakes OpenBLAS's threads.
     """
@@ -90,7 +89,7 @@ def apply_per_bit(
     inner = [(low, _kron_power(m2, min(BLOCK_BITS, k - low))) for low in range(b, k, BLOCK_BITS)]
     outer = [(low, _kron_power(m2, min(BLOCK_BITS, m - k - low))) for low in range(0, m - k, BLOCK_BITS)]
     result = np.empty(n) if square else np.empty_like(src)
-    state = (np.empty_like(src) if spare is None else spare) if square else result
+    state = np.empty_like(src) if square else result
     part = min(run, NORM_RUN)
     sums = np.empty(n // part)
     lows = (-1, min(run >> b, ROWS), 2 << b)  # the lowest block's products

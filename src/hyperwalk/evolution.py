@@ -8,7 +8,7 @@ M(t) = [[cos t, sin t], [sin t, -cos t]] and D = diag(1, -i)
 before anything is allocated).  The per-bit kernel
 (``_walsh.apply_per_bit``) applies it from the state into a new array in
 O(dim * (L+1)) per call; for ``distribution_at`` it squares each amplitude
-instead of storing it, through the engine's one intermediate.  A one-hot start (a basis node times a unit phase)
+instead of storing it.  A one-hot start (a basis node times a unit phase)
 is its distance-class table gathered over the nodes instead
 (``spectral.basis_start_classes``), in O(dim); ``distribution_at`` squares
 that table's L+2 entries before the gather.  The literal-definition
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from . import _numpy as np
 from ._walsh import apply_per_bit
-from .operators import NORM_TOL, StateVector
+from .operators import StateVector, is_unit
 from .spectral import basis_start_classes, bit_factor
 from .subsets import Level
 
@@ -29,14 +29,12 @@ ONE_HOT_PROBE = 16  # leading amplitudes one_hot_node reads before it counts the
 class EvolutionEngine:
     """Handle binding the evolution to a fixed level.
 
-    After its first dense distribution_at or time_average it holds one
-    state-sized array (128 MiB at L = 22, 512 MiB at L = 24), the kernel's
-    intermediate, lent to one call at a time: a concurrent call allocates.
+    Immutable after construction; concurrent evolve calls on one engine are
+    safe because every call works on its own buffers and its own threads.
     """
 
     def __init__(self, level: Level):
         self.level = level
-        self._spare: list = []
 
     def __repr__(self) -> str:
         return f"EvolutionEngine(level=Level({self.level.L}))"
@@ -59,7 +57,7 @@ def _evolve(engine: EvolutionEngine, initial: StateVector, t: float, square=None
     factor = bit_factor(t)
     sigma = checked_start(engine, initial)
     if sigma is None:
-        return dense(engine, initial, factor, square is not None)
+        return dense(initial, factor, square is not None)
     # a one-hot start stays a product state: its table times the start
     # amplitude, in numpy's complex product, gathered over the nodes
     classes = basis_start_classes(initial.level, sigma, t)
@@ -68,20 +66,11 @@ def _evolve(engine: EvolutionEngine, initial: StateVector, t: float, square=None
     return classes.with_table(tuple(table.tolist())).materialize()
 
 
-def dense(engine: EvolutionEngine, initial: StateVector, factor: tuple, square: bool, check: bool = True) -> np.ndarray:
-    """The kernel's amplitudes of a dense start, or their squares on the
-    engine's intermediate; with check, refused unless normalized."""
+def dense(initial: StateVector, factor: tuple, square: bool, check: bool = True) -> np.ndarray:
+    """The kernel's amplitudes of a dense start, or their squares; with
+    check, refused unless normalized."""
     check = (lambda total: check_norm(initial, total)) if check else None
-    if not square:
-        return apply_per_bit(initial.amps, *factor, check=check)
-    try:
-        spare = engine._spare.pop()
-    except IndexError:
-        spare = np.empty_like(initial.amps)
-    try:
-        return apply_per_bit(initial.amps, *factor, square=True, spare=spare, check=check)
-    finally:
-        engine._spare[:] = [spare]
+    return apply_per_bit(initial.amps, *factor, square=square, check=check)
 
 
 def checked_start(engine: EvolutionEngine, initial: StateVector) -> int | None:
@@ -99,8 +88,8 @@ def checked_start(engine: EvolutionEngine, initial: StateVector) -> int | None:
 
 
 def check_norm(initial: StateVector, squared_norm: float) -> None:
-    """Refuse a start whose squared norm is off 1 by more than NORM_TOL."""
-    if abs(squared_norm - 1.0) > NORM_TOL:
+    """Refuse a start whose squared norm is not is_unit (a NaN is not)."""
+    if not is_unit(squared_norm):
         raise ValueError(f"initial state is not normalized (norm {initial.norm()!r})")
 
 

@@ -79,9 +79,9 @@ def probability(z):
 def distribution_at(engine: EvolutionEngine, initial: StateVector, t: float) -> Distribution:
     """Pointwise distribution: squared amplitude magnitudes of the evolved
     state, bit for bit probability(evolve(engine, initial, t).amps).  A
-    dense state's amplitudes are squared run by run in the kernel's buffer,
-    a node start's once per distance before the gather; the evolved
-    amplitudes are never stored."""
+    dense state's amplitudes are squared tile by tile as they leave the
+    kernel's last pass (_walsh.apply_per_bit), a node start's once per
+    distance before the gather; the evolved amplitudes are never stored."""
     probs = _evolve(engine, initial, t, square=probability)
     return Distribution(level=engine.level, probs=probs, time=float(t))
 
@@ -137,7 +137,7 @@ def time_average(
     probs = np.zeros(level.dim, dtype=np.float64)
     # distribution_at's dense path, the start's norm checked on the first point
     for j in range(m):
-        probs += dense(engine, initial, bit_factor(j * math.pi / m), square=True, check=j == 0)
+        probs += dense(initial, bit_factor(j * math.pi / m), square=True, check=j == 0)
     probs /= m
     return TimeAverageDistribution(level=level, probs=probs, method="quadrature")
 

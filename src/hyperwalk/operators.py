@@ -33,13 +33,18 @@ class StateVector:
         return math.sqrt(self._squared_norm())
 
     def is_normalized(self) -> bool:
-        """Whether the squared norm is within NORM_TOL of 1."""
-        return abs(self._squared_norm() - 1.0) <= NORM_TOL
+        """Whether the squared norm is within NORM_TOL of 1 (is_unit)."""
+        return is_unit(self._squared_norm())
 
     def _squared_norm(self) -> float:
         """The vdot of each run of NORM_RUN amplitudes with itself, summed."""
         runs = (self.amps[i : i + NORM_RUN] for i in range(0, len(self.amps), NORM_RUN))
         return sum(float(np.vdot(run, run).real) for run in runs)
+
+
+def is_unit(squared_norm: float) -> bool:
+    """Whether a squared norm is within NORM_TOL of 1; never a NaN."""
+    return abs(squared_norm - 1.0) <= NORM_TOL
 
 
 def sign_column(sigma: int, n: int) -> np.ndarray:

@@ -234,32 +234,54 @@ def test_engine_validation():
 
 
 def test_unnormalized_input_policy():
+    # a one-hot start is checked from its one amplitude; a NaN or NaN-and-inf
+    # one is not within NORM_TOL of 1 either
     lv = Level(1)
     engine = EvolutionEngine(lv)
-    lopsided = StateVector(lv, [2.0, 0, 0, 0])
-    with pytest.raises(ValueError):
-        evolve(engine, lopsided, 0.5)
+    calls = (
+        lambda s: evolve(engine, s, 0.5),
+        lambda s: distribution_at(engine, s, 0.5),
+        lambda s: time_average(s, engine=engine),
+    )
+    for z in (2.0, math.nan, complex(math.nan, 0.5), complex(0.0, math.nan), complex(math.nan, math.inf)):
+        lopsided = StateVector(lv, [0, z, 0, 0])
+        assert not lopsided.is_normalized()
+        for call in calls:
+            with pytest.raises(ValueError) as err:
+                call(lopsided)
+            assert str(err.value) == f"initial state is not normalized (norm {lopsided.norm()!r})"
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("L, workers", [(3, 1), (17, 1), (17, 3)])
 def test_a_dense_start_is_refused_from_the_kernels_sum(monkeypatch, L, workers):
     # the kernel sums |start|² as it reads the start, from L = 16 in the
     # runs of NORM_RUN that is_normalized sums: evolve, distribution_at and
-    # time_average each refuse a start it finds off 1 by more than NORM_TOL,
-    # with one error and message, on any number of workers
+    # time_average each refuse a start whose sum is not within NORM_TOL of 1,
+    # NaN included (the first pass may warn of the invalid values it reads
+    # before the refusal), with one error and message, on any number of
+    # workers
     monkeypatch.setattr(_walsh, "THREADS_FROM", 0)
     monkeypatch.setattr(_walsh, "_cpus", lambda: workers)
     lv = Level(L)
     engine = EvolutionEngine(lv)
-    start = random_state(lv, np.random.default_rng(L))
+    start = random_state(lv, np.random.default_rng(L)).amps
     calls = (
         lambda s: evolve(engine, s, 0.7),
         lambda s: distribution_at(engine, s, 0.7),
         lambda s: time_average(s, engine=engine),
     )
-    for squared, refused in ((2.25, True), (1 + 3e-12, True), (1 - 3e-12, True), (1 + 3e-13, False), (0.0, True)):
-        off = StateVector(lv, start.amps * math.sqrt(squared))
-        assert off.is_normalized() is not refused, squared
+    starts = [
+        (start * math.sqrt(squared), refused)
+        for squared, refused in ((2.25, True), (1 + 3e-12, True), (1 - 3e-12, True), (1 + 3e-13, False), (0.0, True))
+    ]
+    for bad in ({5: math.nan}, {5: math.nan, 6: math.inf}, {6: complex(math.inf, math.nan)}, {6: complex(math.nan, 0.5)}):
+        amps = start.copy()
+        amps[list(bad)] = list(bad.values())
+        starts.append((amps, True))
+    for amps, refused in starts:
+        off = StateVector(lv, amps)
+        assert off.is_normalized() is not refused, amps[:8]
         for call in calls:
             if refused:
                 with pytest.raises(ValueError) as err:
@@ -270,9 +292,8 @@ def test_a_dense_start_is_refused_from_the_kernels_sum(monkeypatch, L, workers):
 
 
 def test_concurrent_dense_calls_on_one_engine():
-    # each call takes the engine's intermediate, or allocates its own while
-    # another holds it: three threads switching every microsecond get each
-    # call's bits, and the engine keeps one intermediate
+    # every call works on its own buffers and its own threads: three
+    # threads switching every microsecond get each call's bits
     lv = Level(10)
     start = random_state(lv, np.random.default_rng(10))
     times = [0.1 * j for j in range(24)]
@@ -295,7 +316,6 @@ def test_concurrent_dense_calls_on_one_engine():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert len(engine._spare) == 1
 
 
 ONE_HOT_TIMES = [
