@@ -10,40 +10,31 @@ functions act on state vectors directly and never build a matrix; the
 literal-definition oracles everything is checked against, dense operator,
 graph and evolution matrices among them, live in the test suite.
 
-Every public name is imported from its module on first access (PEP 562).
-numpy is imported the same way, in _numpy.py alone, when a function that
-builds or takes a node-sized array first reads one of its names; so the
-command line, which computes and writes per-distance tables, never loads it.
+Importing the package imports every module but the command line's, and no
+numpy: _numpy.py alone imports it, when a function that builds or takes a
+node-sized array first reads one of its names; so the command line, which
+computes and writes per-distance tables, never loads it.
 """
 
-import importlib
+from .evolution import EvolutionEngine, evolve
+from .graph import GRAPH_FORMATS, edges, export_graph, neighborhood
+from .measure import (TIME_AVERAGE_METHODS, Distribution, SymmetryReport, TimeAverageDistribution,
+                      closed_form_distribution, closed_form_pt, distribution_at, distribution_csv, is_symmetric,
+                      pst_check, quadrature_point_count, time_average, vacuum_average_value)
+from .operators import (StateVector, apply_hat_involution, apply_involution, apply_involution_product,
+                        apply_laplacian, basis_state, vacuum_state)
+from .spectral import Spectrum, SpectrumEntry, from_eigenbasis, spectrum, to_eigenbasis
+from .subsets import DEFAULT_MAX_LEVEL, Level, complement, elements, format_node, max_level, parse_node
 
 __version__ = "0.1.0"
 
-_EXPORTS = {
-    "evolution": "EvolutionEngine evolve",
-    "graph": "GRAPH_FORMATS edges export_graph neighborhood",
-    "measure": "TIME_AVERAGE_METHODS Distribution SymmetryReport TimeAverageDistribution "
-    "closed_form_distribution closed_form_pt distribution_at distribution_csv is_symmetric "
-    "pst_check quadrature_point_count time_average vacuum_average_value",
-    "operators": "StateVector apply_hat_involution apply_involution apply_involution_product "
-    "apply_laplacian basis_state vacuum_state",
-    "spectral": "Spectrum SpectrumEntry from_eigenbasis spectrum to_eigenbasis",
-    "subsets": "DEFAULT_MAX_LEVEL Level complement elements format_node max_level parse_node",
-}
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
-
 # constants, then classes, then functions, each alphabetical
-__all__ = sorted(_MODULE_OF, key=lambda name: (not name.isupper(), not name[0].isupper(), name))
-
-
-def __getattr__(name: str):
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+__all__ = [
+    "DEFAULT_MAX_LEVEL", "GRAPH_FORMATS", "TIME_AVERAGE_METHODS", "Distribution", "EvolutionEngine", "Level",
+    "Spectrum", "SpectrumEntry", "StateVector", "SymmetryReport", "TimeAverageDistribution", "apply_hat_involution",
+    "apply_involution", "apply_involution_product", "apply_laplacian", "basis_state", "closed_form_distribution",
+    "closed_form_pt", "complement", "distribution_at", "distribution_csv", "edges", "elements", "evolve",
+    "export_graph", "format_node", "from_eigenbasis", "is_symmetric", "max_level", "neighborhood", "parse_node",
+    "pst_check", "quadrature_point_count", "spectrum", "time_average", "to_eigenbasis", "vacuum_average_value",
+    "vacuum_state",
+]

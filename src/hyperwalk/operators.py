@@ -108,10 +108,17 @@ def apply_hat_involution(sigma: int, state: StateVector) -> StateVector:
     """
     level = state.level
     level.validate_node(sigma)
-    col, amps = sign_column(level.full_mask ^ sigma, level.dim), state.amps
-    # summed in runs, as _squared_norm sums: one long dot starts OpenBLAS's threads
-    overlap = sum(np.dot(col[i : i + NORM_RUN], amps[i : i + NORM_RUN]) for i in range(0, len(amps), NORM_RUN))
-    return StateVector(level, overlap * col)
+    mask, run = level.full_mask ^ sigma, min(NORM_RUN, level.dim)
+    # run by run, as _squared_norm sums (one long dot wakes OpenBLAS's threads):
+    # the column's run at i is its first run, negated if i & mask has odd parity
+    low = sign_column(mask, run)
+    signed = (low, -low)
+    cols = [signed[(i & mask).bit_count() & 1] for i in range(0, level.dim, run)]
+    out = np.empty_like(state.amps)
+    overlap = sum(np.dot(col, amps) for col, amps in zip(cols, state.amps.reshape(-1, run)))
+    for col, into in zip(cols, out.reshape(-1, run)):
+        np.multiply(overlap, col, out=into)
+    return StateVector(level, out)
 
 
 def apply_laplacian(state: StateVector) -> StateVector:
@@ -123,6 +130,7 @@ def apply_laplacian(state: StateVector) -> StateVector:
     level = state.level
     out = (level.L + 1) * state.amps
     for k in range(level.L + 1):
-        out -= flip_bit(state.amps, k)
+        o = out.reshape(-1, 2, 1 << k)  # flip_bit's view, subtracted without its copy
+        o -= state.amps.reshape(-1, 2, 1 << k)[:, ::-1]
     return StateVector(level, out)
 

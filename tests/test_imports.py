@@ -27,9 +27,16 @@ def _python(code: str, *args: str) -> str:
     return proc.stdout
 
 
-def test_package_exports_resolve_on_first_access():
-    code = "import json, sys, hyperwalk; print(json.dumps(sorted(m for m in sys.modules if 'numpy' in m or 'hyperwalk.' in m)))"
-    assert json.loads(_python(code)) == []
+def test_importing_the_package_binds_its_exports_without_numpy():
+    # every module but the command line's, which python -m hyperwalk.cli
+    # must find unimported, and neither numpy nor a STARTUP_HEAVY module
+    code = "import json, sys; before = set(sys.modules); import hyperwalk; print(json.dumps(sorted(set(sys.modules) - before)))"
+    loaded = json.loads(_python(code))
+    package = Path(hyperwalk.__file__).parent
+    modules = {f"hyperwalk.{path.stem}" for path in package.glob("*.py") if path.stem not in ("__init__", "cli")}
+    assert {m for m in loaded if m.startswith("hyperwalk.")} == modules
+    assert [m for m in loaded if m.split(".")[0] == "numpy"] == []
+    assert sorted(set(STARTUP_HEAVY) & set(loaded)) == []
     assert len(set(hyperwalk.__all__)) == len(hyperwalk.__all__) == 38
     assert set(hyperwalk.__all__) <= set(dir(hyperwalk))
     for name in hyperwalk.__all__:

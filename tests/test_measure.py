@@ -87,12 +87,13 @@ def test_distributions_sum_to_one(L, rng):
         assert dist.probs.min() >= 0.0
 
 
-@pytest.mark.parametrize("L, tile_bytes", [(0, None), (3, None), (9, None), (14, None), (9, 256), (9, 512)])
+@pytest.mark.parametrize("L, tile_bytes", [*((L, None) for L in range(15)), (9, 256), (9, 512)])
 def test_distribution_at_squares_evolve_bit_for_bit(L, tile_bytes, monkeypatch):
     # a dense start's tiles are squared in the kernel's buffer, before the
     # units ±1, ±i that evolve's amplitudes carry, to which re² + im² is
-    # blind.  L = 0 and 3 are one run; L = 9 and 14 are 16 runs and 16 rows,
-    # in tiles of four columns at L = 9, or of one and two
+    # blind.  Every level from one run up to 16 runs and 16 rows at L = 14,
+    # since a change of layout can change the bits at one small level alone;
+    # at L = 9 also in tiles of one and two columns
     if tile_bytes:
         monkeypatch.setattr(_walsh, "TILE_BYTES", tile_bytes)
     lv = Level(L)

@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,42 @@ def test_hat_involution_keeps_openblas_threads_asleep():
         apply_hat_involution(sigma, state)
         ratios.append((time.process_time() - cpu) / (time.perf_counter() - wall))
     assert sorted(ratios)[1] < 1.3, ratios
+
+
+@pytest.mark.parametrize("L", [0, 5, 12, 13, 15])
+def test_operators_equal_their_whole_array_formulas_bit_for_bit(L):
+    # one run (L <= 12), two (L = 13) and eight: the run-by-run column and the
+    # in-place flips give the bits of the node-sized column and the copies
+    lv = Level(L)
+    state = random_state(lv, np.random.default_rng(300 + L))
+    for sigma in (0, 1, lv.dim // 3, lv.full_mask):
+        col = operators.sign_column(lv.full_mask ^ sigma, lv.dim)
+        runs = range(0, lv.dim, operators.NORM_RUN)
+        overlap = sum(np.dot(col[i : i + operators.NORM_RUN], state.amps[i : i + operators.NORM_RUN]) for i in runs)
+        want = overlap * col
+        assert np.array_equal(apply_hat_involution(sigma, state).amps.view(np.uint64), want.view(np.uint64)), sigma
+    want = (L + 1) * state.amps
+    for k in range(L + 1):
+        want -= operators.flip_bit(state.amps, k)
+    assert np.array_equal(apply_laplacian(state).amps.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("which", ["hat", "laplacian"])
+def test_operators_peak_near_one_state(which):
+    # the result and run-sized buffers: 1.03 (hat) and 1.02 (laplacian)
+    # times the state at L = 18, where a node-sized sign column would add
+    # half a state and a flipped copy of the amplitudes a whole one
+    lv = Level(18)
+    state = random_state(lv, np.random.default_rng(18))
+    run = {"hat": lambda: apply_hat_involution(5, state), "laplacian": lambda: apply_laplacian(state)}[which]
+    run()  # warm up: first-call allocations are not the operator's
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * state.amps.nbytes, peak / state.amps.nbytes
 
 
 def test_hat_involution_on_vacuum_gives_scaled_kernel_column():
