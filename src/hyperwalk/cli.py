@@ -63,13 +63,11 @@ def _parse_pi_fraction(text: str) -> float:
         raise ValueError(f"pi fraction {text!r} has a denominator beyond the float range") from None
 
 
-def _resolve_time(value: float | None, fraction: str | None, default: float | None = None) -> float:
-    """The time of a float option or its pi-fraction twin, else default.
-    Whether the walk can evaluate it is decided where its phase is computed
-    (spectral._bit_amplitudes)."""
-    if fraction is not None:
-        return _parse_pi_fraction(fraction)
-    return default if value is None else value
+def _resolve_time(value: float | None, fraction: str | None) -> float:
+    """The time of a float option, or of its pi-fraction twin when that is
+    given.  Whether the walk can evaluate it is decided where its phase is
+    computed (spectral._bit_amplitudes)."""
+    return value if fraction is None else _parse_pi_fraction(fraction)
 
 
 def tolerance(text: str) -> float:
@@ -88,46 +86,38 @@ def build_parser() -> argparse.ArgumentParser:
         "Set HYPERWALK_L_MAX to override the default level cap of 24.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options every subcommand takes, and the table format of all but graph
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--L", type=int, required=True, help="walk order (>= 0)")
+    common.add_argument("--out", default=None, metavar="FILE", help="write output to FILE")
+    tabular = argparse.ArgumentParser(add_help=False, parents=[common])
+    tabular.add_argument("--format", choices=("json", "csv"), default="json")
 
-    sp = sub.add_parser("spectrum", help="eigenvalues and multiplicities of the generator")
-    _add_level(sp)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_out(sp)
+    sp = sub.add_parser("spectrum", parents=[tabular], help="eigenvalues and multiplicities of the generator")
     sp.set_defaults(handler=cmd_spectrum)
 
-    ev = sub.add_parser("evolve", help="distribution (and amplitudes) at a given time")
-    _add_level(ev)
+    ev = sub.add_parser("evolve", parents=[tabular], help="distribution (and amplitudes) at a given time")
     group = ev.add_mutually_exclusive_group(required=True)
     group.add_argument("--t", type=float, help="evolution time (dimensionless)")
     group.add_argument("--t-pi-fraction", metavar="P/Q", help="time as an exact multiple of pi")
     ev.add_argument("--initial", default="", help="initial node string (default: empty set)")
     ev.add_argument("--amplitudes", action="store_true", help="include [re, im] amplitude pairs")
-    ev.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_out(ev)
     ev.set_defaults(handler=cmd_evolve)
 
-    ta = sub.add_parser("time-average", help="period-averaged distribution")
-    _add_level(ta)
+    ta = sub.add_parser("time-average", parents=[tabular], help="period-averaged distribution")
     ta.add_argument("--initial", default="", help="initial node string (default: empty set)")
-    ta.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_out(ta)
     ta.set_defaults(handler=cmd_time_average)
 
-    ps = sub.add_parser("pst", help="transfer fidelities from a source node")
-    _add_level(ps)
+    ps = sub.add_parser("pst", parents=[tabular], help="transfer fidelities from a source node")
     ps.add_argument("--from", dest="source", default="", help="source node string")
     group = ps.add_mutually_exclusive_group()
-    group.add_argument("--t0", type=float, help="transfer time (default pi/2)")
+    group.add_argument("--t0", type=float, default=math.pi / 2, help="transfer time (default pi/2)")
     group.add_argument("--t0-pi-fraction", metavar="P/Q", help="transfer time as a multiple of pi")
     ps.add_argument("--tol", type=tolerance, default=1e-10)
-    ps.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_out(ps)
     ps.set_defaults(handler=cmd_pst)
 
-    gr = sub.add_parser("graph", help="export the hypercube graph")
-    _add_level(gr)
+    gr = sub.add_parser("graph", parents=[common], help="export the hypercube graph")
     gr.add_argument("--format", choices=GRAPH_FORMATS, default="dot")
-    _add_out(gr)
     gr.set_defaults(handler=cmd_graph)
 
     for subparser in sub.choices.values():
@@ -136,14 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
         subparser.register("type", int, lambda text: natural(text.strip()))
         subparser.register("type", float, real)
     return parser
-
-
-def _add_level(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--L", type=int, required=True, help="walk order (>= 0)")
-
-
-def _add_out(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=None, metavar="FILE", help="write output to FILE")
 
 
 def cmd_spectrum(args: argparse.Namespace) -> Iterable[str]:
@@ -204,7 +186,7 @@ def cmd_time_average(args: argparse.Namespace) -> Iterable[str]:
 def cmd_pst(args: argparse.Namespace) -> Iterable[str]:
     level = Level(args.L)
     source = parse_node(args.source, level)
-    t0 = _resolve_time(args.t0, args.t0_pi_fraction, default=math.pi / 2)
+    t0 = _resolve_time(args.t0, args.t0_pi_fraction)
     amps = basis_start_classes(level, source, t0)
     fidelities = amps.with_table(tuple(map(abs, amps.table)))
     best = fidelities.argmax()

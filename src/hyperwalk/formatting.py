@@ -79,8 +79,8 @@ def iter_json(obj: Any) -> Iterator[str]:
 def _table_json(table: ClassTable) -> Iterator[str]:
     # grid row i is the joined text of row class rows[i]: join each once and
     # yield that one string for every row of its class
-    classes, rows, cols = table.with_table(tuple(map(dumps_json, table.table))).grid()
-    text = ["," + ",".join([row_class[c] for c in cols]) for row_class in classes]
+    classes, rows = table.with_table(tuple(map(dumps_json, table.table))).grid()
+    text = ["," + ",".join(row_class) for row_class in classes]
     yield "[" + text[rows[0]][1:]
     yield from map(text.__getitem__, rows[1:])
     yield "]"
@@ -106,13 +106,12 @@ def iter_csv(header: str, columns: Sequence[ClassTable]) -> Iterator[str]:
     lo = size.bit_length() - 1
     separators = [","] * (len(columns) - 1) + ["\n"]
     text = zip(*[[dumps_json(x) + sep for x in c.table] for c, sep in zip(columns, separators)])
-    classes, rows, cols = columns[0].with_table(tuple(map("".join, text))).grid(lo)
-    lists = [[row_class[c] for c in cols] for row_class in classes]
+    classes, rows = columns[0].with_table(tuple(map("".join, text))).grid(lo)
     parts = [""] * (size * 3)
     parts[0::3] = ['"{' + low for low in element_strings(lo)]
     for start in range(0, dim, size):
         high = format_node(start)[1:-1]  # start has no bits below the chunk's
         parts[1::3] = [("," + high if high else "") + '}",'] * size
         parts[1] = high + '}",'  # row 0 of the chunk has no low-bit elements
-        parts[2::3] = lists[rows[start >> lo]]
+        parts[2::3] = classes[rows[start >> lo]]
         yield "".join(parts)

@@ -92,8 +92,15 @@ def apply_involution_product(sigma: int, state: StateVector) -> StateVector:
     """
     level = state.level
     level.validate_node(sigma)
-    idx = np.arange(level.dim, dtype=np.intp) ^ sigma
-    return StateVector(level, state.amps[idx])
+    run = min(NORM_RUN, level.dim)
+    # run by run, as apply_hat_involution walks: run i is run i ^ (sigma // run)
+    # of the state, relabeled within by the low bits of sigma.  Every index is
+    # in range; mode "clip" writes into out without the buffer "raise" takes.
+    low, high = np.arange(run) ^ (sigma % run), sigma // run
+    runs, out = state.amps.reshape(-1, run), np.empty_like(state.amps)
+    for i, into in enumerate(out.reshape(-1, run)):
+        np.take(runs[i ^ high], low, out=into, mode="clip")
+    return StateVector(level, out)
 
 
 def apply_hat_involution(sigma: int, state: StateVector) -> StateVector:

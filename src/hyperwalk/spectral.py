@@ -113,34 +113,33 @@ class ClassTable(NamedTuple):
         """The entry of node g."""
         return self.table[(g ^ self.sigma).bit_count()]
 
-    def grid(self, lo: int | None = None) -> tuple[list[tuple], list[int], list[int]]:
-        """(classes, rows, cols) on the node index read as the (2**hi, 2**lo)
-        grid g = i * 2**lo + j, with hi = L+1 - lo and by default lo = (L+1) // 2:
+    def grid(self, lo: int | None = None) -> tuple[list[list], list[int]]:
+        """(classes, rows) on the node index read as the (2**hi, 2**lo) grid
+        g = i * 2**lo + j, with hi = L+1 - lo and by default lo = (L+1) // 2:
         node g lies at distance rows[i] + cols[j], the popcounts of the high and
-        low bits of g ^ sigma, so it holds classes[rows[i]][cols[j]] with
-        classes[r][c] = table[r + c], hi+1 classes of lo+1 entries."""
+        low bits of g ^ sigma, so grid row i is the row class classes[rows[i]],
+        with classes[r][j] = table[r + cols[j]]: hi+1 classes of 2**lo entries."""
         m = self.level.L + 1
         lo = m // 2 if lo is None else lo
         high, low = self.sigma >> lo, self.sigma & ((1 << lo) - 1)
         rows = [(i ^ high).bit_count() for i in range(1 << (m - lo))]
         cols = [(j ^ low).bit_count() for j in range(1 << lo)]
-        return [self.table[r : r + lo + 1] for r in range(m - lo + 1)], rows, cols
+        return [[self.table[r + c] for c in cols] for r in range(m - lo + 1)], rows
 
     def materialize(self) -> np.ndarray:
         """The entries of every node in index order, as a numpy array: one
-        gather of the grid."""
-        classes, rows, cols = self.grid()
-        return np.take(np.array(classes)[rows], cols, axis=1).reshape(self.level.dim, *np.shape(self.table[0]))
+        gather of the grid's row classes."""
+        classes, rows = self.grid()
+        return np.array(classes)[rows].reshape(self.level.dim, *np.shape(self.table[0]))
 
     def argmax(self) -> int:
         """np.argmax of materialize() for a table of real numbers: the smallest
-        node at a distance that holds the largest entry.  Every row class occurs
-        in rows and every column class in cols, so the first grid row whose
-        class holds a maximum contains the answer."""
-        classes, rows, cols = self.grid()
+        node at a distance that holds the largest entry, in the first grid row
+        whose class holds it."""
+        classes, rows = self.grid()
         best = max(self.table)
         i = next(i for i, r in enumerate(rows) if best in classes[r])
-        return i * len(cols) + next(j for j, c in enumerate(cols) if classes[rows[i]][c] == best)
+        return i * len(classes[0]) + classes[rows[i]].index(best)
 
 
 def spectrum(level: Level) -> Spectrum:

@@ -16,12 +16,10 @@ from hyperwalk import (
     EvolutionEngine,
     Level,
     StateVector,
-    apply_laplacian,
     basis_state,
     distribution_at,
     format_node,
 )
-from hyperwalk.operators import flip_bit
 from hyperwalk.formatting import format_float
 
 PAIR_SUM_MAX_LEVEL = 7
@@ -133,9 +131,10 @@ def evolve_product(initial: StateVector, t: float) -> StateVector:
     cos_t = math.cos(t)
     sin_t = math.sin(t)
     phase = complex(cos_t, sin_t)
+    idx = np.arange(initial.level.dim)
     out = initial.amps
     for k in range(initial.level.L + 1):
-        out = phase * (cos_t * out - 1j * sin_t * flip_bit(out, k))
+        out = phase * (cos_t * out - 1j * sin_t * out[idx ^ (1 << k)])
     return StateVector(initial.level, out)
 
 
@@ -274,7 +273,7 @@ def quadrature_oracle(initial: StateVector, engine: EvolutionEngine | None = Non
 
 @lru_cache(maxsize=None)
 def _laplacian_eigh(L: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.linalg.eigh(operator_matrix(apply_laplacian, Level(L)).real)
+    return np.linalg.eigh(graph_laplacian_matrix(Level(L)).astype(np.float64))
 
 
 def evolve_via_eigh(initial: StateVector, t: float) -> np.ndarray:

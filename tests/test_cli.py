@@ -231,6 +231,15 @@ def test_refused_arguments_exit_2(tmp_path, capsys, argv, message):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "evolve", "time-average", "pst", "graph"])
+def test_help_names_the_shared_options(capsys, command):
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    assert out.startswith(f"usage: hyperwalk {command}")
+    for option in ("--L", "--out", "--format"):
+        assert option in out, option
+
+
 def test_unknown_flag_exits_2(capsys):
     code, _, _ = run_cli(capsys, "spectrum", "--L", "1", "--frequency", "9")
     assert code == 2

@@ -105,11 +105,12 @@ def test_writers_stream_in_chunks():
     # chunk per later grid row, each row the one string of its row class,
     # then "]".  CSV: the header, then CHUNK rows per chunk.
     table = ClassTable(Level(5), 0b100101, tuple(_all_distinct(7).tolist()))
-    _, rows, cols = table.grid()
+    classes, rows = table.grid()
+    width = len(classes[0])
     chunks = list(iter_json(table))
     assert len(chunks) == len(rows) + 1 and chunks[-1] == "]"
-    assert chunks[0].startswith("[") and chunks[0].count(",") == len(cols) - 1
-    assert all(chunk.startswith(",") and chunk.count(",") == len(cols) for chunk in chunks[1:-1])
+    assert chunks[0].startswith("[") and chunks[0].count(",") == width - 1
+    assert all(chunk.startswith(",") and chunk.count(",") == width for chunk in chunks[1:-1])
     first = {}
     for r, chunk in zip(rows[1:], chunks[1:-1]):
         assert first.setdefault(r, chunk) is chunk

@@ -170,8 +170,9 @@ def test_hat_involution_keeps_openblas_threads_asleep():
 
 @pytest.mark.parametrize("L", [0, 5, 12, 13, 15])
 def test_operators_equal_their_whole_array_formulas_bit_for_bit(L):
-    # one run (L <= 12), two (L = 13) and eight: the run-by-run column and the
-    # in-place flips give the bits of the node-sized column and the copies
+    # one run (L <= 12), two (L = 13) and eight: the run-by-run column and
+    # relabeling and the in-place flips give the bits of the node-sized
+    # column, the node-sized gather and the copies
     lv = Level(L)
     state = random_state(lv, np.random.default_rng(300 + L))
     for sigma in (0, 1, lv.dim // 3, lv.full_mask):
@@ -180,20 +181,28 @@ def test_operators_equal_their_whole_array_formulas_bit_for_bit(L):
         overlap = sum(np.dot(col[i : i + operators.NORM_RUN], state.amps[i : i + operators.NORM_RUN]) for i in runs)
         want = overlap * col
         assert np.array_equal(apply_hat_involution(sigma, state).amps.view(np.uint64), want.view(np.uint64)), sigma
+        gathered = state.amps[np.arange(lv.dim) ^ sigma]
+        assert np.array_equal(apply_involution_product(sigma, state).amps.view(np.uint64), gathered.view(np.uint64))
     want = (L + 1) * state.amps
     for k in range(L + 1):
         want -= operators.flip_bit(state.amps, k)
     assert np.array_equal(apply_laplacian(state).amps.view(np.uint64), want.view(np.uint64))
 
 
-@pytest.mark.parametrize("which", ["hat", "laplacian"])
+@pytest.mark.parametrize("which", ["involution", "hat", "laplacian", "product"])
 def test_operators_peak_near_one_state(which):
-    # the result and run-sized buffers: 1.03 (hat) and 1.02 (laplacian)
-    # times the state at L = 18, where a node-sized sign column would add
-    # half a state and a flipped copy of the amplitudes a whole one
+    # the result and run-sized buffers: 1.00 (involution), 1.03 (hat),
+    # 1.02 (laplacian) and 1.02 (product) times the state at L = 18, where a
+    # node-sized sign column or gather index would add half a state and a
+    # flipped copy of the amplitudes a whole one
     lv = Level(18)
     state = random_state(lv, np.random.default_rng(18))
-    run = {"hat": lambda: apply_hat_involution(5, state), "laplacian": lambda: apply_laplacian(state)}[which]
+    run = {
+        "involution": lambda: apply_involution(5, state),
+        "hat": lambda: apply_hat_involution(5, state),
+        "laplacian": lambda: apply_laplacian(state),
+        "product": lambda: apply_involution_product(0x55555, state),
+    }[which]
     run()  # warm up: first-call allocations are not the operator's
     tracemalloc.start()
     try:
