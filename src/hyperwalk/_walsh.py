@@ -61,8 +61,8 @@ def apply_per_bit(
        with check(sum), which may raise.
     2. Each tile, every row of the state by cols columns, gets the blocks
        of the groups from k up and goes to the result with its outer exit
-       units, or with square as measure.probability's bits, re * re + im * im,
-       to which the exit units are blind.
+       units, or with square as operators.probability's bits,
+       re * re + im * im, to which the exit units are blind.
 
     The state is the result, or with square a new array like src; no other
     temporary grows with len(src).  From THREADS_FROM

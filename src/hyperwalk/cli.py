@@ -63,13 +63,6 @@ def _parse_pi_fraction(text: str) -> float:
         raise ValueError(f"pi fraction {text!r} has a denominator beyond the float range") from None
 
 
-def _resolve_time(value: float | None, fraction: str | None) -> float:
-    """The time of a float option, or of its pi-fraction twin when that is
-    given.  Whether the walk can evaluate it is decided where its phase is
-    computed (spectral._bit_amplitudes)."""
-    return value if fraction is None else _parse_pi_fraction(fraction)
-
-
 def tolerance(text: str) -> float:
     """--tol: a finite float >= 0.  A nan, negative or infinite tolerance
     would decide is_pst the same way whatever the fidelities."""
@@ -140,7 +133,7 @@ def cmd_spectrum(args: argparse.Namespace) -> Iterable[str]:
 
 def cmd_evolve(args: argparse.Namespace) -> Iterable[str]:
     level = Level(args.L)
-    t = _resolve_time(args.t, args.t_pi_fraction)
+    t = args.t if args.t_pi_fraction is None else _parse_pi_fraction(args.t_pi_fraction)
     initial_node = parse_node(args.initial, level)
     amps = basis_start_classes(level, initial_node, t)
     probs = amps.with_table(tuple(map(probability, amps.table)))
@@ -186,7 +179,7 @@ def cmd_time_average(args: argparse.Namespace) -> Iterable[str]:
 def cmd_pst(args: argparse.Namespace) -> Iterable[str]:
     level = Level(args.L)
     source = parse_node(args.source, level)
-    t0 = _resolve_time(args.t0, args.t0_pi_fraction)
+    t0 = args.t0 if args.t0_pi_fraction is None else _parse_pi_fraction(args.t0_pi_fraction)
     amps = basis_start_classes(level, source, t0)
     fidelities = amps.with_table(tuple(map(abs, amps.table)))
     best = fidelities.argmax()

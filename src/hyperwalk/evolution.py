@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from . import _numpy as np
 from ._walsh import apply_per_bit
-from .operators import StateVector, is_unit
+from .operators import StateVector, is_unit, probability
 from .spectral import basis_start_classes, bit_factor
 from .subsets import Level
 
@@ -51,18 +51,18 @@ def evolve(engine: EvolutionEngine, initial: StateVector, t: float) -> StateVect
     return StateVector(engine.level, _evolve(engine, initial, t))
 
 
-def _evolve(engine: EvolutionEngine, initial: StateVector, t: float, square=None) -> np.ndarray:
-    """evolve's amplitudes, or with square (measure.probability) their
-    squares: the kernel's (dense), or per distance from a node."""
+def _evolve(engine: EvolutionEngine, initial: StateVector, t: float, square: bool = False) -> np.ndarray:
+    """evolve's amplitudes, or with square their probabilities: the kernel's
+    (dense), or per distance from a node."""
     factor = bit_factor(t)
     sigma = checked_start(engine, initial)
     if sigma is None:
-        return dense(initial, factor, square is not None)
+        return dense(initial, factor, square)
     # a one-hot start stays a product state: its table times the start
     # amplitude, in numpy's complex product, gathered over the nodes
     classes = basis_start_classes(initial.level, sigma, t)
     table = np.multiply(classes.table, initial.amps[sigma])
-    table = table if square is None else square(table)
+    table = probability(table) if square else table
     return classes.with_table(tuple(table.tolist())).materialize()
 
 

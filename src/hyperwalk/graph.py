@@ -1,8 +1,8 @@
-"""Hypercube view of the node set: neighborhoods, edges and exports.
+"""Hypercube view of the node set: edges and exports.
 
 Nodes are adjacent when their masks differ in exactly one bit, which makes
 the node set the (L+1)-dimensional hypercube graph.  The graph is never
-stored: neighborhoods and edges flip one bit of a node at a time.
+stored: edges flip one bit of a node at a time.
 """
 
 from __future__ import annotations
@@ -12,12 +12,6 @@ from .subsets import Level, format_node
 
 GRAPH_FORMATS = ("dot", "json", "edge-list")
 EXPORT_CAP = 4096
-
-
-def neighborhood(sigma: int, level: Level) -> list[int]:
-    """All L+1 neighbors of a node, ascending by bitmask."""
-    level.validate_node(sigma)
-    return sorted(sigma ^ (1 << k) for k in range(level.L + 1))
 
 
 def edges(level: Level) -> list[tuple[int, int]]:

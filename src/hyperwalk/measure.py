@@ -16,10 +16,10 @@ initial state:
   divides n, so M >= L+2 points already give the integral exactly; M = 2L+4
   is twice that.  ``krawtchouk`` names the closed form alone and refuses such states.
 
-Every probability is rounded as re² + im² by ``probability``, with the same
-bits on one amplitude as on an array; from a node, on the L+2 table entries
-before the gather.  The literal double sum over equal-cardinality index
-pairs, the ground-truth oracle for both averages, lives in the test suite.
+Every probability is rounded as re² + im² by ``operators.probability``, the
+same bits on one amplitude as on an array; from a node, on the L+2 table
+entries before the gather.  The literal double sum over equal-cardinality
+index pairs, the ground-truth oracle for both averages, lives in the test suite.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import NamedTuple
 from . import _numpy as np
 from .evolution import EvolutionEngine, _evolve, checked_start, dense
 from .formatting import format_float
-from .operators import StateVector
+from .operators import StateVector, probability
 from .spectral import ClassTable, basis_start_classes, bit_factor
 from .subsets import Level, element_strings
 
@@ -70,19 +70,13 @@ class SymmetryReport(NamedTuple):
     worst_node: int
 
 
-def probability(z):
-    """Occupation probability |z|**2 rounded as re² + im², of one complex
-    number or, entry by entry and with the same bits, of a complex array."""
-    return z.real * z.real + z.imag * z.imag
-
-
 def distribution_at(engine: EvolutionEngine, initial: StateVector, t: float) -> Distribution:
     """Pointwise distribution: squared amplitude magnitudes of the evolved
     state, bit for bit probability(evolve(engine, initial, t).amps).  A
     dense state's amplitudes are squared tile by tile as they leave the
     kernel's last pass (_walsh.apply_per_bit), a node start's once per
     distance before the gather; the evolved amplitudes are never stored."""
-    probs = _evolve(engine, initial, t, square=probability)
+    probs = _evolve(engine, initial, t, square=True)
     return Distribution(level=engine.level, probs=probs, time=float(t))
 
 

@@ -47,6 +47,12 @@ def is_unit(squared_norm: float) -> bool:
     return abs(squared_norm - 1.0) <= NORM_TOL
 
 
+def probability(z):
+    """Occupation probability |z|**2 rounded as re² + im², of one complex
+    number or, entry by entry and with the same bits, of a complex array."""
+    return z.real * z.real + z.imag * z.imag
+
+
 def sign_column(sigma: int, n: int) -> np.ndarray:
     """Vector of (-1)**popcount(i & sigma): one column of the unnormalized transform."""
     counts = np.bitwise_count(np.arange(n, dtype=np.uint64) & np.uint64(sigma))

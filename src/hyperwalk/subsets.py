@@ -78,12 +78,6 @@ class Level(_LevelFields):
         return sigma
 
 
-def complement(sigma: int, level: Level) -> int:
-    """{0, ..., L} minus sigma.  An involution on [0, dim)."""
-    level.validate_node(sigma)
-    return level.full_mask ^ sigma
-
-
 def elements(sigma: int) -> list[int]:
     """Ascending list of the elements of the subset."""
     if sigma < 0:

@@ -52,6 +52,18 @@ def is_adjacent(a: int, b: int) -> bool:
     return (a ^ b).bit_count() == 1
 
 
+def neighborhood(sigma: int, level: Level) -> list[int]:
+    """All L+1 neighbors of a node, ascending by bitmask."""
+    level.validate_node(sigma)
+    return sorted(sigma ^ (1 << k) for k in range(level.L + 1))
+
+
+def complement(sigma: int, level: Level) -> int:
+    """{0, ..., L} minus sigma.  An involution on [0, dim)."""
+    level.validate_node(sigma)
+    return level.full_mask ^ sigma
+
+
 def adjacency_matrix(level: Level) -> np.ndarray:
     """0/1 adjacency matrix of the hypercube from is_adjacent, pair by pair."""
     nodes = range(level.dim)

@@ -17,10 +17,9 @@ from hyperwalk import (
     apply_laplacian,
     basis_state,
     closed_form_distribution,
-    complement,
     distribution_at,
+    edges,
     evolve,
-    neighborhood,
     pst_check,
     spectrum,
     time_average,
@@ -31,11 +30,13 @@ from hyperwalk._walsh import apply_per_bit
 from hyperwalk.spectral import bit_factor
 
 from helpers import (
+    complement,
     evolve_dense,
     evolve_product,
     evolve_via_eigh,
     graph_laplacian_matrix,
     krawtchouk_vacuum_probs,
+    neighborhood,
     operator_matrix,
     pair_sum_average,
     random_state,
@@ -243,8 +244,12 @@ def test_criterion_08_graph_equivalence():
             failures.append(f"L={L}: operator matrix is not exactly integer")
         if not np.array_equal(graph_laplacian_matrix(lv), as_int):
             failures.append(f"L={L}: graph and operator matrices differ")
+        degree = [0] * lv.dim
+        for a, b in edges(lv):
+            degree[a] += 1
+            degree[b] += 1
         for sigma in range(lv.dim):
-            if len(neighborhood(sigma, lv)) != L + 1:
+            if not degree[sigma] == len(neighborhood(sigma, lv)) == L + 1:
                 failures.append(f"L={L} sigma={sigma}: degree != L+1")
     _report(8, "graph equivalence", failures)
 

@@ -15,7 +15,6 @@ from hyperwalk import (
     StateVector,
     apply_laplacian,
     basis_state,
-    complement,
     distribution_at,
     evolve,
     pst_check,
@@ -27,6 +26,7 @@ from hyperwalk.spectral import T_MAX, basis_start_classes, from_eigenbasis, to_e
 from helpers import (
     LARGE_TIMES,
     apply_phases,
+    complement,
     evolve_dense,
     evolve_product,
     evolve_via_eigh,

@@ -16,7 +16,6 @@ from hyperwalk import (
     basis_state,
     closed_form_distribution,
     closed_form_pt,
-    complement,
     distribution_at,
     distribution_csv,
     evolve,
@@ -35,6 +34,7 @@ from hyperwalk.spectral import T_MAX
 from helpers import (
     LARGE_TIMES,
     assert_same_text,
+    complement,
     eigenspace_average,
     evolve_product,
     krawtchouk_average_by_card,
