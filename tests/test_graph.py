@@ -44,6 +44,13 @@ def test_adjacent_pairs_differ_in_exactly_one_element(L):
     assert edges(lv) == pairs
 
 
+def test_neighborhood_small_cases():
+    lv = Level(1)
+    assert neighborhood(0, lv) == [0b01, 0b10]
+    assert neighborhood(0b11, lv) == [0b01, 0b10]
+    assert neighborhood(0b10, Level(2)) == [0b000, 0b011, 0b110]
+
+
 @pytest.mark.parametrize("L", range(7))
 def test_every_vertex_has_degree_L_plus_one(L):
     lv = Level(L)

@@ -16,7 +16,7 @@ from hyperwalk import (
 )
 from hyperwalk.subsets import element_strings
 
-from helpers import is_adjacent, setminus_card
+from helpers import complement, is_adjacent, setminus_card
 
 
 def test_level_derived_fields():
@@ -127,6 +127,25 @@ def test_symmetric_difference_cardinality_split(L):
             split = setminus_card(a, b, lv.full_mask) + setminus_card(b, a, lv.full_mask)
             assert len(elements(table[a][b])) == split
             assert is_adjacent(a, b) == (split == 1)
+
+
+def test_complement_examples():
+    assert complement(0, Level(2)) == 0b111
+    assert complement(0b01, Level(1)) == 0b10
+
+
+@pytest.mark.parametrize("L", [0, 1, 2, 3, 4])
+def test_complement_is_a_bijective_involution(L):
+    lv = Level(L)
+    images = [complement(s, lv) for s in range(lv.dim)]
+    assert sorted(images) == list(range(lv.dim))
+    for s in range(lv.dim):
+        assert complement(complement(s, lv), lv) == s
+
+
+def test_complement_rejects_out_of_range():
+    with pytest.raises(ValueError):
+        complement(4, Level(1))
 
 
 def test_parse_node_accepted_forms():
