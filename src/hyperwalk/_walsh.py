@@ -14,7 +14,7 @@ import functools
 import os
 
 from . import _numpy as np
-from .operators import NORM_RUN
+from .operators import NORM_RUN, check_unit
 
 # Bits per Kronecker block, the split bit and bytes per tile, from medians
 # of the squares at L = 22 (two workers) on a 2-CPU Xeon with OpenBLAS:
@@ -37,7 +37,7 @@ THREADS_FROM = 1 << 19
 
 
 def apply_per_bit(
-    src: np.ndarray, m2, phase: complex = 1.0, d: complex = 1.0, square: bool = False, check=None,
+    src: np.ndarray, m2, phase: complex = 1.0, d: complex = 1.0, square: bool = False, check: bool = False,
 ) -> np.ndarray:
     """(r2 ⊗ ... ⊗ r2) src as a new array, for the one-bit factor
     r2 = phase * D m2 D with D = diag(1, d): m2 is a real 2×2 matrix (a
@@ -56,9 +56,9 @@ def apply_per_bit(
        products on the float64 view, then r2's block times phase**(m - b),
        an integer power, and the outer unit: one of four real 32×32
        matrices.  It goes to the state, with its inner exit units unless
-       square.  With check, |src|² is summed on that read in runs of
-       NORM_RUN, as StateVector.is_normalized sums it, and pass 2 starts
-       with check(sum), which may raise.
+       square.  With check, that read sums |src|² in the aligned runs of
+       NORM_RUN that StateVector._squared_norm sums, at every level, and
+       pass 2 starts with operators.check_unit of their sum, which may raise.
     2. Each tile, every row of the state by cols columns, gets the blocks
        of the groups from k up and goes to the result with its outer exit
        units, or with square as operators.probability's bits,
@@ -90,8 +90,7 @@ def apply_per_bit(
     outer = [(low, _kron_power(m2, min(BLOCK_BITS, m - k - low))) for low in range(0, m - k, BLOCK_BITS)]
     result = np.empty(n) if square else np.empty_like(src)
     state = np.empty_like(src) if square else result
-    part = min(run, NORM_RUN)
-    sums = np.empty(n // part)
+    sums = np.empty(max(1, n // NORM_RUN))
     lows = (-1, min(run >> b, ROWS), 2 << b)  # the lowest block's products
 
     def runs(w, workers):
@@ -99,9 +98,9 @@ def apply_per_bit(
         for j in range(w, rows, workers):
             into = state[j * run : (j + 1) * run]
             np.multiply(src[j * run : (j + 1) * run], inner_units, out=bufs[0].view(np.complex128))
-            if check is not None:
-                for i in range(j * run, (j + 1) * run, part):
-                    sums[i // part] = np.vdot(src[i : i + part], src[i : i + part]).real
+            if check and j * run % NORM_RUN == 0:  # a shorter row sums the run it starts
+                for i in range(j * run, (j + 1) * run, NORM_RUN):
+                    sums[i // NORM_RUN] = np.vdot(src[i : i + NORM_RUN], src[i : i + NORM_RUN]).real
             for i, (low, block) in enumerate(inner):
                 shape = (-1, len(block), 2 << low)
                 np.matmul(block, bufs[i & 1].reshape(shape), out=bufs[~i & 1].reshape(shape))
@@ -111,8 +110,8 @@ def apply_per_bit(
                 np.multiply(y.view(np.complex128), inner_units, out=into)
 
     def tiles(w, workers):
-        if w == 0 and check is not None:
-            check(sum(sums.tolist()))
+        if w == 0 and check:
+            check_unit(sum(sums.tolist()))
         bufs = np.empty((min(2, len(outer)), rows, 2 * cols))
         exits = None if square else np.repeat(units[np.bitwise_count(np.arange(rows)) & 3, None], cols, axis=1)
         grid = state.view(np.float64).reshape(rows, 2 * run)

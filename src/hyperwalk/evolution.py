@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from . import _numpy as np
 from ._walsh import apply_per_bit
-from .operators import StateVector, is_unit, probability
+from .operators import NORM_RUN, StateVector, check_unit, probability
 from .spectral import basis_start_classes, bit_factor
 from .subsets import Level
 
@@ -57,7 +57,7 @@ def _evolve(engine: EvolutionEngine, initial: StateVector, t: float, square: boo
     factor = bit_factor(t)
     sigma = checked_start(engine, initial)
     if sigma is None:
-        return dense(initial, factor, square)
+        return apply_per_bit(initial.amps, *factor, square=square, check=True)
     # a one-hot start stays a product state: its table times the start
     # amplitude, in numpy's complex product, gathered over the nodes
     classes = basis_start_classes(initial.level, sigma, t)
@@ -66,31 +66,20 @@ def _evolve(engine: EvolutionEngine, initial: StateVector, t: float, square: boo
     return classes.with_table(tuple(table.tolist())).materialize()
 
 
-def dense(initial: StateVector, factor: tuple, square: bool, check: bool = True) -> np.ndarray:
-    """The kernel's amplitudes of a dense start, or their squares; with
-    check, refused unless normalized."""
-    check = (lambda total: check_norm(initial, total)) if check else None
-    return apply_per_bit(initial.amps, *factor, square=square, check=check)
-
-
 def checked_start(engine: EvolutionEngine, initial: StateVector) -> int | None:
     """The node of a one-hot start (one_hot_node), else None, after refusing
     with ValueError a start on another level than the engine's, then a
-    one-hot start that is not normalized.  The kernel checks a dense one."""
+    one-hot start whose node's run of NORM_RUN, which holds all of
+    _squared_norm's sum, fails check_unit.  The kernel checks a dense one."""
     if engine.level != initial.level:
         raise ValueError(
             f"engine level L={engine.level.L} does not match state level L={initial.level.L}"
         )
     sigma = one_hot_node(initial.amps)
     if sigma is not None:
-        check_norm(initial, abs(initial.amps[sigma]) ** 2)
+        run = initial.amps[sigma - sigma % NORM_RUN :][:NORM_RUN]
+        check_unit(np.vdot(run, run).real)
     return sigma
-
-
-def check_norm(initial: StateVector, squared_norm: float) -> None:
-    """Refuse a start whose squared norm is not is_unit (a NaN is not)."""
-    if not is_unit(squared_norm):
-        raise ValueError(f"initial state is not normalized (norm {initial.norm()!r})")
 
 
 def one_hot_node(amps: np.ndarray) -> int | None:

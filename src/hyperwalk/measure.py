@@ -28,7 +28,8 @@ import math
 from typing import NamedTuple
 
 from . import _numpy as np
-from .evolution import EvolutionEngine, _evolve, checked_start, dense
+from ._walsh import apply_per_bit
+from .evolution import EvolutionEngine, _evolve, checked_start
 from .formatting import format_float
 from .operators import StateVector, probability
 from .spectral import ClassTable, basis_start_classes, bit_factor
@@ -131,7 +132,7 @@ def time_average(
     probs = np.zeros(level.dim, dtype=np.float64)
     # distribution_at's dense path, the start's norm checked on the first point
     for j in range(m):
-        probs += dense(initial, bit_factor(j * math.pi / m), square=True, check=j == 0)
+        probs += apply_per_bit(initial.amps, *bit_factor(j * math.pi / m), square=True, check=j == 0)
     probs /= m
     return TimeAverageDistribution(level=level, probs=probs, method="quadrature")
 

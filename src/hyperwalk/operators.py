@@ -37,7 +37,8 @@ class StateVector:
         return is_unit(self._squared_norm())
 
     def _squared_norm(self) -> float:
-        """The vdot of each run of NORM_RUN amplitudes with itself, summed."""
+        """The vdot of each aligned run of NORM_RUN amplitudes with itself,
+        summed in index order: the sum every start is checked by (check_unit)."""
         runs = (self.amps[i : i + NORM_RUN] for i in range(0, len(self.amps), NORM_RUN))
         return sum(float(np.vdot(run, run).real) for run in runs)
 
@@ -45,6 +46,13 @@ class StateVector:
 def is_unit(squared_norm: float) -> bool:
     """Whether a squared norm is within NORM_TOL of 1; never a NaN."""
     return abs(squared_norm - 1.0) <= NORM_TOL
+
+
+def check_unit(squared_norm: float) -> None:
+    """Refuse a start whose squared norm, summed as StateVector._squared_norm
+    sums it, is not is_unit: the one refusal of every evolution entry point."""
+    if not is_unit(squared_norm):
+        raise ValueError(f"initial state is not normalized (norm {math.sqrt(squared_norm)!r})")
 
 
 def probability(z):

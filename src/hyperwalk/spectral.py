@@ -57,12 +57,12 @@ def _bit_amplitudes(t: float) -> tuple[complex, complex, float, float, complex]:
     plus a1 times its flip.
 
     The only place the walk's phase is computed, and so the only check of a
-    time: it must be finite.  libm reduces the exact arguments t and 2t
-    correctly at any magnitude; reducing t by the float pi first would round
-    the phase away at large t.  Above T_MAX the argument 2t overflows, so
-    such a time is refused too.
+    time: it must be finite, as a Python int of any size is.  libm reduces
+    the exact arguments t and 2t correctly at any magnitude; reducing t by
+    the float pi first would round the phase away at large t.  Above T_MAX
+    the argument 2t overflows, so such a time, an int among them, is refused.
     """
-    if not math.isfinite(t):
+    if not (isinstance(t, int) or math.isfinite(t)):
         raise ValueError(f"time must be finite, got {t!r}")
     if abs(t) > T_MAX:
         raise ValueError(f"time {t!r} exceeds the largest evaluable magnitude {T_MAX!r}")

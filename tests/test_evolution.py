@@ -21,6 +21,7 @@ from hyperwalk import (
     time_average,
     vacuum_state,
 )
+from hyperwalk.operators import NORM_TOL
 from hyperwalk.spectral import T_MAX, basis_start_classes, from_eigenbasis, to_eigenbasis
 
 from helpers import (
@@ -233,62 +234,88 @@ def test_engine_validation():
         evolve(engine, vacuum_state(Level(2)), 0.1)
 
 
-def test_unnormalized_input_policy():
-    # a one-hot start is checked from its one amplitude; a NaN or NaN-and-inf
-    # one is not within NORM_TOL of 1 either
-    lv = Level(1)
-    engine = EvolutionEngine(lv)
-    calls = (
-        lambda s: evolve(engine, s, 0.5),
-        lambda s: distribution_at(engine, s, 0.5),
-        lambda s: time_average(s, engine=engine),
-    )
-    for z in (2.0, math.nan, complex(math.nan, 0.5), complex(0.0, math.nan), complex(math.nan, math.inf)):
-        lopsided = StateVector(lv, [0, z, 0, 0])
-        assert not lopsided.is_normalized()
-        for call in calls:
+def _accepted_or_refused(start: StateVector) -> None:
+    """evolve, distribution_at and time_average each accept the start
+    exactly when it is_normalized, else refuse it with the one message."""
+    engine = EvolutionEngine(start.level)
+    for call in (
+        lambda: evolve(engine, start, 0.7),
+        lambda: distribution_at(engine, start, 0.7),
+        lambda: time_average(start, engine=engine),
+    ):
+        if start.is_normalized():
+            call()
+        else:
             with pytest.raises(ValueError) as err:
-                call(lopsided)
-            assert str(err.value) == f"initial state is not normalized (norm {lopsided.norm()!r})"
+                call()
+            assert str(err.value) == f"initial state is not normalized (norm {start.norm()!r})"
+
+
+def test_unnormalized_input_policy():
+    # a one-hot start is checked from the vdot of its node's run; a NaN or
+    # NaN-and-inf one is not within NORM_TOL of 1 either
+    for z in (2.0, math.nan, complex(math.nan, 0.5), complex(0.0, math.nan), complex(math.nan, math.inf)):
+        lopsided = StateVector(Level(1), [0, z, 0, 0])
+        assert not lopsided.is_normalized()
+        _accepted_or_refused(lopsided)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-@pytest.mark.parametrize("L, workers", [(3, 1), (17, 1), (17, 3)])
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("L", [0, 3, 8, 12, 15, 17])
 def test_a_dense_start_is_refused_from_the_kernels_sum(monkeypatch, L, workers):
-    # the kernel sums |start|² as it reads the start, from L = 16 in the
-    # runs of NORM_RUN that is_normalized sums: evolve, distribution_at and
+    # the kernel sums |start|² as it reads the start, in the runs of
+    # NORM_RUN that is_normalized sums: evolve, distribution_at and
     # time_average each refuse a start whose sum is not within NORM_TOL of 1,
     # NaN included (the first pass may warn of the invalid values it reads
     # before the refusal), with one error and message, on any number of
-    # workers
+    # workers.  A squared norm a few ulps from 1 ± NORM_TOL (refused None)
+    # is refused exactly when is_normalized says so
     monkeypatch.setattr(_walsh, "THREADS_FROM", 0)
     monkeypatch.setattr(_walsh, "_cpus", lambda: workers)
     lv = Level(L)
-    engine = EvolutionEngine(lv)
     start = random_state(lv, np.random.default_rng(L)).amps
-    calls = (
-        lambda s: evolve(engine, s, 0.7),
-        lambda s: distribution_at(engine, s, 0.7),
-        lambda s: time_average(s, engine=engine),
-    )
-    starts = [
-        (start * math.sqrt(squared), refused)
-        for squared, refused in ((2.25, True), (1 + 3e-12, True), (1 - 3e-12, True), (1 + 3e-13, False), (0.0, True))
-    ]
+    eps = np.finfo(float).eps
+    squares = [(2.25, True), (1 + 3e-12, True), (1 - 3e-12, True), (1 + 3e-13, False), (0.0, True)]
+    squares += [(1 + sign * NORM_TOL + k * eps, None) for sign in (-1, 1) for k in range(-2, 3)]
+    starts = [(start * math.sqrt(squared), refused) for squared, refused in squares]
     for bad in ({5: math.nan}, {5: math.nan, 6: math.inf}, {6: complex(math.inf, math.nan)}, {6: complex(math.nan, 0.5)}):
         amps = start.copy()
-        amps[list(bad)] = list(bad.values())
+        amps[[i % lv.dim for i in bad]] = list(bad.values())
         starts.append((amps, True))
     for amps, refused in starts:
         off = StateVector(lv, amps)
-        assert off.is_normalized() is not refused, amps[:8]
-        for call in calls:
-            if refused:
-                with pytest.raises(ValueError) as err:
-                    call(off)
-                assert str(err.value) == f"initial state is not normalized (norm {off.norm()!r})"
-            else:
-                call(off)
+        assert refused is None or off.is_normalized() is not refused, amps[:8]
+        _accepted_or_refused(off)
+
+
+def test_the_one_sum_decides_near_the_edge():
+    # squared norms one ulp inside 1 + NORM_TOL, where abs(amp) ** 2 or a
+    # sum in other runs rounds outside: every call takes is_normalized's
+    # sum and accepts both
+    one_hot = basis_state(Level(2), 3)
+    one_hot.amps[3] = 0.9986997818594362 + 0.05097789437505787j
+    dense = random_state(Level(12), np.random.default_rng(12))
+    dense.amps *= math.sqrt(1 + 1e-12)
+    for start in (one_hot, dense):
+        assert start.is_normalized() and start._squared_norm() > 1 + NORM_TOL - 2 * np.finfo(float).eps
+        _accepted_or_refused(start)
+
+
+@pytest.mark.parametrize("L", [2, 5, 13])
+def test_a_one_hot_start_is_refused_by_its_runs_sum(L):
+    # one-hot starts of any phase whose squared norm lies within a few
+    # ulps of 1 ± NORM_TOL, the node in any run of NORM_RUN: each is
+    # refused exactly when is_normalized is False
+    lv = Level(L)
+    rng = np.random.default_rng(300 + L)
+    eps = np.finfo(float).eps
+    for _ in range(300 if L < 13 else 30):
+        sigma = int(rng.integers(lv.dim))
+        squared = 1 + rng.choice([-1, 1]) * NORM_TOL + int(rng.integers(-4, 5)) * eps
+        start = basis_state(lv, sigma)
+        start.amps[sigma] = math.sqrt(squared) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        _accepted_or_refused(start)
 
 
 def test_concurrent_dense_calls_on_one_engine():

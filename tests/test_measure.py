@@ -27,7 +27,7 @@ from hyperwalk import (
     vacuum_average_value,
     vacuum_state,
 )
-from hyperwalk import _walsh, evolution, measure
+from hyperwalk import _walsh, measure
 from hyperwalk.cli import _parse_pi_fraction, build_parser, cmd_pst, main
 from hyperwalk.spectral import T_MAX
 
@@ -314,13 +314,13 @@ def test_other_starts_take_the_loop(monkeypatch):
     # one kernel call per quadrature point, equal bit for bit to the loop of
     # distribution_at calls
     calls = []
-    real = evolution.apply_per_bit
+    real = measure.apply_per_bit
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(evolution, "apply_per_bit", counted)
+    monkeypatch.setattr(measure, "apply_per_bit", counted)
     lv = Level(4)
     one_hot = basis_state(lv, 6)
     time_average(one_hot)
@@ -341,13 +341,13 @@ def test_a_dense_start_is_checked_once(monkeypatch, L):
     start = random_state(lv, np.random.default_rng(L))
     oracle = quadrature_oracle(start)
     checks = []
-    real = evolution.apply_per_bit
+    real = measure.apply_per_bit
 
-    def counted(*args, check=None, **kwargs):
-        checks.append(check is not None)
+    def counted(*args, check=False, **kwargs):
+        checks.append(check)
         return real(*args, check=check, **kwargs)
 
-    monkeypatch.setattr(evolution, "apply_per_bit", counted)
+    monkeypatch.setattr(measure, "apply_per_bit", counted)
     monkeypatch.setattr(StateVector, "is_normalized", None)
     got = time_average(start, engine=EvolutionEngine(lv)).probs
     assert checks == [True] + [False] * (quadrature_point_count(lv) - 1)
@@ -692,8 +692,13 @@ def test_every_time_is_checked_with_the_same_messages(name):
     for t in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match=re.escape(f"time must be finite, got {t!r}")):
             call(Level(2), t)
-    with pytest.raises(ValueError, match=re.escape(f"time 1e+308 exceeds the largest evaluable magnitude {T_MAX!r}")):
-        call(Level(2), 1e308)
+    # a Python int compares with T_MAX exactly, at any size
+    for t in (1e308, 10**400, -(10**400)):
+        with pytest.raises(ValueError, match=re.escape(f"time {t!r} exceeds the largest evaluable magnitude {T_MAX!r}")):
+            call(Level(2), t)
+    for t in (1j, "1.0", None):  # not a real number
+        with pytest.raises(TypeError):
+            call(Level(2), t)
 
 
 @pytest.mark.parametrize("L", [0, 1, 4, 9, 17])

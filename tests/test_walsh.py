@@ -1,4 +1,5 @@
 import os
+import re
 import sys
 import threading
 import time
@@ -264,6 +265,25 @@ def test_an_error_on_any_worker_raises_in_the_caller(monkeypatch, workers, raise
 def test_an_error_in_the_tiles_raises_in_the_caller(monkeypatch, workers, raiser):
     # every worker has finished the runs: the error comes from the second pass
     _raise_in_a_product(monkeypatch, workers, raiser, tiles=True)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_the_kernels_sum_is_the_squared_norm(monkeypatch, workers):
+    # the first pass sums the aligned runs of NORM_RUN in index order at
+    # every level, rows shorter or longer than a run: check_unit gets
+    # StateVector._squared_norm bit for bit.  Amplitudes over eight decades
+    # make the order show in the last bits
+    _force_threads(monkeypatch, workers)
+    sums, real = [], _walsh.check_unit
+    monkeypatch.setattr(_walsh, "check_unit", lambda total: sums.append(total) or real(total))
+    for L in range(19):
+        lv = Level(L)
+        rng = np.random.default_rng(L)
+        start = StateVector(lv, random_state(lv, rng).amps * 10 ** rng.uniform(-4, 4, lv.dim))
+        with pytest.raises(ValueError, match=re.escape(f"(norm {start.norm()!r})")):
+            evolve(EvolutionEngine(lv), start, 0.7)
+        assert sums[-1].hex() == start._squared_norm().hex(), L
+    assert len(sums) == 19
 
 
 def test_the_kernel_keeps_openblas_threads_asleep(monkeypatch):
