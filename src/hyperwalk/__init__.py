@@ -20,7 +20,7 @@ from .evolution import EvolutionEngine, evolve
 from .graph import GRAPH_FORMATS, edges, export_graph
 from .measure import (TIME_AVERAGE_METHODS, Distribution, SymmetryReport, TimeAverageDistribution,
                       closed_form_distribution, closed_form_pt, distribution_at, distribution_csv, is_symmetric,
-                      pst_check, quadrature_point_count, time_average, vacuum_average_value)
+                      pst_check, time_average, vacuum_average_value)
 from .operators import (StateVector, apply_hat_involution, apply_involution, apply_involution_product,
                         apply_laplacian, basis_state, vacuum_state)
 from .spectral import Spectrum, SpectrumEntry, from_eigenbasis, spectrum, to_eigenbasis
@@ -34,6 +34,6 @@ __all__ = [
     "Spectrum", "SpectrumEntry", "StateVector", "SymmetryReport", "TimeAverageDistribution", "apply_hat_involution",
     "apply_involution", "apply_involution_product", "apply_laplacian", "basis_state", "closed_form_distribution",
     "closed_form_pt", "distribution_at", "distribution_csv", "edges", "elements", "evolve", "export_graph",
-    "format_node", "from_eigenbasis", "is_symmetric", "max_level", "parse_node", "pst_check",
-    "quadrature_point_count", "spectrum", "time_average", "to_eigenbasis", "vacuum_average_value", "vacuum_state",
+    "format_node", "from_eigenbasis", "is_symmetric", "max_level", "parse_node", "pst_check", "spectrum",
+    "time_average", "to_eigenbasis", "vacuum_average_value", "vacuum_state",
 ]

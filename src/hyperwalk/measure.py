@@ -10,11 +10,11 @@ initial state:
   distance by Python's correctly rounded int division.  The table is exactly
   symmetric under d -> m - d, the complement.
 * From any other state, the ``quadrature``: equal-weight average of the
-  pointwise distribution over M = 2L+4 equispaced times in [0, pi).  Every
+  pointwise distribution over M = L+2 equispaced times in [0, pi).  Every
   occupation probability is a trigonometric polynomial in frequencies 2n,
   |n| <= L+1, and M equispaced points average e^{2int} to zero unless M
-  divides n, so M >= L+2 points already give the integral exactly; M = 2L+4
-  is twice that.  ``krawtchouk`` names the closed form alone and refuses such states.
+  divides n, so M = L+2 is exact, and at M = L+1 the top frequency aliases
+  onto the mean.  ``krawtchouk`` names the closed form alone and refuses such states.
 
 Every probability is rounded as re² + im² by ``operators.probability``, the
 same bits on one amplitude as on an array; from a node, on the L+2 table
@@ -98,11 +98,6 @@ def closed_form_distribution(level: Level, t: float) -> Distribution:
     return Distribution(level=level, probs=probs, time=float(t))
 
 
-def quadrature_point_count(level: Level) -> int:
-    """Number of equispaced sample times that makes the average exact."""
-    return 2 * level.L + 4
-
-
 def time_average(
     initial: StateVector,
     method: str = "quadrature",
@@ -114,7 +109,8 @@ def time_average(
     quadrature point: one on another level than the engine's, or not
     normalized, raises ValueError.  From a basis node, under either method,
     the average is node_time_average's exact table over the nodes, labelled
-    krawtchouk.  Any other start takes the quadrature; krawtchouk rejects it.
+    krawtchouk.  Any other start averages distribution_at over L+2 equispaced
+    times, the quadrature (L+1 aliases the top frequency); krawtchouk rejects it.
     """
     level = initial.level
     if method not in TIME_AVERAGE_METHODS:
@@ -128,9 +124,8 @@ def time_average(
         return TimeAverageDistribution(level, node_time_average(level, sigma).materialize(), "krawtchouk")
     if method == "krawtchouk":
         raise ValueError("krawtchouk requires a basis-node initial state (one nonzero amplitude)")
-    m = quadrature_point_count(level)
+    m = level.L + 2
     probs = np.zeros(level.dim, dtype=np.float64)
-    # distribution_at's dense path, the start's norm checked on the first point
     for j in range(m):
         probs += apply_per_bit(initial.amps, *bit_factor(j * math.pi / m), square=True, check=j == 0)
     probs /= m

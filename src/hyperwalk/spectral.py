@@ -65,7 +65,11 @@ def _bit_amplitudes(t: float) -> tuple[complex, complex, float, float, complex]:
     if not (isinstance(t, int) or math.isfinite(t)):
         raise ValueError(f"time must be finite, got {t!r}")
     if abs(t) > T_MAX:
-        raise ValueError(f"time {t!r} exceeds the largest evaluable magnitude {T_MAX!r}")
+        try:
+            name = repr(t)
+        except ValueError:  # an int with more digits than int's str limit
+            name = f"{'-' if t < 0 else ''}<int of {t.bit_length()} bits>"
+        raise ValueError(f"time {name} exceeds the largest evaluable magnitude {T_MAX!r}")
     z = cmath.exp(2j * t)
     cos_t, sin_t = math.cos(t), math.sin(t)
     return (1.0 + z) / 2.0, (1.0 - z) / 2.0, cos_t, sin_t, complex(cos_t, sin_t)

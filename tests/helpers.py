@@ -270,13 +270,15 @@ def krawtchouk_average_by_card(L: int) -> list[float]:
     return [float(sum(a * a for a in row)) / 4.0 ** (L + 1) for row in cardinality_sign_sums(L)]
 
 
-def quadrature_oracle(initial: StateVector, engine: EvolutionEngine | None = None) -> np.ndarray:
+def quadrature_oracle(
+    initial: StateVector, engine: EvolutionEngine | None = None, points: int | None = None
+) -> np.ndarray:
     """The quadrature time average as the literal loop: the pointwise
-    distribution summed over the 2L+4 equispaced times in [0, pi), then
-    divided by their number."""
+    distribution summed over `points` equispaced times in [0, pi), then
+    divided by their number: by default L+2, the fewest that are exact."""
     level = initial.level
     engine = engine or EvolutionEngine(level)
-    m = 2 * level.L + 4
+    m = level.L + 2 if points is None else points
     acc = np.zeros(level.dim, dtype=np.float64)
     for j in range(m):
         acc += distribution_at(engine, initial, j * math.pi / m).probs

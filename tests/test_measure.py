@@ -22,7 +22,6 @@ from hyperwalk import (
     format_node,
     is_symmetric,
     pst_check,
-    quadrature_point_count,
     time_average,
     vacuum_average_value,
     vacuum_state,
@@ -156,11 +155,6 @@ def test_closed_form_full_node_at_quarter_period():
     assert closed_form_pt(lv.full_mask, math.pi / 2, lv) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_quadrature_point_count_is_pinned():
-    assert quadrature_point_count(Level(0)) == 4
-    assert quadrature_point_count(Level(10)) == 24
-
-
 def test_time_average_two_level_case():
     dist = time_average(vacuum_state(Level(0)))
     assert np.abs(dist.probs - 0.5).max() < 1e-14
@@ -206,11 +200,11 @@ def test_krawtchouk_equals_the_sign_sum_table_exactly():
 
 
 def test_quadrature_is_already_converged(rng):
-    # doubling the number of sample times must not move the result
+    # four times the number of sample times must not move the result
     lv = Level(3)
     xi = random_state(lv, rng)
     engine = EvolutionEngine(lv)
-    m = quadrature_point_count(lv)
+    m = lv.L + 2
     base = time_average(xi, "quadrature").probs
     acc = np.zeros(lv.dim)
     for j in range(4 * m):
@@ -238,6 +232,21 @@ def test_dense_time_average_matches_the_eigenspace_sum(L):
             got = time_average(start)
             assert got.method == "quadrature"
             assert np.abs(got.probs - want).max() <= EIGENSPACE_REL_TOL * want.max(), (seed, start.amps.imag.any())
+
+
+@pytest.mark.parametrize("L", range(9))
+def test_l_plus_2_points_are_the_fewest_exact_ones(L):
+    # L+2 equispaced times meet the eigenspace gate; at L+1 the top
+    # frequency 2(L+1) aliases onto the mean, and the average misses: by
+    # 9.8e-6 (L = 8) to 0.77 (L = 0) over these 54 starts
+    for seed in range(3):
+        rng = np.random.default_rng(100 * L + seed)
+        real = rng.standard_normal(2 << L)
+        for start in (random_state(Level(L), rng), StateVector(Level(L), real / np.linalg.norm(real))):
+            want = eigenspace_average(start)
+            for points, exact in ((L + 2, True), (L + 1, False)):
+                err = np.abs(quadrature_oracle(start, points=points) - want).max() / want.max()
+                assert (err <= EIGENSPACE_REL_TOL) if exact else (err > 1e-6), (seed, points, err)
 
 
 def test_quadrature_accepts_arbitrary_initial_states(rng):
@@ -329,8 +338,17 @@ def test_other_starts_take_the_loop(monkeypatch):
     for start in (two_hot, random_state(lv, np.random.default_rng(4))):
         calls.clear()
         got = time_average(start, engine=EvolutionEngine(lv)).probs
-        assert len(calls) == quadrature_point_count(lv)
+        assert len(calls) == lv.L + 2
         assert _same_bits(got, quadrature_oracle(start))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_dense_average_is_the_loop_on_shared_sweeps(monkeypatch, workers):
+    # from L = 18 the kernel shares its sweeps among the workers
+    monkeypatch.setattr(_walsh, "_cpus", lambda: workers)
+    lv = Level(18)
+    start = random_state(lv, np.random.default_rng(18))
+    assert _same_bits(time_average(start).probs, quadrature_oracle(start))
 
 
 @pytest.mark.parametrize("L", [0, 5, 12])
@@ -350,7 +368,7 @@ def test_a_dense_start_is_checked_once(monkeypatch, L):
     monkeypatch.setattr(measure, "apply_per_bit", counted)
     monkeypatch.setattr(StateVector, "is_normalized", None)
     got = time_average(start, engine=EvolutionEngine(lv)).probs
-    assert checks == [True] + [False] * (quadrature_point_count(lv) - 1)
+    assert checks == [True] + [False] * (L + 1)
     assert _same_bits(got, oracle)
 
 
@@ -695,6 +713,10 @@ def test_every_time_is_checked_with_the_same_messages(name):
     # a Python int compares with T_MAX exactly, at any size
     for t in (1e308, 10**400, -(10**400)):
         with pytest.raises(ValueError, match=re.escape(f"time {t!r} exceeds the largest evaluable magnitude {T_MAX!r}")):
+            call(Level(2), t)
+    # an int with more digits than int's str limit, named by its sign and bit length
+    for t, name in ((10**5000, "<int of 16610 bits>"), (-(10**5000), "-<int of 16610 bits>")):
+        with pytest.raises(ValueError, match=re.escape(f"time {name} exceeds the largest evaluable magnitude {T_MAX!r}")):
             call(Level(2), t)
     for t in (1j, "1.0", None):  # not a real number
         with pytest.raises(TypeError):
