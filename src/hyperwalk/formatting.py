@@ -6,8 +6,9 @@ ClassTables; CSV takes ClassTables alone, each formatted once per Hamming
 distance (format_float stays the only source of the bytes).  A table is
 written in plain Python and never becomes a node-sized array: on the node
 grid (ClassTable.grid) a JSON row is one of only hi+1 distinct strings,
-yielded as it is, and a CSV chunk of CHUNK rows joins cells from hi+1 lists:
-small pieces page-fault far less.  No writer uses numpy.
+yielded as it is, and a CSV chunk of as many rows as fit CHUNK_BYTES joins
+cells from hi+1 lists.  What page-faults is a piece's bytes, and small pieces
+page-fault far less.  No writer uses numpy.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from .subsets import element_strings, format_node
 
 SCHEMA = "hyperwalk/1"  # the "schema" field of every JSON document the command line writes
 
-# CSV rows per chunk.  Medians on a 2-CPU Xeon, 2**11/2**12/2**13/2**16 rows:
-# time-average --L 17 0.15/0.16/0.17/0.22 s, pst --L 22 0.55/0.60/0.58/0.74 s,
-# evolve --L 22 --amplitudes 1.22/0.71/0.67/0.90 s (2**11: 4x the page faults).
-# 2**12 holds half the memory of 2**13: traced peak at L = 20 1.3 against 2.4 MiB.
-CHUNK = 1 << 12
+# Bytes per CSV chunk: its rows are the most, a power of two, that fit at the
+# widest row.  Above glibc's 128 KiB mmap threshold a chunk is mapped and
+# faulted afresh: 4096 rows (200 KB at 1 column, 450 KB at 3) took 36.6k and
+# 74.7k minor faults at L = 22, against 2.5k and 12.0k at 2**11 and 2**10 rows.
+CHUNK_BYTES = 192 << 10
 
 
 def format_float(x: float) -> str:
@@ -102,11 +103,14 @@ def iter_csv(header: str, columns: Sequence[ClassTable]) -> Iterator[str]:
     """
     yield header + "\n"
     dim = columns[0].level.dim
-    size = min(CHUNK, dim)
-    lo = size.bit_length() - 1
     separators = [","] * (len(columns) - 1) + ["\n"]
     text = zip(*[[dumps_json(x) + sep for x in c.table] for c, sep in zip(columns, separators)])
-    classes, rows = columns[0].with_table(tuple(map("".join, text))).grid(lo)
+    cells = tuple(map("".join, text))
+    # the widest row: the full node's quoted label, its comma, the longest cells
+    width = len(format_node(dim - 1)) + 3 + max(map(len, cells))
+    lo = min(dim, CHUNK_BYTES // width).bit_length() - 1
+    size = 1 << lo
+    classes, rows = columns[0].with_table(cells).grid(lo)
     parts = [""] * (size * 3)
     parts[0::3] = ['"{' + low for low in element_strings(lo)]
     for start in range(0, dim, size):

@@ -494,12 +494,14 @@ def _traced_peak(argv: list[str], L: int, out) -> int:
 @pytest.mark.parametrize("argv", PEAK_CASES, ids=[" ".join(a) for a in PEAK_CASES])
 def test_peak_does_not_grow_with_the_level(tmp_path, argv):
     # from L = 17 to L = 20 one complex node array grows by 28 MiB; the
-    # writers hold one CSV chunk of CHUNK rows, or one JSON grid row per
-    # distance class, and the grid rows grow as the square root of the nodes
+    # writers hold one CSV chunk of at most CHUNK_BYTES, or one JSON grid row
+    # per distance class, and the grid rows grow as the square root of the
+    # nodes.  The worst case at L = 20 read 0.87 MB (JSON evolve --amplitudes),
+    # the CSV cases 0.49-0.71 MB: 1 MiB leaves a fifth above the worst
     small = _traced_peak(argv, 17, tmp_path / "out")
     large = _traced_peak(argv, 20, tmp_path / "out")
     assert large - small <= 4 << 20, (small, large)
-    assert large <= 2 << 20, large
+    assert large <= 1 << 20, large
 
 
 def test_node_starts_gather_nothing_node_sized(tmp_path, capsys, monkeypatch):

@@ -1,21 +1,24 @@
 """The chunked writers against the per-element reference writers, byte for byte."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from hyperwalk import Level, formatting
-from hyperwalk.formatting import dumps_json, iter_csv, iter_json
+from hyperwalk.formatting import dumps_json, format_float, iter_csv, iter_json
 from hyperwalk.spectral import ClassTable
+from hyperwalk.subsets import format_node
 
 from helpers import assert_same_text, reference_csv, reference_dumps_json
 
-CHUNK = 16  # small chunks, so that short arrays cross chunk boundaries
-REAL_CHUNK = formatting.CHUNK
+CHUNK_BYTES = 1 << 10  # small chunks, so that short tables cross chunk boundaries
+REAL_CHUNK_BYTES = formatting.CHUNK_BYTES
 
 
 @pytest.fixture(autouse=True)
 def small_chunks(monkeypatch):
-    monkeypatch.setattr(formatting, "CHUNK", CHUNK)
+    monkeypatch.setattr(formatting, "CHUNK_BYTES", CHUNK_BYTES)
 
 
 _BELOW = np.nextafter(1e-4, 0.0)
@@ -42,8 +45,8 @@ def _repeating(n: int) -> np.ndarray:
 
 
 ARRAYS = {name: np.array(values, dtype=np.float64) for name, values in EDGE_ARRAYS.items()}
-ARRAYS["all distinct, several chunks"] = _all_distinct(2 * CHUNK + 6)
-ARRAYS["repeating, several chunks"] = _repeating(3 * CHUNK + 2)
+ARRAYS["all distinct, several chunks"] = _all_distinct(38)
+ARRAYS["repeating, several chunks"] = _repeating(50)
 
 
 @pytest.mark.parametrize("name", list(ARRAYS))
@@ -84,11 +87,33 @@ def _tables(L: int, sigma: int) -> dict[str, ClassTable]:
     return tables
 
 
+def _csv_header(columns: list[ClassTable]) -> str:
+    return "node," + ",".join(f"c{i}" for i in range(len(columns)))
+
+
 def _csv_matches_reference(columns: list[ClassTable]) -> list[str]:
-    header = "node," + ",".join(f"c{i}" for i in range(len(columns)))
+    header = _csv_header(columns)
     chunks = list(iter_csv(header, columns))
     assert_same_text("".join(chunks), reference_csv(header, [column.materialize() for column in columns]))
+    _chunk_rows(chunks[1:], columns)
     return chunks
+
+
+def _chunk_rows(chunks: list[str], columns: list[ClassTable]) -> int:
+    """The rows per chunk of iter_csv's chunks after the header, checked
+    against the byte budget: every chunk is at most CHUNK_BYTES long, and
+    every one but the last holds the same power of two of rows, the largest,
+    at most the node count, that fits at the widest row the table can print."""
+    dim = columns[0].level.dim
+    budget = formatting.CHUNK_BYTES
+    rows = [chunk.count("\n") for chunk in chunks]
+    size = rows[0]
+    assert size & (size - 1) == 0 and set(rows[:-1]) <= {size} and 0 < rows[-1] <= size, rows
+    assert all(len(chunk) <= budget for chunk in chunks), max(map(len, chunks))
+    cells = max(sum(len(format_float(c.table[d])) + 1 for c in columns) for d in range(len(columns[0].table)))
+    width = len(format_node(dim - 1)) + 3 + cells
+    assert size * width <= budget and (size == dim or 2 * size * width > budget), (size, width)
+    return size
 
 
 # dim 2, 8, one chunk; dim 128, eight chunks; L = 6 holds every edge value
@@ -103,7 +128,7 @@ def test_csv_matches_reference(L, sigma):
 def test_writers_stream_in_chunks():
     # L = 5: 64 nodes on an 8 x 8 grid.  JSON: "[" with grid row 0, then one
     # chunk per later grid row, each row the one string of its row class,
-    # then "]".  CSV: the header, then CHUNK rows per chunk.
+    # then "]".  CSV: the header, then as many rows per chunk as fit CHUNK_BYTES.
     table = ClassTable(Level(5), 0b100101, tuple(_all_distinct(7).tolist()))
     classes, rows = table.grid()
     width = len(classes[0])
@@ -115,15 +140,35 @@ def test_writers_stream_in_chunks():
     for r, chunk in zip(rows[1:], chunks[1:-1]):
         assert first.setdefault(r, chunk) is chunk
     assert "".join(chunks) == reference_dumps_json(table.materialize().tolist())
-    assert len(list(iter_csv("node,p", [table]))) == 1 + table.level.dim // CHUNK
+    chunks = list(iter_csv("node,p", [table]))
+    size = _chunk_rows(chunks[1:], [table])
+    assert 1 < size < table.level.dim and len(chunks) == 1 + table.level.dim // size
+
+
+def _real_columns(L: int, ncols: int) -> list[ClassTable]:
+    tables = _tables(L, 0b1_0110_0100_1101 % (2 << L))  # a nonzero start at every L here
+    return [tables["repeating"], tables["all distinct"], tables["around 1e-4"]][:ncols]
 
 
 @pytest.mark.parametrize("ncols", [1, 3])
-def test_csv_matches_reference_at_the_real_chunk(monkeypatch, ncols):
-    # L = 12: two chunks of the real size, the second with high-bit elements
-    monkeypatch.setattr(formatting, "CHUNK", REAL_CHUNK)
-    L = 12
-    assert 1 << (L + 1) == 2 * REAL_CHUNK
-    tables = _tables(L, 0b1_0110_0100_1101)
-    columns = [tables["repeating"], tables["all distinct"], tables["around 1e-4"]][:ncols]
-    assert len(_csv_matches_reference(columns)) == 3
+@pytest.mark.parametrize("L", [5, 12, 16])
+def test_csv_matches_reference_at_the_real_chunk(monkeypatch, L, ncols):
+    # L = 5: one chunk of every node; L = 12 and 16: chunks of the real
+    # budget, 2**11 rows at one column and 2**10 at three, the later ones
+    # with high-bit elements
+    monkeypatch.setattr(formatting, "CHUNK_BYTES", REAL_CHUNK_BYTES)
+    chunks = _csv_matches_reference(_real_columns(L, ncols))
+    dim = 2 << L
+    assert len(chunks) == 1 + dim // min(dim, {1: 1 << 11, 3: 1 << 10}[ncols])
+
+
+@pytest.mark.parametrize("ncols, size", [(1, 1 << 11), (3, 1 << 10)])
+def test_the_budget_holds_at_the_level_cap(monkeypatch, ncols, size):
+    # L = 24, the widest labels: the header and the first chunk alone are built
+    monkeypatch.setattr(formatting, "CHUNK_BYTES", REAL_CHUNK_BYTES)
+    columns = _real_columns(24, ncols)
+    header = _csv_header(columns)
+    chunks = list(itertools.islice(iter_csv(header, columns), 2))
+    first_rows = [np.array([c.table[(g ^ c.sigma).bit_count()] for g in range(size)]) for c in columns]
+    assert_same_text("".join(chunks), reference_csv(header, first_rows))
+    assert _chunk_rows(chunks[1:], columns) == size

@@ -5,8 +5,8 @@ is; a change that means to move bytes updates the digests it moves and says
 why.  The cases cover every subcommand and format, with and without
 --amplitudes, at L = 0, 5 and 12 (graph stops at 5: L = 12 is above its
 export cap), and evolve and time-average at L = 16, where the CSV writer
-yields many chunks and a JSON table many grid rows.  The starts are nonzero,
-so the grid rows and columns are permuted.
+yields many chunks and a JSON table many grid rows, with pst CSV too.  The
+starts are nonzero, so the grid rows and columns are permuted.
 """
 
 import hashlib
@@ -58,6 +58,7 @@ DIGESTS = [
     ("evolve --L 16 --t 0.7 --initial 0,5,16 --format csv", "2e7f352c094ca8cf786ee15247d0f8c748fde998a32c318d04656dd383c59fdf"),
     ("evolve --L 16 --t 0.7 --initial 0,5,16 --amplitudes --format csv", "0bebdf78e6f4ff3884278a9805f43f9392a996fc42e583011d2a39ec6df2df0b"),
     ("time-average --L 16 --initial 0,5,16 --format csv", "0be383248bcc208062ee74248662bb71a57aaeba015f8542d0dcf7a844b6a832"),
+    ("pst --L 16 --from 0,5,16 --format csv", "5062a93e0ff1b7dc160b6c87fbbc5f501cab05768bcbb1ba3b4453d667b3181f"),
 ]
 
 
