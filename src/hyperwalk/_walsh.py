@@ -1,11 +1,10 @@
-"""The per-bit kernel.
+"""The per-bit kernel: the walk's evolution unitary, and nothing else.
 
-Every operator the kernel applies is the tensor power of a one-bit factor
-r2 = phase * D m2 D, with m2 real and D = diag(1, d) for d in {1, -i}, so its
-power over m bits is phase**m * D^⊗m m2^⊗m D^⊗m: a real operator between two
-diagonals of units ±1, ±i, which multiply exactly.  The walk's factor is
-R(t) = e^{it} D M(t) D with M(t) = [[cos t, sin t], [sin t, -cos t]] and
-d = -i; the change of basis is real (phase 1, d = 1).
+The unitary at time t is the tensor power of the one-bit factor
+R(t) = e^{it} D M(t) D, with the real reflection
+M(t) = [[cos t, sin t], [sin t, -cos t]] and D = diag(1, -i), so its power
+over m bits is e^{imt} D^⊗m M(t)^⊗m D^⊗m: a real operator between two
+diagonals of units ±1, ±i, which multiply exactly.
 """
 
 from __future__ import annotations
@@ -36,13 +35,12 @@ ROWS = 512
 THREADS_FROM = 1 << 19
 
 
-def apply_per_bit(
-    src: np.ndarray, m2, phase: complex = 1.0, d: complex = 1.0, square: bool = False, check: bool = False,
-) -> np.ndarray:
-    """(r2 ⊗ ... ⊗ r2) src as a new array, for the one-bit factor
-    r2 = phase * D m2 D with D = diag(1, d): m2 is a real 2×2 matrix (a
-    complex one is refused), phase a unit complex number and d is 1 or -1j.
-    Entry [s, g] of the operator is the product over bits k of
+def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, square: bool = False, check: bool = False) -> np.ndarray:
+    """(r2 ⊗ ... ⊗ r2) src as a new array, for the walk's one-bit factor
+    r2 = phase * D m2 D with m2 = [[cos_t, sin_t], [sin_t, -cos_t]],
+    phase = cos_t + i sin_t and D = diag(1, d), d = -i: R(t) for
+    (cos t, sin t), spectral.bit_factor's pair, and nothing else.  Entry
+    [s, g] of the operator is the product over bits k of
     r2[bit k of s, bit k of g].  src is not changed.
 
     src must be a contiguous complex128 vector of power-of-two length 2**m.
@@ -73,15 +71,12 @@ def apply_per_bit(
     m = n.bit_length() - 1
     if src.ndim != 1 or n != 1 << m or src.dtype != np.complex128 or not src.flags.c_contiguous:
         raise ValueError("expected a contiguous complex128 vector of power-of-two length")
-    if np.iscomplexobj(m2):
-        raise ValueError("m2 must be real: complex content enters through phase and d")
-    m2 = np.asarray(m2, dtype=np.float64)
-    d = complex(d)
+    m2 = np.array([[cos_t, sin_t], [sin_t, -cos_t]], dtype=np.float64)
+    phase, d = complex(cos_t, sin_t), -1j
     b, k, cols = _plan(m)
     run, rows = 1 << k, n >> k
     units = np.array([1, d, d * d, d * d * d])
     inner_units = units[np.bitwise_count(np.arange(run) >> b) & 3]
-    phase = complex(phase)
     r2 = phase * np.array([[m2[0, 0], d * m2[0, 1]], [d * m2[1, 0], d * d * m2[1, 1]]])
     block_t = (phase ** (m - b) * _kron_power(r2, b)).T
     # x + iy times p + iq on interleaved floats: (x, y) @ [[p, q], [-q, p]]

@@ -2,10 +2,10 @@
 
 The Laplacian diagonalizes over signed vectors indexed by the same node
 bitmasks as the canonical basis.  The change of basis has kernel
-(-1)**popcount(g & ~s) / sqrt(dim) in (row s, column g), which is a tensor
-power of the one-bit matrix W = [[1, -1], [1, 1]] / sqrt(2): the parity sign
-and the normalization fold into W, so the change of basis is one in-place
-per-bit sweep, cross-checked against the literal kernel in the test suite.
+(-1)**popcount(g & ~s) / sqrt(dim) in (row s, column g): the parity sign
+(-1)**popcount(g), the ±1 transform's (-1)**popcount(g & s), an in-place
+butterfly that shares nothing with the walk's per-bit kernel, and one
+scale, cross-checked against the literal kernel in the test suite.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import sys
 from typing import NamedTuple
 
 from . import _numpy as np
-from ._walsh import apply_per_bit
-from .operators import StateVector
+from .operators import StateVector, sign_column
 from .subsets import Level
 
 
@@ -51,8 +50,8 @@ class Spectrum(NamedTuple):
 T_MAX = sys.float_info.max / 2  # the largest |t| whose phase argument 2t is finite
 
 
-def _bit_amplitudes(t: float) -> tuple[complex, complex, float, float, complex]:
-    """(a0, a1, cos t, sin t, e^{it}), with (a0, a1) = ((1+z)/2, (1-z)/2) and
+def _bit_amplitudes(t: float) -> tuple[complex, complex, float, float]:
+    """(a0, a1, cos t, sin t), with (a0, a1) = ((1+z)/2, (1-z)/2) and
     z = exp(2it): e^{it}(cos t I - i sin t X) maps one bit to a0 times itself
     plus a1 times its flip.
 
@@ -71,17 +70,16 @@ def _bit_amplitudes(t: float) -> tuple[complex, complex, float, float, complex]:
             name = f"{'-' if t < 0 else ''}<int of {t.bit_length()} bits>"
         raise ValueError(f"time {name} exceeds the largest evaluable magnitude {T_MAX!r}")
     z = cmath.exp(2j * t)
-    cos_t, sin_t = math.cos(t), math.sin(t)
-    return (1.0 + z) / 2.0, (1.0 - z) / 2.0, cos_t, sin_t, complex(cos_t, sin_t)
+    return (1.0 + z) / 2.0, (1.0 - z) / 2.0, math.cos(t), math.sin(t)
 
 
-def bit_factor(t: float) -> tuple[tuple, complex, complex]:
+def bit_factor(t: float) -> tuple[float, float]:
     """The walk's one-bit factor R(t) = [[a0, a1], [a1, a0]] as the per-bit
-    kernel takes it, (M(t), e^{it}, -1j): R(t) = e^{it} D M(t) D with the real
+    kernel takes it, (cos t, sin t): R(t) = (cos t + i sin t) D M(t) D with
     M(t) = [[cos t, sin t], [sin t, -cos t]] and D = diag(1, -i).  The
     evolution unitary at time t is its tensor power over the L+1 bits."""
-    _, _, cos_t, sin_t, phase = _bit_amplitudes(t)
-    return ((cos_t, sin_t), (sin_t, -cos_t)), phase, -1j
+    _, _, cos_t, sin_t = _bit_amplitudes(t)
+    return cos_t, sin_t
 
 
 def basis_start_classes(level: Level, sigma: int, t: float) -> ClassTable:
@@ -156,18 +154,29 @@ def spectrum(level: Level) -> Spectrum:
     return Spectrum(level=level, entries=entries)
 
 
-# one-bit factor of the forward change of basis: row s, column g holds
-# (-1)**(g & ~s) / sqrt(2); the inverse applies its transpose
-_HALF_ROOT = 1.0 / math.sqrt(2.0)
-_FORWARD_BIT = ((_HALF_ROOT, -_HALF_ROOT), (_HALF_ROOT, _HALF_ROOT))
-
-
 def to_eigenbasis(state: StateVector) -> StateVector:
-    """Coefficients of the state on the signed eigenbasis: one per-bit sweep
-    of W = [[1, -1], [1, 1]] / sqrt(2) into a new array."""
-    return StateVector(state.level, apply_per_bit(state.amps, _FORWARD_BIT))
+    """Coefficients of the state on the signed eigenbasis, into a new array:
+    the parity signs, the ±1 transform, then 1/sqrt(dim)."""
+    amps = _pm1(sign_column(state.level.full_mask, state.level.dim) * state.amps)
+    amps *= state.level.dim**-0.5
+    return StateVector(state.level, amps)
 
 
 def from_eigenbasis(coeffs: StateVector) -> StateVector:
-    """Inverse change of basis: the per-bit sweep of W's transpose."""
-    return StateVector(coeffs.level, apply_per_bit(coeffs.amps, tuple(zip(*_FORWARD_BIT))))
+    """Inverse change of basis: the ±1 transform, then the parity signs
+    over sqrt(dim)."""
+    amps = _pm1(coeffs.amps.copy())
+    amps *= sign_column(coeffs.level.full_mask, coeffs.level.dim) * coeffs.level.dim**-0.5
+    return StateVector(coeffs.level, amps)
+
+
+def _pm1(amps: np.ndarray) -> np.ndarray:
+    """The unnormalized ±1 transform of amps, in place: entry s becomes the
+    sum over g of (-1)**popcount(s & g) amps[g], as per bit each pair (x, y)
+    of entries that differ in it becomes (x + y, x - y)."""
+    for bit in range(len(amps).bit_length() - 1):
+        x, y = amps.reshape(-1, 2, 1 << bit).transpose(1, 0, 2)
+        difference = x - y
+        x += y
+        y[...] = difference
+    return amps

@@ -20,7 +20,7 @@ from hyperwalk import (
     to_eigenbasis,
     vacuum_state,
 )
-from hyperwalk._walsh import apply_per_bit
+from hyperwalk import _walsh
 from hyperwalk.operators import sign_column
 from hyperwalk.formatting import dumps_json
 from hyperwalk.spectral import ClassTable, basis_start_classes
@@ -30,20 +30,38 @@ from helpers import literal_kernel_matrix, operator_matrix, pm1_transform, popco
 
 @pytest.mark.parametrize("L", [0, 1, 2, 3, 4, 5, 6])
 def test_fast_transform_matches_literal_kernel_exactly(L):
-    """The per-bit factor [[1, -1], [1, 1]] (parity sign folded in) and its
-    transpose must reproduce the literal kernel with exact integer signs on
-    every basis vector."""
+    """to_eigenbasis and from_eigenbasis of every basis vector are the
+    literal kernel's rows and columns times dim**-0.5, exactly: the ±1
+    butterfly of a one-hot vector adds and subtracts only 0 and ±1."""
     lv = Level(L)
     kernel = literal_kernel_matrix(L)
+    scale = lv.dim**-0.5
     for sigma in range(lv.dim):
-        # forward rows: unnormalized coefficient vector of the one-hot state
-        forward = apply_per_bit(basis_state(lv, sigma).amps, [[1, -1], [1, 1]])
-        assert np.array_equal(forward.real, kernel[sigma, :])
+        # forward rows: the coefficient vector of the one-hot state
+        forward = to_eigenbasis(basis_state(lv, sigma)).amps
+        assert np.array_equal(forward.real, kernel[sigma, :] * scale)
         assert np.abs(forward.imag).max() == 0.0
-        # inverse columns: unnormalized signed basis vector
-        inverse = apply_per_bit(basis_state(lv, sigma).amps, [[1, 1], [-1, 1]])
-        assert np.array_equal(inverse.real, kernel[:, sigma])
+        # inverse columns: the signed basis vector
+        inverse = from_eigenbasis(basis_state(lv, sigma)).amps
+        assert np.array_equal(inverse.real, kernel[:, sigma] * scale)
         assert np.abs(inverse.imag).max() == 0.0
+
+
+def test_the_transforms_do_not_run_the_walk_kernel(monkeypatch, rng):
+    # the change of basis is an oracle of the dense evolution
+    # (_transform_route), so it shares no code with the kernel it checks
+    def refused(*args, **kwargs):
+        raise AssertionError("the change of basis ran the per-bit kernel")
+
+    # every kernel call plans its passes, however apply_per_bit was imported
+    monkeypatch.setattr(_walsh, "apply_per_bit", refused)
+    monkeypatch.setattr(_walsh, "_plan", refused)
+    lv = Level(5)
+    xi = random_state(lv, rng)
+    signs = sign_column(lv.full_mask, lv.dim)
+    coeffs = to_eigenbasis(xi)
+    assert np.abs(coeffs.amps - pm1_transform(signs * xi.amps) / math.sqrt(lv.dim)).max() < 1e-13
+    assert np.abs(from_eigenbasis(coeffs).amps - xi.amps).max() < 1e-13
 
 
 @pytest.mark.parametrize("L", [0, 3, 6])

@@ -11,7 +11,7 @@ import pytest
 from hyperwalk import EvolutionEngine, Level, StateVector, _walsh, distribution_at, evolve
 from hyperwalk._walsh import apply_per_bit
 from hyperwalk.measure import probability
-from hyperwalk.spectral import _FORWARD_BIT, bit_factor
+from hyperwalk.spectral import bit_factor
 
 from helpers import random_state
 
@@ -23,19 +23,19 @@ def _kron_power(m2: np.ndarray, m: int) -> np.ndarray:
     return mat
 
 
-def _random_case(m: int, seed: int, twisted: bool):
-    """A random real m2 and state; twisted adds a random phase and D = diag(1, -i)."""
+def _random_case(m: int, seed: int):
+    """A random real (cos_t, sin_t), not on the unit circle, and a random state."""
     rng = np.random.default_rng(seed)
-    m2 = rng.standard_normal((2, 2))
-    factor = (m2, complex(np.exp(1j * rng.uniform(0, 2 * np.pi))), -1j) if twisted else (m2, 1.0, 1.0)
+    factor = tuple(rng.standard_normal(2).tolist())
     a = rng.standard_normal(1 << m) + 1j * rng.standard_normal(1 << m)
     return factor, a
 
 
-def _one_bit(m2, phase, d) -> np.ndarray:
-    """phase * D m2 D, entry by entry."""
-    unit = np.diag([1, d])
-    return phase * unit @ m2 @ unit
+def _one_bit(cos_t, sin_t) -> np.ndarray:
+    """phase * D M D with phase = cos_t + i sin_t, D = diag(1, -i) and
+    M = [[cos_t, sin_t], [sin_t, -cos_t]], entry by entry."""
+    unit = np.diag([1, -1j])
+    return complex(cos_t, sin_t) * unit @ np.array([[cos_t, sin_t], [sin_t, -cos_t]]) @ unit
 
 
 def _force_threads(monkeypatch, workers: int) -> None:
@@ -49,14 +49,13 @@ def _bits(a: np.ndarray) -> np.ndarray:
 
 
 def _check(m: int, seed: int, monkeypatch) -> None:
-    # a random real factor, a twisted one, and the change of basis as
-    # to_eigenbasis passes it: phase 1 and d = 1 by default
-    cases = [_random_case(m, seed, twisted) for twisted in (False, True)]
-    cases.append(((_FORWARD_BIT,), cases[0][1]))
+    # two random real pairs, off the unit circle, and the walk's own at a
+    # random time
+    cases = [_random_case(m, seed), _random_case(m, seed + 1)]
+    cases.append((bit_factor(np.random.default_rng(seed).uniform(-4, 4)), cases[0][1]))
     for case, (factor, a) in enumerate(cases):
         source = a.copy()
-        one_bit = _one_bit(*factor) if len(factor) == 3 else np.array(_FORWARD_BIT)
-        expected = _kron_power(one_bit, m) @ a
+        expected = _kron_power(_one_bit(*factor), m) @ a
         got = apply_per_bit(a, *factor)
         assert np.array_equal(a, source), (m, case)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max(), (m, case)
@@ -95,7 +94,7 @@ def _products(m: int) -> list:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_walsh.np, "matmul", recorded)
-        apply_per_bit(np.zeros(1 << m, dtype=np.complex128), np.eye(2), square=True)
+        apply_per_bit(np.zeros(1 << m, dtype=np.complex128), 1.0, 0.0, square=True)
     return shapes
 
 
@@ -199,7 +198,7 @@ def test_the_workers_are_the_cpus_the_process_may_use(monkeypatch):
     # one worker under an affinity mask of one CPU, such as taskset -c 0
     if hasattr(os, "sched_getaffinity"):
         assert _walsh._cpus() == len(os.sched_getaffinity(0))
-    factor, a = _random_case(12, 3, True)
+    factor, a = _random_case(12, 3)
     alone = apply_per_bit(a, *factor)
     monkeypatch.setattr(_walsh, "THREADS_FROM", 0)
     assert np.array_equal(_bits(apply_per_bit(a, *factor)), _bits(alone))
@@ -230,7 +229,7 @@ def _raise_in_a_product(monkeypatch, workers: int, raiser: str, tiles: bool) -> 
     caller, or in the other threads; the call runs on a thread of its own,
     so a hang fails the test instead of stopping the suite."""
     _force_threads(monkeypatch, workers)
-    _, a = _random_case(16, 1, False)
+    _, a = _random_case(16, 1)
     raised = []
 
     def matmul(left, right, **kwargs):
@@ -240,7 +239,7 @@ def _raise_in_a_product(monkeypatch, workers: int, raiser: str, tiles: bool) -> 
 
     def call():
         try:
-            apply_per_bit(a, np.eye(2), square=True)
+            apply_per_bit(a, 1.0, 0.0, square=True)
         except RuntimeError as exc:
             raised.append(exc)
 
@@ -310,14 +309,24 @@ def test_the_kernel_keeps_openblas_threads_asleep(monkeypatch):
     assert sorted(ratios)[1] < 1.3, ratios
 
 
-def test_the_row_units_are_exact():
-    # m2 = I and phase 1 leave only the diagonals D**m on either side, so
-    # entry g is multiplied by exactly (-1)**popcount(g), across many chunks
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal(1 << 16) + 1j * rng.standard_normal(1 << 16)
-    got = apply_per_bit(a, np.eye(2), 1.0, -1j)
-    odd = np.bitwise_count(np.arange(len(a))) & 1
-    assert np.array_equal(got, np.where(odd, -a, a))
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize(
+    "cos_t, sin_t, exact",
+    [
+        # R(0) = I
+        (1.0, 0.0, lambda a: a),
+        # R(pi/2) = X, whose power reverses the index: the transfer to the complement
+        (0.0, 1.0, lambda a: a[::-1].copy()),
+    ],
+    ids=["identity", "full-flip"],
+)
+def test_the_exact_factors_are_exact(monkeypatch, workers, cos_t, sin_t, exact):
+    # every unit, block and exit unit of both passes must then multiply
+    # exactly, on every plan from 2 to 2**19 amplitudes
+    _force_threads(monkeypatch, workers)
+    for m in range(1, 20):
+        _, a = _random_case(m, m)
+        assert np.array_equal(_bits(apply_per_bit(a, cos_t, sin_t)), _bits(exact(a))), m
 
 
 def _qubit_product(qubits: np.ndarray) -> np.ndarray:
@@ -357,23 +366,16 @@ def test_the_kernel_at_the_level_cap(monkeypatch):
             assert err <= 8e-15 * (np.abs(high).max() * np.abs(low).max()) ** power, (call.__name__, t)
 
 
-GOOD = np.zeros(8, dtype=np.complex128)
-
-
 @pytest.mark.parametrize(
-    "src, m2",
+    "src",
     [
-        (np.zeros(8, dtype=np.complex64), np.eye(2)),
-        (np.zeros(8), np.eye(2)),
-        (np.zeros(12, dtype=np.complex128), np.eye(2)),
-        (np.zeros(16, dtype=np.complex128)[::2], np.eye(2)),
-        (np.zeros((4, 4), dtype=np.complex128), np.eye(2)),
-        # complex content enters only through phase and d
-        (GOOD, np.eye(2) * 1j),
-        (GOOD, np.eye(2, dtype=np.complex128)),
-        (GOOD, ((1.0, 0.0), (0.0, 1j))),
+        np.zeros(8, dtype=np.complex64),
+        np.zeros(8),
+        np.zeros(12, dtype=np.complex128),
+        np.zeros(16, dtype=np.complex128)[::2],
+        np.zeros((4, 4), dtype=np.complex128),
     ],
 )
-def test_apply_per_bit_rejects_what_it_cannot_apply(src, m2):
+def test_apply_per_bit_rejects_what_it_cannot_apply(src):
     with pytest.raises(ValueError):
-        apply_per_bit(src, m2)
+        apply_per_bit(src, 1.0, 0.0)
