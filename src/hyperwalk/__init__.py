@@ -3,8 +3,9 @@
 State vectors are indexed by subset bitmasks of {0, ..., L}; the walk
 generator is the sum over elements of (identity minus bit-flip), which
 diagonalizes over a signed Walsh eigenbasis; its evolution is exactly the
-tensor power of one 2×2 factor per element.  One engine applies that factor
-(in closed form from a node); the period average is the exact per-distance
+tensor power of one 2×2 factor per element, all of it (cos t, sin t) from
+spectral.bit_factor.  One engine applies that factor (as a per-distance
+table from a node); the period average is the exact per-distance
 value from a node and the quadrature from any other state.  The operator
 functions act on state vectors directly and never build a matrix; the
 literal-definition oracles everything is checked against, dense operator,

@@ -1,19 +1,17 @@
 """Time evolution of the walk.
 
 The generator has even integer eigenvalues, so the evolution unitary is
-exactly pi-periodic in time.  It is the tensor power of the one-bit factor
-R(t) = [[a0, a1], [a1, a0]] = e^{it} D M(t) D, with the real reflection
-M(t) = [[cos t, sin t], [sin t, -cos t]] and D = diag(1, -i): all of it is
-the pair (cos t, sin t) (``spectral.bit_factor``, which also refuses a time
-it cannot evaluate before anything is allocated).  The per-bit kernel
-(``_walsh.apply_per_bit``) takes that pair, applies this unitary and
-nothing else, from the state into a new array in O(dim * (L+1)) per call;
-for ``distribution_at`` it squares each amplitude instead of storing it.
-A one-hot start (a basis node times a unit phase) is its distance-class
-table gathered over the nodes instead (``spectral.basis_start_classes``),
-in O(dim); ``distribution_at`` squares that table's L+2 entries before
-the gather.  The literal-definition oracles it is tested against live in
-the test suite.
+exactly pi-periodic in time.  It is the tensor power of a one-bit factor
+that is all the pair (cos t, sin t) of ``spectral.bit_factor``, which also
+refuses a time it cannot evaluate before anything is allocated.  The
+per-bit kernel (``_walsh.apply_per_bit``) takes that pair, applies this
+unitary and nothing else, from the state into a new array in
+O(dim * (L+1)) per call; for ``distribution_at`` it squares each amplitude
+instead of storing it.  A one-hot start (a basis node times a unit phase)
+is its distance-class table, built from the same pair, gathered over the
+nodes instead (``spectral.basis_start_classes``), in O(dim);
+``distribution_at`` squares that table's L+2 entries before the gather.
+The literal-definition oracles it is tested against live in the test suite.
 """
 
 from __future__ import annotations

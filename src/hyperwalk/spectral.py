@@ -1,18 +1,19 @@
-"""Eigenbasis of the flip-sum Laplacian and the fast change of basis.
+"""The walk's one-bit factor, its node-start tables, the eigenbasis of the
+flip-sum Laplacian and the fast change of basis.
 
-The Laplacian diagonalizes over signed vectors indexed by the same node
-bitmasks as the canonical basis.  The change of basis has kernel
-(-1)**popcount(g & ~s) / sqrt(dim) in (row s, column g): the parity sign
-(-1)**popcount(g), the ±1 transform's (-1)**popcount(g & s), an in-place
-butterfly that shares nothing with the walk's per-bit kernel, and one
-scale, cross-checked against the literal kernel in the test suite.
+bit_factor alone computes the walk's phase, the pair (cos t, sin t), which
+the per-bit kernel and the node-start tables both take.  The Laplacian
+diagonalizes over signed vectors indexed by the same node bitmasks as the
+canonical basis.  The change of basis has kernel (-1)**popcount(g & ~s) /
+sqrt(dim) in (row s, column g): the parity sign (-1)**popcount(g), the ±1
+transform's (-1)**popcount(g & s), an in-place butterfly that shares nothing
+with the walk's per-bit kernel, and one scale, cross-checked against the
+literal kernel in the test suite.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-import sys
 from typing import NamedTuple
 
 from . import _numpy as np
@@ -47,51 +48,36 @@ class Spectrum(NamedTuple):
         }
 
 
-T_MAX = sys.float_info.max / 2  # the largest |t| whose phase argument 2t is finite
+def bit_factor(t: float) -> tuple[float, float]:
+    """(cos t, sin t): the walk's one-bit factor e^{it}(cos t I - i sin t X)
+    = e^{it} D M(t) D, M(t) = [[cos t, sin t], [sin t, -cos t]] and
+    D = diag(1, -i), whose tensor power over the L+1 bits is the evolution.
 
-
-def _bit_amplitudes(t: float) -> tuple[complex, complex, float, float]:
-    """(a0, a1, cos t, sin t), with (a0, a1) = ((1+z)/2, (1-z)/2) and
-    z = exp(2it): e^{it}(cos t I - i sin t X) maps one bit to a0 times itself
-    plus a1 times its flip.
-
-    The only place the walk's phase is computed, and so the only check of a
-    time: it must be finite, as a Python int of any size is.  libm reduces
-    the exact arguments t and 2t correctly at any magnitude; reducing t by
-    the float pi first would round the phase away at large t.  Above T_MAX
-    the argument 2t overflows, so such a time, an int among them, is refused.
+    The one check of a time: it must be finite, and an int must convert to a
+    float.  libm reduces the exact t correctly at any magnitude; reducing t by
+    the float pi first would round the phase away at large t.
     """
     if not (isinstance(t, int) or math.isfinite(t)):
         raise ValueError(f"time must be finite, got {t!r}")
-    if abs(t) > T_MAX:
-        try:
-            name = repr(t)
-        except ValueError:  # an int with more digits than int's str limit
-            name = f"{'-' if t < 0 else ''}<int of {t.bit_length()} bits>"
-        raise ValueError(f"time {name} exceeds the largest evaluable magnitude {T_MAX!r}")
-    z = cmath.exp(2j * t)
-    return (1.0 + z) / 2.0, (1.0 - z) / 2.0, math.cos(t), math.sin(t)
-
-
-def bit_factor(t: float) -> tuple[float, float]:
-    """The walk's one-bit factor R(t) = [[a0, a1], [a1, a0]] as the per-bit
-    kernel takes it, (cos t, sin t): R(t) = (cos t + i sin t) D M(t) D with
-    M(t) = [[cos t, sin t], [sin t, -cos t]] and D = diag(1, -i).  The
-    evolution unitary at time t is its tensor power over the L+1 bits."""
-    _, _, cos_t, sin_t = _bit_amplitudes(t)
-    return cos_t, sin_t
+    try:
+        return math.cos(t), math.sin(t)
+    except OverflowError:  # an int beyond the float range, named by its size
+        raise ValueError(f"time {'-' if t < 0 else ''}<int of {t.bit_length()} bits> is beyond the float range") from None
 
 
 def basis_start_classes(level: Level, sigma: int, t: float) -> ClassTable:
-    """Amplitudes at time t of the walk started from node sigma.
-
-    The generator is a sum of commuting one-bit terms (see bit_factor), so
-    the evolved state is a product state: over m = L+1 bits, node g holds
-    a0**(m-d) * a1**d, d = popcount(g ^ sigma), one entry per distance.
+    """Amplitudes at time t of the walk started from node sigma, a product
+    state (see bit_factor): over m = L+1 bits, node g holds
+    cos(t)**(m-d) (-i sin t)**d e^{imt}, d = popcount(g ^ sigma), one entry
+    per distance, with e^{imt} the integer power of cos t + i sin t scaled
+    back to modulus 1.
     """
-    a0, a1, *_ = _bit_amplitudes(t)
+    cos_t, sin_t = bit_factor(t)
     m = level.L + 1
-    return ClassTable(level, sigma, tuple(a0 ** (m - d) * a1**d for d in range(m + 1)))
+    phase = complex(cos_t, sin_t) ** m
+    phase /= abs(phase)
+    table = (cos_t ** (m - d) * sin_t**d * (1, -1j, -1, 1j)[d % 4] * phase for d in range(m + 1))
+    return ClassTable(level, sigma, tuple(table))
 
 
 class ClassTable(NamedTuple):

@@ -6,6 +6,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from decimal import Decimal, getcontext, localcontext
 from functools import lru_cache
 from typing import Any
 
@@ -329,6 +330,73 @@ def product_state_amplitudes(L: int, sigma: int, t: float) -> np.ndarray:
     phase = complex(cos_t, sin_t) ** m
     by_distance = [phase * cos_t ** (m - d) * (-1j * sin_t) ** d for d in range(m + 1)]
     return np.array([by_distance[popcount(g ^ sigma)] for g in range(1 << m)])
+
+
+@lru_cache(maxsize=None)
+def _decimal_pi(prec: int) -> Decimal:
+    """pi to prec digits by Machin's formula,
+    16 atan(1/5) - 4 atan(1/239), each atan by its alternating series."""
+    tiny = Decimal(10) ** -(prec + 2)
+
+    def atan_inverse(n: int) -> Decimal:
+        total, power, k = Decimal(0), Decimal(1) / n, 0
+        while power > tiny:
+            total += (-1) ** k * power / (2 * k + 1)
+            power /= n * n
+            k += 1
+        return total
+
+    return 16 * atan_inverse(5) - 4 * atan_inverse(239)
+
+
+def _decimal_cos_sin(x: Decimal) -> tuple[Decimal, Decimal]:
+    """(cos x, sin x) at the context's precision: x reduced by the nearest
+    multiple k of pi/2 to |r| <= pi/4, Taylor series on r up to the terms
+    below sin r's last digit, then the quarter turn k mod 4."""
+    half_pi = _decimal_pi(getcontext().prec) / 2
+    k = (x / half_pi).to_integral_value()
+    r = x - k * half_pi
+    cos_r, sin_r, term, n = Decimal(0), Decimal(0), Decimal(1), 0
+    tiny = abs(r) * Decimal(10) ** -(getcontext().prec + 2)  # below every term that counts
+    while abs(term) > tiny:
+        if n % 2:
+            sin_r += term if n % 4 == 1 else -term
+        else:
+            cos_r += term if n % 4 == 0 else -term
+        n += 1
+        term = term * r / n
+    return [(cos_r, sin_r), (-sin_r, cos_r), (-cos_r, -sin_r), (sin_r, -cos_r)][int(k % 4)]
+
+
+def reference_node_table(m: int, t: float) -> list[tuple[Decimal, Decimal, Decimal]]:
+    """(re, im, |amp|**2) of the node-start amplitude e^{imt} cos(t)**(m-d)
+    (-i sin t)**d at each distance d = 0..m, for the exact binary value of t,
+    in decimal at 40 digits plus the decimal exponent of t: cos and sin of t
+    and of mt by _decimal_cos_sin.  Independent of the library and of libm."""
+    x = Decimal(t)
+    with localcontext() as ctx:
+        ctx.prec = 40 + max(x.adjusted(), 0) + len(str(m))
+        cos_t, sin_t = _decimal_cos_sin(x)
+        cos_mt, sin_mt = _decimal_cos_sin(m * x)
+        cos_powers, sin_powers = [Decimal(1)], [Decimal(1)]  # Decimal refuses 0 ** 0
+        for _ in range(m):
+            cos_powers.append(cos_powers[-1] * cos_t)
+            sin_powers.append(sin_powers[-1] * sin_t)
+        table = []
+        for d in range(m + 1):
+            r = cos_powers[m - d] * sin_powers[d]
+            # (-i)**d times e^{imt}: a quarter turn back per distance
+            re, im = [(cos_mt, sin_mt), (sin_mt, -cos_mt), (-cos_mt, -sin_mt), (-sin_mt, cos_mt)][d % 4]
+            table.append((r * re, r * im, r * r))
+    return table
+
+
+def relative_error(x: complex, re: Decimal, im: Decimal = Decimal(0)) -> float:
+    """|x - r| / |r| for the float x and the reference r = re + i im."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        dre, dim = Decimal(x.real) - re, Decimal(x.imag) - im
+        return float(((dre * dre + dim * dim) / (re * re + im * im)).sqrt())
 
 
 def reference_dumps_json(obj: Any) -> str:

@@ -28,7 +28,7 @@ from hyperwalk.cli import _parse_pi_fraction, main
 from hyperwalk.formatting import format_float
 from hyperwalk.spectral import ClassTable, basis_start_classes
 
-from helpers import assert_same_text, is_adjacent, reference_csv, reference_dumps_json
+from helpers import assert_same_text, is_adjacent, product_state_amplitudes, reference_csv, reference_dumps_json
 
 
 def run_cli(capsys, *argv):
@@ -183,7 +183,6 @@ def test_graph_formats(capsys):
 
 _UNRECOGNIZED = "unrecognized arguments: --engine "
 _TOL = "argument --tol: tolerance must be finite and >= 0, got "
-_HUGE_T = "error: time {} exceeds the largest evaluable magnitude 8.988465674311579e+307\n"
 _FRACTION = "error: expected an integer fraction like '1/2', got {!r}\n"
 REFUSED = [
     # removed options and choices
@@ -200,7 +199,6 @@ REFUSED = [
     (["time-average", "--tol", "1e-9"], "unrecognized arguments: --tol 1e-9"),
     # values the walk cannot serve
     *[(["pst", f"--tol={tol}"], _TOL + repr(tol)) for tol in ("nan", "-1", "inf")],
-    *[([command, f"{flag}={t}"], _HUGE_T.format(t)) for command, flag in (("evolve", "--t"), ("pst", "--t0")) for t in ("1e+308", "-1e+308")],
     *[([command, f"{flag}={t}"], f"error: time must be finite, got {t}\n")
       for command, flag, t in (("evolve", "--t", "inf"), ("evolve", "--t", "nan"), ("evolve", "--t", "-inf"), ("pst", "--t0", "nan"), ("pst", "--t0", "inf"))],
     *[([command, flag, p], _FRACTION.format(p)) for command, flag in (("evolve", "--t-pi-fraction"), ("pst", "--t0-pi-fraction")) for p in ("1/", "3/", "1_0/3", "- 1/2")],
@@ -229,6 +227,20 @@ def test_refused_arguments_exit_2(tmp_path, capsys, argv, message):
     assert out == ""
     assert message in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("t", ["1e+308", "-1e+308", "1.7976931348623157e+308", "-1.7976931348623157e+308"])
+def test_times_up_to_the_largest_float_are_served(capsys, t):
+    # the probabilities and fidelities of the product state at the exact t
+    want = product_state_amplitudes(3, 0b0101, float(t))
+    code, out, err = run_cli(capsys, "evolve", "--L", "3", f"--t={t}", "--initial", "0,2", "--amplitudes")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert np.abs(np.array(doc["probs"]) - np.abs(want) ** 2).max() <= 1e-15
+    assert np.abs(np.array(doc["amps"]) @ [1, 1j] - want).max() <= 1e-15
+    code, out, err = run_cli(capsys, "pst", "--L", "3", "--from", "0,2", f"--t0={t}")
+    assert (code, err) == (0, "")
+    assert np.abs(np.array(json.loads(out)["fidelities"]) - np.abs(want)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("command", ["spectrum", "evolve", "time-average", "pst", "graph"])

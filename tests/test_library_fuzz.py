@@ -5,6 +5,7 @@ product-state oracles of helpers.py within their pinned tolerance."""
 
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,6 @@ from hyperwalk import (
     time_average,
 )
 from hyperwalk.operators import NORM_TOL
-from hyperwalk.spectral import T_MAX
 
 from helpers import evolve_product, product_state_amplitudes, random_state
 
@@ -31,8 +31,9 @@ TOL = 1e-12  # the oracles' pinned tolerance, on amplitudes, probabilities and s
 EPS = float(np.finfo(float).eps)
 # times the library evaluates, refuses with ValueError, or refuses with TypeError
 TIMES = {
-    "good": [0.0, -0.0, 5e-324, 0.7, -2.5, 1e15, -1e15, T_MAX, -T_MAX, True, np.float64(0.7), np.int64(3), 2**60],
-    "bad": [math.inf, -math.inf, math.nan, math.nextafter(T_MAX, math.inf), -1e308, 2**1024, 10**400, -(10**400)],
+    "good": [0.0, -0.0, 5e-324, 0.7, -2.5, 1e15, -1e15, 8.98e307, math.nextafter(sys.float_info.max / 2, math.inf),
+             -1e308, sys.float_info.max, -sys.float_info.max, True, np.float64(0.7), np.int64(3), 2**60],
+    "bad": [math.inf, -math.inf, math.nan, 2**1024, 10**400, -(10**400)],
     "unreal": [1j, complex(0.7, 0.0), "1.0", None],
 }
 # nodes pst_check and closed_form_pt take at L = 2 or more, and refuse with ValueError

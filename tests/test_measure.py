@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -28,7 +29,6 @@ from hyperwalk import (
 )
 from hyperwalk import _walsh, measure
 from hyperwalk.cli import _parse_pi_fraction, build_parser, cmd_pst, main
-from hyperwalk.spectral import T_MAX
 
 from helpers import (
     LARGE_TIMES,
@@ -710,13 +710,14 @@ def test_every_time_is_checked_with_the_same_messages(name):
     for t in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match=re.escape(f"time must be finite, got {t!r}")):
             call(Level(2), t)
-    # a Python int compares with T_MAX exactly, at any size
-    for t in (1e308, 10**400, -(10**400)):
-        with pytest.raises(ValueError, match=re.escape(f"time {t!r} exceeds the largest evaluable magnitude {T_MAX!r}")):
-            call(Level(2), t)
-    # an int with more digits than int's str limit, named by its sign and bit length
-    for t, name in ((10**5000, "<int of 16610 bits>"), (-(10**5000), "-<int of 16610 bits>")):
-        with pytest.raises(ValueError, match=re.escape(f"time {name} exceeds the largest evaluable magnitude {T_MAX!r}")):
+    # every finite float is served, the largest among them
+    for t in (1e308, -1e308, sys.float_info.max, -sys.float_info.max):
+        call(Level(2), t)
+    # an int beyond the float range, named by its sign and bit length: a name
+    # by its digits could pass int's str limit
+    for t, name in ((2**1024, "<int of 1025 bits>"), (-(10**400), "-<int of 1329 bits>"),
+                    (10**5000, "<int of 16610 bits>"), (-(10**5000), "-<int of 16610 bits>")):
+        with pytest.raises(ValueError, match=re.escape(f"time {name} is beyond the float range")):
             call(Level(2), t)
     for t in (1j, "1.0", None):  # not a real number
         with pytest.raises(TypeError):

@@ -1,0 +1,59 @@
+"""Node-start tables against the decimal reference, value by value.
+
+Every amplitude of basis_start_classes is gated by |x - r| / |r| and every
+probability, operators.probability of the amplitude, by its relative error,
+where r comes from helpers.reference_node_table: the exact binary time in
+decimal, with no libm and nothing of the library.
+"""
+
+import math
+import sys
+from decimal import Decimal
+from operator import itemgetter
+
+import numpy as np
+import pytest
+
+from hyperwalk import Level
+from hyperwalk.operators import probability
+from hyperwalk.spectral import basis_start_classes
+
+from helpers import reference_node_table, relative_error
+
+LEVELS = [0, 1, 9, 16, 24]
+_draws = np.random.default_rng(36)
+# near the multiples of pi/2, where cos t or sin t is small; the largest
+# floats; then seeded uniform and log-uniform draws
+REFERENCE_TIMES = (
+    [0.0] + [10.0**-k for k in range(1, 16)]
+    + [j * math.pi / 2 + e * 10.0**-k for j in (1, 2, 3) for e in (-1, 1) for k in (1, 4, 8, 12, 15)]
+    + [1e15, 8.98e307, -8.98e307, sys.float_info.max, -sys.float_info.max]
+    + _draws.uniform(-4, 4, 40).tolist() + (10.0 ** _draws.uniform(-8, 15, 40)).tolist()
+)
+# the gates compare |amplitude|**2 with these: every amplitude of the normal
+# float range, and every probability above the underflow range, is gated;
+# below them a float keeps fewer digits than the bounds assume
+AMPLITUDE_FLOOR = Decimal(sys.float_info.min) ** 2
+PROBABILITY_FLOOR = Decimal("1e-290")
+# the worst amplitude measured is 2.97e-15 (L = 24, t = 1e15, d = 0); the
+# bound leaves a margin of 1.7 for other libms' cos and sin
+AMPLITUDE_BOUND = 5e-15
+# one bound over the levels, below the worst of the former (1 +- e^{2it})/2
+# tables on these times, 5.91e-15 (L = 24); the worst measured is 5.42e-15
+# (L = 24, t = 1e15, d = 0)
+PROBABILITY_BOUND = 5.9e-15
+
+
+@pytest.mark.parametrize("L", LEVELS)
+def test_node_tables_match_the_decimal_reference(L):
+    # the worst relative errors, each with its time and distance
+    worst_amp = worst_prob = (0.0, None, None)
+    for t in REFERENCE_TIMES:
+        table = basis_start_classes(Level(L), 0, t).table
+        for d, (amp, (re, im, p)) in enumerate(zip(table, reference_node_table(L + 1, t))):
+            if p > AMPLITUDE_FLOOR:
+                worst_amp = max(worst_amp, (relative_error(amp, re, im), t, d), key=itemgetter(0))
+            if p > PROBABILITY_FLOOR:
+                worst_prob = max(worst_prob, (relative_error(probability(amp), p), t, d), key=itemgetter(0))
+    assert worst_amp[0] <= AMPLITUDE_BOUND, worst_amp
+    assert worst_prob[0] <= PROBABILITY_BOUND, worst_prob
