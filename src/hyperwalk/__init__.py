@@ -19,22 +19,21 @@ computes and writes per-distance tables, never loads it.
 
 from .evolution import EvolutionEngine, evolve
 from .graph import GRAPH_FORMATS, edges, export_graph
-from .measure import (TIME_AVERAGE_METHODS, Distribution, SymmetryReport, TimeAverageDistribution,
-                      closed_form_distribution, closed_form_pt, distribution_at, distribution_csv, is_symmetric,
-                      pst_check, time_average, vacuum_average_value)
+from .measure import (Distribution, SymmetryReport, TimeAverageDistribution, closed_form_distribution, closed_form_pt,
+                      distribution_at, distribution_csv, is_symmetric, pst_check, time_average, vacuum_average_value)
 from .operators import (StateVector, apply_hat_involution, apply_involution, apply_involution_product,
                         apply_laplacian, basis_state, vacuum_state)
 from .spectral import Spectrum, SpectrumEntry, from_eigenbasis, spectrum, to_eigenbasis
-from .subsets import DEFAULT_MAX_LEVEL, Level, elements, format_node, max_level, parse_node
+from .subsets import Level, elements, format_node, parse_node
 
 __version__ = "0.1.0"
 
 # constants, then classes, then functions, each alphabetical
 __all__ = [
-    "DEFAULT_MAX_LEVEL", "GRAPH_FORMATS", "TIME_AVERAGE_METHODS", "Distribution", "EvolutionEngine", "Level",
-    "Spectrum", "SpectrumEntry", "StateVector", "SymmetryReport", "TimeAverageDistribution", "apply_hat_involution",
-    "apply_involution", "apply_involution_product", "apply_laplacian", "basis_state", "closed_form_distribution",
-    "closed_form_pt", "distribution_at", "distribution_csv", "edges", "elements", "evolve", "export_graph",
-    "format_node", "from_eigenbasis", "is_symmetric", "max_level", "parse_node", "pst_check", "spectrum",
-    "time_average", "to_eigenbasis", "vacuum_average_value", "vacuum_state",
+    "GRAPH_FORMATS", "Distribution", "EvolutionEngine", "Level", "Spectrum", "SpectrumEntry", "StateVector",
+    "SymmetryReport", "TimeAverageDistribution", "apply_hat_involution", "apply_involution",
+    "apply_involution_product", "apply_laplacian", "basis_state", "closed_form_distribution", "closed_form_pt",
+    "distribution_at", "distribution_csv", "edges", "elements", "evolve", "export_graph", "format_node",
+    "from_eigenbasis", "is_symmetric", "parse_node", "pst_check", "spectrum", "time_average", "to_eigenbasis",
+    "vacuum_average_value", "vacuum_state",
 ]

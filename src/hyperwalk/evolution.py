@@ -35,9 +35,6 @@ class EvolutionEngine:
     def __init__(self, level: Level):
         self.level = level
 
-    def __repr__(self) -> str:
-        return f"EvolutionEngine(level=Level({self.level.L}))"
-
 
 def evolve(engine: EvolutionEngine, initial: StateVector, t: float) -> StateVector:
     """State at time t from the given initial state.

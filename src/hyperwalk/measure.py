@@ -35,7 +35,6 @@ from .operators import StateVector, probability
 from .spectral import ClassTable, basis_start_classes, bit_factor
 from .subsets import Level, element_strings
 
-TIME_AVERAGE_METHODS = ("quadrature", "krawtchouk")
 SYMMETRY_TOL = 1e-12  # largest deviation is_symmetric accepts
 
 
@@ -113,10 +112,8 @@ def time_average(
     times, the quadrature (L+1 aliases the top frequency); krawtchouk rejects it.
     """
     level = initial.level
-    if method not in TIME_AVERAGE_METHODS:
-        raise ValueError(
-            f"unknown method {method!r}; expected one of {TIME_AVERAGE_METHODS}"
-        )
+    if method not in ("quadrature", "krawtchouk"):
+        raise ValueError(f"unknown method {method!r}; expected one of ('quadrature', 'krawtchouk')")
     if engine is None:
         engine = EvolutionEngine(level)
     sigma = checked_start(engine, initial)

@@ -67,12 +67,6 @@ def sign_column(sigma: int, n: int) -> np.ndarray:
     return 1.0 - 2.0 * (counts & 1).astype(np.float64)
 
 
-def flip_bit(amps: np.ndarray, k: int) -> np.ndarray:
-    """New array with entries at indices differing in bit k swapped."""
-    h = 1 << k
-    return amps.reshape(-1, 2, h)[:, ::-1, :].reshape(amps.shape[0])
-
-
 def basis_state(level: Level, sigma: int) -> StateVector:
     """One-hot state at node sigma."""
     level.validate_node(sigma)
@@ -95,7 +89,7 @@ def apply_involution(k: int, state: StateVector) -> StateVector:
         raise ValueError(f"flip index must be an integer, got {k!r}")
     if not 0 <= k <= state.level.L:
         raise ValueError(f"flip index {k} out of range [0, {state.level.L}]")
-    return StateVector(state.level, flip_bit(state.amps, k))
+    return StateVector(state.level, state.amps.reshape(-1, 2, 1 << k)[:, ::-1].reshape(-1))
 
 
 def apply_involution_product(sigma: int, state: StateVector) -> StateVector:
@@ -151,7 +145,7 @@ def apply_laplacian(state: StateVector) -> StateVector:
     level = state.level
     out = (level.L + 1) * state.amps
     for k in range(level.L + 1):
-        o = out.reshape(-1, 2, 1 << k)  # flip_bit's view, subtracted without its copy
+        o = out.reshape(-1, 2, 1 << k)  # apply_involution's view, subtracted without its copy
         o -= state.amps.reshape(-1, 2, 1 << k)[:, ::-1]
     return StateVector(level, out)
 

@@ -10,19 +10,7 @@ from __future__ import annotations
 import os
 from typing import NamedTuple
 
-DEFAULT_MAX_LEVEL = 24
 MAX_LEVEL_ENV_VAR = "HYPERWALK_L_MAX"
-
-
-def max_level() -> int:
-    """Active cap on the walk order L: env override, else 24."""
-    raw = os.environ.get(MAX_LEVEL_ENV_VAR)
-    if raw is None or raw == "":
-        return DEFAULT_MAX_LEVEL
-    try:
-        return natural(raw.strip())
-    except ValueError:
-        raise ValueError(f"{MAX_LEVEL_ENV_VAR} must be a nonnegative integer, got {raw!r}") from None
 
 
 def natural(text: str) -> int:
@@ -54,7 +42,11 @@ class Level(_LevelFields):
     __slots__ = ()
 
     def __new__(cls, L: int) -> Level:
-        cap = max_level()
+        raw = os.environ.get(MAX_LEVEL_ENV_VAR) or "24"  # the cap on L; unset or empty: 24
+        try:
+            cap = natural(raw.strip())
+        except ValueError:
+            raise ValueError(f"{MAX_LEVEL_ENV_VAR} must be a nonnegative integer, got {raw!r}") from None
         if not isinstance(L, int) or isinstance(L, bool):
             raise ValueError(f"L must be an integer, got {L!r}")
         if not 0 <= L <= cap:

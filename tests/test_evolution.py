@@ -439,6 +439,68 @@ def test_dense_states_match_the_transform_route_and_the_product_engine(L):
             assert np.abs(got - evolve_product(start, t).amps).max() < 1e-12, t
 
 
+def _product_qubits(L: int, start: str, rng: np.random.Generator) -> np.ndarray:
+    """One normalized (amplitude of bit 0, amplitude of bit 1) row per
+    element, in np.clongdouble: random, near |0>, or spread evenly with a
+    random relative phase."""
+    m = L + 1
+    if start == "random":
+        rows = rng.standard_normal((m, 2)) + 1j * rng.standard_normal((m, 2))
+    elif start == "near-0":
+        rows = np.stack([np.ones(m), 1e-3 * (rng.standard_normal(m) + 1j * rng.standard_normal(m))], axis=1)
+    else:
+        rows = np.stack([np.ones(m), np.exp(1j * rng.uniform(0, 2 * math.pi, m))], axis=1)
+    rows = rows.astype(np.clongdouble)
+    return rows / np.sqrt((rows.real**2 + rows.imag**2).sum(axis=1))[:, None]
+
+
+def _kron(rows: np.ndarray) -> np.ndarray:
+    """The product state of the rows, row k on bit k (the highest bit last)."""
+    out = np.ones(1, dtype=rows.dtype)
+    for row in rows:
+        out = (row[:, None] * out[None, :]).reshape(-1)
+    return out
+
+
+def _evolved_qubits(rows: np.ndarray, t: float) -> np.ndarray:
+    """Each row under e^{it} (cos t - i sin t X), in the rows' precision."""
+    cos_t, sin_t = np.cos(np.longdouble(t)), np.sin(np.longdouble(t))
+    phase = cos_t + 1j * sin_t
+    a, b = rows[:, 0], rows[:, 1]
+    return np.stack([phase * (cos_t * a - 1j * sin_t * b), phase * (cos_t * b - 1j * sin_t * a)], axis=1)
+
+
+# the worst measured (seed 38) is 5.77e-15 for probabilities and 2.84e-15 for
+# amplitudes, both at L = 19, the spread start and t = 1e-6; seeds 1-5 read at
+# most 5.76e-15 and 2.91e-15.  Each bound leaves a margin of 1.7.
+DENSE_PROBABILITY_BOUND = 1e-14
+DENSE_AMPLITUDE_BOUND = 5e-15
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+    reason="np.longdouble is no wider than float64 here, so the oracle would round as the kernel does",
+)
+def test_dense_product_states_match_the_wide_kronecker_oracle_normwise():
+    # the walk keeps a product state a product state: the oracle evolves each
+    # element's qubit in np.clongdouble and takes the Kronecker product
+    rng = np.random.default_rng(38)
+    for L in (9, 15, 19):
+        engine = EvolutionEngine(Level(L))
+        for kind in ("random", "near-0", "spread"):
+            rows = _product_qubits(L, kind, rng)
+            start = StateVector(engine.level, _kron(rows).astype(np.complex128))
+            for t in (0.3, 1e-6, 2.1, 1.3e11):
+                want = _kron(_evolved_qubits(rows, t))
+                want_probs = want.real**2 + want.imag**2
+                probs = distribution_at(engine, start, t).probs
+                err = np.max(np.abs(probs - want_probs)) / np.max(want_probs)
+                assert err <= DENSE_PROBABILITY_BOUND, (L, kind, t, float(err))
+                amps = evolve(engine, start, t).amps
+                err = np.max(np.abs(amps - want)) / np.max(np.abs(want))
+                assert err <= DENSE_AMPLITUDE_BOUND, (L, kind, t, float(err))
+
+
 @pytest.mark.parametrize("L", [0, 1, 4, 10])
 def test_one_hot_node_finds_every_one_hot_state(L):
     lv = Level(L)

@@ -1,9 +1,11 @@
 """Node-start tables against the decimal reference, value by value.
 
-Every amplitude of basis_start_classes is gated by |x - r| / |r| and every
-probability, operators.probability of the amplitude, by its relative error,
-where r comes from helpers.reference_node_table: the exact binary time in
-decimal, with no libm and nothing of the library.
+Every amplitude of basis_start_classes is gated by |x - r| / |r|, every
+fidelity, abs of the amplitude as pst prints it, by its relative error to
+the square root of the reference probability, and every probability,
+operators.probability of the amplitude, by its relative error, where r comes
+from helpers.reference_node_table: the exact binary time in decimal, with no
+libm and nothing of the library.
 """
 
 import math
@@ -38,6 +40,9 @@ PROBABILITY_FLOOR = Decimal("1e-290")
 # the worst amplitude measured is 2.97e-15 (L = 24, t = 1e15, d = 0); the
 # bound leaves a margin of 1.7 for other libms' cos and sin
 AMPLITUDE_BOUND = 5e-15
+# the worst fidelity measured is 2.76e-15 (L = 24, t = 1e15, d = 0); the
+# bound leaves a margin of 1.8 for other libms' cos and sin
+FIDELITY_BOUND = 5e-15
 # one bound over the levels, below the worst of the former (1 +- e^{2it})/2
 # tables on these times, 5.91e-15 (L = 24); the worst measured is 5.42e-15
 # (L = 24, t = 1e15, d = 0)
@@ -47,13 +52,15 @@ PROBABILITY_BOUND = 5.9e-15
 @pytest.mark.parametrize("L", LEVELS)
 def test_node_tables_match_the_decimal_reference(L):
     # the worst relative errors, each with its time and distance
-    worst_amp = worst_prob = (0.0, None, None)
+    worst_amp = worst_fid = worst_prob = (0.0, None, None)
     for t in REFERENCE_TIMES:
         table = basis_start_classes(Level(L), 0, t).table
         for d, (amp, (re, im, p)) in enumerate(zip(table, reference_node_table(L + 1, t))):
             if p > AMPLITUDE_FLOOR:
                 worst_amp = max(worst_amp, (relative_error(amp, re, im), t, d), key=itemgetter(0))
+                worst_fid = max(worst_fid, (relative_error(abs(amp), p.sqrt()), t, d), key=itemgetter(0))
             if p > PROBABILITY_FLOOR:
                 worst_prob = max(worst_prob, (relative_error(probability(amp), p), t, d), key=itemgetter(0))
     assert worst_amp[0] <= AMPLITUDE_BOUND, worst_amp
+    assert worst_fid[0] <= FIDELITY_BOUND, worst_fid
     assert worst_prob[0] <= PROBABILITY_BOUND, worst_prob

@@ -171,8 +171,8 @@ def test_hat_involution_keeps_openblas_threads_asleep():
 @pytest.mark.parametrize("L", [0, 5, 12, 13, 15])
 def test_operators_equal_their_whole_array_formulas_bit_for_bit(L):
     # one run (L <= 12), two (L = 13) and eight: the run-by-run column and
-    # relabeling and the in-place flips give the bits of the node-sized
-    # column, the node-sized gather and the copies
+    # relabeling, the flipped copy and the in-place flips give the bits of
+    # the node-sized column and the node-sized gathers
     lv = Level(L)
     state = random_state(lv, np.random.default_rng(300 + L))
     for sigma in (0, 1, lv.dim // 3, lv.full_mask):
@@ -185,7 +185,9 @@ def test_operators_equal_their_whole_array_formulas_bit_for_bit(L):
         assert np.array_equal(apply_involution_product(sigma, state).amps.view(np.uint64), gathered.view(np.uint64))
     want = (L + 1) * state.amps
     for k in range(L + 1):
-        want -= operators.flip_bit(state.amps, k)
+        flipped = state.amps[np.arange(lv.dim) ^ (1 << k)]
+        assert np.array_equal(apply_involution(k, state).amps.view(np.uint64), flipped.view(np.uint64)), k
+        want -= flipped
     assert np.array_equal(apply_laplacian(state).amps.view(np.uint64), want.view(np.uint64))
 
 
