@@ -58,9 +58,11 @@ def _parse_pi_fraction(text: str) -> float:
         num, den = -num, -den
     # the walk is pi-periodic: reducing p mod q in integers keeps the time exact
     try:
-        return math.pi * (num % den) / den
+        t = math.pi * (num % den) / den
     except OverflowError:
         raise ValueError(f"pi fraction {text!r} has a denominator beyond the float range") from None
+    # pi * (p mod q) overflows above max / pi; the int quotient, below 1, is correctly rounded
+    return t if t != math.inf else math.pi * ((num % den) / den)
 
 
 def tolerance(text: str) -> float:

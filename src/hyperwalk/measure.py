@@ -28,8 +28,7 @@ import math
 from typing import NamedTuple
 
 from . import _numpy as np
-from ._walsh import apply_per_bit
-from .evolution import EvolutionEngine, _evolve, checked_start
+from .evolution import EvolutionEngine, _evolve, apply_per_bit, checked_start
 from .formatting import format_float
 from .operators import StateVector, probability
 from .spectral import ClassTable, basis_start_classes, bit_factor
@@ -74,7 +73,7 @@ def distribution_at(engine: EvolutionEngine, initial: StateVector, t: float) -> 
     """Pointwise distribution: squared amplitude magnitudes of the evolved
     state, bit for bit probability(evolve(engine, initial, t).amps).  A
     dense state's amplitudes are squared tile by tile as they leave the
-    kernel's last pass (_walsh.apply_per_bit), a node start's once per
+    kernel's last pass (evolution.apply_per_bit), a node start's once per
     distance before the gather; the evolved amplitudes are never stored."""
     probs = _evolve(engine, initial, t, square=True)
     return Distribution(level=engine.level, probs=probs, time=float(t))

@@ -26,7 +26,7 @@ from hyperwalk import (
     vacuum_average_value,
     vacuum_state,
 )
-from hyperwalk._walsh import apply_per_bit
+from hyperwalk.evolution import apply_per_bit
 from hyperwalk.spectral import bit_factor
 
 from helpers import (

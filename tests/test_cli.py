@@ -584,6 +584,14 @@ def test_pi_fraction_is_reduced_exactly_over_periods(capsys):
     assert negative == near
 
 
+@pytest.mark.parametrize("argv", [["evolve", "--L", "1", "--t-pi-fraction"], ["pst", "--L", "1", "--from", "1", "--t0-pi-fraction"]])
+def test_a_pi_fraction_whose_pi_times_p_overflows_is_served(capsys, argv):
+    # p mod q = 9e307 is a float but pi times it is not, and the time is 0.9 pi
+    huge = run_cli(capsys, *argv, "9" + "0" * 307 + "/1" + "0" * 308)
+    assert huge == run_cli(capsys, *argv, "9/10")
+    assert huge[0] == 0, huge[2]
+
+
 @pytest.mark.parametrize(
     "command, option, value",
     [

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import hyperwalk
-from hyperwalk import _walsh, evolution
+from hyperwalk import evolution
 from hyperwalk import (
     EvolutionEngine,
     Level,
@@ -271,8 +271,8 @@ def test_a_dense_start_is_refused_from_the_kernels_sum(monkeypatch, L, workers):
     # before the refusal), with one error and message, on any number of
     # workers.  A squared norm a few ulps from 1 ± NORM_TOL (refused None)
     # is refused exactly when is_normalized says so
-    monkeypatch.setattr(_walsh, "THREADS_FROM", 0)
-    monkeypatch.setattr(_walsh, "_cpus", lambda: workers)
+    monkeypatch.setattr(evolution, "THREADS_FROM", 0)
+    monkeypatch.setattr(evolution, "_cpus", lambda: workers)
     lv = Level(L)
     start = random_state(lv, np.random.default_rng(L)).amps
     eps = np.finfo(float).eps

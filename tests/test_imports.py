@@ -14,8 +14,10 @@ import hyperwalk
 
 # dataclasses loads inspect (and with it ast, dis and tokenize), fractions
 # loads decimal: start-up cost the command line's small records and its one
-# exact rounding do without
-STARTUP_HEAVY = ["dataclasses", "inspect", "fractions", "decimal"]
+# exact rounding do without.  concurrent.futures loads logging, traceback and
+# tokenize; only the dense kernel's threads need it, and apply_per_bit imports
+# it when it runs
+STARTUP_HEAVY = ["dataclasses", "inspect", "fractions", "decimal", "concurrent.futures"]
 
 
 def _python(code: str, *args: str) -> str:

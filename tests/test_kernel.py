@@ -8,8 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hyperwalk import EvolutionEngine, Level, StateVector, _walsh, distribution_at, evolve
-from hyperwalk._walsh import apply_per_bit
+from hyperwalk import EvolutionEngine, Level, StateVector, distribution_at, evolution, evolve
+from hyperwalk.evolution import apply_per_bit
 from hyperwalk.measure import probability
 from hyperwalk.spectral import bit_factor
 
@@ -40,8 +40,8 @@ def _one_bit(cos_t, sin_t) -> np.ndarray:
 
 def _force_threads(monkeypatch, workers: int) -> None:
     """Share every sweep and the runs among workers, the caller included, at any length."""
-    monkeypatch.setattr(_walsh, "THREADS_FROM", 0)
-    monkeypatch.setattr(_walsh, "_cpus", lambda: workers)
+    monkeypatch.setattr(evolution, "THREADS_FROM", 0)
+    monkeypatch.setattr(evolution, "_cpus", lambda: workers)
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -93,7 +93,7 @@ def _products(m: int) -> list:
         return matmul(left, right, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_walsh.np, "matmul", recorded)
+        patch.setattr(evolution.np, "matmul", recorded)
         apply_per_bit(np.zeros(1 << m, dtype=np.complex128), 1.0, 0.0, square=True)
     return shapes
 
@@ -132,9 +132,9 @@ def test_apply_per_bit_matches_the_kronecker_product(monkeypatch, m):
     ],
 )
 def test_every_shape_of_the_split(monkeypatch, m, block_bits, split, plan, tiles):
-    monkeypatch.setattr(_walsh, "BLOCK_BITS", block_bits)
-    monkeypatch.setattr(_walsh, "SPLIT_BITS", split)
-    assert _walsh._plan(m) == plan
+    monkeypatch.setattr(evolution, "BLOCK_BITS", block_bits)
+    monkeypatch.setattr(evolution, "SPLIT_BITS", split)
+    assert evolution._plan(m) == plan
     assert _tile_products(m) == tiles
     _check(m, 11 * m + split, monkeypatch)
 
@@ -142,25 +142,25 @@ def test_every_shape_of_the_split(monkeypatch, m, block_bits, split, plan, tiles
 def _planned_products(m: int) -> list:
     """From the kernel's plan and its views alone, with buffers of one run
     and one tile: the shapes of each product of a run, then of a tile."""
-    b, k, cols = _walsh._plan(m)
+    b, k, cols = evolution._plan(m)
     run, rows = np.empty(1 << k, dtype=np.complex128), 1 << (m - k)
     tile = np.empty((rows, 2 * cols))
     shapes = []
-    for low in range(b, k, _walsh.BLOCK_BITS):
-        size = 1 << min(_walsh.BLOCK_BITS, k - low)
+    for low in range(b, k, evolution.BLOCK_BITS):
+        size = 1 << min(evolution.BLOCK_BITS, k - low)
         shapes.append(((size, size), run.view(np.float64).reshape(-1, size, 2 << low).shape))
-    lows = min(len(run) >> b, _walsh.ROWS)
+    lows = min(len(run) >> b, evolution.ROWS)
     shapes.append((((len(run) >> b) // lows, lows, 2 << b), (2 << b, 2 << b)))
-    for low in range(0, m - k, _walsh.BLOCK_BITS):
-        size = 1 << min(_walsh.BLOCK_BITS, m - k - low)
-        shapes.append(((size, size), _walsh._grouped(tile, low, size).shape))
+    for low in range(0, m - k, evolution.BLOCK_BITS):
+        size = 1 << min(evolution.BLOCK_BITS, m - k - low)
+        shapes.append(((size, size), evolution._grouped(tile, low, size).shape))
     return shapes
 
 
 @pytest.mark.parametrize("m", range(1, 26))
 def test_the_plan_covers_every_amplitude_up_to_the_cap(m):
     # the shipped constants, without a state: the kernel tests reach m <= 17
-    b, k, cols = _walsh._plan(m)
+    b, k, cols = evolution._plan(m)
     n, run, rows = 1 << m, 1 << k, 1 << (m - k)
     # rows runs of run amplitudes, and tiles of every row by cols columns of
     # a run, next to each other: each covers every amplitude once
@@ -169,7 +169,7 @@ def test_the_plan_covers_every_amplitude_up_to_the_cap(m):
     assert run % cols == 0 and starts[-1] + cols == run and len(starts) * rows * cols == n
     # a tile is at most TILE_BYTES and a 16th of the state (two tile
     # buffers are at most an eighth), as two run buffers are from m = 8
-    assert cols == 1 or rows * cols * 16 <= min(_walsh.TILE_BYTES, n)
+    assert cols == 1 or rows * cols * 16 <= min(evolution.TILE_BYTES, n)
     assert m < 8 or run <= n >> 4
     products = _planned_products(m)
     if m <= 17:
@@ -177,9 +177,9 @@ def test_the_plan_covers_every_amplitude_up_to_the_cap(m):
     # OpenBLAS starts its threads above these sizes
     for left, right in products:
         if left == (16, 16):
-            assert right[-1] <= _walsh.COLUMNS == 2048, (left, right)
+            assert right[-1] <= evolution.COLUMNS == 2048, (left, right)
         if right == (32, 32):
-            assert left[-2] <= _walsh.ROWS == 512, (left, right)
+            assert left[-2] <= evolution.ROWS == 512, (left, right)
     if m == 25:  # three groups above the split, in tiles of 1024 rows
         assert [left for left, right in products[-3:]] == [(16, 16), (16, 16), (4, 4)] and rows == 1024
 
@@ -188,8 +188,8 @@ def test_the_plan_covers_every_amplitude_up_to_the_cap(m):
 @pytest.mark.parametrize("block_bits", [1, 3, 4, 5])
 def test_tiles_of_every_width(monkeypatch, tile_bytes, block_bits):
     # tiles of one column and wider, up to the shipped size
-    monkeypatch.setattr(_walsh, "TILE_BYTES", tile_bytes)
-    monkeypatch.setattr(_walsh, "BLOCK_BITS", block_bits)
+    monkeypatch.setattr(evolution, "TILE_BYTES", tile_bytes)
+    monkeypatch.setattr(evolution, "BLOCK_BITS", block_bits)
     for m in (1, block_bits + 1, 7, 10):
         _check(m, 7 * m + tile_bytes, monkeypatch)
 
@@ -197,10 +197,10 @@ def test_tiles_of_every_width(monkeypatch, tile_bytes, block_bits):
 def test_the_workers_are_the_cpus_the_process_may_use(monkeypatch):
     # one worker under an affinity mask of one CPU, such as taskset -c 0
     if hasattr(os, "sched_getaffinity"):
-        assert _walsh._cpus() == len(os.sched_getaffinity(0))
+        assert evolution._cpus() == len(os.sched_getaffinity(0))
     factor, a = _random_case(12, 3)
     alone = apply_per_bit(a, *factor)
-    monkeypatch.setattr(_walsh, "THREADS_FROM", 0)
+    monkeypatch.setattr(evolution, "THREADS_FROM", 0)
     assert np.array_equal(_bits(apply_per_bit(a, *factor)), _bits(alone))
 
 
@@ -243,7 +243,7 @@ def _raise_in_a_product(monkeypatch, workers: int, raiser: str, tiles: bool) -> 
         except RuntimeError as exc:
             raised.append(exc)
 
-    monkeypatch.setattr(_walsh.np, "matmul", matmul)
+    monkeypatch.setattr(evolution.np, "matmul", matmul)
     before = threading.active_count()
     runner = threading.Thread(target=call, daemon=True)
     runner.start()
@@ -273,8 +273,8 @@ def test_the_kernels_sum_is_the_squared_norm(monkeypatch, workers):
     # StateVector._squared_norm bit for bit.  Amplitudes over eight decades
     # make the order show in the last bits
     _force_threads(monkeypatch, workers)
-    sums, real = [], _walsh.check_unit
-    monkeypatch.setattr(_walsh, "check_unit", lambda total: sums.append(total) or real(total))
+    sums, real = [], evolution.check_unit
+    monkeypatch.setattr(evolution, "check_unit", lambda total: sums.append(total) or real(total))
     for L in range(19):
         lv = Level(L)
         rng = np.random.default_rng(L)
@@ -292,7 +292,7 @@ def test_the_kernel_keeps_openblas_threads_asleep(monkeypatch):
     # The first call also checks random_state, which scales by
     # StateVector.norm: np.linalg.norm of the state would wake the pool,
     # which spins on through that call
-    monkeypatch.setattr(_walsh, "_cpus", lambda: 1)
+    monkeypatch.setattr(evolution, "_cpus", lambda: 1)
     lv = Level(20)
     engine = EvolutionEngine(lv)
     start = random_state(lv, np.random.default_rng(20))

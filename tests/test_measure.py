@@ -27,7 +27,7 @@ from hyperwalk import (
     vacuum_average_value,
     vacuum_state,
 )
-from hyperwalk import _walsh, measure
+from hyperwalk import evolution, measure
 from hyperwalk.cli import _parse_pi_fraction, build_parser, cmd_pst, main
 
 from helpers import (
@@ -94,7 +94,7 @@ def test_distribution_at_squares_evolve_bit_for_bit(L, tile_bytes, monkeypatch):
     # since a change of layout can change the bits at one small level alone;
     # at L = 9 also in tiles of one and two columns
     if tile_bytes:
-        monkeypatch.setattr(_walsh, "TILE_BYTES", tile_bytes)
+        monkeypatch.setattr(evolution, "TILE_BYTES", tile_bytes)
     lv = Level(L)
     engine = EvolutionEngine(lv)
     rng = np.random.default_rng(4000 + L)
@@ -345,7 +345,7 @@ def test_other_starts_take_the_loop(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_dense_average_is_the_loop_on_shared_sweeps(monkeypatch, workers):
     # from L = 18 the kernel shares its sweeps among the workers
-    monkeypatch.setattr(_walsh, "_cpus", lambda: workers)
+    monkeypatch.setattr(evolution, "_cpus", lambda: workers)
     lv = Level(18)
     start = random_state(lv, np.random.default_rng(18))
     assert _same_bits(time_average(start).probs, quadrature_oracle(start))

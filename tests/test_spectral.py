@@ -20,7 +20,7 @@ from hyperwalk import (
     to_eigenbasis,
     vacuum_state,
 )
-from hyperwalk import _walsh
+from hyperwalk import evolution
 from hyperwalk.operators import sign_column
 from hyperwalk.formatting import dumps_json
 from hyperwalk.spectral import ClassTable, basis_start_classes
@@ -54,8 +54,8 @@ def test_the_transforms_do_not_run_the_walk_kernel(monkeypatch, rng):
         raise AssertionError("the change of basis ran the per-bit kernel")
 
     # every kernel call plans its passes, however apply_per_bit was imported
-    monkeypatch.setattr(_walsh, "apply_per_bit", refused)
-    monkeypatch.setattr(_walsh, "_plan", refused)
+    monkeypatch.setattr(evolution, "apply_per_bit", refused)
+    monkeypatch.setattr(evolution, "_plan", refused)
     lv = Level(5)
     xi = random_state(lv, rng)
     signs = sign_column(lv.full_mask, lv.dim)
