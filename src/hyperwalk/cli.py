@@ -20,10 +20,10 @@ import re
 import sys
 from typing import Iterable
 
-from .formatting import SCHEMA, format_float, iter_csv, iter_json
+from .formatting import format_float, iter_csv, iter_document
 from .graph import GRAPH_FORMATS, export_graph
 from .measure import is_symmetric, node_time_average, probability
-from .spectral import basis_start_classes, spectrum
+from .spectral import SpectrumEntry, basis_start_classes, spectrum
 from .subsets import Level, format_node, natural, parse_node, real
 
 # argparse reads an argument as a value rather than an option only when it
@@ -126,11 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_spectrum(args: argparse.Namespace) -> Iterable[str]:
     spec = spectrum(Level(args.L))
     if args.format == "csv":
-        lines = ["eigenvalue,multiplicity,card"]
-        for entry in spec.entries:
-            lines.append(f"{entry.eigenvalue},{entry.multiplicity},{entry.card}")
-        return ["\n".join(lines) + "\n"]
-    return _json_document({"schema": SCHEMA, **spec.to_json_dict()})
+        return ["".join(",".join(map(str, row)) + "\n" for row in (SpectrumEntry._fields, *spec.entries))]
+    return iter_document(spec.level, spec.to_json_dict())  # its "L" is the frame's
 
 
 def cmd_evolve(args: argparse.Namespace) -> Iterable[str]:
@@ -145,17 +142,10 @@ def cmd_evolve(args: argparse.Namespace) -> Iterable[str]:
         real = amps.with_table(tuple(a.real for a in amps.table))
         imag = amps.with_table(tuple(a.imag for a in amps.table))
         return iter_csv("node,probability,amp_re,amp_im", [probs, real, imag])
-    doc: dict = {
-        "schema": SCHEMA,
-        "L": level.L,
-        "engine": "spectral",
-        "initial": format_node(initial_node),
-        "t": t,
-        "probs": probs,
-    }
+    doc: dict = {"engine": "spectral", "initial": format_node(initial_node), "t": t, "probs": probs}
     if args.amplitudes:
         doc["amps"] = amps.with_table(tuple((a.real, a.imag) for a in amps.table))
-    return _json_document(doc)
+    return iter_document(level, doc)
 
 
 def cmd_time_average(args: argparse.Namespace) -> Iterable[str]:
@@ -167,15 +157,13 @@ def cmd_time_average(args: argparse.Namespace) -> Iterable[str]:
         footer = f"# symmetry_max_deviation,{format_float(report.max_deviation)}\n"
         return itertools.chain(iter_csv("node,probability", [probs]), [footer])
     doc = {
-        "schema": SCHEMA,
-        "L": level.L,
         "method": "krawtchouk",
         "initial": format_node(initial_node),
         "probs": probs,
         "symmetry_max_deviation": report.max_deviation,
         "symmetric": report.symmetric,
     }
-    return _json_document(doc)
+    return iter_document(level, doc)
 
 
 def cmd_pst(args: argparse.Namespace) -> Iterable[str]:
@@ -189,8 +177,6 @@ def cmd_pst(args: argparse.Namespace) -> Iterable[str]:
     if args.format == "csv":
         return iter_csv("node,fidelity", [fidelities])
     doc = {
-        "schema": SCHEMA,
-        "L": level.L,
         "from": format_node(source),
         "t0": t0,
         "engine": "spectral",
@@ -199,15 +185,11 @@ def cmd_pst(args: argparse.Namespace) -> Iterable[str]:
         "is_pst": best_fid >= 1.0 - args.tol,
         "fidelities": fidelities,
     }
-    return _json_document(doc)
+    return iter_document(level, doc)
 
 
 def cmd_graph(args: argparse.Namespace) -> Iterable[str]:
     return [export_graph(Level(args.L), args.format)]
-
-
-def _json_document(doc: dict) -> Iterable[str]:
-    return itertools.chain(iter_json(doc), ["\n"])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -216,13 +198,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if [] in vars(args).values():  # argparse of Python <= 3.11 reads --opt=-- as [], past type and choices
             parser.error("'--' is not an option value")
-    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
-        return int(exc.code) if exc.code is not None else 0
-    try:
         # handlers compute and validate everything before they return; only
         # the formatting of the returned chunks is left to the writes below
         chunks = args.handler(args)
-    except ValueError as exc:
+    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
+        return int(exc.code) if exc.code is not None else 0
+    except (ValueError, OverflowError) as exc:  # OverflowError: more digits than int() reads (natural)
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - unexpected runtime failure

@@ -1,19 +1,19 @@
 """Time evolution of the walk, and the per-bit kernel that applies it.
 
 The generator has even integer eigenvalues, so the evolution unitary is
-exactly pi-periodic in time.  It is the tensor power of the one-bit factor
-R(t) = e^{it} D M(t) D, with D = diag(1, -i) and the real reflection
-M(t) = [[cos t, sin t], [sin t, -cos t]]: all the pair (cos t, sin t) of
-``spectral.bit_factor``, which also refuses a time it cannot evaluate
-before anything is allocated.  The per-bit kernel, ``apply_per_bit``,
-takes that pair and applies this unitary and nothing else, from the state
-into a new array in O(dim * (L+1)) per call; for ``distribution_at`` it
-squares each amplitude instead of storing it.  A one-hot start (a basis
-node times a unit phase) is its distance-class table, built from the same
-pair, gathered over the nodes instead (``spectral.basis_start_classes``),
-in O(dim); ``distribution_at`` squares that table's L+2 entries before the
-gather.  The literal-definition oracles it is tested against live in the
-test suite.
+exactly pi-periodic in time.  It is e^{imt} (D M(t) D)^⊗m over the m = L+1
+bits, with D = diag(1, -i) and the real reflection
+M(t) = [[cos t, sin t], [sin t, -cos t]]: all the triple
+(cos t, sin t, e^{imt}) of ``spectral.bit_factor``, which also refuses a
+time it cannot evaluate before anything is allocated.  The per-bit kernel,
+``apply_per_bit``, takes that triple and applies this unitary and nothing
+else, from the state into a new array in O(dim * (L+1)) per call; for
+``distribution_at`` it squares each amplitude instead of storing it.  A
+one-hot start (a basis node times a unit phase) is its distance-class
+table, built from the same triple, gathered over the nodes instead
+(``spectral.basis_start_classes``), in O(dim); ``distribution_at`` squares
+that table's L+2 entries before the gather.  The literal-definition oracles
+it is tested against live in the test suite.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def evolve(engine: EvolutionEngine, initial: StateVector, t: float) -> StateVect
 def _evolve(engine: EvolutionEngine, initial: StateVector, t: float, square: bool = False) -> np.ndarray:
     """evolve's amplitudes, or with square their probabilities: the kernel's
     (dense), or per distance from a node."""
-    factor = bit_factor(t)
+    factor = bit_factor(t, engine.level.L + 1)
     sigma = checked_start(engine, initial)
     if sigma is None:
         return apply_per_bit(initial.amps, *factor, square=square, check=True)
@@ -117,13 +117,13 @@ def one_hot_node(amps: np.ndarray) -> int | None:
     return int(np.argmax(nonzero))
 
 
-def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, square: bool = False, check: bool = False) -> np.ndarray:
-    """(r2 ⊗ ... ⊗ r2) src as a new array, for the walk's one-bit factor
-    r2 = phase * D m2 D with m2 = [[cos_t, sin_t], [sin_t, -cos_t]],
-    phase = cos_t + i sin_t and D = diag(1, d), d = -i: R(t) for
-    (cos t, sin t), spectral.bit_factor's pair, and nothing else.  Entry
-    [s, g] of the operator is the product over bits k of
-    r2[bit k of s, bit k of g].  src is not changed.
+def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, phase: complex, square: bool = False, check: bool = False) -> np.ndarray:
+    """phase * (r2 ⊗ ... ⊗ r2) src as a new array, for r2 = D m2 D with
+    m2 = [[cos_t, sin_t], [sin_t, -cos_t]] and D = diag(1, d), d = -i: the
+    walk's evolution for spectral.bit_factor's triple (cos t, sin t,
+    e^{imt}), and nothing else.  Entry [s, g] of the operator is phase times
+    the product over bits k of r2[bit k of s, bit k of g].  src is not
+    changed.
 
     src must be a contiguous complex128 vector of power-of-two length 2**m.
     The lowest b bits index within a row, and a run is the 2**k amplitudes
@@ -133,12 +133,12 @@ def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, square: bool = Fa
 
     1. Each run of src is read once: its inner units, the real Kronecker
        blocks of m2 on each group of BLOCK_BITS bits from b to k, as real
-       products on the float64 view, then r2's block times phase**(m - b),
-       an integer power, and the outer unit: one of four real 32×32
-       matrices.  It goes to the state, with its inner exit units unless
-       square.  With check, that read sums |src|² in the aligned runs of
-       NORM_RUN that StateVector._squared_norm sums, at every level, and
-       pass 2 starts with operators.check_unit of their sum, which may raise.
+       products on the float64 view, then r2's block times phase and the
+       outer unit: one of four real 32×32 matrices.  It goes to the state,
+       with its inner exit units unless square.  With check, that read
+       sums |src|² in the aligned runs of NORM_RUN that
+       StateVector._squared_norm sums, at every level, and pass 2 starts
+       with operators.check_unit of their sum, which may raise.
     2. Each tile, every row of the state by cols columns, gets the blocks
        of the groups from k up and goes to the result with its outer exit
        units, or with square as operators.probability's bits,
@@ -154,13 +154,13 @@ def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, square: bool = Fa
     if src.ndim != 1 or n != 1 << m or src.dtype != np.complex128 or not src.flags.c_contiguous:
         raise ValueError("expected a contiguous complex128 vector of power-of-two length")
     m2 = np.array([[cos_t, sin_t], [sin_t, -cos_t]], dtype=np.float64)
-    phase, d = complex(cos_t, sin_t), -1j
+    d = -1j
     b, k, cols = _plan(m)
     run, rows = 1 << k, n >> k
     units = np.array([1, d, d * d, d * d * d])
     inner_units = units[np.bitwise_count(np.arange(run) >> b) & 3]
-    r2 = phase * np.array([[m2[0, 0], d * m2[0, 1]], [d * m2[1, 0], d * d * m2[1, 1]]])
-    block_t = (phase ** (m - b) * _kron_power(r2, b)).T
+    r2 = np.array([[m2[0, 0], d * m2[0, 1]], [d * m2[1, 0], d * d * m2[1, 1]]])
+    block_t = (phase * _kron_power(r2, b)).T
     # x + iy times p + iq on interleaved floats: (x, y) @ [[p, q], [-q, p]]
     lowest = [np.kron(z.real, np.eye(2)) + np.kron(z.imag, [[0.0, 1.0], [-1.0, 0.0]]) for z in units[:, None, None] * block_t]
     inner = [(low, _kron_power(m2, min(BLOCK_BITS, k - low))) for low in range(b, k, BLOCK_BITS)]

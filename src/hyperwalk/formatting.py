@@ -17,9 +17,9 @@ import json
 from typing import Any, Iterator, Sequence
 
 from .spectral import ClassTable
-from .subsets import element_strings, format_node
+from .subsets import Level, element_strings, format_node
 
-SCHEMA = "hyperwalk/1"  # the "schema" field of every JSON document the command line writes
+SCHEMA = "hyperwalk/1"  # the "schema" field of every JSON document iter_document writes
 
 # Bytes per CSV chunk: its rows are the most, a power of two, that fit at the
 # widest row.  Above glibc's 128 KiB mmap threshold a chunk is mapped and
@@ -75,6 +75,13 @@ def iter_json(obj: Any) -> Iterator[str]:
         yield "null"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def iter_document(level: Level, fields: dict) -> Iterator[str]:
+    """A JSON document of the command line, as chunks: its schema and level,
+    then fields, then the final newline."""
+    yield from iter_json({"schema": SCHEMA, "L": level.L, **fields})
+    yield "\n"
 
 
 def _table_json(table: ClassTable) -> Iterator[str]:

@@ -7,7 +7,7 @@ stored: edges flip one bit of a node at a time.
 
 from __future__ import annotations
 
-from .formatting import SCHEMA, dumps_json
+from .formatting import iter_document
 from .subsets import Level, format_node
 
 GRAPH_FORMATS = ("dot", "json", "edge-list")
@@ -40,7 +40,7 @@ def export_graph(level: Level, fmt: str) -> str:
     _check_export_size(level)
     if fmt == "json":
         pairs = [[a, b] for a, b in edges(level)]
-        return dumps_json({"schema": SCHEMA, "L": level.L, "vertices": level.dim, "edges": pairs}) + "\n"
+        return "".join(iter_document(level, {"vertices": level.dim, "edges": pairs}))
     if fmt == "dot":
         lines = [f'graph "hypercube_L{level.L}" {{']
         for a, b in edges(level):

@@ -123,7 +123,7 @@ def time_average(
     m = level.L + 2
     probs = np.zeros(level.dim, dtype=np.float64)
     for j in range(m):
-        probs += apply_per_bit(initial.amps, *bit_factor(j * math.pi / m), square=True, check=j == 0)
+        probs += apply_per_bit(initial.amps, *bit_factor(j * math.pi / m, level.L + 1), square=True, check=j == 0)
     probs /= m
     return TimeAverageDistribution(level=level, probs=probs, method="quadrature")
 

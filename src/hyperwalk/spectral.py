@@ -1,14 +1,14 @@
 """The walk's one-bit factor, its node-start tables, the eigenbasis of the
 flip-sum Laplacian and the fast change of basis.
 
-bit_factor alone computes the walk's phase, the pair (cos t, sin t), which
-the per-bit kernel and the node-start tables both take.  The Laplacian
-diagonalizes over signed vectors indexed by the same node bitmasks as the
-canonical basis.  The change of basis has kernel (-1)**popcount(g & ~s) /
-sqrt(dim) in (row s, column g): the parity sign (-1)**popcount(g), the ±1
-transform's (-1)**popcount(g & s), an in-place butterfly that shares nothing
-with the walk's per-bit kernel, and one scale, cross-checked against the
-literal kernel in the test suite.
+bit_factor alone computes the walk's phase, the triple (cos t, sin t,
+e^{imt}), which the per-bit kernel and the node-start tables both take.
+The Laplacian diagonalizes over signed vectors indexed by the same node
+bitmasks as the canonical basis.  The change of basis has kernel
+(-1)**popcount(g & ~s) / sqrt(dim) in (row s, column g): the parity sign
+(-1)**popcount(g), the ±1 transform's (-1)**popcount(g & s), an in-place
+butterfly that shares nothing with the walk's per-bit kernel, and one
+scale, cross-checked against the literal kernel in the test suite.
 """
 
 from __future__ import annotations
@@ -39,19 +39,15 @@ class Spectrum(NamedTuple):
     entries: tuple[SpectrumEntry, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "L": self.level.L,
-            "entries": [
-                {"eigenvalue": e.eigenvalue, "multiplicity": e.multiplicity, "card": e.card}
-                for e in self.entries
-            ],
-        }
+        return {"L": self.level.L, "entries": [e._asdict() for e in self.entries]}
 
 
-def bit_factor(t: float) -> tuple[float, float]:
-    """(cos t, sin t): the walk's one-bit factor e^{it}(cos t I - i sin t X)
-    = e^{it} D M(t) D, M(t) = [[cos t, sin t], [sin t, -cos t]] and
-    D = diag(1, -i), whose tensor power over the L+1 bits is the evolution.
+def bit_factor(t: float, m: int) -> tuple[float, float, complex]:
+    """(cos t, sin t, e^{imt}): the walk's one-bit factor
+    e^{it}(cos t I - i sin t X) = e^{it} D M(t) D, M(t) = [[cos t, sin t],
+    [sin t, -cos t]] and D = diag(1, -i), whose tensor power over the m = L+1
+    bits is the evolution, e^{imt} (D M(t) D)^⊗m.  The global phase e^{imt}
+    is the integer power of cos t + i sin t scaled back to modulus 1.
 
     The one check of a time: it must be finite, and an int must convert to a
     float.  libm reduces the exact t correctly at any magnitude; reducing t by
@@ -60,22 +56,21 @@ def bit_factor(t: float) -> tuple[float, float]:
     if not (isinstance(t, int) or math.isfinite(t)):
         raise ValueError(f"time must be finite, got {t!r}")
     try:
-        return math.cos(t), math.sin(t)
+        cos_t, sin_t = math.cos(t), math.sin(t)
     except OverflowError:  # an int beyond the float range, named by its size
         raise ValueError(f"time {'-' if t < 0 else ''}<int of {t.bit_length()} bits> is beyond the float range") from None
+    phase = complex(cos_t, sin_t) ** m
+    return cos_t, sin_t, phase / abs(phase)
 
 
 def basis_start_classes(level: Level, sigma: int, t: float) -> ClassTable:
     """Amplitudes at time t of the walk started from node sigma, a product
     state (see bit_factor): over m = L+1 bits, node g holds
     cos(t)**(m-d) (-i sin t)**d e^{imt}, d = popcount(g ^ sigma), one entry
-    per distance, with e^{imt} the integer power of cos t + i sin t scaled
-    back to modulus 1.
+    per distance.
     """
-    cos_t, sin_t = bit_factor(t)
     m = level.L + 1
-    phase = complex(cos_t, sin_t) ** m
-    phase /= abs(phase)
+    cos_t, sin_t, phase = bit_factor(t, m)
     table = (cos_t ** (m - d) * sin_t**d * (1, -1j, -1, 1j)[d % 4] * phase for d in range(m + 1))
     return ClassTable(level, sigma, tuple(table))
 
@@ -122,12 +117,12 @@ class ClassTable(NamedTuple):
 
     def argmax(self) -> int:
         """np.argmax of materialize() for a table of real numbers: the smallest
-        node at a distance that holds the largest entry, in the first grid row
-        whose class holds it."""
-        classes, rows = self.grid()
+        node at a distance that holds the largest entry.  The smallest node at
+        distance d flips the first d of flips: sigma's set bits from the
+        highest down, then the bits it lacks from the lowest up."""
         best = max(self.table)
-        i = next(i for i, r in enumerate(rows) if best in classes[r])
-        return i * len(classes[0]) + classes[rows[i]].index(best)
+        flips = sorted((1 << k for k in range(self.level.L + 1)), key=lambda bit: -bit if self.sigma & bit else bit)
+        return min(self.sigma ^ sum(flips[:d]) for d, x in enumerate(self.table) if x == best)
 
 
 def spectrum(level: Level) -> Spectrum:

@@ -15,11 +15,18 @@ MAX_LEVEL_ENV_VAR = "HYPERWALK_L_MAX"
 
 def natural(text: str) -> int:
     """int(text) for the ASCII digits 0-9 alone, else ValueError: int() also
-    takes whitespace, a sign, "_" and other scripts' digits.  Every integer
-    read from text (node elements, --L, pi fractions, the cap) takes it."""
+    takes whitespace, a sign, "_" and other scripts' digits.  Leading zeros
+    are dropped first; digits that are still more than int() reads
+    (sys.get_int_max_str_digits) raise OverflowError, named by their count.
+    Every integer read from text (node elements, --L, pi fractions, the cap)
+    takes it."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"expected the digits 0-9 alone, got {text!r}")
-    return int(text)
+    digits = text.lstrip("0") or "0"
+    try:
+        return int(digits)
+    except ValueError:
+        raise OverflowError(f"an integer of {len(digits)} digits is beyond int()'s digit limit") from None
 
 
 def real(text: str) -> float:

@@ -219,7 +219,7 @@ def test_criterion_07_closed_form_consistency():
             evolved = distribution_at(engine, vac, t).probs
             closed = closed_form_distribution(lv, t).probs
             grouped = krawtchouk_vacuum_probs(L, t)
-            kernel = apply_per_bit(vac.amps, *bit_factor(t), square=True)
+            kernel = apply_per_bit(vac.amps, *bit_factor(t, L + 1), square=True)
             legs = [evolved, closed, grouped, kernel]
             dev = max(
                 float(np.abs(legs[i] - legs[j]).max())

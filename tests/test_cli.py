@@ -592,6 +592,43 @@ def test_a_pi_fraction_whose_pi_times_p_overflows_is_served(capsys, argv):
     assert huge[0] == 0, huge[2]
 
 
+# int() reads at most sys.get_int_max_str_digits() digits (4300 by default; 0 is no limit)
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize(
+    "long, short",
+    [
+        (["--t", "0.7", "--initial", "0" * 5000 + "1"], ["--t", "0.7", "--initial", "1"]),
+        (["--L", "0" * 5000 + "1", "--t", "0.7"], ["--L", "1", "--t", "0.7"]),
+        (["--t-pi-fraction", "0" * 5000 + "1/2"], ["--t-pi-fraction", "1/2"]),
+        (["--t-pi-fraction", "-" + "0" * 5000 + "3/" + "0" * 5000 + "4"], ["--t-pi-fraction", "-3/4"]),
+    ],
+    ids=["initial", "L", "fraction", "signed fraction"],
+)
+def test_leading_zeros_do_not_count_against_the_digit_limit(capsys, long, short):
+    served = run_cli(capsys, "evolve", "--L", "1", *long, "--amplitudes")
+    assert served == run_cli(capsys, "evolve", "--L", "1", *short, "--amplitudes")
+    assert served[0] == 0, served[2]
+
+
+@pytest.mark.skipif(not _DIGIT_LIMIT, reason="int() reads any number of digits here")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--t-pi-fraction", "1" + "0" * _DIGIT_LIMIT + "/3"],
+        ["--t-pi-fraction", "1/3" + "0" * _DIGIT_LIMIT],
+        ["--t", "0.7", "--initial", "0" * 50 + "1" + "0" * _DIGIT_LIMIT],
+        ["--L", "1" + "0" * _DIGIT_LIMIT, "--t", "0.7"],
+    ],
+    ids=["numerator", "denominator", "initial", "L"],
+)
+def test_digits_beyond_the_limit_are_refused_by_their_count(capsys, argv):
+    code, out, err = run_cli(capsys, "evolve", "--L", "1", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: an integer of {_DIGIT_LIMIT + 1} digits is beyond int()'s digit limit\n"
+
+
 @pytest.mark.parametrize(
     "command, option, value",
     [
@@ -621,11 +658,13 @@ def test_pst_holds_at_a_large_pi_fraction(capsys):
 
 
 HOSTILE = ["", " ", "\n", "nan", "inf", "-inf", "1e400", "1e308", "9" * 5000, "1/1" + "0" * 400, "3/2/1", "1/0",
-           "{", "}", "{{1}}", ",", "1,1", "\0", "\u0663", "\u00e9", "0x10", "1_0", "+1", "-0", "-", "--", "--t", "json"]
+           "{", "}", "{{1}}", ",", "1,1", "\0", "\u0663", "\u00e9", "0x10", "1_0", "+1", "-0", "-", "--", "--t", "json",
+           "0" * 5000 + "1", "0" * 5000 + "1/2", "1" + "0" * 4400, "1/3" + "0" * 4400]
 # the hostile atoms some option takes: whitespace is the empty node, a float
-# may carry a sign and 1e308 is a finite --tol; without Python's limit on
-# digits a 5000-digit numerator is a whole number of periods
-TAKEN = {"", " ", "\n", "1e308", "9" * 5000, "+1", "-0", "json"}
+# may carry a sign and 1e308 is a finite --tol; leading zeros are dropped, so
+# 0...01 is 1 and 0...01/2 a time; without Python's limit on digits a
+# numerator of 5000 digits or of 4401 is a whole number of periods
+TAKEN = {"", " ", "\n", "1e308", "9" * 5000, "+1", "-0", "json", "0" * 5000 + "1", "0" * 5000 + "1/2", "1" + "0" * 4400}
 LEVELS = ["0", "1", "2", "3", "4"]
 TIMES, FRACTIONS, NODES = ["0", "0.7", "-2.5", "1e-3"], ["1/2", "-3/-2", "3"], ["0", "1,3", "{0,2}", "{}", "\u2205", "5"]
 OPTIONS = {
@@ -670,14 +709,15 @@ def test_fuzzed_arguments_exit_0_or_2(capsys, monkeypatch):
             if not usage and argv[2] in LEVELS and not re.search("out of range|L must be in", err):
                 reruns.append((argv[:2] + ["24"] + argv[3:], "" if cap == "3" else cap))
             continue
-        assert cap in ("", "24", "3") and set(hostile) <= TAKEN, (argv, cap)
+        assert cap in ("", "24", "3", "0" * 5000 + "1") and set(hostile) <= TAKEN, (argv, cap)
+        L = int(argv[2].lstrip("0") or "0")
         formats = [a.partition("=")[2] or argv[i + 1] for i, a in enumerate(argv) if a.startswith("--format")]
         fmt = (formats or OPTIONS[command]["--format"][:1])[-1]  # the default first
         if fmt == "csv":
             rows = [line for line in out.splitlines()[1:] if not line.startswith("#")]
-            assert len(rows) == (int(argv[2]) + 2 if command == "spectrum" else 2 << int(argv[2])), argv
+            assert len(rows) == (L + 2 if command == "spectrum" else 2 << L), argv
         elif fmt == "json":
-            assert json.loads(out)["L"] == int(argv[2]), argv
+            assert json.loads(out)["L"] == L, argv
     tracemalloc.start()
     try:
         for argv, cap in reruns:

@@ -24,11 +24,12 @@ def _kron_power(m2: np.ndarray, m: int) -> np.ndarray:
 
 
 def _random_case(m: int, seed: int):
-    """A random real (cos_t, sin_t), not on the unit circle, and a random state."""
+    """A random real (cos_t, sin_t), not on the unit circle, with the phase
+    (cos_t + i sin_t)**m that _one_bit's power carries, and a random state."""
     rng = np.random.default_rng(seed)
-    factor = tuple(rng.standard_normal(2).tolist())
+    cos_t, sin_t = rng.standard_normal(2).tolist()
     a = rng.standard_normal(1 << m) + 1j * rng.standard_normal(1 << m)
-    return factor, a
+    return (cos_t, sin_t, complex(cos_t, sin_t) ** m), a
 
 
 def _one_bit(cos_t, sin_t) -> np.ndarray:
@@ -52,10 +53,10 @@ def _check(m: int, seed: int, monkeypatch) -> None:
     # two random real pairs, off the unit circle, and the walk's own at a
     # random time
     cases = [_random_case(m, seed), _random_case(m, seed + 1)]
-    cases.append((bit_factor(np.random.default_rng(seed).uniform(-4, 4)), cases[0][1]))
+    cases.append((bit_factor(np.random.default_rng(seed).uniform(-4, 4), m), cases[0][1]))
     for case, (factor, a) in enumerate(cases):
         source = a.copy()
-        expected = _kron_power(_one_bit(*factor), m) @ a
+        expected = _kron_power(_one_bit(*factor[:2]), m) @ a
         got = apply_per_bit(a, *factor)
         assert np.array_equal(a, source), (m, case)
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max(), (m, case)
@@ -94,7 +95,7 @@ def _products(m: int) -> list:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evolution.np, "matmul", recorded)
-        apply_per_bit(np.zeros(1 << m, dtype=np.complex128), 1.0, 0.0, square=True)
+        apply_per_bit(np.zeros(1 << m, dtype=np.complex128), 1.0, 0.0, 1.0, square=True)
     return shapes
 
 
@@ -239,7 +240,7 @@ def _raise_in_a_product(monkeypatch, workers: int, raiser: str, tiles: bool) -> 
 
     def call():
         try:
-            apply_per_bit(a, 1.0, 0.0, square=True)
+            apply_per_bit(a, 1.0, 0.0, 1.0, square=True)
         except RuntimeError as exc:
             raised.append(exc)
 
@@ -326,7 +327,7 @@ def test_the_exact_factors_are_exact(monkeypatch, workers, cos_t, sin_t, exact):
     _force_threads(monkeypatch, workers)
     for m in range(1, 20):
         _, a = _random_case(m, m)
-        assert np.array_equal(_bits(apply_per_bit(a, cos_t, sin_t)), _bits(exact(a))), m
+        assert np.array_equal(_bits(apply_per_bit(a, cos_t, sin_t, complex(cos_t, sin_t) ** m)), _bits(exact(a))), m
 
 
 def _qubit_product(qubits: np.ndarray) -> np.ndarray:
@@ -355,7 +356,7 @@ def test_the_kernel_at_the_level_cap(monkeypatch):
     engine = EvolutionEngine(lv)
     for call, power in ((evolve, 1), (distribution_at, 2)):  # evolve first: no intermediate beside it
         for t in (0.7, -2.9):
-            high, low = halves(qubits @ _one_bit(*bit_factor(t)).T)
+            high, low = halves(qubits @ _one_bit(*bit_factor(t, 25)[:2]).T)
             got = call(engine, start, t)
             got = (got.amps if power == 1 else got.probs).reshape(len(high), len(low))
             err = 0.0
@@ -378,4 +379,4 @@ def test_the_kernel_at_the_level_cap(monkeypatch):
 )
 def test_apply_per_bit_rejects_what_it_cannot_apply(src):
     with pytest.raises(ValueError):
-        apply_per_bit(src, 1.0, 0.0)
+        apply_per_bit(src, 1.0, 0.0, 1.0)

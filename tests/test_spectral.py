@@ -226,6 +226,30 @@ def test_class_table_argmax_is_numpy_argmax_with_ties(rng):
         assert table.argmax() == int(np.argmax(table.materialize()))
 
 
+def test_class_table_argmax_is_numpy_argmax_from_every_node():
+    # every node of L <= 4 under tables whose best is at d = 0, at d = m, at
+    # one distance between, at several at once and at all of them
+    for L in range(5):
+        lv, m = Level(L), L + 1
+        bests = [{0}, {m}, {m // 2}, {0, m}, {1, m}, set(range(1, m + 1, 2)), set(range(m + 1))]
+        for sigma in range(lv.dim):
+            for best in bests:
+                table = ClassTable(lv, sigma, tuple(1.0 if d in best else 0.5 for d in range(m + 1)))
+                assert table.argmax() == int(np.argmax(table.materialize())), (L, sigma, best)
+
+
+def test_class_table_argmax_at_the_level_cap(monkeypatch):
+    # the transfer to the complement, pst's target at pi/2, without a node scan
+    monkeypatch.delenv("HYPERWALK_L_MAX", raising=False)
+    lv = Level(24)
+    for sigma in (0, 0b100001, lv.full_mask, 0x5A5A5A):
+        fidelities = basis_start_classes(lv, sigma, math.pi / 2)
+        assert fidelities.with_table(tuple(map(abs, fidelities.table))).argmax() == lv.full_mask ^ sigma
+        # the best at distance 1 alone: sigma's highest set bit cleared, or bit 0 set
+        one = ClassTable(lv, sigma, tuple(float(d == 1) for d in range(26)))
+        assert one.argmax() == (sigma ^ 1 << sigma.bit_length() - 1 if sigma else 1)
+
+
 def test_basis_start_classes_gather_to_evolve():
     for L in (0, 3, 6):
         lv = Level(L)

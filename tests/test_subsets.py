@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hyperwalk import (
     parse_node,
     vacuum_state,
 )
-from hyperwalk.subsets import element_strings
+from hyperwalk.subsets import element_strings, natural
 
 from helpers import complement, is_adjacent, setminus_card
 
@@ -167,6 +168,25 @@ BAD_NODES = [*[(text, 2) for text in ("5", "0,0", "0,,1", "a", "0;1", "-1")], *[
 def test_parse_node_rejects_bad_input(text, L):
     with pytest.raises(ValueError):
         parse_node(text, Level(L))
+
+
+def test_natural_drops_leading_zeros_and_names_a_long_integer_by_its_digits(monkeypatch):
+    assert natural("0" * 5000 + "1") == 1
+    assert natural("0" * 5000) == natural("0") == 0
+    assert parse_node("0" * 5000 + "2, 0", Level(2)) == 0b101
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("int() reads any number of digits here")
+    assert natural("0" * 9 + "7" * limit) == int("7" * limit)
+    long = "0" + "7" * (limit + 1)
+    message = f"^an integer of {limit + 1} digits is beyond int\\(\\)'s digit limit$"
+    with pytest.raises(OverflowError, match=message):
+        natural(long)
+    with pytest.raises(OverflowError, match=message):
+        parse_node(long, Level(2))
+    monkeypatch.setenv("HYPERWALK_L_MAX", long)
+    with pytest.raises(OverflowError, match=message):
+        Level(1)
 
 
 def test_format_node_canonical():
