@@ -20,8 +20,7 @@ import re
 import sys
 from typing import Iterable
 
-from .formatting import format_float, iter_csv, iter_document
-from .graph import GRAPH_FORMATS, export_graph
+from .formatting import GRAPH_FORMATS, export_graph, format_float, iter_csv, iter_document
 from .measure import is_symmetric, node_time_average, probability
 from .spectral import SpectrumEntry, basis_start_classes, spectrum
 from .subsets import Level, format_node, natural, parse_node, real

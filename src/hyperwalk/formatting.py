@@ -1,4 +1,4 @@
-"""Deterministic text output: fixed float formatting and stable JSON and CSV writers.
+"""Deterministic text output: fixed float formatting, stable JSON and CSV writers, graph exports.
 
 The writers produce their text as a sequence of chunks, so a caller can
 stream a document without holding it whole.  JSON takes Python values and
@@ -17,8 +17,10 @@ import json
 from typing import Any, Iterator, Sequence
 
 from .spectral import ClassTable
-from .subsets import Level, element_strings, format_node
+from .subsets import Level, edges, element_strings, format_node
 
+GRAPH_FORMATS = ("dot", "json", "edge-list")
+EXPORT_CAP = 4096  # most vertices export_graph writes
 SCHEMA = "hyperwalk/1"  # the "schema" field of every JSON document iter_document writes
 
 # Bytes per CSV chunk: its rows are the most, a power of two, that fit at the
@@ -82,6 +84,25 @@ def iter_document(level: Level, fields: dict) -> Iterator[str]:
     then fields, then the final newline."""
     yield from iter_json({"schema": SCHEMA, "L": level.L, **fields})
     yield "\n"
+
+
+def export_graph(level: Level, fmt: str) -> str:
+    """Text export of the graph; deterministic vertex and edge order.  A graph
+    above EXPORT_CAP vertices is refused before any edge is built."""
+    if fmt not in GRAPH_FORMATS:
+        raise ValueError(f"unknown graph format {fmt!r}; expected one of {GRAPH_FORMATS}")
+    if level.dim > EXPORT_CAP:
+        raise ValueError(f"graph with {level.dim} vertices too large for export (cap {EXPORT_CAP})")
+    if fmt == "json":
+        pairs = [[a, b] for a, b in edges(level)]
+        return "".join(iter_document(level, {"vertices": level.dim, "edges": pairs}))
+    if fmt == "dot":
+        lines = [f'graph "hypercube_L{level.L}" {{']
+        for a, b in edges(level):
+            lines.append(f'  "{format_node(a)}" -- "{format_node(b)}";')
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+    return "".join(f"{format_node(a)} {format_node(b)}\n" for a, b in edges(level))
 
 
 def _table_json(table: ClassTable) -> Iterator[str]:

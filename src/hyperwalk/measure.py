@@ -144,16 +144,6 @@ def _period_averages(m: int) -> list[float]:
     return [odd[m - d] * odd[d] / even for d in range(m + 1)]
 
 
-def vacuum_average_value(level: Level) -> Fraction:
-    """Exact average occupation of the empty node (and of the full node) for
-    the vacuum-start walk: odd double factorial over even double factorial,
-    (2L+1)!!/(2L+2)!! = C(2m, m)/4**m with m = L+1."""
-    from fractions import Fraction  # kept off the command line's imports
-
-    m = level.L + 1
-    return Fraction(math.comb(2 * m, m), 4**m)
-
-
 def is_symmetric(dist: TimeAverageDistribution | Distribution | ClassTable) -> SymmetryReport:
     """Check invariance under node complement: symmetric when no node's value
     differs from its complement's by more than SYMMETRY_TOL.  Reports the

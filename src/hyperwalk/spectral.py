@@ -50,17 +50,32 @@ def bit_factor(t: float, m: int) -> tuple[float, float, complex]:
     is the integer power of cos t + i sin t scaled back to modulus 1.
 
     The one check of a time: it must be finite, and an int must convert to a
-    float.  libm reduces the exact t correctly at any magnitude; reducing t by
-    the float pi first would round the phase away at large t.
+    float.  libm reduces a float t exactly, _reduced an int (numpy's too) that
+    no float holds; reducing t by the float pi would round the phase away.
     """
+    t = int(t) if hasattr(t, "__index__") else t
     if not (isinstance(t, int) or math.isfinite(t)):
         raise ValueError(f"time must be finite, got {t!r}")
     try:
-        cos_t, sin_t = math.cos(t), math.sin(t)
+        x = _reduced(t) if isinstance(t, int) and float(t) != t else t
     except OverflowError:  # an int beyond the float range, named by its size
         raise ValueError(f"time {'-' if t < 0 else ''}<int of {t.bit_length()} bits> is beyond the float range") from None
+    cos_t, sin_t = math.cos(x), math.sin(x)
     phase = complex(cos_t, sin_t) ** m
     return cos_t, sin_t, phase / abs(phase)
+
+
+def _reduced(t: int) -> float:
+    """The float nearest t - 2πk, k = round(t / 2π), with 2π·2**p, p = t.bit_length() + 80,
+    from Machin's formula π/4 = 4 arctan(1/5) - arctan(1/239) in integers."""
+    p, two_pi = t.bit_length() + 80, 0
+    for weight, x in ((32, 5), (-8, 239)):  # the arctan(1/x) series, term by term
+        term, n = (weight << p) // x, 1
+        while term:
+            two_pi += term // n
+            term, n = -term // (x * x), n + 2
+    k = ((t << p) + two_pi // 2) // two_pi
+    return ((t << p) - k * two_pi) / (1 << p)
 
 
 def basis_start_classes(level: Level, sigma: int, t: float) -> ClassTable:

@@ -2,7 +2,8 @@
 
 A node is a subset of {0, ..., L} encoded little-endian as a nonnegative
 integer (element k set iff bit k set), so the node doubles as the index of
-its basis vector in a state array of length 2**(L+1).
+its basis vector in a state array of length 2**(L+1).  Masks that differ in
+one bit are adjacent: the nodes are the (L+1)-dimensional hypercube graph.
 """
 
 from __future__ import annotations
@@ -90,6 +91,18 @@ def format_node(sigma: int) -> str:
     The empty set prints as "{}".
     """
     return "{" + ",".join(str(k) for k in elements(sigma)) + "}"
+
+
+def edges(level: Level) -> list[tuple[int, int]]:
+    """Every edge once, smaller index first, sorted lexicographically.  The
+    graph is never stored: each edge flips one bit of a node."""
+    out = []
+    for sigma in range(level.dim):
+        for k in range(level.L + 1):
+            tau = sigma ^ (1 << k)
+            if sigma < tau:
+                out.append((sigma, tau))
+    return out
 
 
 def element_strings(n: int) -> list[str]:

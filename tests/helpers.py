@@ -6,13 +6,19 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, getcontext, localcontext
+from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 from typing import Any
 
 import numpy as np
 import pytest
 
+import hyperwalk
 from hyperwalk import (
     EvolutionEngine,
     Level,
@@ -141,8 +147,7 @@ def evolve_dense(initial: StateVector, t: float) -> StateVector:
 def evolve_product(initial: StateVector, t: float) -> StateVector:
     """The walk as the literal product of its commuting one-element factors,
     each acting as e^{it} (cos t - i sin t * flip of its bit)."""
-    cos_t = math.cos(t)
-    sin_t = math.sin(t)
+    cos_t, sin_t = cos_sin(t)
     phase = complex(cos_t, sin_t)
     idx = np.arange(initial.level.dim)
     out = initial.amps
@@ -205,6 +210,12 @@ def literal_time_average(sigma: int, L: int) -> float:
                     setminus_card(sigma, g1, full) + setminus_card(sigma, g2, full)
                 )
     return total / dim**2
+
+
+def vacuum_average_value(L: int) -> Fraction:
+    """Exact period average of the empty node (and of the full node) from the
+    vacuum: (2L+1)!!/(2L+2)!!, as the literal double-factorial products."""
+    return Fraction(math.prod(range(1, 2 * L + 2, 2)), math.prod(range(2, 2 * L + 3, 2)))
 
 
 def pair_sum_average(level: Level) -> np.ndarray:
@@ -326,7 +337,7 @@ def product_state_amplitudes(L: int, sigma: int, t: float) -> np.ndarray:
     Only cos t and sin t of the unreduced t enter, so it holds at any |t|.
     """
     m = L + 1
-    cos_t, sin_t = math.cos(t), math.sin(t)
+    cos_t, sin_t = cos_sin(t)
     phase = complex(cos_t, sin_t) ** m
     by_distance = [phase * cos_t ** (m - d) * (-1j * sin_t) ** d for d in range(m + 1)]
     return np.array([by_distance[popcount(g ^ sigma)] for g in range(1 << m)])
@@ -366,6 +377,17 @@ def _decimal_cos_sin(x: Decimal) -> tuple[Decimal, Decimal]:
         n += 1
         term = term * r / n
     return [(cos_r, sin_r), (-sin_r, cos_r), (-cos_r, -sin_r), (sin_r, -cos_r)][int(k % 4)]
+
+
+def cos_sin(t: float) -> tuple[float, float]:
+    """(cos t, sin t) at t's own value: libm's for a float or an int that a
+    float holds, else _decimal_cos_sin's of the exact int, each rounded once."""
+    if not hasattr(t, "__index__") or float(t) == int(t):
+        return math.cos(t), math.sin(t)
+    with localcontext() as ctx:
+        ctx.prec = 40 + len(str(int(t)))
+        cos_t, sin_t = _decimal_cos_sin(Decimal(int(t)))
+        return float(cos_t), float(sin_t)
 
 
 def reference_node_table(m: int, t: float) -> list[tuple[Decimal, Decimal, Decimal]]:
@@ -467,3 +489,36 @@ def assert_same_text(actual: str, expected: str) -> None:
         f"documents of {len(actual)} and {len(expected)} characters differ at character {lo}, "
         f"line {line}: {actual[around]!r} != {expected[around]!r}"
     )
+
+
+# python -c _MEASURED CODE ARG... runs CODE with sys.argv[1:] = [ARG...], then
+# writes the process's own peak resident set, VmHWM (which exec resets), as
+# the last line of stderr.  ru_maxrss is no such measure: a child's includes
+# the peak of the process that forked it, and RUSAGE_SELF is the peak of the
+# whole test session.
+_MEASURED = """
+import sys
+code = sys.argv.pop(1)
+try:
+    exec(compile(code, "<measured>", "exec"), {"__name__": "__main__"})
+finally:
+    with open("/proc/self/status") as status:
+        sys.stderr.write(next(line for line in status if line.startswith("VmHWM:")))
+"""
+
+
+def start_measured(code: str, *args: str, **popen: Any) -> subprocess.Popen:
+    """A fresh interpreter that runs code on this checkout's sources, with
+    these helpers importable and no HYPERWALK_L_MAX, and reports its own peak
+    resident set for peak_kib."""
+    env = {k: v for k, v in os.environ.items() if k != "HYPERWALK_L_MAX"}
+    paths = [str(Path(hyperwalk.__file__).parents[1]), str(Path(__file__).parent), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(paths)
+    return subprocess.Popen([sys.executable, "-c", _MEASURED, code, *args], env=env, **popen)
+
+
+def peak_kib(stderr: bytes) -> int:
+    """The peak resident set in KiB that a start_measured child wrote last to stderr."""
+    name, value, unit = stderr.splitlines()[-1].split()
+    assert (name, unit) == (b"VmHWM:", b"kB"), stderr[-200:]
+    return int(value)

@@ -4,9 +4,9 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 Tolerances are pinned here and nowhere else.
 """
 
+import json
 import math
-import resource
-import time
+import subprocess
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +23,6 @@ from hyperwalk import (
     pst_check,
     spectrum,
     time_average,
-    vacuum_average_value,
     vacuum_state,
 )
 from hyperwalk.evolution import apply_per_bit
@@ -39,7 +38,10 @@ from helpers import (
     neighborhood,
     operator_matrix,
     pair_sum_average,
+    peak_kib,
     random_state,
+    start_measured,
+    vacuum_average_value,
 )
 
 
@@ -162,8 +164,8 @@ def test_criterion_05_time_average_value():
     for L in range(11):
         lv = Level(L)
         vac = vacuum_state(lv)
-        exact = float(vacuum_average_value(lv))
-        if vacuum_average_value(lv) != Fraction(math.comb(2 * L + 2, L + 1), 4 ** (L + 1)):
+        exact = float(vacuum_average_value(L))
+        if vacuum_average_value(L) != Fraction(math.comb(2 * L + 2, L + 1), 4 ** (L + 1)):
             failures.append(f"L={L}: double-factorial and binomial forms disagree")
         if L in spot and exact != spot[L]:
             failures.append(f"L={L}: exact value {exact} != spot value {spot[L]}")
@@ -301,29 +303,39 @@ def test_criterion_09_engine_triangulation():
 
 def test_criterion_10_performance():
     # the vacuum takes the gathered class table of a basis start; a dense
-    # state takes the per-bit sweep under the same budget
+    # state takes the per-bit sweep under the same budget.  Both run in a
+    # fresh process, whose own peak is the one bounded
+    code = """
+import json, time
+import numpy as np
+from hyperwalk import EvolutionEngine, Level, distribution_at, vacuum_state
+from helpers import random_state
+lv = Level(20)
+engine = EvolutionEngine(lv)
+runs = []
+for name, initial in (("vacuum", vacuum_state(lv)), ("dense", random_state(lv, np.random.default_rng(1010)))):
+    start = time.perf_counter()
+    dist = distribution_at(engine, initial, 0.7853981633974483)
+    runs.append([name, time.perf_counter() - start, float(dist.probs.sum())])
+print(json.dumps(runs))
+"""
+    proc = start_measured(code, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    out, err = proc.communicate()
+    assert proc.returncode == 0, err.decode()
     failures = []
-    lv = Level(20)
-    engine = EvolutionEngine(lv)
     timings = []
-    for name, initial in (
-        ("vacuum", vacuum_state(lv)),
-        ("dense", random_state(lv, np.random.default_rng(1010))),
-    ):
-        start = time.perf_counter()
-        dist = distribution_at(engine, initial, 0.7853981633974483)
-        elapsed = time.perf_counter() - start
+    for name, elapsed, total in json.loads(out):
         timings.append(f"{name} {elapsed:.2f}s")
         if elapsed >= 5.0:
             failures.append(f"{name}: evolve plus distribution took {elapsed:.2f}s")
-        if abs(float(dist.probs.sum()) - 1.0) > 1e-10:
+        if abs(total - 1.0) > 1e-10:
             failures.append(f"{name}: distribution does not sum to 1")
-    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if peak_kib >= 1024 * 1024:
-        failures.append(f"peak memory {peak_kib / 1024:.0f} MiB")
+    peak = peak_kib(err)
+    if peak >= 1024 * 1024:
+        failures.append(f"peak memory {peak / 1024:.0f} MiB")
     _report(
         10,
         "performance",
         failures,
-        f"{', '.join(timings)} for {lv.dim} amplitudes, peak rss {peak_kib / 1024:.0f} MiB",
+        f"{', '.join(timings)} for {Level(20).dim} amplitudes, peak rss {peak / 1024:.0f} MiB",
     )

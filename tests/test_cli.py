@@ -19,16 +19,20 @@ from hyperwalk import (
     export_graph,
     format_node,
     is_symmetric,
+    parse_node,
     spectrum,
     time_average,
 )
 import hyperwalk
-from hyperwalk import graph
-from hyperwalk.cli import _parse_pi_fraction, main
+from hyperwalk import formatting
+from hyperwalk.cli import _parse_pi_fraction, build_parser, main
 from hyperwalk.formatting import format_float
+from hyperwalk.measure import node_time_average
+from hyperwalk.operators import probability
 from hyperwalk.spectral import ClassTable, basis_start_classes
 
-from helpers import assert_same_text, is_adjacent, product_state_amplitudes, reference_csv, reference_dumps_json
+from helpers import (assert_same_text, is_adjacent, peak_kib, product_state_amplitudes, reference_csv, reference_dumps_json,
+                     start_measured)
 
 
 def run_cli(capsys, *argv):
@@ -454,7 +458,7 @@ def test_graph_export_above_the_cap_is_refused(tmp_path, capsys, monkeypatch, fm
     def refuse(*args):
         raise AssertionError("edges built despite the export cap")
 
-    monkeypatch.setattr(graph, "edges", refuse)
+    monkeypatch.setattr(formatting, "edges", refuse)
     target = tmp_path / "never.out"
     code, out, err = run_cli(capsys, "graph", "--L", "12", "--format", fmt, "--out", str(target))
     assert code == 2
@@ -537,12 +541,12 @@ def test_node_starts_gather_nothing_node_sized(tmp_path, capsys, monkeypatch):
 
 
 def test_evolve_at_the_level_cap_streams_in_little_memory():
-    # L = 24: 2**25 probabilities, about 770 MB of JSON, read as it streams
+    # L = 24: 2**25 probabilities, about 770 MB of JSON, read as it streams;
+    # the bound is on the CLI process's own peak
     L, t, node = 24, 0.7, 0b100001
-    env = {k: v for k, v in os.environ.items() if k != "HYPERWALK_L_MAX"}
-    env["PYTHONPATH"] = os.pathsep.join([str(Path(hyperwalk.__file__).parents[1]), env.get("PYTHONPATH", "")])
-    argv = [sys.executable, "-m", "hyperwalk.cli", "evolve", "--L", str(L), "--t", repr(t), "--initial", "0,5"]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, env=env)
+    args = ["evolve", "--L", str(L), "--t", repr(t), "--initial", "0,5"]
+    proc = start_measured("from hyperwalk.cli import main; raise SystemExit(main())", *args,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     head, tail, count = b"", b"", 0
     while chunk := proc.stdout.read(1 << 20):
         if len(head) < 1 << 17:
@@ -550,9 +554,9 @@ def test_evolve_at_the_level_cap_streams_in_little_memory():
         tail = (tail + chunk)[-(1 << 17) :]
         count += len(chunk)
     proc.stdout.close()
-    _, status, usage = os.wait4(proc.pid, 0)
-    assert os.waitstatus_to_exitcode(status) == 0
-    assert usage.ru_maxrss <= 256 << 10, usage.ru_maxrss  # KiB
+    err = proc.stderr.read()
+    assert proc.wait() == 0, err
+    assert peak_kib(err) <= 256 << 10, err
 
     # node g holds |a0**(m-d) * a1**d|**2, rounded as re² + im², at distance
     # d = popcount(g ^ node)
@@ -676,12 +680,57 @@ OPTIONS = {
 }
 
 
+# the printed probabilities of a served run sum to 1 within this, summed
+# exactly: the worst of the 147 such runs is 4.44e-16 (evolve --L 3 --t -2.5),
+# and the bound leaves a margin of 2.25
+SUM_TOL = 1e-15
+# a refusal's stderr is at most this many bytes plus twice its longest input,
+# which a message may echo (parse_node names the element and the node string);
+# the worst measured is 249 bytes above twice the longest, an argparse usage message
+STDERR_BASE = 512
+
+
+def _library_columns(argv, L):
+    """The columns a served evolve, time-average or pst run prints, a cell per
+    node: format_float of the library's class-table entry at its distance."""
+    args, level = build_parser().parse_args(argv), Level(L)
+    if args.command == "time-average":
+        table = node_time_average(level, parse_node(args.initial, level))
+        columns = {"probability": table.table}
+    elif args.command == "evolve":
+        t = args.t if args.t_pi_fraction is None else _parse_pi_fraction(args.t_pi_fraction)
+        table = basis_start_classes(level, parse_node(args.initial, level), t)
+        columns = {"probability": [probability(a) for a in table.table]}
+        if args.amplitudes:
+            columns.update(amp_re=[a.real for a in table.table], amp_im=[a.imag for a in table.table])
+    else:
+        t0 = args.t0 if args.t0_pi_fraction is None else _parse_pi_fraction(args.t0_pi_fraction)
+        table = basis_start_classes(level, parse_node(args.source, level), t0)
+        columns = {"fidelity": [abs(a) for a in table.table]}
+    distance = [(g ^ table.sigma).bit_count() for g in range(level.dim)]
+    return {name: [format_float(entries[d]) for d in distance] for name, entries in columns.items()}
+
+
+def _printed_columns(out, fmt):
+    """The per-node columns of a CSV or JSON document, each cell as printed."""
+    if fmt == "csv":
+        header, *rows = [line for line in out.splitlines() if not line.startswith("#")]
+        cells = zip(*[row.rpartition('",')[2].split(",") for row in rows])
+        return dict(zip(header.split(",")[1:], map(list, cells)))
+    doc = json.loads(out, parse_float=str, parse_int=str)
+    columns = {"probability": doc.get("probs"), "fidelity": doc.get("fidelities")}
+    if "amps" in doc:
+        columns.update(amp_re=[re for re, _ in doc["amps"]], amp_im=[im for _, im in doc["amps"]])
+    return {name: cells for name, cells in columns.items() if cells is not None}
+
+
 def test_fuzzed_arguments_exit_0_or_2(capsys, monkeypatch):
     # seeded argvs and HYPERWALK_L_MAX values, each atom hostile one time in
     # eight; an accepted L is at most 4, and an accepted run took no hostile
-    # atom outside TAKEN.  A refusal past the parser that L does not decide
-    # reruns at L = 24 under tracemalloc: it is refused before anything
-    # node-sized is built
+    # atom outside TAKEN.  A served table prints the library's class table
+    # cell by cell, and its probabilities sum to 1.  A refusal past the parser
+    # that L does not decide reruns at L = 24 under tracemalloc: it is refused
+    # before anything node-sized is built
     rng, hostile, reruns = random.Random(8), [], []
 
     def atom(valid):
@@ -706,6 +755,8 @@ def test_fuzzed_arguments_exit_0_or_2(capsys, monkeypatch):
         if code == 2:
             usage = err.startswith("usage: hyperwalk") and ": error: " in err
             assert out == "" and (usage or err.startswith("error: ") and err.count("\n") == 1), (argv, cap, err)
+            longest = max(len(text.encode()) for text in [*argv, cap])
+            assert len(err.encode()) <= STDERR_BASE + 2 * longest, (argv, cap, len(err))
             if not usage and argv[2] in LEVELS and not re.search("out of range|L must be in", err):
                 reruns.append((argv[:2] + ["24"] + argv[3:], "" if cap == "3" else cap))
             continue
@@ -718,6 +769,12 @@ def test_fuzzed_arguments_exit_0_or_2(capsys, monkeypatch):
             assert len(rows) == (L + 2 if command == "spectrum" else 2 << L), argv
         elif fmt == "json":
             assert json.loads(out)["L"] == L, argv
+        if command in ("evolve", "time-average", "pst") and L <= 10:
+            printed = _printed_columns(out, fmt)
+            assert printed == _library_columns(argv, L), argv
+            if "probability" in printed:
+                total = math.fsum(map(float, printed["probability"]))
+                assert abs(total - 1.0) <= SUM_TOL, (argv, total)
     tracemalloc.start()
     try:
         for argv, cap in reruns:

@@ -12,7 +12,7 @@ from hyperwalk import (
     edges,
     export_graph,
 )
-from hyperwalk import graph
+from hyperwalk import formatting
 
 from helpers import adjacency_matrix, graph_laplacian_matrix, is_adjacent, neighborhood, operator_matrix, random_state
 
@@ -139,13 +139,14 @@ def test_json_export():
 @pytest.mark.parametrize("fmt", GRAPH_FORMATS)
 @pytest.mark.parametrize("L", [2, 12])
 def test_each_export_checks_its_size_once(monkeypatch, fmt, L):
+    # the size is checked before any edge is built, and the edges are built once
     calls = []
-    check = graph._check_export_size
-    monkeypatch.setattr(graph, "_check_export_size", lambda level: calls.append(level) or check(level))
-    refused = Level(L).dim > graph.EXPORT_CAP
+    build = formatting.edges
+    monkeypatch.setattr(formatting, "edges", lambda level: calls.append(level) or build(level))
+    refused = Level(L).dim > formatting.EXPORT_CAP
     with pytest.raises(ValueError, match="too large for export") if refused else contextlib.nullcontext():
         export_graph(Level(L), fmt)
-    assert calls == [Level(L)]
+    assert calls == ([] if refused else [Level(L)])
 
 
 def test_export_caps_and_format_validation():

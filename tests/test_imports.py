@@ -39,7 +39,7 @@ def test_importing_the_package_binds_its_exports_without_numpy():
     assert {m for m in loaded if m.startswith("hyperwalk.")} == modules
     assert [m for m in loaded if m.split(".")[0] == "numpy"] == []
     assert sorted(set(STARTUP_HEAVY) & set(loaded)) == []
-    assert len(set(hyperwalk.__all__)) == len(hyperwalk.__all__) == 32
+    assert len(set(hyperwalk.__all__)) == len(hyperwalk.__all__) == 31
     assert set(hyperwalk.__all__) <= set(dir(hyperwalk))
     for name in hyperwalk.__all__:
         value = getattr(hyperwalk, name)

