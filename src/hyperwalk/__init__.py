@@ -6,8 +6,9 @@ which diagonalizes over a signed Walsh eigenbasis; its evolution is exactly the
 tensor power of one 2×2 factor per element, all of it (cos t, sin t) from
 spectral.bit_factor.  One engine applies that factor (as a per-distance table
 from a node); the period average is the exact per-distance value from a node and
-the quadrature from any other state.  The operator functions act on state
-vectors directly and never build a matrix; the literal-definition oracles
+the quadrature from any other state.  spectral holds the state vectors, the
+generator's terms and projections, which act on them directly and never build a
+matrix, and its spectrum and eigenbasis; the literal-definition oracles
 everything is checked against, dense operator, graph and evolution matrices and
 the exact vacuum average among them, live in the test suite.
 
@@ -21,9 +22,9 @@ from .evolution import EvolutionEngine, evolve
 from .formatting import GRAPH_FORMATS, export_graph
 from .measure import (Distribution, SymmetryReport, TimeAverageDistribution, closed_form_distribution, closed_form_pt,
                       distribution_at, distribution_csv, is_symmetric, pst_check, time_average)
-from .operators import (StateVector, apply_hat_involution, apply_involution, apply_involution_product,
-                        apply_laplacian, basis_state, vacuum_state)
-from .spectral import Spectrum, SpectrumEntry, from_eigenbasis, spectrum, to_eigenbasis
+from .spectral import (Spectrum, SpectrumEntry, StateVector, apply_hat_involution, apply_involution,
+                       apply_involution_product, apply_laplacian, basis_state, from_eigenbasis, spectrum, to_eigenbasis,
+                       vacuum_state)
 from .subsets import Level, edges, elements, format_node, parse_node
 
 __version__ = "0.1.0"

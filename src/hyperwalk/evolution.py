@@ -22,8 +22,7 @@ import functools
 import os
 
 from . import _numpy as np
-from .operators import NORM_RUN, StateVector, check_unit, probability
-from .spectral import basis_start_classes, bit_factor
+from .spectral import NORM_RUN, StateVector, basis_start_classes, bit_factor, check_unit, probability
 from .subsets import Level
 
 ONE_HOT_PROBE = 16  # leading amplitudes one_hot_node reads before it counts them all
@@ -138,10 +137,10 @@ def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, phase: complex, s
        with its inner exit units unless square.  With check, that read
        sums |src|² in the aligned runs of NORM_RUN that
        StateVector._squared_norm sums, at every level, and pass 2 starts
-       with operators.check_unit of their sum, which may raise.
+       with spectral.check_unit of their sum, which may raise.
     2. Each tile, every row of the state by cols columns, gets the blocks
        of the groups from k up and goes to the result with its outer exit
-       units, or with square as operators.probability's bits,
+       units, or with square as spectral.probability's bits,
        re * re + im * im, to which the exit units are blind.
 
     The state is the result, or with square a new array like src; no other

@@ -16,7 +16,7 @@ initial state:
   divides n, so M = L+2 is exact, and at M = L+1 the top frequency aliases
   onto the mean.  ``krawtchouk`` names the closed form alone and refuses such states.
 
-Every probability is rounded as re² + im² by ``operators.probability``, the
+Every probability is rounded as re² + im² by ``spectral.probability``, the
 same bits on one amplitude as on an array; from a node, on the L+2 table
 entries before the gather.  The literal double sum over equal-cardinality
 index pairs, the ground-truth oracle for both averages, lives in the test suite.
@@ -30,8 +30,7 @@ from typing import NamedTuple
 from . import _numpy as np
 from .evolution import EvolutionEngine, _evolve, apply_per_bit, checked_start
 from .formatting import format_float
-from .operators import StateVector, probability
-from .spectral import ClassTable, basis_start_classes, bit_factor
+from .spectral import ClassTable, StateVector, basis_start_classes, bit_factor, probability
 from .subsets import Level, element_strings
 
 SYMMETRY_TOL = 1e-12  # largest deviation is_symmetric accepts

@@ -28,8 +28,7 @@ from hyperwalk import formatting
 from hyperwalk.cli import _parse_pi_fraction, build_parser, main
 from hyperwalk.formatting import format_float
 from hyperwalk.measure import node_time_average
-from hyperwalk.operators import probability
-from hyperwalk.spectral import ClassTable, basis_start_classes
+from hyperwalk.spectral import ClassTable, basis_start_classes, probability
 
 from helpers import (assert_same_text, is_adjacent, peak_kib, product_state_amplitudes, reference_csv, reference_dumps_json,
                      start_measured)

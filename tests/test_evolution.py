@@ -21,8 +21,7 @@ from hyperwalk import (
     time_average,
     vacuum_state,
 )
-from hyperwalk.operators import NORM_TOL
-from hyperwalk.spectral import basis_start_classes, from_eigenbasis, to_eigenbasis
+from hyperwalk.spectral import NORM_TOL, basis_start_classes, from_eigenbasis, to_eigenbasis
 
 from helpers import (
     LARGE_TIMES,

@@ -23,7 +23,7 @@ from hyperwalk import (
     pst_check,
     time_average,
 )
-from hyperwalk.operators import NORM_TOL
+from hyperwalk.spectral import NORM_TOL
 
 from helpers import evolve_product, product_state_amplitudes, random_state
 

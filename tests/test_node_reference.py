@@ -3,7 +3,7 @@
 Every amplitude of basis_start_classes is gated by |x - r| / |r|, every
 fidelity, abs of the amplitude as pst prints it, by its relative error to
 the square root of the reference probability, and every probability,
-operators.probability of the amplitude, by its relative error, where r comes
+spectral.probability of the amplitude, by its relative error, where r comes
 from helpers.reference_node_table: the exact binary time in decimal, with no
 libm and nothing of the library.
 """
@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 
 from hyperwalk import Level
-from hyperwalk.operators import probability
-from hyperwalk.spectral import basis_start_classes
+from hyperwalk.spectral import basis_start_classes, probability
 
 from helpers import reference_node_table, relative_error
 
@@ -68,23 +67,22 @@ def test_node_tables_match_the_decimal_reference(L):
 
 # ints that no float holds, numpy's among them: each is evaluated at its own
 # value, not at the float nearest it (at 10**17 + 1, cos read -0.8856, not
-# -0.0876).  The time is reduced exactly, then rounded once to the float x
-# nearest t - 2 pi k, an error the amplitudes multiply by up to m / |cos x|:
-# the worst amplitude and fidelity measured are 1.69e-14 and the worst
-# probability 3.38e-14 (L = 24, t = 10**17 + 1, x = -1.658, d = 0); the
-# bounds leave a margin of 1.8
-INT_TIMES = [2**53 + 1, 10**17 + 1, 3**40, 2**1023 + 1, np.int64(2**60 + 1)]
-INT_AMPLITUDE_BOUND = 3e-14
-INT_PROBABILITY_BOUND = 6e-14
+# -0.0876).  The time is reduced exactly to x + lo, x the float nearest
+# t - 2 pi k and lo the rest, taken to first order: x alone would carry an
+# error the amplitudes multiply by up to m / |cos x| (5.4e-14 on probability
+# at t = 7**50).  They meet the bounds of float times: the worst amplitude
+# measured is 3.13e-15, the worst fidelity 2.61e-15 and the worst probability
+# 5.41e-15 (L = 24, t = 2**53 + 1, d = 25)
+INT_TIMES = [2**53 + 1, 10**17 + 1, 3**40, 2**1023 + 1, np.int64(2**60 + 1), 7**50]
 
 
-@pytest.mark.parametrize("t", INT_TIMES, ids=["2**53+1", "10**17+1", "3**40", "2**1023+1", "int64(2**60+1)"])
+@pytest.mark.parametrize("t", INT_TIMES, ids=["2**53+1", "10**17+1", "3**40", "2**1023+1", "int64(2**60+1)", "7**50"])
 @pytest.mark.parametrize("L", LEVELS)
 def test_int_times_match_the_decimal_reference(L, t):
     table = basis_start_classes(Level(L), 0, t).table
     for d, (amp, (re, im, p)) in enumerate(zip(table, reference_node_table(L + 1, int(t)))):
         if p > AMPLITUDE_FLOOR:
-            assert relative_error(amp, re, im) <= INT_AMPLITUDE_BOUND, d
-            assert relative_error(abs(amp), p.sqrt()) <= INT_AMPLITUDE_BOUND, d
+            assert relative_error(amp, re, im) <= AMPLITUDE_BOUND, d
+            assert relative_error(abs(amp), p.sqrt()) <= FIDELITY_BOUND, d
         if p > PROBABILITY_FLOOR:
-            assert relative_error(probability(amp), p) <= INT_PROBABILITY_BOUND, d
+            assert relative_error(probability(amp), p) <= PROBABILITY_BOUND, d

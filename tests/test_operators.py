@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hyperwalk import operators
+from hyperwalk import spectral
 from hyperwalk import (
     Level,
     StateVector,
@@ -52,13 +52,13 @@ def test_is_normalized_sums_every_run(L, off, accepted):
     # judged by the whole sum
     lv = Level(L)
     start = random_state(lv, np.random.default_rng(L))
-    runs = len(start.amps) // operators.NORM_RUN
+    runs = len(start.amps) // spectral.NORM_RUN
     assert runs >= 2 and start.is_normalized()
     spread = StateVector(lv, start.amps * math.sqrt(1 + off))
     assert spread.is_normalized() is accepted
     for k in (0, runs - 1):
         amps = start.amps.copy()
-        run = amps[k * operators.NORM_RUN : (k + 1) * operators.NORM_RUN]
+        run = amps[k * spectral.NORM_RUN : (k + 1) * spectral.NORM_RUN]
         run *= math.sqrt(1 + off / np.vdot(run, run).real)
         assert StateVector(lv, amps).is_normalized() is accepted, k
 
@@ -176,9 +176,9 @@ def test_operators_equal_their_whole_array_formulas_bit_for_bit(L):
     lv = Level(L)
     state = random_state(lv, np.random.default_rng(300 + L))
     for sigma in (0, 1, lv.dim // 3, lv.full_mask):
-        col = operators.sign_column(lv.full_mask ^ sigma, lv.dim)
-        runs = range(0, lv.dim, operators.NORM_RUN)
-        overlap = sum(np.dot(col[i : i + operators.NORM_RUN], state.amps[i : i + operators.NORM_RUN]) for i in runs)
+        col = spectral.sign_column(lv.full_mask ^ sigma, lv.dim)
+        runs = range(0, lv.dim, spectral.NORM_RUN)
+        overlap = sum(np.dot(col[i : i + spectral.NORM_RUN], state.amps[i : i + spectral.NORM_RUN]) for i in runs)
         want = overlap * col
         assert np.array_equal(apply_hat_involution(sigma, state).amps.view(np.uint64), want.view(np.uint64)), sigma
         gathered = state.amps[np.arange(lv.dim) ^ sigma]

@@ -21,9 +21,8 @@ from hyperwalk import (
     vacuum_state,
 )
 from hyperwalk import evolution
-from hyperwalk.operators import sign_column
 from hyperwalk.formatting import dumps_json
-from hyperwalk.spectral import ClassTable, basis_start_classes
+from hyperwalk.spectral import ClassTable, basis_start_classes, sign_column
 
 from helpers import literal_kernel_matrix, operator_matrix, pm1_transform, popcount, random_state
 
