@@ -50,16 +50,16 @@ def _parse_pi_fraction(text: str) -> float:
         num = _signed(num_str)
         den = _signed(den_str) if slash else 1
     except ValueError:
-        raise ValueError(f"expected an integer fraction like '1/2', got {text!r}") from None
+        raise ValueError(f"expected an integer fraction like '1/2', got {text!r:.60}") from None
     if den == 0:
-        raise ValueError(f"zero denominator in pi fraction {text!r}")
+        raise ValueError(f"zero denominator in pi fraction {text!r:.60}")
     if den < 0:
         num, den = -num, -den
     # the walk is pi-periodic: reducing p mod q in integers keeps the time exact
     try:
         t = math.pi * (num % den) / den
     except OverflowError:
-        raise ValueError(f"pi fraction {text!r} has a denominator beyond the float range") from None
+        raise ValueError(f"pi fraction {text!r:.60} has a denominator beyond the float range") from None
     # pi * (p mod q) overflows above max / pi; the int quotient, below 1, is correctly rounded
     return t if t != math.inf else math.pi * ((num % den) / den)
 
@@ -69,7 +69,7 @@ def tolerance(text: str) -> float:
     would decide is_pst the same way whatever the fidelities."""
     tol = real(text)
     if not (math.isfinite(tol) and tol >= 0):
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r:.60}")
     return tol
 
 
@@ -200,28 +200,24 @@ def main(argv: list[str] | None = None) -> int:
         # handlers compute and validate everything before they return; only
         # the formatting of the returned chunks is left to the writes below
         chunks = args.handler(args)
+        if args.out is None and sys.stdout is None:  # started with fd 1 closed
+            raise OSError("stdout is closed")
+        out = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code) if exc.code is not None else 0
-    except (ValueError, OverflowError) as exc:  # OverflowError: more digits than int() reads (natural)
+    # OverflowError: more digits than int() reads (natural); OSError: an output that cannot be opened
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - unexpected runtime failure
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        try:
-            out = open(args.out, "w", encoding="utf-8")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        out = contextlib.nullcontext(sys.stdout)
     try:
         with out as fh:
             fh.writelines(chunks)
             fh.flush()
     except OSError as exc:
-        if not args.out:
+        if args.out is None:
             # the interpreter flushes stdout again at exit: send what is left to devnull
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())

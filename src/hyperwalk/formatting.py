@@ -50,10 +50,8 @@ def dumps_json(obj: Any) -> str:
 
 def iter_json(obj: Any) -> Iterator[str]:
     """The text of dumps_json(obj) as chunks; a ClassTable one node-grid row each."""
-    if isinstance(obj, str):
+    if obj is None or isinstance(obj, (str, bool)):
         yield json.dumps(obj)
-    elif isinstance(obj, bool):
-        yield "true" if obj else "false"
     elif isinstance(obj, int):
         yield str(int(obj))
     elif isinstance(obj, float):
@@ -73,8 +71,6 @@ def iter_json(obj: Any) -> Iterator[str]:
                 yield ","
             yield from iter_json(value)
         yield "]"
-    elif obj is None:
-        yield "null"
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -107,9 +103,11 @@ def export_graph(level: Level, fmt: str) -> str:
 
 def _table_json(table: ClassTable) -> Iterator[str]:
     # grid row i is the joined text of row class rows[i]: join each once and
-    # yield that one string for every row of its class
+    # yield that one string for every row of its class.  The classes go
+    # before the first row, so the rows stream with only their text held
     classes, rows = table.with_table(tuple(map(dumps_json, table.table))).grid()
     text = ["," + ",".join(row_class) for row_class in classes]
+    del classes
     yield "[" + text[rows[0]][1:]
     yield from map(text.__getitem__, rows[1:])
     yield "]"

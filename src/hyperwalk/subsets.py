@@ -54,11 +54,11 @@ class Level(_LevelFields):
         try:
             cap = natural(raw.strip())
         except ValueError:
-            raise ValueError(f"{MAX_LEVEL_ENV_VAR} must be a nonnegative integer, got {raw!r}") from None
+            raise ValueError(f"{MAX_LEVEL_ENV_VAR} must be a nonnegative integer, got {raw!r:.60}") from None
         if not isinstance(L, int) or isinstance(L, bool):
             raise ValueError(f"L must be an integer, got {L!r}")
         if not 0 <= L <= cap:
-            raise ValueError(f"L must be in [0, {cap}], got {L}")
+            raise ValueError(f"L must be in [0, {cap!s:.60}], got {L!s:.60}")
         return super().__new__(cls, L)
 
     @property
@@ -132,10 +132,10 @@ def parse_node(text: str, level: Level) -> int:
         try:
             k = natural(token.strip())
         except ValueError:
-            raise ValueError(f"malformed element {token!r} in node string {text!r}") from None
+            raise ValueError(f"malformed element {token!r:.60} in node string {text!r:.60}") from None
         if not 0 <= k <= level.L:
-            raise ValueError(f"element {k} out of range [0, {level.L}] in node string {text!r}")
+            raise ValueError(f"element {k!s:.60} out of range [0, {level.L}] in node string {text!r:.60}")
         if bits >> k & 1:
-            raise ValueError(f"duplicate element {k} in node string {text!r}")
+            raise ValueError(f"duplicate element {k} in node string {text!r:.60}")
         bits |= 1 << k
     return bits

@@ -217,7 +217,7 @@ REFUSED = [
     *[(argv, "'--'") for argv in (["pst", "--tol=--"], ["evolve", "--t=--"],
       ["evolve", "--t", "1", "--initial=--"], ["pst", "--t0-pi-fraction=--"], ["graph", "--format=--"])],
     # a denominator beyond the float range
-    *[([command, flag, p], f"error: pi fraction {p!r} has a denominator beyond the float range\n")
+    *[([command, flag, p], f"error: pi fraction {p!r:.60} has a denominator beyond the float range\n")
       for command, flag in (("evolve", "--t-pi-fraction"), ("pst", "--t0-pi-fraction")) for p in ("1/1" + "0" * 400, "-7/3" + "0" * 309)],
 ]
 
@@ -281,6 +281,46 @@ def test_unopenable_out_exits_2(tmp_path, capsys, target):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.endswith(f"{str(path)!r}\n") and "Traceback" not in err
     assert not (tmp_path / "missing").exists()
+
+
+def test_an_empty_out_exits_2(capsys):
+    # an empty path names no file: it is refused, not read as stdout
+    code, out, err = run_cli(capsys, "spectrum", "--L", "1", "--out", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_a_closed_stdout_exits_2():
+    # started with fd 1 closed, the interpreter sets sys.stdout to None
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(hyperwalk.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    argv = ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "hyperwalk.cli", "spectrum", "--L", "1"]
+    proc = subprocess.run(argv, stderr=subprocess.PIPE, env=env, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: stdout is closed\n"
+
+
+# a hyperwalk-worded refusal echoes at most a 60-character prefix of each
+# input, HYPERWALK_L_MAX included (an empty cap is the default, 24)
+LONG_REFUSED = {
+    "node": (["pst", "--L", "1", "--from", "0" * 5000 + "1/2"], "", "error: malformed element '000"),
+    "element": (["evolve", "--L", "1", "--t", "1", "--initial", "0" * 5000 + "9"], "", "error: element 9 out of range [0, 1]"),
+    "long element": (["evolve", "--L", "1", "--t", "1", "--initial", "0" * 700 + "9" + "0" * 4299], "", "error: element 9000"),
+    "fraction": (["evolve", "--L", "1", "--t-pi-fraction", "x" + "0" * 5000], "", "error: expected an integer fraction like"),
+    "zero denominator": (["evolve", "--L", "1", "--t-pi-fraction", "1/" + "0" * 5000], "", "error: zero denominator in pi"),
+    "float range": (["pst", "--L", "1", "--t0-pi-fraction", "0" * 4596 + "1/1" + "0" * 400], "", "error: pi fraction '000"),
+    "tol": (["pst", "--L", "1", "--tol=-" + "0" * 5000 + "1"], "", "error: argument --tol: tolerance must be finite"),
+    "L": (["spectrum", "--L", "0" * 700 + "9" + "0" * 4299], "", "error: L must be in [0, 24], got 9000"),
+    "cap": (["spectrum", "--L", "1"], "x" * 5000, "error: HYPERWALK_L_MAX must be a nonnegative integer, got 'xxx"),
+}
+
+
+@pytest.mark.parametrize("argv, cap, message", LONG_REFUSED.values(), ids=list(LONG_REFUSED))
+def test_refusals_echo_a_bounded_prefix_of_long_inputs(capsys, monkeypatch, argv, cap, message):
+    monkeypatch.setenv("HYPERWALK_L_MAX", cap)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err and len(err.encode()) <= 512, len(err)
 
 
 def test_env_cap_override(capsys, monkeypatch):
@@ -511,8 +551,8 @@ def test_peak_does_not_grow_with_the_level(tmp_path, argv):
     # from L = 17 to L = 20 one complex node array grows by 28 MiB; the
     # writers hold one CSV chunk of at most CHUNK_BYTES, or one JSON grid row
     # per distance class, and the grid rows grow as the square root of the
-    # nodes.  The worst case at L = 20 read 0.87 MB (JSON evolve --amplitudes),
-    # the CSV cases 0.49-0.71 MB: 1 MiB leaves a fifth above the worst
+    # nodes.  The worst case at L = 20 read 0.82 MB (JSON evolve --amplitudes),
+    # the CSV cases 0.49-0.71 MB: 1 MiB leaves over a fifth above the worst
     small = _traced_peak(argv, 17, tmp_path / "out")
     large = _traced_peak(argv, 20, tmp_path / "out")
     assert large - small <= 4 << 20, (small, large)
@@ -684,7 +724,7 @@ OPTIONS = {
 # and the bound leaves a margin of 2.25
 SUM_TOL = 1e-15
 # a refusal's stderr is at most this many bytes plus twice its longest input,
-# which a message may echo (parse_node names the element and the node string);
+# which argparse's usage message may echo (an invalid value or choice);
 # the worst measured is 249 bytes above twice the longest, an argparse usage message
 STDERR_BASE = 512
 

@@ -1,6 +1,7 @@
 """The chunked writers against the per-element reference writers, byte for byte."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -72,6 +73,41 @@ def test_other_values_take_the_element_path():
     for bad in (object(), np.array(1.0), np.zeros(2)):
         with pytest.raises(TypeError):
             dumps_json({"bad": bad})
+
+
+_STRINGS = ["", "a", '"', "\\", "\n\t\r\b\f", "\0\x1f\x7f", "é∅", "\ud800", "</script>", "'", "{0,2}"]
+_FLOATS = [0.0, -0.0, 5e-324, 1e-4, -9.99e-5, 0.1, 1 / 3, -1e300, float("inf"), float("nan")]
+_INTS = [0, -1, 7, 2**53 + 1, -(10**40)]
+
+
+def _seeded_value(rng, depth):
+    """A JSON value: a literal, or below depth 4 a list, tuple or dict of values."""
+    kind = rng.randrange(7 if depth < 4 else 4)
+    if kind == 0:
+        return rng.choice(_STRINGS) + rng.choice(_STRINGS)
+    if kind == 1:
+        return rng.choice([True, False, None])
+    if kind == 2:
+        return rng.choice(_INTS)
+    if kind == 3:
+        return rng.choice(_FLOATS)
+    items = [_seeded_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 4:
+        return items
+    if kind == 5:
+        return tuple(items)
+    return {rng.choice(_STRINGS) + str(i): item for i, item in enumerate(items)}
+
+
+def test_seeded_values_match_the_reference_writer():
+    # the literals (strings with escapes, True, False, None), ints, floats and
+    # nested lists, tuples and dicts each print the per-element writer's text
+    rng = random.Random(47)
+    for _ in range(2000):
+        value = _seeded_value(rng, 0)
+        assert dumps_json(value) == reference_dumps_json(value), value
+    for literal in (True, False, None, *_STRINGS):
+        assert dumps_json(literal) == reference_dumps_json(literal), literal
 
 
 def _table(values, level: Level, sigma: int) -> ClassTable:
