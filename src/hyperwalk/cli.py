@@ -191,6 +191,11 @@ def cmd_graph(args: argparse.Namespace) -> Iterable[str]:
     return [export_graph(Level(args.L), args.format)]
 
 
+def _error(exc: Exception) -> None:
+    with contextlib.suppress(AttributeError, OSError):  # a closed stderr drops the line, as argparse does
+        sys.stderr.write(f"error: {exc}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -207,10 +212,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     # OverflowError: more digits than int() reads (natural); OSError: an output that cannot be opened
     except (ValueError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 2
     except Exception as exc:  # pragma: no cover - unexpected runtime failure
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 1
     try:
         with out as fh:
@@ -222,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
         if not isinstance(exc, BrokenPipeError):  # a reader (e.g. head) that closed the pipe ends quietly
-            print(f"error: {exc}", file=sys.stderr)
+            _error(exc)
         return 1
     return 0
 

@@ -143,10 +143,15 @@ def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, phase: complex, s
        units, or with square as spectral.probability's bits,
        re * re + im * im, to which the exit units are blind.
 
-    The state is the result, or with square a new array like src; no other
-    temporary grows with len(src).  From THREADS_FROM
-    amplitudes the caller and a thread per further CPU share each pass, to
-    the same bits.  No product wakes OpenBLAS's threads.
+    The state holds each row in two column halves.  They are views of the
+    result, or with square the left half is the float result's own pages,
+    read as complex, and the right half a new array of half a state: one
+    state in all.  The squares of tile t then land on the pages of the
+    left half's tile t // 2, so pass 2 runs tile 0, tile 1, then tiles
+    [2**i, 2**(i+1)) for i = 1, 2, ..., each phase after the last.  No
+    other temporary grows with len(src).  From THREADS_FROM amplitudes the
+    caller and a thread per further CPU share each pass, or phase, to the
+    same bits.  No product wakes OpenBLAS's threads.
     """
     n = src.shape[0]
     m = n.bit_length() - 1
@@ -165,14 +170,15 @@ def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, phase: complex, s
     inner = [(low, _kron_power(m2, min(BLOCK_BITS, k - low))) for low in range(b, k, BLOCK_BITS)]
     outer = [(low, _kron_power(m2, min(BLOCK_BITS, m - k - low))) for low in range(0, m - k, BLOCK_BITS)]
     result = np.empty(n) if square else np.empty_like(src)
-    state = np.empty_like(src) if square else result
+    grid, half = result.reshape(rows, run), run >> 1  # with square the left half is the result's floats, none at m = 0
+    left = result[: 2 * half * rows].view(np.complex128).reshape(rows, half) if square else grid[:, :half]
+    right = np.empty((rows, run - half), np.complex128) if square else grid[:, half:]
     sums = np.empty(max(1, n // NORM_RUN))
     lows = (-1, min(run >> b, ROWS), 2 << b)  # the lowest block's products
 
-    def runs(w, workers):
+    def runs(js):
         bufs = np.empty((2, 2 * run))  # as floats
-        for j in range(w, rows, workers):
-            into = state[j * run : (j + 1) * run]
+        for j in js:
             np.multiply(src[j * run : (j + 1) * run], inner_units, out=bufs[0].view(np.complex128))
             if check and j * run % NORM_RUN == 0:  # a shorter row sums the run it starts
                 for i in range(j * run, (j + 1) * run, NORM_RUN):
@@ -181,22 +187,24 @@ def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, phase: complex, s
                 shape = (-1, len(block), 2 << low)
                 np.matmul(block, bufs[i & 1].reshape(shape), out=bufs[~i & 1].reshape(shape))
             x, y = bufs[len(inner) & 1], bufs[~len(inner) & 1]
-            np.matmul(x.reshape(lows), lowest[j.bit_count() & 3], out=(into.view(np.float64) if square else y).reshape(lows))
-            if not square:
-                np.multiply(y.view(np.complex128), inner_units, out=into)
+            np.matmul(x.reshape(lows), lowest[j.bit_count() & 3], out=y.reshape(lows))
+            y = y.view(np.complex128)
+            if square:
+                left[j], right[j] = y[:half], y[half:]
+            else:
+                np.multiply(y, inner_units, out=result[j * run : (j + 1) * run])
 
-    def tiles(w, workers):
-        if w == 0 and check:
+    def tiles(ts):
+        if check and ts.start == 0:  # the first tile's worker
             check_unit(sum(sums.tolist()))
         bufs = np.empty((min(2, len(outer)), rows, 2 * cols))
         exits = None if square else np.repeat(units[np.bitwise_count(np.arange(rows)) & 3, None], cols, axis=1)
-        grid = state.view(np.float64).reshape(rows, 2 * run)
-        for c in range(w * cols, run, workers * cols):
-            tile = grid[:, 2 * c : 2 * (c + cols)]
+        for c in (t * cols for t in ts):
+            tile = (left[:, c : c + cols] if c < half else right[:, c - half : c - half + cols]).view(np.float64)
             for i, (low, block) in enumerate(outer):
                 np.matmul(block, _grouped(tile, low, len(block)), out=_grouped(bufs[i & 1], low, len(block)))
                 tile = bufs[i & 1]
-            into = result.reshape(rows, run)[:, c : c + cols]
+            into = grid[:, c : c + cols]
             if square:
                 np.multiply(tile, tile, out=tile)
                 np.add(tile[:, 0::2], tile[:, 1::2], out=into)
@@ -208,10 +216,11 @@ def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, phase: complex, s
     from concurrent.futures import ThreadPoolExecutor  # kept off the command line's imports
 
     workers = _cpus() if n >= THREADS_FROM else 1
+    phases = [(0, 1)] + [(1 << i, 2 << i) for i in range((run // cols).bit_length() - 1)] if square else [(0, run // cols)]
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # an error waits for every worker
-        for work in runs, tiles:
-            others = [pool.submit(work, w, workers) for w in range(1, workers)]
-            work(0, workers)
+        for work, lo, hi in [(runs, 0, rows)] + [(tiles, lo, hi) for lo, hi in phases]:
+            others = [pool.submit(work, range(lo + w, hi, workers)) for w in range(1, workers)]
+            work(range(lo, hi, workers))
             for other in others:
                 other.result()
     return result

@@ -86,7 +86,7 @@ def export_graph(level: Level, fmt: str) -> str:
     """Text export of the graph; deterministic vertex and edge order.  A graph
     above EXPORT_CAP vertices is refused before any edge is built."""
     if fmt not in GRAPH_FORMATS:
-        raise ValueError(f"unknown graph format {fmt!r}; expected one of {GRAPH_FORMATS}")
+        raise ValueError(f"unknown graph format {fmt!r:.60}; expected one of {GRAPH_FORMATS}")
     if level.dim > EXPORT_CAP:
         raise ValueError(f"graph with {level.dim} vertices too large for export (cap {EXPORT_CAP})")
     if fmt == "json":

@@ -111,7 +111,7 @@ def time_average(
     """
     level = initial.level
     if method not in ("quadrature", "krawtchouk"):
-        raise ValueError(f"unknown method {method!r}; expected one of ('quadrature', 'krawtchouk')")
+        raise ValueError(f"unknown method {method!r:.60}; expected one of ('quadrature', 'krawtchouk')")
     if engine is None:
         engine = EvolutionEngine(level)
     sigma = checked_start(engine, initial)

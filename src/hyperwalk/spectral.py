@@ -95,7 +95,7 @@ def apply_involution(k: int, state: StateVector) -> StateVector:
     A self-inverse index permutation, hence exactly unitary.
     """
     if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError(f"flip index must be an integer, got {k!r}")
+        raise ValueError(f"flip index must be an integer, got {k!r:.60}")
     if not 0 <= k <= state.level.L:
         raise ValueError(f"flip index {k} out of range [0, {state.level.L}]")
     return StateVector(state.level, state.amps.reshape(-1, 2, 1 << k)[:, ::-1].reshape(-1))

@@ -22,7 +22,7 @@ def natural(text: str) -> int:
     Every integer read from text (node elements, --L, pi fractions, the cap)
     takes it."""
     if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"expected the digits 0-9 alone, got {text!r}")
+        raise ValueError(f"expected the digits 0-9 alone, got {text!r:.60}")
     digits = text.lstrip("0") or "0"
     try:
         return int(digits)
@@ -34,8 +34,11 @@ def real(text: str) -> float:
     """float(text) for ASCII text without "_", else ValueError: float() also
     takes other scripts' digits and "_" between digits (--t, --t0, --tol)."""
     if not text.isascii() or "_" in text:
-        raise ValueError(f"expected a float in ASCII without '_', got {text!r}")
-    return float(text)
+        raise ValueError(f"expected a float in ASCII without '_', got {text!r:.60}")
+    try:
+        return float(text)
+    except ValueError:  # float() echoes the whole text
+        raise ValueError(f"could not convert string to float: {text!r:.60}") from None
 
 
 # a NamedTuple class may not define __new__, so Level's checks live in a subclass
@@ -56,7 +59,7 @@ class Level(_LevelFields):
         except ValueError:
             raise ValueError(f"{MAX_LEVEL_ENV_VAR} must be a nonnegative integer, got {raw!r:.60}") from None
         if not isinstance(L, int) or isinstance(L, bool):
-            raise ValueError(f"L must be an integer, got {L!r}")
+            raise ValueError(f"L must be an integer, got {L!r:.60}")
         if not 0 <= L <= cap:
             raise ValueError(f"L must be in [0, {cap!s:.60}], got {L!s:.60}")
         return super().__new__(cls, L)
@@ -72,7 +75,7 @@ class Level(_LevelFields):
 
     def validate_node(self, sigma: int) -> int:
         if not isinstance(sigma, int) or isinstance(sigma, bool):
-            raise ValueError(f"node must be an integer bitmask, got {sigma!r}")
+            raise ValueError(f"node must be an integer bitmask, got {sigma!r:.60}")
         if not 0 <= sigma < self.dim:
             raise ValueError(f"node {sigma} out of range [0, {self.dim}) for L={self.L}")
         return sigma

@@ -376,6 +376,27 @@ def test_a_failed_write_is_reported_without_a_traceback(args, to_stdout):
     assert "No space left on device" in proc.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "args, redirect, code",
+    [
+        (["evolve", "--L", "1", "--t", "inf"], "", 2),
+        (["spectrum", "--L", "1", "--out", "/nonexistent/x"], "", 2),
+        (["spectrum", "--L", "1"], " > /dev/full", 1),
+    ],
+    ids=["refused", "unopenable-out", "failed-write"],
+)
+def test_a_closed_stderr_keeps_the_exit_code(args, redirect, code):
+    # started with fd 2 closed, sys.stderr is a stream on no file: the
+    # error: line is dropped and the code stays, not 1 for an uncaught
+    # error or 120 for a failed flush at exit
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(hyperwalk.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    argv = ["sh", "-c", f'exec "$@" 2>&-{redirect}', "sh", sys.executable, "-m", "hyperwalk.cli", *args]
+    proc = subprocess.run(argv, stdout=subprocess.PIPE, env=env)
+    assert (proc.returncode, proc.stdout) == (code, b"")
+
+
 # --- byte identity with the per-element reference writers -----------------
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import re
 import sys
@@ -195,6 +196,38 @@ def test_tiles_of_every_width(monkeypatch, tile_bytes, block_bits):
         _check(m, 7 * m + tile_bytes, monkeypatch)
 
 
+class _FurtherSharesFirst:
+    """A ThreadPoolExecutor whose submit runs each further worker's share
+    to completion at once, before the caller's own share."""
+
+    def __init__(self, workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        done = concurrent.futures.Future()
+        done.set_result(fn(*args))
+        return done
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_the_squares_hold_when_further_workers_run_first(monkeypatch, workers):
+    # with square a tile's squares land on pages of the left half that an
+    # earlier tile reads: in one schedule where the further workers' tiles
+    # run before the caller's, the phases alone keep them apart
+    _force_threads(monkeypatch, workers)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _FurtherSharesFirst)
+    for m in range(2, 19):
+        factor, a = _random_case(m, 31 * m + workers)
+        squared = apply_per_bit(a, *factor, square=True)
+        assert np.array_equal(_bits(squared), _bits(probability(apply_per_bit(a, *factor)))), (m, workers)
+
+
 def test_the_workers_are_the_cpus_the_process_may_use(monkeypatch):
     # one worker under an affinity mask of one CPU, such as taskset -c 0
     if hasattr(os, "sched_getaffinity"):
@@ -354,7 +387,7 @@ def test_the_kernel_at_the_level_cap(monkeypatch):
 
     start = StateVector(lv, np.outer(*halves(qubits)).ravel())
     engine = EvolutionEngine(lv)
-    for call, power in ((evolve, 1), (distribution_at, 2)):  # evolve first: no intermediate beside it
+    for call, power in ((evolve, 1), (distribution_at, 2)):  # each allocates one state, 512 MiB
         for t in (0.7, -2.9):
             high, low = halves(qubits @ _one_bit(*bit_factor(t, 25)[:2]).T)
             got = call(engine, start, t)

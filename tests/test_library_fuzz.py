@@ -23,7 +23,9 @@ from hyperwalk import (
     pst_check,
     time_average,
 )
-from hyperwalk.spectral import NORM_TOL
+from hyperwalk.formatting import export_graph
+from hyperwalk.spectral import NORM_TOL, apply_involution, vacuum_state
+from hyperwalk.subsets import natural, real
 
 from helpers import evolve_product, product_state_amplitudes, random_state
 
@@ -167,3 +169,24 @@ def test_fuzzed_library_calls_refuse_or_match_the_oracle():
             assert tracemalloc.get_traced_memory()[1] - before < start.amps.nbytes // 8, (name, amp, t)
     finally:
         tracemalloc.stop()
+
+
+# a library refusal echoes at most a 60-character prefix of its argument
+LONG = "x" * 5000
+LONG_REFUSED = {
+    "natural": lambda: natural(LONG),
+    "real": lambda: real(LONG),
+    "Level": lambda: Level(LONG),
+    "validate_node": lambda: Level(1).validate_node(LONG),
+    "apply_involution": lambda: apply_involution(LONG, vacuum_state(Level(1))),
+    "export_graph": lambda: export_graph(Level(1), LONG),
+    "time_average": lambda: time_average(vacuum_state(Level(1)), method=LONG),
+}
+
+
+@pytest.mark.parametrize("call", LONG_REFUSED.values(), ids=list(LONG_REFUSED))
+def test_refusals_echo_a_bounded_prefix_of_long_arguments(call):
+    with pytest.raises(ValueError) as refused:
+        call()
+    message = str(refused.value)
+    assert "'xxxx" in message and len(message) < 200, len(message)
