@@ -136,22 +136,22 @@ def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, phase: complex, s
        outer unit: one of four real 32×32 matrices.  It goes to the state,
        with its inner exit units unless square.  With check, that read
        sums |src|² in the aligned runs of NORM_RUN that
-       StateVector._squared_norm sums, at every level, and pass 2 starts
-       with spectral.check_unit of their sum, which may raise.
+       StateVector._squared_norm sums, at every level; before any tile,
+       spectral.check_unit of their sum may raise.
     2. Each tile, every row of the state by cols columns, gets the blocks
        of the groups from k up and goes to the result with its outer exit
        units, or with square as spectral.probability's bits,
        re * re + im * im, to which the exit units are blind.
 
-    The state holds each row in two column halves.  They are views of the
-    result, or with square the left half is the float result's own pages,
-    read as complex, and the right half a new array of half a state: one
-    state in all.  The squares of tile t then land on the pages of the
-    left half's tile t // 2, so pass 2 runs tile 0, tile 1, then tiles
-    [2**i, 2**(i+1)) for i = 1, 2, ..., each phase after the last.  No
-    other temporary grows with len(src).  From THREADS_FROM amplitudes the
-    caller and a thread per further CPU share each pass, or phase, to the
-    same bits.  No product wakes OpenBLAS's threads.
+    The state's tiles are views of the result, or with square the odd
+    tile 2u+1 of each row is the float result's own pages under the
+    squares of tiles 2u and 2u+1, read as complex, and the even tile 2u
+    is in a new array of half a state: one state in all.  Pass 2 takes
+    the tiles in pairs, the odd tile first, so each tile reads only its
+    own state and writes only over its pair's.  No other temporary grows
+    with len(src).  From THREADS_FROM amplitudes the caller and a thread
+    per further CPU share each pass, by the same stride, to the same
+    bits.  No product wakes OpenBLAS's threads.
     """
     n = src.shape[0]
     m = n.bit_length() - 1
@@ -170,9 +170,9 @@ def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, phase: complex, s
     inner = [(low, _kron_power(m2, min(BLOCK_BITS, k - low))) for low in range(b, k, BLOCK_BITS)]
     outer = [(low, _kron_power(m2, min(BLOCK_BITS, m - k - low))) for low in range(0, m - k, BLOCK_BITS)]
     result = np.empty(n) if square else np.empty_like(src)
-    grid, half = result.reshape(rows, run), run >> 1  # with square the left half is the result's floats, none at m = 0
-    left = result[: 2 * half * rows].view(np.complex128).reshape(rows, half) if square else grid[:, :half]
-    right = np.empty((rows, run - half), np.complex128) if square else grid[:, half:]
+    tiled = result.reshape(rows, -1, cols)  # each tile's amplitudes, or with square its squares
+    odd = result[: n - n % 2].view(np.complex128).reshape(rows, -1, cols) if square else tiled[:, 1::2]  # none at m = 0
+    even = np.empty((rows, tiled.shape[1] - odd.shape[1], cols), np.complex128) if square else tiled[:, 0::2]
     sums = np.empty(max(1, n // NORM_RUN))
     lows = (-1, min(run >> b, ROWS), 2 << b)  # the lowest block's products
 
@@ -190,21 +190,19 @@ def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, phase: complex, s
             np.matmul(x.reshape(lows), lowest[j.bit_count() & 3], out=y.reshape(lows))
             y = y.view(np.complex128)
             if square:
-                left[j], right[j] = y[:half], y[half:]
+                odd[j], even[j] = y.reshape(-1, cols)[1::2], y.reshape(-1, cols)[0::2]
             else:
                 np.multiply(y, inner_units, out=result[j * run : (j + 1) * run])
 
-    def tiles(ts):
-        if check and ts.start == 0:  # the first tile's worker
-            check_unit(sum(sums.tolist()))
+    def pairs(us):
         bufs = np.empty((min(2, len(outer)), rows, 2 * cols))
         exits = None if square else np.repeat(units[np.bitwise_count(np.arange(rows)) & 3, None], cols, axis=1)
-        for c in (t * cols for t in ts):
-            tile = (left[:, c : c + cols] if c < half else right[:, c - half : c - half + cols]).view(np.float64)
+        for t in (t for u in us for t in (2 * u + 1, 2 * u) if t < tiled.shape[1]):  # the odd tile first: both squares land on its state
+            tile = (odd if t & 1 else even)[:, t >> 1].view(np.float64)
             for i, (low, block) in enumerate(outer):
                 np.matmul(block, _grouped(tile, low, len(block)), out=_grouped(bufs[i & 1], low, len(block)))
                 tile = bufs[i & 1]
-            into = grid[:, c : c + cols]
+            into = tiled[:, t]
             if square:
                 np.multiply(tile, tile, out=tile)
                 np.add(tile[:, 0::2], tile[:, 1::2], out=into)
@@ -216,13 +214,14 @@ def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, phase: complex, s
     from concurrent.futures import ThreadPoolExecutor  # kept off the command line's imports
 
     workers = _cpus() if n >= THREADS_FROM else 1
-    phases = [(0, 1)] + [(1 << i, 2 << i) for i in range((run // cols).bit_length() - 1)] if square else [(0, run // cols)]
     with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # an error waits for every worker
-        for work, lo, hi in [(runs, 0, rows)] + [(tiles, lo, hi) for lo, hi in phases]:
-            others = [pool.submit(work, range(lo + w, hi, workers)) for w in range(1, workers)]
-            work(range(lo, hi, workers))
+        for work, items in (runs, rows), (pairs, even.shape[1]):
+            others = [pool.submit(work, range(w, items, workers)) for w in range(1, workers)]
+            work(range(0, items, workers))
             for other in others:
                 other.result()
+            if check and work is runs:
+                check_unit(sum(sums.tolist()))
     return result
 
 

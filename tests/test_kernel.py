@@ -159,7 +159,7 @@ def _planned_products(m: int) -> list:
     return shapes
 
 
-@pytest.mark.parametrize("m", range(1, 26))
+@pytest.mark.parametrize("m", range(26))
 def test_the_plan_covers_every_amplitude_up_to_the_cap(m):
     # the shipped constants, without a state: the kernel tests reach m <= 17
     b, k, cols = evolution._plan(m)
@@ -169,6 +169,14 @@ def test_the_plan_covers_every_amplitude_up_to_the_cap(m):
     assert b <= k <= m and rows * run == n
     starts = list(range(0, run, cols))
     assert run % cols == 0 and starts[-1] + cols == run and len(starts) * rows * cols == n
+    # with square, pass 2's items are the pairs (2u+1, 2u) of tile indices:
+    # each tile falls in exactly one, and the odd tiles' states exactly fill
+    # the float result's pages, n / 2 complex values (none at m = 0)
+    tiles = len(starts)
+    pairs = [[t for t in (2 * u + 1, 2 * u) if t < tiles] for u in range((tiles + 1) // 2)]
+    assert sorted(t for pair in pairs for t in pair) == list(range(tiles))
+    odd = [t for pair in pairs for t in pair if t % 2]
+    assert len(odd) * rows * cols == n // 2
     # a tile is at most TILE_BYTES and a 16th of the state (two tile
     # buffers are at most an eighth), as two run buffers are from m = 8
     assert cols == 1 or rows * cols * 16 <= min(evolution.TILE_BYTES, n)
@@ -217,15 +225,34 @@ class _FurtherSharesFirst:
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_the_squares_hold_when_further_workers_run_first(monkeypatch, workers):
-    # with square a tile's squares land on pages of the left half that an
-    # earlier tile reads: in one schedule where the further workers' tiles
-    # run before the caller's, the phases alone keep them apart
+    # with square the squares of tiles 2u and 2u+1 land on tile 2u+1's
+    # state, which only their pair's worker reads, and reads first: in a
+    # schedule where the further workers' pairs run before the caller's,
+    # every tile still reads its own amplitudes
     _force_threads(monkeypatch, workers)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _FurtherSharesFirst)
     for m in range(2, 19):
         factor, a = _random_case(m, 31 * m + workers)
         squared = apply_per_bit(a, *factor, square=True)
         assert np.array_equal(_bits(squared), _bits(probability(apply_per_bit(a, *factor)))), (m, workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("square", [False, True])
+def test_a_refused_dense_start_runs_no_tile(monkeypatch, workers, square):
+    # the caller checks the first pass's sums before any worker takes a
+    # pair: a refused start costs the runs alone, on every worker count
+    _force_threads(monkeypatch, workers)
+    grouped, calls = evolution._grouped, []
+    monkeypatch.setattr(evolution, "_grouped", lambda *args: calls.append(args[1:]) or grouped(*args))
+    lv = Level(11)  # m = 12: 16 tiles of one group above the split
+    start = random_state(lv, np.random.default_rng(workers))
+    call = distribution_at if square else evolve
+    with pytest.raises(ValueError, match="not normalized"):
+        call(EvolutionEngine(lv), StateVector(lv, 2 * start.amps), 0.7)
+    assert calls == []
+    call(EvolutionEngine(lv), start, 0.7)  # the spy sees an accepted start's tiles
+    assert len(calls) == 2 * 16
 
 
 def test_the_workers_are_the_cpus_the_process_may_use(monkeypatch):
