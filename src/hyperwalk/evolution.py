@@ -36,10 +36,10 @@ ONE_HOT_PROBE = 16  # leading amplitudes one_hot_node reads before it counts the
 BLOCK_BITS = 4
 SPLIT_BITS = 15
 TILE_BYTES = 1 << 20
-# Float columns of a product of a 16-row block, and rows of one with the
-# 32×32 lowest block: OpenBLAS threads (16×16)@(16×4096) and (1024×32)@(32×32).
-COLUMNS = 2048
-ROWS = 512
+# Multiply-adds of one real product at most, which caps a tile's columns and
+# the lowest block's rows: OpenBLAS threads 2**20, (16×16)@(16×4096) and
+# (1024×32)@(32×32), and not (16×16)@(16×2048) or (512×32)@(32×32).
+PRODUCT_MACS = 1 << 19
 # Amplitudes from which the CPUs share each pass (L >= 18).  distribution_at
 # medians, one worker against two: L = 16 4.80 / 5.21 ms, 17 7.90 / 6.97,
 # 18 15.3 / 10.8, 19 31.4 / 22.3, 20 67.5 / 47.5; two won 5, 25, 35, 38 and
@@ -151,7 +151,7 @@ def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, phase: complex, s
     own state and writes only over its pair's.  No other temporary grows
     with len(src).  From THREADS_FROM amplitudes the caller and a thread
     per further CPU share each pass, by the same stride, to the same
-    bits.  No product wakes OpenBLAS's threads.
+    bits.  No product exceeds PRODUCT_MACS, which OpenBLAS runs unthreaded.
     """
     n = src.shape[0]
     m = n.bit_length() - 1
@@ -174,7 +174,7 @@ def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, phase: complex, s
     odd = result[: n - n % 2].view(np.complex128).reshape(rows, -1, cols) if square else tiled[:, 1::2]  # none at m = 0
     even = np.empty((rows, tiled.shape[1] - odd.shape[1], cols), np.complex128) if square else tiled[:, 0::2]
     sums = np.empty(max(1, n // NORM_RUN))
-    lows = (-1, min(run >> b, ROWS), 2 << b)  # the lowest block's products
+    lows = (-1, min(run >> b, PRODUCT_MACS >> 2 * b + 2), 2 << b)  # the lowest block's products
 
     def runs(js):
         bufs = np.empty((2, 2 * run))  # as floats
@@ -227,11 +227,11 @@ def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, phase: complex, s
 
 def _plan(m: int) -> tuple[int, int, int]:
     """(b, k, cols) at 2**m amplitudes: the lowest bits, the split bit (16
-    runs or more) and a tile's columns, to TILE_BYTES, COLUMNS floats and a
-    16th of the state at most."""
+    runs or more) and a tile's columns, to TILE_BYTES, a 16th of the state
+    and PRODUCT_MACS in a block's product with 2 * cols floats at most."""
     b = min(BLOCK_BITS, m)
     k = max(b, min(SPLIT_BITS, m - 4))
-    return b, k, max(1, min(1 << k >> 4, TILE_BYTES // 16 >> (m - k), COLUMNS // 2))
+    return b, k, max(1, min(1 << k >> 4, TILE_BYTES // 16 >> (m - k), PRODUCT_MACS >> 2 * BLOCK_BITS + 1))
 
 
 def _grouped(a: np.ndarray, low: int, size: int) -> np.ndarray:

@@ -351,10 +351,10 @@ def test_a_reader_that_closes_the_pipe_ends_the_run_quietly(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(Path(hyperwalk.__file__).parents[1]), env.get("PYTHONPATH", "")])
     argv = [sys.executable, "-m", "hyperwalk.cli", *args]
-    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert len(proc.stdout.read(10)) == 10
-    proc.stdout.close()
-    err = proc.stderr.read()
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
     assert (proc.wait(), err) == (1, b"")
 
 
@@ -605,16 +605,15 @@ def test_evolve_at_the_level_cap_streams_in_little_memory():
     # the bound is on the CLI process's own peak
     L, t, node = 24, 0.7, 0b100001
     args = ["evolve", "--L", str(L), "--t", repr(t), "--initial", "0,5"]
-    proc = start_measured("from hyperwalk.cli import main; raise SystemExit(main())", *args,
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     head, tail, count = b"", b"", 0
-    while chunk := proc.stdout.read(1 << 20):
-        if len(head) < 1 << 17:
-            head += chunk[: (1 << 17) - len(head)]
-        tail = (tail + chunk)[-(1 << 17) :]
-        count += len(chunk)
-    proc.stdout.close()
-    err = proc.stderr.read()
+    with start_measured("from hyperwalk.cli import main; raise SystemExit(main())", *args,
+                        stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        while chunk := proc.stdout.read(1 << 20):
+            if len(head) < 1 << 17:
+                head += chunk[: (1 << 17) - len(head)]
+            tail = (tail + chunk)[-(1 << 17) :]
+            count += len(chunk)
+        err = proc.stderr.read()
     assert proc.wait() == 0, err
     assert peak_kib(err) <= 256 << 10, err
 

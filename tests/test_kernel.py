@@ -151,12 +151,17 @@ def _planned_products(m: int) -> list:
     for low in range(b, k, evolution.BLOCK_BITS):
         size = 1 << min(evolution.BLOCK_BITS, k - low)
         shapes.append(((size, size), run.view(np.float64).reshape(-1, size, 2 << low).shape))
-    lows = min(len(run) >> b, evolution.ROWS)
+    lows = min(len(run) >> b, evolution.PRODUCT_MACS >> 2 * b + 2)
     shapes.append((((len(run) >> b) // lows, lows, 2 << b), (2 << b, 2 << b)))
     for low in range(0, m - k, evolution.BLOCK_BITS):
         size = 1 << min(evolution.BLOCK_BITS, m - k - low)
         shapes.append(((size, size), evolution._grouped(tile, low, size).shape))
     return shapes
+
+
+def _macs(left: tuple, right: tuple) -> int:
+    """Multiply-adds of one product of a batched (left)@(right)."""
+    return left[-2] * left[-1] * right[-1]
 
 
 @pytest.mark.parametrize("m", range(26))
@@ -184,14 +189,29 @@ def test_the_plan_covers_every_amplitude_up_to_the_cap(m):
     products = _planned_products(m)
     if m <= 17:
         assert set(products) == set(_products(m))
-    # OpenBLAS starts its threads above these sizes
+    # OpenBLAS threads a product of 2**20 multiply-adds: every product of a
+    # run, the 8×8 group of bits 12-14 among them, and of a tile stays below
     for left, right in products:
-        if left == (16, 16):
-            assert right[-1] <= evolution.COLUMNS == 2048, (left, right)
-        if right == (32, 32):
-            assert left[-2] <= evolution.ROWS == 512, (left, right)
+        assert _macs(left, right) <= evolution.PRODUCT_MACS == 1 << 19, (left, right)
     if m == 25:  # three groups above the split, in tiles of 1024 rows
         assert [left for left, right in products[-3:]] == [(16, 16), (16, 16), (4, 4)] and rows == 1024
+
+
+@pytest.mark.parametrize("block_bits", [3, 5])
+def test_the_caps_follow_the_block(monkeypatch, block_bits):
+    # a tile's columns and the lowest block's rows shrink or grow with the
+    # block: its outer-group and lowest-block products stay in the budget,
+    # and up to m = 17 the plan's shapes are the kernel's.  The inner groups
+    # follow SPLIT_BITS, which is sized for 4-bit blocks: at 5 bits the
+    # group of bits 10-14 is (32×32)@(32×2048), 2**21
+    monkeypatch.setattr(evolution, "BLOCK_BITS", block_bits)
+    for m in range(10, 26):
+        products = _planned_products(m)
+        if m <= 17:
+            assert set(products) == set(_products(m)), m
+        for left, right in products:
+            if len(right) != 3:  # a tile's group (4-d) or the lowest block (2-d)
+                assert _macs(left, right) <= evolution.PRODUCT_MACS, (m, left, right)
 
 
 @pytest.mark.parametrize("tile_bytes", [16, 64, 256, 1 << 20])
