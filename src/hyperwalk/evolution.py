@@ -27,18 +27,17 @@ from .subsets import Level
 
 ONE_HOT_PROBE = 16  # leading amplitudes one_hot_node reads before it counts them all
 
-# Bits per Kronecker block, the split bit and bytes per tile, from medians
-# of the squares at L = 22 (two workers) on a 2-CPU Xeon with OpenBLAS:
-# 4-bit blocks (16×16) 0.126 s, 3 bits alike, 5 bits 0.359 s, whose products
-# wake OpenBLAS's threads; split 13 0.195 s, 14 0.152 s, 15 0.147 s (runs of
-# 512 KiB: two buffers fit a 2 MiB L2), 16 0.265 s, whose 16×16×8192
-# product wakes OpenBLAS's threads; tiles of 512 KiB 0.146 s, 1 MiB 0.140 s.
+# Bits per Kronecker block, and bytes of a worker's two run buffers or of a
+# tile, from medians of the squares at L = 22 (two workers) on a 2-CPU Xeon
+# with OpenBLAS: 4-bit blocks (16×16) 0.126 s, 3 bits alike, 5 bits 0.359 s,
+# whose products wake OpenBLAS's threads; runs of 2**13 0.195 s, 2**14 0.152 s,
+# 2**15 0.147 s (two buffers of 512 KiB fit a 2 MiB L2), 2**16 0.265 s, whose
+# 16×16×8192 product wakes them; tiles of 512 KiB 0.146 s, 1 MiB 0.140 s.
 BLOCK_BITS = 4
-SPLIT_BITS = 15
-TILE_BYTES = 1 << 20
-# Multiply-adds of one real product at most, which caps a tile's columns and
-# the lowest block's rows: OpenBLAS threads 2**20, (16×16)@(16×4096) and
-# (1024×32)@(32×32), and not (16×16)@(16×2048) or (512×32)@(32×32).
+BUFFER_BYTES = 1 << 20
+# Multiply-adds of one real product at most, which caps the split, a tile's
+# columns and the lowest block's rows: OpenBLAS threads 2**20, (16×16)@(16×4096)
+# and (1024×32)@(32×32), and not (16×16)@(16×2048) or (512×32)@(32×32).
 PRODUCT_MACS = 1 << 19
 # Amplitudes from which the CPUs share each pass (L >= 18).  distribution_at
 # medians, one worker against two: L = 16 4.80 / 5.21 ms, 17 7.90 / 6.97,
@@ -125,10 +124,10 @@ def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, phase: complex, s
     changed.
 
     src must be a contiguous complex128 vector of power-of-two length 2**m.
-    The lowest b bits index within a row, and a run is the 2**k amplitudes
-    below the split bit k (_plan).  The unit d**popcount(g >> b) of
-    amplitude g is its run's outer unit, of the bits from k up, times its
-    inner unit, of the bits b to k, exactly.  Two passes, on two buffers:
+    The lowest b bits index within a row; a run is the 2**k amplitudes below
+    the split bit k (_plan, from BUFFER_BYTES and PRODUCT_MACS).  The unit
+    d**popcount(g >> b) of amplitude g is its run's outer unit, of the bits
+    from k up, times its inner unit, of the bits b to k, exactly.  Two passes:
 
     1. Each run of src is read once: its inner units, the real Kronecker
        blocks of m2 on each group of BLOCK_BITS bits from b to k, as real
@@ -167,8 +166,8 @@ def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, phase: complex, s
     block_t = (phase * _kron_power(r2, b)).T
     # x + iy times p + iq on interleaved floats: (x, y) @ [[p, q], [-q, p]]
     lowest = [np.kron(z.real, np.eye(2)) + np.kron(z.imag, [[0.0, 1.0], [-1.0, 0.0]]) for z in units[:, None, None] * block_t]
-    inner = [(low, _kron_power(m2, min(BLOCK_BITS, k - low))) for low in range(b, k, BLOCK_BITS)]
-    outer = [(low, _kron_power(m2, min(BLOCK_BITS, m - k - low))) for low in range(0, m - k, BLOCK_BITS)]
+    inner = [(low, _kron_power(m2, bits)) for low, bits in _groups(b, k)]
+    outer = [(low, _kron_power(m2, bits)) for low, bits in _groups(0, m - k)]
     result = np.empty(n) if square else np.empty_like(src)
     tiled = result.reshape(rows, -1, cols)  # each tile's amplitudes, or with square its squares
     odd = result[: n - n % 2].view(np.complex128).reshape(rows, -1, cols) if square else tiled[:, 1::2]  # none at m = 0
@@ -226,12 +225,19 @@ def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, phase: complex, s
 
 
 def _plan(m: int) -> tuple[int, int, int]:
-    """(b, k, cols) at 2**m amplitudes: the lowest bits, the split bit (16
-    runs or more) and a tile's columns, to TILE_BYTES, a 16th of the state
-    and PRODUCT_MACS in a block's product with 2 * cols floats at most."""
+    """(b, k, cols) at 2**m amplitudes: the lowest bits; the split bit, for 16
+    runs or more whose two buffers fit BUFFER_BYTES, lowered until each inner
+    group's product is within PRODUCT_MACS; a tile's columns, to BUFFER_BYTES,
+    a 16th of the state and PRODUCT_MACS in a block's product."""
     b = min(BLOCK_BITS, m)
-    k = max(b, min(SPLIT_BITS, m - 4))
-    return b, k, max(1, min(1 << k >> 4, TILE_BYTES // 16 >> (m - k), PRODUCT_MACS >> 2 * BLOCK_BITS + 1))
+    k = max(b, min((BUFFER_BYTES // 32).bit_length() - 1, m - 4))
+    while any(2 << low + 2 * bits > PRODUCT_MACS for low, bits in _groups(b, k)):  # (2**bits)² · 2**(low+1)
+        k -= 1
+    return b, k, max(1, min(1 << k >> 4, BUFFER_BYTES // 16 >> (m - k), PRODUCT_MACS >> 2 * BLOCK_BITS + 1))
+
+
+def _groups(low: int, high: int) -> list[tuple[int, int]]:
+    return [(i, min(BLOCK_BITS, high - i)) for i in range(low, high, BLOCK_BITS)]
 
 
 def _grouped(a: np.ndarray, low: int, size: int) -> np.ndarray:

@@ -84,7 +84,7 @@ def closed_form_pt(sigma: int, t: float, level: Level) -> float:
     The walk from the vacuum is a product state, so the amplitude at sigma is
     one entry of its class table.
     """
-    level.validate_node(sigma)
+    sigma = level.validate_node(sigma)
     return probability(basis_start_classes(level, 0, t).at(sigma))
 
 
@@ -165,8 +165,8 @@ def pst_check(sigma: int, tau: int, t0: float, engine: EvolutionEngine) -> float
     state at sigma and the one-hot state at tau.  1 means perfect transfer.
     One entry of the class table: O(L) time and memory at any level."""
     level = engine.level
-    level.validate_node(sigma)
-    level.validate_node(tau)
+    sigma = level.validate_node(sigma)
+    tau = level.validate_node(tau)
     return abs(basis_start_classes(level, sigma, t0).at(tau))
 
 

@@ -78,7 +78,7 @@ def sign_column(sigma: int, n: int) -> np.ndarray:
 
 def basis_state(level: Level, sigma: int) -> StateVector:
     """One-hot state at node sigma."""
-    level.validate_node(sigma)
+    sigma = level.validate_node(sigma)
     amps = np.zeros(level.dim, dtype=np.complex128)
     amps[sigma] = 1.0
     return StateVector(level, amps)
@@ -94,9 +94,9 @@ def apply_involution(k: int, state: StateVector) -> StateVector:
 
     A self-inverse index permutation, hence exactly unitary.
     """
-    if not isinstance(k, int) or isinstance(k, bool):
+    if not hasattr(k, "__index__") or isinstance(k, bool):  # numpy's integers too, not its bool
         raise ValueError(f"flip index must be an integer, got {k!r:.60}")
-    if not 0 <= k <= state.level.L:
+    if not 0 <= (k := k.__index__()) <= state.level.L:
         raise ValueError(f"flip index {k} out of range [0, {state.level.L}]")
     return StateVector(state.level, state.amps.reshape(-1, 2, 1 << k)[:, ::-1].reshape(-1))
 
@@ -108,7 +108,7 @@ def apply_involution_product(sigma: int, state: StateVector) -> StateVector:
     relabeling: out[g] = in[g ^ sigma].  The empty product is the identity.
     """
     level = state.level
-    level.validate_node(sigma)
+    sigma = level.validate_node(sigma)
     run = min(NORM_RUN, level.dim)
     # run by run, as apply_hat_involution walks: run i is run i ^ (sigma // run)
     # of the state, relabeled within by the low bits of sigma.  Every index is
@@ -131,7 +131,7 @@ def apply_hat_involution(sigma: int, state: StateVector) -> StateVector:
     with itself scales by dim; distinct sigma annihilate each other.
     """
     level = state.level
-    level.validate_node(sigma)
+    sigma = level.validate_node(sigma)
     mask, run = level.full_mask ^ sigma, min(NORM_RUN, level.dim)
     # run by run, as _squared_norm sums (one long dot wakes OpenBLAS's threads):
     # the column's run at i is its first run, negated if i & mask has odd parity

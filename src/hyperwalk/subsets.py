@@ -58,9 +58,9 @@ class Level(_LevelFields):
             cap = natural(raw.strip())
         except ValueError:
             raise ValueError(f"{MAX_LEVEL_ENV_VAR} must be a nonnegative integer, got {raw!r:.60}") from None
-        if not isinstance(L, int) or isinstance(L, bool):
+        if not hasattr(L, "__index__") or isinstance(L, bool):  # numpy's integers too, not its bool
             raise ValueError(f"L must be an integer, got {L!r:.60}")
-        if not 0 <= L <= cap:
+        if not 0 <= (L := L.__index__()) <= cap:
             raise ValueError(f"L must be in [0, {cap!s:.60}], got {L!s:.60}")
         return super().__new__(cls, L)
 
@@ -74,9 +74,9 @@ class Level(_LevelFields):
         return self.dim - 1
 
     def validate_node(self, sigma: int) -> int:
-        if not isinstance(sigma, int) or isinstance(sigma, bool):
+        if not hasattr(sigma, "__index__") or isinstance(sigma, bool):  # numpy's integers too, not its bool
             raise ValueError(f"node must be an integer bitmask, got {sigma!r:.60}")
-        if not 0 <= sigma < self.dim:
+        if not 0 <= (sigma := sigma.__index__()) < self.dim:
             raise ValueError(f"node {sigma} out of range [0, {self.dim}) for L={self.L}")
         return sigma
 
@@ -85,6 +85,7 @@ def elements(sigma: int) -> list[int]:
     """Ascending list of the elements of the subset."""
     if sigma < 0:
         raise ValueError(f"node mask must be nonnegative, got {sigma}")
+    sigma = sigma.__index__()  # numpy's integers too
     return [k for k in range(sigma.bit_length()) if sigma >> k & 1]
 
 

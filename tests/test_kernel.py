@@ -112,33 +112,43 @@ def test_apply_per_bit_matches_the_kronecker_product(monkeypatch, m):
         _check(m, 100 * m + seed, monkeypatch)
 
 
-@pytest.mark.parametrize(
-    "m, block_bits, split, plan, tiles",
-    [
-        # no group above the split: the state is one run and one row, in
-        # tiles of one column (m <= k)
-        (4, 4, 15, (4, 4, 1), []),
-        # one group, bits 5-8 above runs of 2**5: 16 runs, which three
-        # workers share unevenly, and 16 rows in tiles of 2 columns
-        (9, 4, 5, (4, 5, 2), [((16, 16), (1, 1, 16, 4))]),
-        # two groups of three bits above a split at 3: 64 rows
-        (9, 3, 3, (3, 3, 1), [((8, 8), (8, 1, 8, 2)), ((8, 8), (1, 8, 8, 2))]),
-        # a narrower top group, bits 4-7 and then 8-9
-        (10, 4, 4, (4, 4, 1), [((16, 16), (4, 1, 16, 2)), ((4, 4), (1, 16, 4, 2))]),
-        # three groups, the third from the second tile buffer into the first again
-        (13, 4, 4, (4, 4, 1), [((16, 16), (32, 1, 16, 2)), ((16, 16), (2, 16, 16, 2)), ((2, 2), (1, 256, 2, 2))]),
-        # four runs, bits 4 and 5 outside them: three workers, one with two
-        (6, 4, 15, (4, 4, 1), [((4, 4), (1, 1, 4, 2))]),
-        # the default split below 2**19 amplitudes is m - 4: runs of 2**6 here
-        (10, 4, 15, (4, 6, 4), [((16, 16), (1, 1, 16, 8))]),
-    ],
-)
+# (m, BLOCK_BITS, the budget's split, its plan, the tile pass's products)
+_SPLIT_SHAPES = [
+    # no group above the split: the state is one run and one row, in
+    # tiles of one column (m <= k)
+    (4, 4, 15, (4, 4, 1), []),
+    # one group, bits 5-8 above runs of 2**5: 16 runs, which three
+    # workers share unevenly, and 16 rows in tiles of 2 columns
+    (9, 4, 5, (4, 5, 2), [((16, 16), (1, 1, 16, 4))]),
+    # two groups of three bits above a split at 3: 64 rows
+    (9, 3, 3, (3, 3, 1), [((8, 8), (8, 1, 8, 2)), ((8, 8), (1, 8, 8, 2))]),
+    # a narrower top group, bits 4-7 and then 8-9
+    (10, 4, 4, (4, 4, 1), [((16, 16), (4, 1, 16, 2)), ((4, 4), (1, 16, 4, 2))]),
+    # three groups, the third from the second tile buffer into the first again
+    (13, 4, 4, (4, 4, 1), [((16, 16), (32, 1, 16, 2)), ((16, 16), (2, 16, 16, 2)), ((2, 2), (1, 256, 2, 2))]),
+    # four runs, bits 4 and 5 outside them: three workers, one with two
+    (6, 4, 15, (4, 4, 1), [((4, 4), (1, 1, 4, 2))]),
+    # the default split below 2**19 amplitudes is m - 4: runs of 2**6 here
+    (10, 4, 15, (4, 6, 4), [((16, 16), (1, 1, 16, 8))]),
+]
+
+
+@pytest.mark.parametrize("m, block_bits, split, plan, tiles", _SPLIT_SHAPES)
 def test_every_shape_of_the_split(monkeypatch, m, block_bits, split, plan, tiles):
+    # the kernel takes each plan as given
     monkeypatch.setattr(evolution, "BLOCK_BITS", block_bits)
-    monkeypatch.setattr(evolution, "SPLIT_BITS", split)
-    assert evolution._plan(m) == plan
+    monkeypatch.setattr(evolution, "_plan", lambda _: plan)
     assert _tile_products(m) == tiles
     _check(m, 11 * m + split, monkeypatch)
+
+
+def test_the_budget_derives_every_shape_of_the_split(monkeypatch):
+    # each of those plans is _plan's at a budget of two run buffers of
+    # 2**split amplitudes, 16 bytes each
+    for m, block_bits, split, plan, _ in _SPLIT_SHAPES:
+        monkeypatch.setattr(evolution, "BLOCK_BITS", block_bits)
+        monkeypatch.setattr(evolution, "BUFFER_BYTES", 32 << split)
+        assert evolution._plan(m) == plan, (m, block_bits, split)
 
 
 def _planned_products(m: int) -> list:
@@ -148,14 +158,12 @@ def _planned_products(m: int) -> list:
     run, rows = np.empty(1 << k, dtype=np.complex128), 1 << (m - k)
     tile = np.empty((rows, 2 * cols))
     shapes = []
-    for low in range(b, k, evolution.BLOCK_BITS):
-        size = 1 << min(evolution.BLOCK_BITS, k - low)
-        shapes.append(((size, size), run.view(np.float64).reshape(-1, size, 2 << low).shape))
+    for low, bits in evolution._groups(b, k):
+        shapes.append(((1 << bits, 1 << bits), run.view(np.float64).reshape(-1, 1 << bits, 2 << low).shape))
     lows = min(len(run) >> b, evolution.PRODUCT_MACS >> 2 * b + 2)
     shapes.append((((len(run) >> b) // lows, lows, 2 << b), (2 << b, 2 << b)))
-    for low in range(0, m - k, evolution.BLOCK_BITS):
-        size = 1 << min(evolution.BLOCK_BITS, m - k - low)
-        shapes.append(((size, size), evolution._grouped(tile, low, size).shape))
+    for low, bits in evolution._groups(0, m - k):
+        shapes.append(((1 << bits, 1 << bits), evolution._grouped(tile, low, 1 << bits).shape))
     return shapes
 
 
@@ -182,10 +190,10 @@ def test_the_plan_covers_every_amplitude_up_to_the_cap(m):
     assert sorted(t for pair in pairs for t in pair) == list(range(tiles))
     odd = [t for pair in pairs for t in pair if t % 2]
     assert len(odd) * rows * cols == n // 2
-    # a tile is at most TILE_BYTES and a 16th of the state (two tile
+    # a tile is at most BUFFER_BYTES and a 16th of the state (two tile
     # buffers are at most an eighth), as two run buffers are from m = 8
-    assert cols == 1 or rows * cols * 16 <= min(evolution.TILE_BYTES, n)
-    assert m < 8 or run <= n >> 4
+    assert cols == 1 or rows * cols * 16 <= min(evolution.BUFFER_BYTES, n)
+    assert 32 * run <= evolution.BUFFER_BYTES and (m < 8 or run <= n >> 4)
     products = _planned_products(m)
     if m <= 17:
         assert set(products) == set(_products(m))
@@ -197,31 +205,49 @@ def test_the_plan_covers_every_amplitude_up_to_the_cap(m):
         assert [left for left, right in products[-3:]] == [(16, 16), (16, 16), (4, 4)] and rows == 1024
 
 
-@pytest.mark.parametrize("block_bits", [3, 5])
+def test_the_shipped_plan():
+    # (b, k, cols) at m = 0-25: a budget edit that moves a shape fails here
+    assert [evolution._plan(m) for m in range(26)] == [
+        (0, 0, 1), (1, 1, 1), (2, 2, 1), (3, 3, 1), (4, 4, 1), (4, 4, 1), (4, 4, 1), (4, 4, 1), (4, 4, 1),
+        (4, 5, 2), (4, 6, 4), (4, 7, 8), (4, 8, 16), (4, 9, 32), (4, 10, 64), (4, 11, 128), (4, 12, 256),
+        (4, 13, 512), (4, 14, 1024), (4, 15, 1024), (4, 15, 1024), (4, 15, 1024),
+        (4, 15, 512), (4, 15, 256), (4, 15, 128), (4, 15, 64),
+    ]
+
+
+@pytest.mark.parametrize("block_bits", [1, 2, 3, 5, 6])
 def test_the_caps_follow_the_block(monkeypatch, block_bits):
-    # a tile's columns and the lowest block's rows shrink or grow with the
-    # block: its outer-group and lowest-block products stay in the budget,
-    # and up to m = 17 the plan's shapes are the kernel's.  The inner groups
-    # follow SPLIT_BITS, which is sized for 4-bit blocks: at 5 bits the
-    # group of bits 10-14 is (32×32)@(32×2048), 2**21
+    # a tile's columns, the lowest block's rows and the split shrink or grow
+    # with the block: every product, the run's inner groups included, stays
+    # in the budget, and up to m = 17 the plan's shapes are the kernel's.
+    # At 5 bits the split drops to 14 from m = 19, where a split at 15 would
+    # make the group of bits 10-14 (32×32)@(32×2048), 2**21
     monkeypatch.setattr(evolution, "BLOCK_BITS", block_bits)
-    for m in range(10, 26):
+    for m in range(26):
         products = _planned_products(m)
         if m <= 17:
             assert set(products) == set(_products(m)), m
         for left, right in products:
-            if len(right) != 3:  # a tile's group (4-d) or the lowest block (2-d)
-                assert _macs(left, right) <= evolution.PRODUCT_MACS, (m, left, right)
+            assert _macs(left, right) <= evolution.PRODUCT_MACS, (m, left, right)
+    assert evolution._plan(25)[1] == (14 if block_bits == 5 else 15)
 
 
-@pytest.mark.parametrize("tile_bytes", [16, 64, 256, 1 << 20])
-@pytest.mark.parametrize("block_bits", [1, 3, 4, 5])
-def test_tiles_of_every_width(monkeypatch, tile_bytes, block_bits):
-    # tiles of one column and wider, up to the shipped size
-    monkeypatch.setattr(evolution, "TILE_BYTES", tile_bytes)
-    monkeypatch.setattr(evolution, "BLOCK_BITS", block_bits)
-    for m in (1, block_bits + 1, 7, 10):
-        _check(m, 7 * m + tile_bytes, monkeypatch)
+@pytest.mark.parametrize(
+    "m, b, k, cols",
+    # the plans of tiles of 16, 64 and 256 bytes and 1 MiB at 1-, 3-, 4- and
+    # 5-bit blocks, at m = 1, the block plus one, 7 and 10
+    [
+        (1, 1, 1, 1), (2, 1, 1, 1), (7, 1, 3, 1), (10, 1, 6, 1), (10, 1, 6, 4),
+        (4, 3, 3, 1), (7, 3, 3, 1), (10, 3, 6, 1), (10, 3, 6, 4),
+        (5, 4, 4, 1), (7, 4, 4, 1), (10, 4, 6, 1), (10, 4, 6, 4),
+        (6, 5, 5, 1), (6, 5, 5, 2), (7, 5, 5, 1), (7, 5, 5, 2), (10, 5, 6, 1), (10, 5, 6, 4),
+    ],
+)
+def test_tiles_of_every_width(monkeypatch, m, b, k, cols):
+    # tiles of one column and wider, up to the shipped size, in blocks of b bits
+    monkeypatch.setattr(evolution, "BLOCK_BITS", b)
+    monkeypatch.setattr(evolution, "_plan", lambda _: (b, k, cols))
+    _check(m, 7 * m + cols, monkeypatch)
 
 
 class _FurtherSharesFirst:

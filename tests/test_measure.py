@@ -86,15 +86,15 @@ def test_distributions_sum_to_one(L, rng):
         assert dist.probs.min() >= 0.0
 
 
-@pytest.mark.parametrize("L, tile_bytes", [*((L, None) for L in range(15)), (9, 256), (9, 512)])
-def test_distribution_at_squares_evolve_bit_for_bit(L, tile_bytes, monkeypatch):
+@pytest.mark.parametrize("L, plan", [*((L, None) for L in range(15)), (9, (4, 6, 1)), (9, (4, 6, 2))])
+def test_distribution_at_squares_evolve_bit_for_bit(L, plan, monkeypatch):
     # a dense start's tiles are squared in the kernel's buffer, before the
     # units ±1, ±i that evolve's amplitudes carry, to which re² + im² is
     # blind.  Every level from one run up to 16 runs and 16 rows at L = 14,
     # since a change of layout can change the bits at one small level alone;
     # at L = 9 also in tiles of one and two columns
-    if tile_bytes:
-        monkeypatch.setattr(evolution, "TILE_BYTES", tile_bytes)
+    if plan:
+        monkeypatch.setattr(evolution, "_plan", lambda _: plan)
     lv = Level(L)
     engine = EvolutionEngine(lv)
     rng = np.random.default_rng(4000 + L)

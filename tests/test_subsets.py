@@ -6,18 +6,24 @@ import numpy as np
 import pytest
 
 from hyperwalk import (
+    EvolutionEngine,
     Level,
     StateVector,
+    apply_hat_involution,
     apply_involution,
     apply_involution_product,
+    basis_state,
+    closed_form_pt,
+    distribution_at,
     elements,
     format_node,
     parse_node,
+    pst_check,
     vacuum_state,
 )
 from hyperwalk.subsets import element_strings, natural
 
-from helpers import complement, is_adjacent, setminus_card
+from helpers import complement, is_adjacent, random_state, setminus_card
 
 
 def test_level_derived_fields():
@@ -54,10 +60,15 @@ def test_level_rejects_out_of_cap(bad):
         (Level, (True,), "L must be an integer"),
         (Level, (3.0,), "L must be an integer"),
         (Level, ("3",), "L must be an integer"),
+        (Level, (np.True_,), "L must be an integer"),
+        (Level, (np.float64(3.0),), "L must be an integer"),
         (Level(2).validate_node, (True,), "node must be an integer bitmask"),
         (Level(2).validate_node, (1.0,), "node must be an integer bitmask"),
+        (Level(2).validate_node, (np.True_,), "node must be an integer bitmask"),
+        (Level(2).validate_node, ("1",), "node must be an integer bitmask"),
         (apply_involution, (True, vacuum_state(Level(2))), "flip index must be an integer"),
         (apply_involution, (1.0, vacuum_state(Level(2))), "flip index must be an integer"),
+        (apply_involution, (np.False_, vacuum_state(Level(2))), "flip index must be an integer"),
         (elements, (-1,), "nonnegative"),
     ],
     ids=lambda v: repr(v) if isinstance(v, tuple) else getattr(v, "__name__", None),
@@ -65,6 +76,30 @@ def test_level_rejects_out_of_cap(bad):
 def test_levels_nodes_and_masks_of_the_wrong_kind_are_refused(call, args, message):
     with pytest.raises(ValueError, match=message):
         call(*args)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint8, np.intp], ids=["int64", "uint8", "intp"])
+def test_numpy_integers_are_read_as_the_python_ints(kind):
+    # a level, a node or a flip index that numpy hands back (np.argmax of a
+    # distribution, say) is read by __index__: the Python int's bits
+    lv, node = Level(kind(3)), kind(5)
+    assert lv == Level(3) and type(lv.L) is int and type(lv.validate_node(node)) is int
+    assert elements(node) == elements(5) == [0, 2] and format_node(node) == "{0,2}"
+    state = random_state(lv, np.random.default_rng(3))
+    pairs = [
+        (basis_state(lv, node), basis_state(lv, 5)),
+        (apply_involution(kind(2), state), apply_involution(2, state)),
+        (apply_involution_product(node, state), apply_involution_product(5, state)),
+        (apply_hat_involution(node, state), apply_hat_involution(5, state)),
+    ]
+    for got, want in pairs:
+        assert np.array_equal(got.amps.view(np.uint64), want.amps.view(np.uint64))
+    engine = EvolutionEngine(lv)
+    assert pst_check(node, kind(10), 0.7, engine).hex() == pst_check(5, 10, 0.7, engine).hex()
+    assert closed_form_pt(node, 0.7, lv).hex() == closed_form_pt(5, 0.7, lv).hex()
+    # the round trip from a distribution's peak back to a start
+    peak = np.argmax(distribution_at(engine, basis_state(lv, 5), 0.0).probs)
+    assert np.array_equal(basis_state(lv, kind(peak)).amps, basis_state(lv, 5).amps)
 
 
 def test_level_env_override(monkeypatch):
