@@ -22,7 +22,7 @@ import functools
 import os
 
 from . import _numpy as np
-from .spectral import NORM_RUN, StateVector, basis_start_classes, bit_factor, check_unit, probability
+from .spectral import NORM_RUN, StateVector, basis_start_classes, bit_factor, check_unit, probability, run_norms
 from .subsets import Level
 
 ONE_HOT_PROBE = 16  # leading amplitudes one_hot_node reads before it counts them all
@@ -85,17 +85,14 @@ def _evolve(engine: EvolutionEngine, initial: StateVector, t: float, square: boo
 
 def checked_start(engine: EvolutionEngine, initial: StateVector) -> int | None:
     """The node of a one-hot start (one_hot_node), else None, after refusing
-    with ValueError a start on another level than the engine's, then a
-    one-hot start whose node's run of NORM_RUN, which holds all of
-    _squared_norm's sum, fails check_unit.  The kernel checks a dense one."""
+    with ValueError a start on another level than the engine's, then a one-hot
+    start whose node's run_norms (all of _squared_norm's sum) fail check_unit.
+    The kernel checks a dense one from the run_norms of its runs."""
     if engine.level != initial.level:
-        raise ValueError(
-            f"engine level L={engine.level.L} does not match state level L={initial.level.L}"
-        )
+        raise ValueError(f"engine level L={engine.level.L} does not match state level L={initial.level.L}")
     sigma = one_hot_node(initial.amps)
     if sigma is not None:
-        run = initial.amps[sigma - sigma % NORM_RUN :][:NORM_RUN]
-        check_unit(np.vdot(run, run).real)
+        check_unit(*run_norms(initial.amps, sigma - sigma % NORM_RUN, sigma + 1))
     return sigma
 
 
@@ -133,10 +130,8 @@ def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, phase: complex, s
        blocks of m2 on each group of BLOCK_BITS bits from b to k, as real
        products on the float64 view, then r2's block times phase and the
        outer unit: one of four real 32×32 matrices.  It goes to the state,
-       with its inner exit units unless square.  With check, that read
-       sums |src|² in the aligned runs of NORM_RUN that
-       StateVector._squared_norm sums, at every level; before any tile,
-       spectral.check_unit of their sum may raise.
+       with its inner exit units unless square.  With check, that read takes
+       spectral.run_norms, and check_unit takes their sum before any tile.
     2. Each tile, every row of the state by cols columns, gets the blocks
        of the groups from k up and goes to the result with its outer exit
        units, or with square as spectral.probability's bits,
@@ -172,16 +167,14 @@ def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, phase: complex, s
     tiled = result.reshape(rows, -1, cols)  # each tile's amplitudes, or with square its squares
     odd = result[: n - n % 2].view(np.complex128).reshape(rows, -1, cols) if square else tiled[:, 1::2]  # none at m = 0
     even = np.empty((rows, tiled.shape[1] - odd.shape[1], cols), np.complex128) if square else tiled[:, 0::2]
-    sums = np.empty(max(1, n // NORM_RUN))
+    sums = [[]] * rows  # with check, each run's run_norms
     lows = (-1, min(run >> b, PRODUCT_MACS >> 2 * b + 2), 2 << b)  # the lowest block's products
 
     def runs(js):
         bufs = np.empty((2, 2 * run))  # as floats
         for j in js:
             np.multiply(src[j * run : (j + 1) * run], inner_units, out=bufs[0].view(np.complex128))
-            if check and j * run % NORM_RUN == 0:  # a shorter row sums the run it starts
-                for i in range(j * run, (j + 1) * run, NORM_RUN):
-                    sums[i // NORM_RUN] = np.vdot(src[i : i + NORM_RUN], src[i : i + NORM_RUN]).real
+            sums[j] = run_norms(src, j * run, (j + 1) * run) if check else []  # shorter than NORM_RUN: the one it starts, if any
             for i, (low, block) in enumerate(inner):
                 shape = (-1, len(block), 2 << low)
                 np.matmul(block, bufs[i & 1].reshape(shape), out=bufs[~i & 1].reshape(shape))
@@ -220,7 +213,7 @@ def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, phase: complex, s
             for other in others:
                 other.result()
             if check and work is runs:
-                check_unit(sum(sums.tolist()))
+                check_unit(sum(x for norms in sums for x in norms))
     return result
 
 

@@ -19,7 +19,7 @@ import math
 from typing import NamedTuple
 
 from . import _numpy as np
-from .subsets import Level
+from .subsets import Level, integer
 
 NORM_TOL = 1e-12
 NORM_RUN = 8192  # amplitudes per vdot: a longer one starts OpenBLAS's threads
@@ -46,10 +46,15 @@ class StateVector:
         return is_unit(self._squared_norm())
 
     def _squared_norm(self) -> float:
-        """The vdot of each aligned run of NORM_RUN amplitudes with itself,
-        summed in index order: the sum every start is checked by (check_unit)."""
-        runs = (self.amps[i : i + NORM_RUN] for i in range(0, len(self.amps), NORM_RUN))
-        return sum(float(np.vdot(run, run).real) for run in runs)
+        """The sum of run_norms over the state, in index order (check_unit)."""
+        return sum(run_norms(self.amps, 0, len(self.amps)))
+
+
+def run_norms(amps: np.ndarray, start: int, stop: int) -> list[float]:
+    """vdot(run, run).real of each aligned run of NORM_RUN amplitudes that
+    starts in [start, stop), in index order: every sum a start is checked by."""
+    runs = (amps[i : i + NORM_RUN] for i in range(start + -start % NORM_RUN, stop, NORM_RUN))
+    return [float(np.vdot(run, run).real) for run in runs]
 
 
 def is_unit(squared_norm: float) -> bool:
@@ -94,9 +99,7 @@ def apply_involution(k: int, state: StateVector) -> StateVector:
 
     A self-inverse index permutation, hence exactly unitary.
     """
-    if not hasattr(k, "__index__") or isinstance(k, bool):  # numpy's integers too, not its bool
-        raise ValueError(f"flip index must be an integer, got {k!r:.60}")
-    if not 0 <= (k := k.__index__()) <= state.level.L:
+    if not 0 <= (k := integer(k, "flip index must be an integer")) <= state.level.L:
         raise ValueError(f"flip index {k} out of range [0, {state.level.L}]")
     return StateVector(state.level, state.amps.reshape(-1, 2, 1 << k)[:, ::-1].reshape(-1))
 
@@ -188,13 +191,18 @@ def bit_factor(t: float, m: int) -> tuple[float, float, complex]:
     bits is the evolution, e^{imt} (D M(t) D)^⊗m.  The global phase e^{imt}
     is the integer power of cos t + i sin t scaled back to modulus 1.
 
-    The one check of a time: it must be finite, and an int must convert to a
-    float.  libm reduces a float t exactly, _reduced an int (numpy's too) that
+    The one check of a time: an int, a float, or a numpy integer or floating
+    scalar, not a bool or a complex (TypeError); finite; and an int must
+    convert to a float.  libm reduces a float t exactly, _reduced an int that
     no float holds, to a float x and the rest lo, which enters to first order:
     cos x - lo sin x, sin x + lo cos x.  Reducing t by the float pi, or taking
     x alone near an odd multiple of π/2, would round the phase away.
     """
-    t = int(t) if hasattr(t, "__index__") else t
+    if type(t) is not float:  # numbers.Real holds numpy's integers and floats, not its bools or complexes
+        import numbers  # off the command line's path: its times are floats
+        if isinstance(t, bool) or not isinstance(t, numbers.Real):
+            raise TypeError(f"must be real number, not {type(t).__name__}")
+        t = int(t) if hasattr(t, "__index__") else t
     if not (isinstance(t, int) or math.isfinite(t)):
         raise ValueError(f"time must be finite, got {t!r}")
     try:

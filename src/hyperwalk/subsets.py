@@ -41,6 +41,13 @@ def real(text: str) -> float:
         raise ValueError(f"could not convert string to float: {text!r:.60}") from None
 
 
+def integer(value: object, refusal: str) -> int:
+    """value.__index__(), numpy's integers too; a bool, float or text raises ValueError(f"{refusal}, got {value!r:.60}")."""
+    if not hasattr(value, "__index__") or isinstance(value, bool):
+        raise ValueError(f"{refusal}, got {value!r:.60}")
+    return value.__index__()
+
+
 # a NamedTuple class may not define __new__, so Level's checks live in a subclass
 class _LevelFields(NamedTuple):
     L: int
@@ -58,9 +65,7 @@ class Level(_LevelFields):
             cap = natural(raw.strip())
         except ValueError:
             raise ValueError(f"{MAX_LEVEL_ENV_VAR} must be a nonnegative integer, got {raw!r:.60}") from None
-        if not hasattr(L, "__index__") or isinstance(L, bool):  # numpy's integers too, not its bool
-            raise ValueError(f"L must be an integer, got {L!r:.60}")
-        if not 0 <= (L := L.__index__()) <= cap:
+        if not 0 <= (L := integer(L, "L must be an integer")) <= cap:
             raise ValueError(f"L must be in [0, {cap!s:.60}], got {L!s:.60}")
         return super().__new__(cls, L)
 
@@ -74,18 +79,15 @@ class Level(_LevelFields):
         return self.dim - 1
 
     def validate_node(self, sigma: int) -> int:
-        if not hasattr(sigma, "__index__") or isinstance(sigma, bool):  # numpy's integers too, not its bool
-            raise ValueError(f"node must be an integer bitmask, got {sigma!r:.60}")
-        if not 0 <= (sigma := sigma.__index__()) < self.dim:
+        if not 0 <= (sigma := integer(sigma, "node must be an integer bitmask")) < self.dim:
             raise ValueError(f"node {sigma} out of range [0, {self.dim}) for L={self.L}")
         return sigma
 
 
 def elements(sigma: int) -> list[int]:
     """Ascending list of the elements of the subset."""
-    if sigma < 0:
+    if (sigma := integer(sigma, "node mask must be an integer")) < 0:
         raise ValueError(f"node mask must be nonnegative, got {sigma}")
-    sigma = sigma.__index__()  # numpy's integers too
     return [k for k in range(sigma.bit_length()) if sigma >> k & 1]
 
 

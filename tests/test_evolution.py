@@ -551,6 +551,9 @@ def test_a_refused_time_allocates_nothing_node_sized():
     try:
         with pytest.raises(ValueError, match="is beyond the float range"):
             evolve(engine, start, 10**400)
+        for t in (True, np.complex128(0.5 + 2j)):  # not a time, though each converts to a float
+            with pytest.raises(TypeError, match="must be real number"):
+                evolve(engine, start, t)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -34,10 +34,10 @@ EPS = float(np.finfo(float).eps)
 # times the library evaluates, refuses with ValueError, or refuses with TypeError
 TIMES = {
     "good": [0.0, -0.0, 5e-324, 0.7, -2.5, 1e15, -1e15, 8.98e307, math.nextafter(sys.float_info.max / 2, math.inf),
-             -1e308, sys.float_info.max, -sys.float_info.max, True, np.float64(0.7), np.int64(3), 2**60,
+             -1e308, sys.float_info.max, -sys.float_info.max, np.float64(0.7), np.int64(3), 2**60,
              10**17 + 1],
     "bad": [math.inf, -math.inf, math.nan, 2**1024, 10**400, -(10**400)],
-    "unreal": [1j, complex(0.7, 0.0), "1.0", None],
+    "unreal": [1j, complex(0.7, 0.0), "1.0", None, True, np.True_, np.complex128(0.7)],
 }
 # nodes pst_check and closed_form_pt take at L = 2 or more, and refuse with ValueError
 BAD_NODES = [-1, 1 << 30, True, 1.0, "1"]

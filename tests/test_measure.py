@@ -724,7 +724,9 @@ def test_every_time_is_checked_with_the_same_messages(name):
                     (10**5000, "<int of 16610 bits>"), (-(10**5000), "-<int of 16610 bits>")):
         with pytest.raises(ValueError, match=re.escape(f"time {name} is beyond the float range")):
             call(Level(2), t)
-    for t in (1j, "1.0", None):  # not a real number
+    # not a real number; a bool and numpy's complexes neither, though a
+    # numpy complex converts to a float with a ComplexWarning
+    for t in (1j, "1.0", None, True, False, np.True_, np.complex128(0.5 + 2j), np.complex64(1)):
         with pytest.raises(TypeError):
             call(Level(2), t)
 

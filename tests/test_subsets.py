@@ -70,6 +70,7 @@ def test_level_rejects_out_of_cap(bad):
         (apply_involution, (1.0, vacuum_state(Level(2))), "flip index must be an integer"),
         (apply_involution, (np.False_, vacuum_state(Level(2))), "flip index must be an integer"),
         (elements, (-1,), "nonnegative"),
+        *((call, (bad,), "node mask must be an integer") for call in (elements, format_node) for bad in (5.0, "5", True, np.True_)),
     ],
     ids=lambda v: repr(v) if isinstance(v, tuple) else getattr(v, "__name__", None),
 )
