@@ -22,7 +22,7 @@ import functools
 import os
 
 from . import _numpy as np
-from .spectral import NORM_RUN, StateVector, basis_start_classes, bit_factor, check_unit, probability, run_norms
+from .spectral import NORM_RUN, UNITS, StateVector, basis_start_classes, bit_factor, check_unit, probability, run_norms
 from .subsets import Level
 
 ONE_HOT_PROBE = 16  # leading amplitudes one_hot_node reads before it counts them all
@@ -120,7 +120,7 @@ def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, phase: complex, s
     the product over bits k of r2[bit k of s, bit k of g].  src is not
     changed.
 
-    src must be a contiguous complex128 vector of power-of-two length 2**m.
+    src must be a contiguous complex128 vector of 2**m amplitudes, m >= 1.
     The lowest b bits index within a row; a run is the 2**k amplitudes below
     the split bit k (_plan, from BUFFER_BYTES and PRODUCT_MACS).  The unit
     d**popcount(g >> b) of amplitude g is its run's outer unit, of the bits
@@ -149,13 +149,13 @@ def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, phase: complex, s
     """
     n = src.shape[0]
     m = n.bit_length() - 1
-    if src.ndim != 1 or n != 1 << m or src.dtype != np.complex128 or not src.flags.c_contiguous:
+    if src.ndim != 1 or n < 2 or n != 1 << m or src.dtype != np.complex128 or not src.flags.c_contiguous:
         raise ValueError("expected a contiguous complex128 vector of power-of-two length")
     m2 = np.array([[cos_t, sin_t], [sin_t, -cos_t]], dtype=np.float64)
-    d = -1j
+    d = UNITS[1]
     b, k, cols = _plan(m)
     run, rows = 1 << k, n >> k
-    units = np.array([1, d, d * d, d * d * d])
+    units = np.array(UNITS)
     inner_units = units[np.bitwise_count(np.arange(run) >> b) & 3]
     r2 = np.array([[m2[0, 0], d * m2[0, 1]], [d * m2[1, 0], d * d * m2[1, 1]]])
     block_t = (phase * _kron_power(r2, b)).T
@@ -165,8 +165,8 @@ def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, phase: complex, s
     outer = [(low, _kron_power(m2, bits)) for low, bits in _groups(0, m - k)]
     result = np.empty(n) if square else np.empty_like(src)
     tiled = result.reshape(rows, -1, cols)  # each tile's amplitudes, or with square its squares
-    odd = result[: n - n % 2].view(np.complex128).reshape(rows, -1, cols) if square else tiled[:, 1::2]  # none at m = 0
-    even = np.empty((rows, tiled.shape[1] - odd.shape[1], cols), np.complex128) if square else tiled[:, 0::2]
+    odd = result.view(np.complex128).reshape(rows, -1, cols) if square else tiled[:, 1::2]  # from m = 1, half the tiles
+    even = np.empty((rows, tiled.shape[1] // 2, cols), np.complex128) if square else tiled[:, 0::2]
     sums = [[]] * rows  # with check, each run's run_norms
     lows = (-1, min(run >> b, PRODUCT_MACS >> 2 * b + 2), 2 << b)  # the lowest block's products
 
@@ -189,7 +189,7 @@ def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, phase: complex, s
     def pairs(us):
         bufs = np.empty((min(2, len(outer)), rows, 2 * cols))
         exits = None if square else np.repeat(units[np.bitwise_count(np.arange(rows)) & 3, None], cols, axis=1)
-        for t in (t for u in us for t in (2 * u + 1, 2 * u) if t < tiled.shape[1]):  # the odd tile first: both squares land on its state
+        for t in (t for u in us for t in (2 * u + 1, 2 * u)):  # the odd tile first: both squares land on its state
             tile = (odd if t & 1 else even)[:, t >> 1].view(np.float64)
             for i, (low, block) in enumerate(outer):
                 np.matmul(block, _grouped(tile, low, len(block)), out=_grouped(bufs[i & 1], low, len(block)))

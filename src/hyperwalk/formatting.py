@@ -90,8 +90,7 @@ def export_graph(level: Level, fmt: str) -> str:
     if level.dim > EXPORT_CAP:
         raise ValueError(f"graph with {level.dim} vertices too large for export (cap {EXPORT_CAP})")
     if fmt == "json":
-        pairs = [[a, b] for a, b in edges(level)]
-        return "".join(iter_document(level, {"vertices": level.dim, "edges": pairs}))
+        return "".join(iter_document(level, {"vertices": level.dim, "edges": edges(level)}))
     if fmt == "dot":
         lines = [f'graph "hypercube_L{level.L}" {{']
         for a, b in edges(level):

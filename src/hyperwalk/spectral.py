@@ -23,6 +23,7 @@ from .subsets import Level, integer
 
 NORM_TOL = 1e-12
 NORM_RUN = 8192  # amplitudes per vdot: a longer one starts OpenBLAS's threads
+UNITS = (1, -1j, -1, 1j)  # (-i)**k at k % 4: the powers of D = diag(1, -i)'s lower entry
 
 
 class StateVector:
@@ -240,7 +241,7 @@ def basis_start_classes(level: Level, sigma: int, t: float) -> ClassTable:
     """
     m = level.L + 1
     cos_t, sin_t, phase = bit_factor(t, m)
-    table = (cos_t ** (m - d) * sin_t**d * (1, -1j, -1, 1j)[d % 4] * phase for d in range(m + 1))
+    table = (cos_t ** (m - d) * sin_t**d * UNITS[d % 4] * phase for d in range(m + 1))
     return ClassTable(level, sigma, tuple(table))
 
 

@@ -195,7 +195,7 @@ def test_the_plan_covers_every_amplitude_up_to_the_cap(m):
     assert cols == 1 or rows * cols * 16 <= min(evolution.BUFFER_BYTES, n)
     assert 32 * run <= evolution.BUFFER_BYTES and (m < 8 or run <= n >> 4)
     products = _planned_products(m)
-    if m <= 17:
+    if 1 <= m <= 17:  # the kernel serves a Level's 2**m amplitudes, m >= 1
         assert set(products) == set(_products(m))
     # OpenBLAS threads a product of 2**20 multiply-adds: every product of a
     # run, the 8×8 group of bits 12-14 among them, and of a tile stays below
@@ -225,7 +225,7 @@ def test_the_caps_follow_the_block(monkeypatch, block_bits):
     monkeypatch.setattr(evolution, "BLOCK_BITS", block_bits)
     for m in range(26):
         products = _planned_products(m)
-        if m <= 17:
+        if 1 <= m <= 17:
             assert set(products) == set(_products(m)), m
         for left, right in products:
             assert _macs(left, right) <= evolution.PRODUCT_MACS, (m, left, right)
@@ -478,6 +478,7 @@ def test_the_kernel_at_the_level_cap(monkeypatch):
     [
         np.zeros(8, dtype=np.complex64),
         np.zeros(8),
+        np.zeros(1, dtype=np.complex128),
         np.zeros(12, dtype=np.complex128),
         np.zeros(16, dtype=np.complex128)[::2],
         np.zeros((4, 4), dtype=np.complex128),

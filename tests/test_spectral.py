@@ -20,9 +20,9 @@ from hyperwalk import (
     to_eigenbasis,
     vacuum_state,
 )
-from hyperwalk import evolution
+from hyperwalk import evolution, spectral
 from hyperwalk.formatting import dumps_json
-from hyperwalk.spectral import ClassTable, basis_start_classes, sign_column
+from hyperwalk.spectral import ClassTable, basis_start_classes, bit_factor, sign_column
 
 from helpers import literal_kernel_matrix, operator_matrix, pm1_transform, popcount, random_state
 
@@ -259,3 +259,16 @@ def test_basis_start_classes_gather_to_evolve():
                 assert np.array_equal(table.materialize(), amps)
                 pairs = table.with_table(tuple((a.real, a.imag) for a in table.table))
                 assert np.array_equal(pairs.materialize(), amps.view(np.float64).reshape(-1, 2))
+
+
+def test_the_walks_units_have_one_table(monkeypatch):
+    # UNITS[k] is (-i)**k, the k-th power of D = diag(1, -i)'s lower entry,
+    # and as an array the kernel's former powers of d = -1j, signed zeros included
+    assert [spectral.UNITS[k] == (-1j) ** k for k in range(4)] == [True] * 4
+    d = -1j
+    assert np.array(spectral.UNITS).view(np.uint64).tolist() == np.array([1, d, d * d, d * d * d]).view(np.uint64).tolist()
+    # the node-start table reads its unit at distance j from it, UNITS[j % 4]
+    monkeypatch.setattr(spectral, "UNITS", (2, 3, 5, 7))
+    cos_t, sin_t, phase = bit_factor(0.4, 6)
+    expected = tuple(cos_t ** (6 - j) * sin_t**j * (2, 3, 5, 7)[j % 4] * phase for j in range(7))
+    assert basis_start_classes(Level(5), 0, 0.4).table == expected
