@@ -165,7 +165,7 @@ def apply_per_bit(src: np.ndarray, cos_t: float, sin_t: float, phase: complex, s
     outer = [(low, _kron_power(m2, bits)) for low, bits in _groups(0, m - k)]
     result = np.empty(n) if square else np.empty_like(src)
     tiled = result.reshape(rows, -1, cols)  # each tile's amplitudes, or with square its squares
-    odd = result.view(np.complex128).reshape(rows, -1, cols) if square else tiled[:, 1::2]  # from m = 1, half the tiles
+    odd = result.view(np.complex128).reshape(rows, -1, cols) if square else tiled[:, 1::2]  # a row holds an even number of tiles from m = 1
     even = np.empty((rows, tiled.shape[1] // 2, cols), np.complex128) if square else tiled[:, 0::2]
     sums = [[]] * rows  # with check, each run's run_norms
     lows = (-1, min(run >> b, PRODUCT_MACS >> 2 * b + 2), 2 << b)  # the lowest block's products
