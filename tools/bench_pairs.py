@@ -42,11 +42,13 @@ def checkout(rev: str) -> tuple[str, pathlib.Path]:
         sys.exit(f"error: {rev!r} names no commit")
     sha = parsed.stdout.strip()
     where = ROOT / ".bench_build" / "pairs" / sha
-    if not (where / "perfbench" / "run.py").is_file():
+    if not where.is_dir():  # unpacked beside it, then renamed: an interrupted unpack is never used
         archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT, check=True, capture_output=True).stdout
+        partial = where.with_name(sha + ".partial")
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             # the data filter (Python 3.12, and backported) refuses links and paths out of the directory
-            tar.extractall(where, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+            tar.extractall(partial, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+        partial.rename(where)
     return sha, where
 
 
@@ -56,9 +58,10 @@ def run(where: pathlib.Path, workload: str, seed: int, seconds: int) -> dict:
     done = subprocess.run(argv, cwd=where, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     try:
-        summary = json.loads(lines[-1])
-        summary.get("correct")
-    except (IndexError, ValueError, AttributeError):
+        summary = json.loads(lines[-1]) if lines else None
+    except ValueError:
+        summary = None
+    if not isinstance(summary, dict):
         return {"correct": False, "reason": f"exit {done.returncode}, no summary: {done.stderr.strip()[-300:]}"}
     return summary if done.returncode == 0 else {**summary, "correct": False, "reason": f"exit {done.returncode}"}
 
